@@ -69,20 +69,62 @@ class Dfa:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dfa":
-        atoms = tuple(data["atoms"])
-        n = int(data["states"])
-        rows = [[-1] * (1 << len(atoms)) for _ in range(n)]
-        for t in data["transitions"]:
-            rows[t["from"]][t["letter"]] = t["to"]
-        if any(dst < 0 for row in rows for dst in row):
+        """Inverse of :meth:`to_json_dict`; any malformed field is a DomainError.
+
+        The table must list each ``(from, letter)`` pair exactly once, and
+        every state and letter must be in range.
+        """
+        if not isinstance(data, dict):
+            raise DomainError("DFA JSON must be an object")
+        missing = {"atoms", "states", "accepting", "transitions"} - data.keys()
+        if missing:
+            raise DomainError(f"DFA JSON is missing {sorted(missing)}")
+        atoms = data["atoms"]
+        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+            raise DomainError("DFA atoms must be a list of names")
+        if len(set(atoms)) != len(atoms):
+            raise DomainError(f"DFA atoms repeat: {atoms}")
+        n = _json_index(data["states"], None, "states")
+        n_letters = 1 << len(atoms)
+        entries = data["transitions"]
+        accepting = data["accepting"]
+        if not isinstance(entries, list) or not isinstance(accepting, list):
+            raise DomainError("DFA transitions and accepting states must be lists")
+        table: dict[tuple[int, int], int] = {}
+        for t in entries:
+            if not isinstance(t, dict) or not {"from", "letter", "to"} <= t.keys():
+                raise DomainError(f"transition {t!r} needs 'from', 'letter' and 'to'")
+            key = (
+                _json_index(t["from"], n, "from"),
+                _json_index(t["letter"], n_letters, "letter"),
+            )
+            if key in table:
+                raise DomainError(f"duplicate transition from {key[0]} on letter {key[1]}")
+            table[key] = _json_index(t["to"], n, "to")
+        if len(table) != n * n_letters:
             raise DomainError("transition table is not complete")
         return cls(
-            atoms=atoms,
+            atoms=tuple(atoms),
             n_states=n,
-            accepting=frozenset(int(s) for s in data["accepting"]),
-            transitions=tuple(tuple(row) for row in rows),
-            initial=int(data.get("initial", 0)),
+            accepting=frozenset(_json_index(s, n, "accepting") for s in accepting),
+            transitions=tuple(
+                tuple(table[s, letter] for letter in range(n_letters)) for s in range(n)
+            ),
+            initial=_json_index(data.get("initial", 0), n, "initial"),
         )
+
+
+def _json_index(value, bound: int | None, what: str) -> int:
+    """``value`` as a non-negative int below ``bound`` (if given)."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or value < 0
+        or (bound is not None and value >= bound)
+    ):
+        limit = "a non-negative integer" if bound is None else f"in 0..{bound - 1}"
+        raise DomainError(f"DFA {what} {value!r} is not {limit}")
+    return value
 
 
 def letter_of(assignment: dict[str, bool], atoms: Sequence[str]) -> int:
@@ -106,6 +148,14 @@ def ltlf_to_dfa(
 
     ``atoms`` fixes the alphabet (it must cover every atom of ``f``); by
     default the formula's own atoms in sorted order.
+
+    States are the canonical state forms of progressions of ``f``, explored
+    breadth-first over letters in ascending order.  Formulas are interned
+    and one :class:`~ltlseq.formulas.ProgressionMemo` serves the whole
+    translation, so each subformula is progressed once per letter of its
+    own atoms, and each distinct raw progression is brought to state form
+    once: on ``&_i G(a_i -> F b_i)`` over 10 atoms, 32 states times 1024
+    letters need 33 state forms.
     """
     f_atoms = f.atoms()
     if atoms is None:
@@ -119,22 +169,22 @@ def ltlf_to_dfa(
 
     initial = fm.state_form(fm.to_nnf(f))
     letters = [assignment_of(letter, atoms) for letter in range(1 << len(atoms))]
+    memo = fm.ProgressionMemo(atoms)
+    state_of: dict[fm.Formula, fm.Formula] = {}  # raw progression -> state form
 
     index: dict[fm.Formula, int] = {initial: 0}
     order: list[fm.Formula] = [initial]
     rows: list[list[int]] = []
-    memo: dict[tuple[fm.Formula, int], fm.Formula] = {}
 
     pos = 0
     while pos < len(order):
         state_formula = order[pos]
         row = []
-        for letter, assignment in enumerate(letters):
-            key = (state_formula, letter)
-            nxt = memo.get(key)
+        for assignment in letters:
+            raw = fm.progress(state_formula, assignment, memo)
+            nxt = state_of.get(raw)
             if nxt is None:
-                nxt = fm.state_form(fm.progress(state_formula, assignment))
-                memo[key] = nxt
+                nxt = state_of[raw] = fm.state_form(raw)
             dst = index.get(nxt)
             if dst is None:
                 dst = len(order)
@@ -180,80 +230,63 @@ def minimize(d: Dfa) -> Dfa:
     minimization is a pure function of the automaton.
     """
     reach = _reachable(d)
-    reach_set = set(reach)
-    n_letters = d.n_letters
-
-    preimage: dict[int, list[set[int]]] = {s: [set() for _ in range(n_letters)] for s in reach}
+    # inverse[letter][t]: the reachable states that step to t on letter
+    inverse: list[dict[int, list[int]]] = [{} for _ in range(d.n_letters)]
     for s in reach:
-        for letter in range(n_letters):
-            t = d.transitions[s][letter]
-            preimage[t][letter].add(s)
+        for letter, t in enumerate(d.transitions[s]):
+            inverse[letter].setdefault(t, []).append(s)
 
-    final = frozenset(s for s in reach if s in d.accepting)
-    nonfinal = frozenset(reach_set - final)
-    partition: set[frozenset[int]] = {b for b in (final, nonfinal) if b}
-    # worklist starts from the smaller half — keeps refinement O(n log n)
-    worklist: set[frozenset[int]] = set()
-    if final and nonfinal:
-        worklist.add(final if len(final) <= len(nonfinal) else nonfinal)
-    elif partition:
-        worklist.add(next(iter(partition)))
-
+    final = {s for s in reach if s in d.accepting}
+    blocks: list[set[int]] = [b for b in (final, set(reach) - final) if b]
+    block_of = {s: i for i, block in enumerate(blocks) for s in block}
+    # Hopcroft's rule: a split block not awaiting use as a splitter queues
+    # only its smaller half, and each split costs time proportional to the
+    # states moved, which keeps refinement O(m log n) over m transitions
+    # (Hopcroft 1971; Valmari & Lehtinen 2008).
+    worklist = {min(range(len(blocks)), key=lambda b: len(blocks[b]))}
     while worklist:
-        splitter = worklist.pop()
-        for letter in range(n_letters):
-            x = set()
+        splitter = list(blocks[worklist.pop()])
+        for by_target in inverse:
+            # only blocks meeting the preimage of the splitter can split
+            touched: dict[int, list[int]] = {}
             for t in splitter:
-                x |= preimage[t][letter]
-            if not x:
-                continue
-            for block in list(partition):
-                inside = block & x
-                outside = block - x
-                if not inside or not outside:
+                for s in by_target.get(t, ()):
+                    touched.setdefault(block_of[s], []).append(s)
+            for b, inside in touched.items():
+                block = blocks[b]
+                if len(inside) == len(block):
                     continue
-                partition.discard(block)
-                b_in, b_out = frozenset(inside), frozenset(outside)
-                partition.add(b_in)
-                partition.add(b_out)
-                if block in worklist:
-                    worklist.discard(block)
-                    worklist.add(b_in)
-                    worklist.add(b_out)
-                else:
-                    worklist.add(b_in if len(b_in) <= len(b_out) else b_out)
-    block_of = {}
-    for block in partition:
-        for s in block:
-            block_of[s] = block
+                block.difference_update(inside)
+                new = len(blocks)
+                blocks.append(set(inside))
+                for s in inside:
+                    block_of[s] = new
+                worklist.add(new if b in worklist or len(inside) <= len(block) else b)
 
     # deterministic renumbering: BFS over blocks, letters ascending
+    reps = [min(block) for block in blocks]
     start = block_of[d.initial]
     number = {start: 0}
     bfs = deque([start])
     ordered = [start]
     while bfs:
-        block = bfs.popleft()
-        rep = min(block)
-        for letter in range(n_letters):
-            succ = block_of[d.transitions[rep][letter]]
+        b = bfs.popleft()
+        for t in d.transitions[reps[b]]:
+            succ = block_of[t]
             if succ not in number:
                 number[succ] = len(ordered)
                 ordered.append(succ)
                 bfs.append(succ)
 
-    rows = []
-    for block in ordered:
-        rep = min(block)
-        rows.append(
-            tuple(number[block_of[d.transitions[rep][letter]]] for letter in range(n_letters))
-        )
-    accepting = frozenset(i for i, block in enumerate(ordered) if min(block) in d.accepting)
+    rows = tuple(
+        tuple(number[block_of[t]] for t in d.transitions[reps[b]]) for b in ordered
+    )
+    accepting = frozenset(i for i, b in enumerate(ordered) if reps[b] in d.accepting)
     return Dfa(
         atoms=d.atoms,
         n_states=len(ordered),
         accepting=accepting,
-        transitions=tuple(rows),
+        transitions=rows,
     )
 
 

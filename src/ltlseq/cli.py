@@ -61,20 +61,33 @@ def _friendly(fn):
 
 
 def _compile_cached(spec: TaskSpec) -> CompiledTask:
-    """compile_task with an automaton cache keyed by the spec hash."""
+    """compile_task with an automaton cache keyed by the spec hash.
+
+    A cache file that is truncated or not a valid automaton is recompiled
+    and rewritten; writes go through a temporary file and ``os.replace``, so
+    readers never see a partial file.
+    """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return compile_task(spec)
     path = Path(cache_dir) / f"{spec.spec_hash}.dfa.json"
-    if path.exists():
+    try:
         dfa = Dfa.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (FileNotFoundError, ValueError):
+        pass  # absent, or undecodable: JSON, UTF-8 and DomainError are ValueErrors
+    else:
         return compile_task(spec, dfa=dfa)
     task = compile_task(spec)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(task.dfa.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(
+            json.dumps(task.dfa.to_json_dict(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return task
 
 

@@ -1,16 +1,22 @@
 """LTLf formulas over named atoms: AST, parser, printer, NNF, progression.
 
-Formulas are immutable trees.  The parser and printer round-trip exactly
-(``parse(str(f)) == f``).  ``canonical`` flattens and sorts associative
-connectives so that logically identical progression states collapse to a
-single representative, which keeps the automaton construction finite.
+Formulas are hash-consed: every constructor goes through one weak-valued
+unique table, so structurally equal formulas are the same object, ``==`` is
+identity and each node's hash is computed once.  A node also caches its atom
+set and its printed form, which doubles as the sort key of canonical child
+order.  The parser and printer round-trip exactly (``parse(str(f)) is f``).
+``canonical`` flattens and sorts associative connectives so that logically
+identical progression states collapse to a single representative, which
+keeps the automaton construction finite.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Mapping
 
 from .errors import (
     DomainError,
@@ -21,103 +27,164 @@ from .errors import (
 
 _ATOM_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
+# The unique table: (class, *fields) -> the one live node with those fields.
+# Values are weak, so a formula nobody references leaves the table.
+_TABLE: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.Lock()
+
+
+def _intern(cls, fields: tuple) -> Formula:
+    key = (cls, *fields)
+    node = _TABLE.get(key)
+    if node is None:
+        with _TABLE_LOCK:
+            node = _TABLE.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                init = object.__setattr__
+                for name, value in zip(cls._fields, fields):
+                    init(node, name, value)
+                init(node, "_hash", hash((cls.__name__, *fields)))
+                init(node, "_text", None)
+                init(node, "_atoms", None)
+                _TABLE[key] = node
+    return node
+
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses with structural equality."""
+    """Base class of the interned, immutable formula nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_text", "_atoms", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
     def __str__(self) -> str:
         return print_formula(self)
 
     def atoms(self) -> frozenset[str]:
-        return _collect_atoms(self)
+        atoms = self._atoms
+        if atoms is None:
+            atoms = frozenset().union(
+                *(getattr(self, name).atoms() for name in self._fields)
+            )
+            object.__setattr__(self, "_atoms", atoms)
+        return atoms
 
 
-@dataclass(frozen=True, repr=False)
-class TrueF(Formula):
+class _Constant(Formula):
     __slots__ = ()
 
-    def __repr__(self):
-        return "TrueF()"
+    def __new__(cls):
+        return _intern(cls, ())
 
 
-@dataclass(frozen=True, repr=False)
-class FalseF(Formula):
+class TrueF(_Constant):
     __slots__ = ()
 
-    def __repr__(self):
-        return "FalseF()"
+
+class FalseF(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
+    __match_args__ = _fields
 
-    def __post_init__(self):
-        if not _ATOM_RE.match(self.name) or self.name in _KEYWORDS:
-            raise ValueError(f"invalid atom name: {self.name!r}")
+    def __new__(cls, name: str):
+        if not _ATOM_RE.match(name) or name in _KEYWORDS:
+            raise ValueError(f"invalid atom name: {name!r}")
+        return _intern(cls, (name,))
 
-
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+    def atoms(self) -> frozenset[str]:
+        atoms = self._atoms
+        if atoms is None:
+            atoms = frozenset((self.name,))
+            object.__setattr__(self, "_atoms", atoms)
+        return atoms
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = ("child",)
+    _fields = ("child",)
+    __match_args__ = _fields
+
+    def __new__(cls, child: Formula):
+        return _intern(cls, (child,))
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+    __match_args__ = _fields
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _intern(cls, (left, right))
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    child: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeakNext(Formula):
-    child: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Finally(Formula):
-    child: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    child: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Next(_Unary):
+    __slots__ = ()
+
+
+class WeakNext(_Unary):
+    __slots__ = ()
+
+
+class Finally(_Unary):
+    __slots__ = ()
+
+
+class Globally(_Unary):
+    __slots__ = ()
+
+
+class Until(_Binary):
+    __slots__ = ()
+
+
+class Release(_Binary):
+    __slots__ = ()
 
 
 TRUE = TrueF()
@@ -129,21 +196,6 @@ FALSE = FalseF()
 # at the end of the trace.  Both vanish after one further step.
 NONEMPTY = Finally(TRUE)
 ENDED = Globally(FALSE)
-
-
-def _collect_atoms(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            out.add(g.name)
-        elif isinstance(g, (Not, Next, WeakNext, Finally, Globally)):
-            stack.append(g.child)
-        elif isinstance(g, (And, Or, Implies, Iff, Until, Release)):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +232,14 @@ def _level(f: Formula) -> int:
 
 def print_formula(f: Formula) -> str:
     """Render ``f`` in the concrete syntax accepted by :func:`parse`."""
+    text = f._text
+    if text is None:
+        text = _render(f)
+        object.__setattr__(f, "_text", text)
+    return text
+
+
+def _render(f: Formula) -> str:
     t = type(f)
     if t is TrueF:
         return "true"
@@ -353,19 +413,22 @@ def parse(text: str) -> Formula:
 # Canonical form: n-ary flattening of &/| with sorted, deduplicated children
 # plus unit, complement, and absorption rules.  Temporal operators are never
 # rewritten (in particular "F true" is NOT folded to "true": the two differ
-# on the empty remainder of a trace).
+# on the empty remainder of a trace).  Children sort by their printed form,
+# which every node caches.
 
 
-def _sort_key(f: Formula) -> str:
-    return print_formula(f)
-
-
-def _flatten(f: Formula, cls) -> Iterable[Formula]:
-    if isinstance(f, cls):
-        yield from _flatten(f.left, cls)
-        yield from _flatten(f.right, cls)
-    else:
-        yield f
+def _flatten(f: Formula, cls) -> list[Formula]:
+    """Maximal non-``cls`` operands of a ``cls`` tree, left to right."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is cls:
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
 
 
 def _build_chain(children: list[Formula], ctor) -> Formula:
@@ -380,14 +443,14 @@ def _canon_nary(items: Iterable[Formula], cls, unit, absorber, dual_cls) -> Form
     present: set[Formula] = set()
     for f in items:
         for c in _flatten(f, cls):
-            if c == absorber:
+            if c is absorber:
                 return absorber
-            if c == unit or c in present:
+            if c is unit or c in present:
                 continue
             present.add(c)
             seen.append(c)
     for c in seen:
-        if (isinstance(c, Not) and c.child in present) or Not(c) in present:
+        if type(c) is Not and c.child in present:
             return absorber
     # absorption: inside an And, an Or-child with a sibling disjunct is
     # redundant (x & (x | y) == x); dually for Or.
@@ -401,7 +464,7 @@ def _canon_nary(items: Iterable[Formula], cls, unit, absorber, dual_cls) -> Form
         return unit
     if len(seen) == 1:
         return seen[0]
-    seen.sort(key=_sort_key)
+    seen.sort(key=print_formula)
     return _build_chain(seen, cls)
 
 
@@ -476,7 +539,7 @@ def _minimal_models(f: Formula) -> list[frozenset[Formula]]:
 def state_form(f: Formula) -> Formula:
     """Canonical NNF equivalent of ``f``: disjunction of minimal models."""
     models = _minimal_models(f)
-    return disj(conj(sorted(m, key=_sort_key)) for m in models)
+    return disj(conj(sorted(m, key=print_formula)) for m in models)
 
 
 # --------------------------------------------------------------------------
@@ -531,48 +594,113 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 # after one letter has been consumed, and truth on the empty remainder.
 
 
-def progress(f: Formula, letter: Mapping[str, bool]) -> Formula:
+def progress(
+    f: Formula, letter: Mapping[str, bool], memo: ProgressionMemo | None = None
+) -> Formula:
     """Progress NNF formula ``f`` through one letter.
 
     ``letter`` must assign every atom of ``f``.  Strong next keeps its
     obligation conjoined with ``F true`` (the remainder must be non-empty);
     weak next disjoins ``G false`` (trivially satisfied if the trace ends).
+    A ``memo`` shares work between calls over its alphabet, which ``letter``
+    must then assign in full; the result is the same with or without it.
     """
-    t = type(f)
-    if t is TrueF:
-        return TRUE
-    if t is FalseF:
-        return FALSE
-    if t is Atom:
-        return TRUE if _letter_value(letter, f.name) else FALSE
-    if t is Not:
-        if not isinstance(f.child, Atom):
-            raise ValueError(f"progress requires NNF, got {f}")
-        return FALSE if _letter_value(letter, f.child.name) else TRUE
-    if t is And:
-        return conj([progress(f.left, letter), progress(f.right, letter)])
-    if t is Or:
-        return disj([progress(f.left, letter), progress(f.right, letter)])
-    if t is Next:
-        return conj([f.child, NONEMPTY])
-    if t is WeakNext:
-        return disj([f.child, ENDED])
-    if t is Globally:
-        return conj([progress(f.child, letter), f])
-    if t is Finally:
-        return disj([progress(f.child, letter), f])
-    if t is Until:
-        return disj([progress(f.right, letter), conj([progress(f.left, letter), f])])
-    if t is Release:
-        return conj([progress(f.right, letter), disj([progress(f.left, letter), f])])
-    raise ValueError(f"progress requires NNF, got {f}")
+    if memo is None:
+        memo = ProgressionMemo(letter)
+    return memo._step(f, memo._encode(letter))
 
 
-def _letter_value(letter: Mapping[str, bool], name: str) -> bool:
-    try:
-        return bool(letter[name])
-    except KeyError:
-        raise DomainError(f"letter does not assign atom {name!r}") from None
+class ProgressionMemo:
+    """Progression results shared between :func:`progress` calls.
+
+    A subformula's progression depends only on the atoms it reads, so each
+    result is kept under the subformula and the letter projected onto those
+    atoms: over all 2^k letters, ``G(a -> F b)`` is progressed for four
+    projected letters.  The canonical conjunctions and disjunctions of
+    progressed parts are kept as well.  Nothing is ever evicted, so a memo
+    should live for one translation.
+    """
+
+    def __init__(self, atoms: Iterable[str]):
+        self._bit = {a: 1 << i for i, a in enumerate(atoms)}
+        self._masks: dict[Formula, int] = {}
+        self._memo: dict[tuple[Formula, int], Formula] = {}
+        self._joins: dict[tuple, Formula] = {}
+
+    def _encode(self, letter: Mapping[str, bool]) -> int:
+        try:
+            return sum(bit for a, bit in self._bit.items() if letter[a])
+        except KeyError as err:
+            raise DomainError(f"letter does not assign atom {err.args[0]!r}") from None
+
+    def _step(self, f: Formula, letter: int) -> Formula:
+        key = (f, letter & self._mask(f))
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self._progress(f, letter)
+        return out
+
+    def _mask(self, f: Formula) -> int:
+        mask = self._masks.get(f)
+        if mask is None:
+            mask = self._masks[f] = self._reads(f)
+        return mask
+
+    def _reads(self, f: Formula) -> int:
+        """Bits of the atoms that progressing ``f`` reads.
+
+        Visits subformulas in the order :meth:`_progress` does, so the first
+        missing atom or non-NNF node raises here, before any progression.
+        """
+        t = type(f)
+        if t is Atom or (t is Not and type(f.child) is Atom):
+            name = f.name if t is Atom else f.child.name
+            try:
+                return self._bit[name]
+            except KeyError:
+                raise DomainError(f"letter does not assign atom {name!r}") from None
+        if t in (TrueF, FalseF, Next, WeakNext):
+            return 0
+        if t in (And, Or):
+            return self._mask(f.left) | self._mask(f.right)
+        if t in (Globally, Finally):
+            return self._mask(f.child)
+        if t in (Until, Release):
+            return self._mask(f.right) | self._mask(f.left)
+        raise ValueError(f"progress requires NNF, got {f}")
+
+    def _join(self, combine, a: Formula, b: Formula) -> Formula:
+        key = (combine, a, b)
+        out = self._joins.get(key)
+        if out is None:
+            out = self._joins[key] = combine([a, b])
+        return out
+
+    def _progress(self, f: Formula, letter: int) -> Formula:
+        t = type(f)
+        if t is Atom:
+            return TRUE if letter & self._bit[f.name] else FALSE
+        if t is Not:
+            return FALSE if letter & self._bit[f.child.name] else TRUE
+        if t is And:
+            return self._join(conj, self._step(f.left, letter), self._step(f.right, letter))
+        if t is Or:
+            return self._join(disj, self._step(f.left, letter), self._step(f.right, letter))
+        if t is Next:
+            return self._join(conj, f.child, NONEMPTY)
+        if t is WeakNext:
+            return self._join(disj, f.child, ENDED)
+        if t is Globally:
+            return self._join(conj, self._step(f.child, letter), f)
+        if t is Finally:
+            return self._join(disj, self._step(f.child, letter), f)
+        if t is Until:
+            now = self._step(f.right, letter)
+            return self._join(disj, now, self._join(conj, self._step(f.left, letter), f))
+        if t is Release:
+            now = self._step(f.right, letter)
+            return self._join(conj, now, self._join(disj, self._step(f.left, letter), f))
+        return f  # TRUE or FALSE
 
 
 def eval_empty(f: Formula) -> bool:

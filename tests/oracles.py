@@ -99,3 +99,43 @@ def holds(f, trace, i):
 
 def rand_trace(rng, n, atoms=ATOMS):
     return [{a: rng.random() < 0.5 for a in atoms} for _ in range(n)]
+
+
+def minimize_reference(d):
+    """Moore partition refinement with the package's numbering contract.
+
+    States are renumbered by BFS over classes from the initial state,
+    letters ascending, exactly as ``ltlseq.automata.minimize`` promises.
+    """
+    from ltlseq.automata import Dfa
+
+    reach, frontier = {d.initial}, [d.initial]
+    while frontier:
+        frontier = [t for s in frontier for t in d.transitions[s] if t not in reach]
+        reach.update(frontier)
+    cls = {s: int(s in d.accepting) for s in reach}
+    while True:
+        sigs = {s: (cls[s], *(cls[t] for t in d.transitions[s])) for s in reach}
+        ids = {}
+        refined = {s: ids.setdefault(sigs[s], len(ids)) for s in sorted(reach)}
+        if len(ids) == len(set(cls.values())):
+            break
+        cls = refined
+    members = {}
+    for s in sorted(reach):
+        members.setdefault(cls[s], s)  # smallest member represents its class
+    number = {cls[d.initial]: 0}
+    order = [cls[d.initial]]
+    for c in order:  # grows while iterated: BFS
+        for t in d.transitions[members[c]]:
+            if cls[t] not in number:
+                number[cls[t]] = len(order)
+                order.append(cls[t])
+    return Dfa(
+        atoms=d.atoms,
+        n_states=len(order),
+        accepting=frozenset(i for i, c in enumerate(order) if members[c] in d.accepting),
+        transitions=tuple(
+            tuple(number[cls[t]] for t in d.transitions[members[c]]) for c in order
+        ),
+    )

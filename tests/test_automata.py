@@ -1,5 +1,7 @@
 """DFA construction, minimization, guards, and serialization tests."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,9 +17,10 @@ from ltlseq.automata import (
 )
 from ltlseq.errors import DomainError, ResourceLimitError
 from ltlseq.formulas import parse
+from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.props import PFALSE, PTRUE, all_assignments, eval_prop
 
-from oracles import holds, rand_formula
+from oracles import holds, minimize_reference, rand_formula
 
 TASK_FORMULAS = [
     "G(p <-> X X q)",
@@ -85,6 +88,23 @@ def test_minimize_is_idempotent_and_preserves_language():
         for _ in range(300):
             trace = [rng.randrange(d.n_letters) for _ in range(rng.randrange(1, 12))]
             assert m.accepts(trace) == d.accepts(trace)
+
+
+def test_minimize_matches_moore_reference():
+    rng = random.Random(1971)
+    for _ in range(1500):
+        k = rng.randrange(4)
+        n = rng.randrange(1, 13)
+        d = Dfa(
+            atoms=("a", "b", "c")[:k],
+            n_states=n,
+            accepting=frozenset(s for s in range(n) if rng.random() < 0.4),
+            transitions=tuple(
+                tuple(rng.randrange(n) for _ in range(1 << k)) for _ in range(n)
+            ),
+            initial=rng.randrange(n),
+        )
+        assert minimize(d) == minimize_reference(d)
 
 
 def test_construction_is_deterministic():
@@ -208,3 +228,117 @@ def test_json_incomplete_table_rejected():
     data["transitions"] = data["transitions"][:-1]
     with pytest.raises(DomainError):
         Dfa.from_json_dict(data)
+
+
+def _mutated(mutate):
+    data = ltlf_to_dfa(parse("F p")).to_json_dict()  # 2 states, 2 letters
+    mutate(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.pop("atoms"),
+        lambda d: d.pop("states"),
+        lambda d: d.pop("accepting"),
+        lambda d: d.pop("transitions"),
+        lambda d: d["transitions"][0].pop("to"),
+        lambda d: d["transitions"][0].update({"from": 2}),
+        lambda d: d["transitions"][0].update({"letter": 2}),
+        lambda d: d["transitions"][0].update({"letter": -1}),
+        lambda d: d["transitions"][0].update({"to": 2}),
+        lambda d: d["transitions"][0].update({"to": -1}),
+        lambda d: d["transitions"][0].update({"to": 1.0}),
+        lambda d: d["transitions"][0].update({"to": True}),
+        lambda d: d["transitions"].__setitem__(1, dict(d["transitions"][0])),
+        lambda d: d.update({"accepting": [2]}),
+        lambda d: d.update({"initial": 2}),
+        lambda d: d.update({"states": "2"}),
+        lambda d: d.update({"atoms": "p"}),
+        lambda d: d.update({"atoms": ["p", "p"]}),
+        lambda d: d.update({"transitions": {}}),
+    ],
+    ids=[
+        "no-atoms",
+        "no-states",
+        "no-accepting",
+        "no-transitions",
+        "entry-without-to",
+        "from-out-of-range",
+        "letter-out-of-range",
+        "letter-negative",
+        "to-out-of-range",
+        "to-negative",
+        "to-float",
+        "to-bool",
+        "duplicate-entry",
+        "accepting-out-of-range",
+        "initial-out-of-range",
+        "states-string",
+        "atoms-string",
+        "atoms-repeated",
+        "transitions-object",
+    ],
+)
+def test_json_malformed_rejected(mutate):
+    with pytest.raises(DomainError):
+        Dfa.from_json_dict(_mutated(mutate))
+
+
+def test_json_non_object_rejected():
+    with pytest.raises(DomainError):
+        Dfa.from_json_dict([])
+
+
+# ---------------------------------------------------------------------------
+# Golden automata: sha256 of the sorted-key JSON of each automaton as the
+# translation produced it before formulas were interned.  Any change to the
+# states, their BFS numbering or the acceptance set shows up here.
+
+_FAMILY_6 = "G(a0 -> F b0) & G(a1 -> F b1) & G(a2 -> F b2)"
+_FAMILY_10 = _FAMILY_6 + " & G(a3 -> F b3) & G(a4 -> F b4)"
+
+GOLDEN_BUILTIN = {
+    "task1": (8, "867bf11934fb47d3fab3f5943e8322dd72a3e553d9149c3dadb9bf63ee7ac8d5"),
+    "task2": (5, "87e0d86f4a2fbdad74f376d13a4ebc7bd1b745c2296a0e7d48dcd314d314b203"),
+    "task3": (5, "ae98c7d851052e38e52b29343d8a959e1569c99db2902c68dbc62a843e19f259"),
+    "task4": (5, "ae98c7d851052e38e52b29343d8a959e1569c99db2902c68dbc62a843e19f259"),
+    "task5": (4, "7498c6bf46a9138a99dc8826a72b81ebd7f4a2c32340c3f65f94fdd486535a2d"),
+    "task6": (4, "e1143458a7e6b1eaa38167af9b1adcbde9a25579a315fb2bbd29b208fb035cc1"),
+    "example": (4, "b2ff20905811829b55b3b29cbe5c943995537bc9dddbef3930103b4f82019432"),
+}
+GOLDEN_FAMILY = {
+    _FAMILY_6: (8, "bf4c8ffd22d8c7a1835260474adc945b6dc09455a1e44e0dc745eb77f5af4586"),
+    _FAMILY_10: (32, "a9cf87ad8b14691e0876d336944452cd2cc151b561b54cec14e1eb5d4a827864"),
+}
+
+
+def _digest(d):
+    return hashlib.sha256(json.dumps(d.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_golden_builtin_automata():
+    assert set(GOLDEN_BUILTIN) == set(builtin_task_names())
+    for name, (n_states, digest) in GOLDEN_BUILTIN.items():
+        spec = builtin_task(name)
+        atoms = sorted(c.name for c in spec.constraints)
+        d = ltlf_to_dfa(parse(spec.formula), atoms=atoms)
+        assert (d.n_states, _digest(d)) == (n_states, digest), name
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_FAMILY), ids=["fam6", "fam10"])
+def test_golden_family_automata(text):
+    d = ltlf_to_dfa(parse(text))
+    assert (d.n_states, _digest(d)) == GOLDEN_FAMILY[text]
+
+
+def test_golden_random_formula_automata():
+    rng = random.Random(20261017)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        d = ltlf_to_dfa(rand_formula(rng, 3), atoms=("p", "q", "r"))
+        digest.update(json.dumps(d.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "29548cc5c8bd80c9f10723d5cef2beb1cea924f5cd787d5eb3c863a5458bc874"
+    )

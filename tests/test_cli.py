@@ -95,6 +95,36 @@ def test_compile_cache_round_trip(tmp_path):
     assert entries[0].stat().st_mtime_ns == stamp  # reused, not rewritten
 
 
+def _seed_cache(tmp_path, task):
+    cache = tmp_path / "cache"
+    env = {"LTLSEQ_CACHE_DIR": str(cache)}
+    assert run("compile", task, env=env).exit_code == 0
+    (entry,) = cache.glob("*.dfa.json")
+    return env, entry
+
+
+def test_compile_recovers_truncated_cache(tmp_path):
+    env, entry = _seed_cache(tmp_path, "task3")
+    good = entry.read_text()
+    entry.write_text(good[: len(good) // 2])
+    result = run("compile", "task3", env=env)
+    assert result.exit_code == 0, result.output
+    assert "states: 5" in result.output
+    assert entry.read_text() == good  # rewritten whole
+    assert [p.name for p in entry.parent.iterdir()] == [entry.name]  # no temp file left
+
+
+def test_compile_recovers_invalid_cache(tmp_path):
+    env, entry = _seed_cache(tmp_path, "task3")
+    good = entry.read_text()
+    data = json.loads(good)
+    data["transitions"][0]["to"] = 99
+    entry.write_text(json.dumps(data))
+    result = run("compile", "task3", env=env)
+    assert result.exit_code == 0, result.output
+    assert entry.read_text() == good
+
+
 # ---------------------------------------------------------------------------
 # generate
 

@@ -1,12 +1,18 @@
 """Parser, printer, NNF, and progression tests for the LTLf formula core."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
+from ltlseq.automata import assignment_of
 from ltlseq.errors import DomainError, LtlfSyntaxError, UnknownTokenError
 from ltlseq.formulas import (
     FALSE,
+    NONEMPTY,
     TRUE,
     And,
     Atom,
@@ -17,6 +23,7 @@ from ltlseq.formulas import (
     Next,
     Not,
     Or,
+    ProgressionMemo,
     Release,
     Until,
     WeakNext,
@@ -86,6 +93,49 @@ def test_round_trip_structural_equality():
     for _ in range(400):
         f = rand_formula(rng, 3)
         assert parse(print_formula(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# Interning
+
+
+def test_equal_formulas_are_one_object():
+    p, q = Atom("p"), Atom("q")
+    assert Atom("p") is p
+    assert And(p, q) is And(p, q)
+    assert And(left=p, right=q) is And(p, q)
+    assert And(p, q) is not And(q, p)
+    assert Finally(TRUE) is NONEMPTY
+    assert hash(Until(p, q)) == hash(Until(Atom("p"), Atom("q")))
+    rng = random.Random(606)
+    for _ in range(300):
+        f = rand_formula(rng, 3)
+        assert parse(str(f)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert copy.deepcopy([f, f])[1] is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_formulas_are_immutable():
+    f = And(Atom("p"), Atom("q"))
+    with pytest.raises(AttributeError):
+        f.left = Atom("r")
+    with pytest.raises(AttributeError):
+        del f.right
+    assert repr(f) == "And(left=Atom(name='p'), right=Atom(name='q'))"
+    assert repr(TRUE) == "TrueF()"
+
+
+def test_unique_table_does_not_keep_formulas_alive():
+    f = Until(Atom("interning_probe_a"), Next(Atom("interning_probe_b")))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    # rebuilding it gives a fresh, equal node
+    g = Until(Atom("interning_probe_a"), Next(Atom("interning_probe_b")))
+    assert str(g) == "interning_probe_a U X interning_probe_b"
 
 
 def test_atoms_collection():
@@ -206,6 +256,34 @@ def test_progression_strong_next_needs_successor():
 def test_progress_requires_assignment_for_every_atom():
     with pytest.raises(DomainError):
         progress(to_nnf(And(Atom("p"), Atom("q"))), {"p": True})
+
+
+def test_progress_reads_only_the_atoms_it_needs():
+    # a next operator defers its operand, so the letter need not assign it
+    assert progress(Next(Atom("p")), {}) is And(NONEMPTY, Atom("p"))
+    with pytest.raises(DomainError):
+        progress(Globally(Or(Next(Atom("p")), Atom("q"))), {"p": True})
+
+
+def test_projected_progression_matches_full_letters():
+    # One memo shared across formulas, their successors and all letters
+    # keeps results under letters projected onto each subformula's atoms;
+    # every result must be the one a memo-free progression gives.
+    letters = [assignment_of(letter, ATOMS) for letter in range(1 << len(ATOMS))]
+    memo = ProgressionMemo(ATOMS)
+    rng = random.Random(4711)
+    for _ in range(150):
+        frontier = [state_form(to_nnf(rand_formula(rng, 3)))]
+        for _ in range(2):
+            successors = []
+            for g in frontier:
+                for letter in letters:
+                    raw = progress(g, letter, memo)
+                    assert raw is progress(g, letter), (str(g), letter)
+                    successors.append(state_form(raw))
+            frontier = rng.sample(successors, 3)
+    with pytest.raises(DomainError):
+        progress(TRUE, {"p": True}, memo)  # the memo's alphabet is p, q, r
 
 
 def test_progress_rejects_non_nnf():
