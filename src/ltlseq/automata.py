@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import formulas as fm
 from .errors import DomainError, ResourceLimitError
@@ -127,7 +127,7 @@ def _json_index(value, bound: int | None, what: str) -> int:
     return value
 
 
-def letter_of(assignment: dict[str, bool], atoms: Sequence[str]) -> int:
+def letter_of(assignment: Mapping[str, bool], atoms: Sequence[str]) -> int:
     mask = 0
     for i, a in enumerate(atoms):
         if assignment[a]:

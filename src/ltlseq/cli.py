@@ -470,24 +470,27 @@ def cmd_baseline(dataset_dir: str, out: str | None) -> None:
 
 def _read_sweep_csv(path: str) -> list[dict]:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise click.UsageError(f"{path}: missing columns {missing}")
-        for record in reader:
-            row: dict = {
-                "task": record["task"],
-                "engine": record["engine"],
-                "oracle_target": record["oracle_target"],
-                "oracle_kind": record["oracle_kind"],
-                "p": float(record["p"]),
-                "seed": int(record["seed"]),
-            }
-            for metric in ("ic_acc", "cc_acc", "nsp_acc", "sc_acc", "avg_acc"):
-                text = record.get(metric, "")
-                row[metric] = float(text) if text else None
-            rows.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise click.UsageError(f"{path}: missing columns {missing}")
+            for record in reader:
+                row: dict = {
+                    "task": record["task"],
+                    "engine": record["engine"],
+                    "oracle_target": record["oracle_target"],
+                    "oracle_kind": record["oracle_kind"],
+                    "p": float(record["p"]),
+                    "seed": int(record["seed"]),
+                }
+                for metric in ("ic_acc", "cc_acc", "nsp_acc", "sc_acc", "avg_acc"):
+                    text = record.get(metric, "")
+                    row[metric] = float(text) if text else None
+                rows.append(row)
+    except (TypeError, ValueError) as exc:  # a bad number, a short row, or bytes not UTF-8
+        raise click.UsageError(f"{path}: malformed sweep CSV ({exc})") from exc
     return rows
 
 

@@ -2,21 +2,25 @@
 
 Constraints compare integer linear expressions (``X + Y = 2*Z``) or apply
 ``all_different`` / ``all_equal`` over declared variables.  Domains are small
-(tens of values), so satisfaction probabilities are computed by exact
-enumeration rather than through a CSP solver.
+(tens of values), so grounding needs no CSP solver: each constraint body is
+evaluated once over the whole numpy index grid of its variables' domain
+values (``np.ix_`` axes, whose C order is ``itertools.product`` order), and
+solution buckets and indicator tensors are read off the resulting truth
+arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnsatisfiableLetterError
+from .errors import DomainError, ResourceLimitError, UnsatisfiableLetterError
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,8 @@ class Comparison:
         if self.op not in _OPS:
             raise DomainError(f"unknown comparison operator {self.op!r}")
 
-    def holds(self, assignment: Mapping[str, int]) -> bool:
+    def holds(self, assignment: Mapping[str, int | np.ndarray]) -> bool | np.ndarray:
+        """Truth of the comparison; values may be ints or broadcastable arrays."""
         return _OPS[self.op](self.lhs.evaluate(assignment), self.rhs.evaluate(assignment))
 
 
@@ -169,18 +174,24 @@ class Comparison:
 class AllDifferent:
     names: tuple[str, ...]
 
-    def holds(self, assignment: Mapping[str, int]) -> bool:
-        seen = [assignment[n] for n in self.names]
-        return len(set(seen)) == len(seen)
+    def holds(self, assignment: Mapping[str, int | np.ndarray]) -> bool | np.ndarray:
+        """Pairwise ``!=`` of the variables; values may be ints or broadcastable arrays."""
+        values = [assignment[n] for n in self.names]
+        return functools.reduce(
+            operator.and_, (a != b for a, b in itertools.combinations(values, 2)), True
+        )
 
 
 @dataclass(frozen=True)
 class AllEqual:
     names: tuple[str, ...]
 
-    def holds(self, assignment: Mapping[str, int]) -> bool:
+    def holds(self, assignment: Mapping[str, int | np.ndarray]) -> bool | np.ndarray:
+        """Each variable ``==`` the first; values may be ints or broadcastable arrays."""
         first = assignment[self.names[0]]
-        return all(assignment[n] == first for n in self.names[1:])
+        return functools.reduce(
+            operator.and_, (assignment[n] == first for n in self.names[1:]), True
+        )
 
 
 ConstraintBody = Comparison | AllDifferent | AllEqual
@@ -400,7 +411,7 @@ def eval_constraint(
                     f"constraint {c.name!r}: value {assignment[name]} outside domain "
                     f"of {name!r}"
                 )
-    return c.body.holds(assignment)
+    return bool(c.body.holds(assignment))
 
 
 def _check_declared(constraints: Sequence[Constraint], variables: Sequence[VariableSpec]) -> None:
@@ -422,14 +433,39 @@ def enumerate_solutions(
     missing = [c.name for c in constraints if c.name not in letter]
     if missing:
         raise DomainError(f"letter does not fix constraints: {missing}")
-    _check_declared(constraints, variables)
-    names = [v.name for v in variables]
-    out = []
-    for values in itertools.product(*(v.domain.values for v in variables)):
-        a = dict(zip(names, values))
-        if all(c.body.holds(a) == letter[c.name] for c in constraints):
-            out.append(a)
-    return tuple(out)
+    key = tuple(letter[c.name] for c in constraints)
+    return partition_solutions(constraints, variables).get(key, ())
+
+
+# One int64 code bit per constraint; the sign bit stays clear.
+_MAX_PARTITION_CONSTRAINTS = 63
+
+
+def _grid_truths(
+    constraints: Sequence[Constraint],
+    names: Sequence[str],
+    domains: Sequence[SymbolicDomain],
+) -> Iterator[np.ndarray]:
+    """Truth array of each constraint over the grid of the domains' values.
+
+    Axis i runs over ``domains[i]`` in value order, so C order is
+    ``itertools.product`` order.  Values are int64 unless a domain value or a
+    linear expression could leave that range; then they stay exact Python
+    ints in object arrays.
+    """
+    widest = max([1] + [abs(x) for d in domains for x in d.values])
+    sums = [
+        abs(e.constant) + widest * sum(abs(k) for _, k in e.terms)
+        for c in constraints
+        if isinstance(c.body, Comparison)
+        for e in (c.body.lhs, c.body.rhs)
+    ]
+    dtype = np.int64 if max([widest] + sums) < 2**63 else object
+    axes = np.ix_(*(np.array(d.values, dtype=dtype) for d in domains))
+    grid = dict(zip(names, axes))
+    shape = tuple(d.size for d in domains)
+    for c in constraints:
+        yield np.broadcast_to(c.body.holds(grid), shape)
 
 
 def partition_solutions(
@@ -439,16 +475,42 @@ def partition_solutions(
     """Bucket the full Cartesian product by constraint-truth vector.
 
     Keys are truth tuples aligned with ``constraints``; every assignment lands
-    in exactly one bucket, so the buckets partition the product.
+    in exactly one bucket, so the buckets partition the product.  Buckets
+    appear in the order of their first assignment, and each lists its
+    assignments in ``itertools.product`` order.
+
+    Raises ResourceLimitError above 63 constraints, the bits of the int64
+    code that groups grid points by truth vector.
     """
     _check_declared(constraints, variables)
+    if len(constraints) > _MAX_PARTITION_CONSTRAINTS:
+        raise ResourceLimitError(
+            f"partition_solutions takes at most {_MAX_PARTITION_CONSTRAINTS} "
+            f"constraints, got {len(constraints)}"
+        )
     names = [v.name for v in variables]
-    buckets: dict[tuple[bool, ...], list[dict[str, int]]] = {}
-    for values in itertools.product(*(v.domain.values for v in variables)):
-        a = dict(zip(names, values))
-        key = tuple(c.body.holds(a) for c in constraints)
-        buckets.setdefault(key, []).append(a)
-    return {k: tuple(v) for k, v in buckets.items()}
+    domains = [v.domain for v in variables]
+    shape = tuple(d.size for d in domains)
+    codes = np.zeros(shape, dtype=np.int64)
+    for bit, truth in enumerate(_grid_truths(constraints, names, domains)):
+        codes |= truth.astype(np.int64) << bit
+    codes = codes.ravel()
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    keys = codes[starts].tolist()
+    del codes
+    ends = np.append(starts[1:], len(order))
+    values = [np.array(d.values, dtype=object) for d in domains]
+    buckets = {}
+    for g in np.argsort(order[starts]):  # groups by their first grid point
+        members = order[starts[g] : ends[g]]
+        positions = np.unravel_index(members, shape) if shape else ()
+        columns = [v[i].tolist() for v, i in zip(values, positions)]
+        rows = zip(*columns) if columns else [()] * len(members)
+        key = tuple(bool(keys[g] >> bit & 1) for bit in range(len(constraints)))
+        buckets[key] = tuple(dict(zip(names, row)) for row in rows)
+    return buckets
 
 
 def sample_solution(
@@ -510,13 +572,8 @@ def indicator_tensor(
     missing = [n for n in names if n not in domains]
     if missing:
         raise DomainError(f"no domain for variables: {missing}")
-    value_grids = [domains[n].values for n in names]
-    arr = np.zeros([len(g) for g in value_grids])
-    for idx in itertools.product(*(range(len(g)) for g in value_grids)):
-        a = {n: value_grids[axis][i] for axis, (n, i) in enumerate(zip(names, idx))}
-        if c.body.holds(a):
-            arr[idx] = 1.0
-    return names, arr
+    (truth,) = _grid_truths([c], names, [domains[n] for n in names])
+    return names, truth.astype(float)
 
 
 def tensor_probability(indicator: np.ndarray, dists: Sequence[np.ndarray]) -> float:

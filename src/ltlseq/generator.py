@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .automata import Dfa, assignment_of
+from .automata import Dfa, assignment_of, letter_of
 from .constraints import sample_solution
 from .errors import DatasetFormatError, DomainError, IntegrityError
 from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task
@@ -210,7 +210,7 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
     atoms = ds.metadata["atoms"]
     vmap = {v.name: v for v in ds.spec.variables}
     with_indices = any(s.indices is not None for _, s in ds)
-    with open(out_dir / "sequences.csv", "w", newline="") as fh:
+    with open(out_dir / "sequences.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_columns(ds.spec, atoms, with_indices))
         for split, sample in ds:
@@ -229,7 +229,7 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
                 row += [int(sample.truths[t][a]) for a in atoms]
                 row += [sample.states[t], sample.label]
                 writer.writerow(row)
-    with open(out_dir / "metadata.json", "w") as fh:
+    with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(ds.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -245,9 +245,11 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     meta_path = in_dir / "metadata.json"
     csv_path = in_dir / "sequences.csv"
     try:
-        metadata = json.loads(meta_path.read_text())
+        metadata = json.loads(meta_path.read_text(encoding="utf-8"))
     except OSError as err:
         raise DatasetFormatError(f"{meta_path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise DatasetFormatError(f"{meta_path}: not UTF-8 text ({err})") from err
     except json.JSONDecodeError as err:
         raise DatasetFormatError(f"{meta_path}: invalid JSON: {err}") from err
     for key in ("spec", "spec_hash", "seed", "atoms", "dfa"):
@@ -264,29 +266,32 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
         )
 
     try:
-        fh = open(csv_path, newline="")
+        fh = open(csv_path, newline="", encoding="utf-8")
     except OSError as err:
         raise DatasetFormatError(f"{csv_path}: {err}") from err
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        with_indices = any(col.endswith("_index") for col in header)
-        needed = _columns(spec, atoms, with_indices)
-        missing = [col for col in needed if col not in header]
-        if missing:
-            raise DatasetFormatError(f"{csv_path}: missing columns {missing}")
+    try:
+        with fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            with_indices = any(col.endswith("_index") for col in header)
+            needed = _columns(spec, atoms, with_indices)
+            missing = [col for col in needed if col not in header]
+            if missing:
+                raise DatasetFormatError(f"{csv_path}: missing columns {missing}")
 
-        groups: dict[tuple[str, int], list[dict]] = {}
-        order: list[tuple[str, int]] = []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                key = (row["split"], int(row["seq_id"]))
-            except (TypeError, ValueError) as err:
-                raise DatasetFormatError(f"{csv_path}:{line_no}: bad seq_id") from err
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row | {"_line": line_no})
+            groups: dict[tuple[str, int], list[dict]] = {}
+            order: list[tuple[str, int]] = []
+            for line_no, row in enumerate(reader, start=2):
+                try:
+                    key = (row["split"], int(row["seq_id"]))
+                except (TypeError, ValueError) as err:
+                    raise DatasetFormatError(f"{csv_path}:{line_no}: bad seq_id") from err
+                if key not in groups:
+                    groups[key] = []
+                    order.append(key)
+                groups[key].append(row | {"_line": line_no})
+    except UnicodeDecodeError as err:
+        raise DatasetFormatError(f"{csv_path}: not UTF-8 text ({err})") from err
 
     splits: dict[str, list[SequenceSample]] = {s: [] for s in SPLIT_NAMES}
     for split, seq_id in order:
@@ -297,11 +302,8 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
         label = None
         for t, row in enumerate(rows):
             line = row["_line"]
-            if int(row["t"]) != t:
-                raise DatasetFormatError(
-                    f"{csv_path}:{line}: time step {row['t']} out of order (expected {t})"
-                )
             try:
+                step = int(row["t"])
                 values.append(
                     {v.name: v.domain.value_of(row[f"{v.name}_label"]) for v in spec.variables}
                 )
@@ -316,6 +318,10 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
                 raise DatasetFormatError(f"{csv_path}:{line}: {err}") from err
             except (TypeError, ValueError) as err:
                 raise DatasetFormatError(f"{csv_path}:{line}: bad cell ({err})") from err
+            if step != t:
+                raise DatasetFormatError(
+                    f"{csv_path}:{line}: time step {row['t']} out of order (expected {t})"
+                )
             if label is None:
                 label = row_label
             elif label != row_label:
@@ -345,8 +351,7 @@ def _verify_replay(ds: Dataset) -> None:
     for split, sample in ds:
         state = dfa.initial
         for t, truth in enumerate(sample.truths):
-            letter = sum(1 << i for i, a in enumerate(atoms) if truth[a])
-            state = dfa.transitions[state][letter]
+            state = dfa.transitions[state][letter_of(truth, atoms)]
             if state != sample.states[t]:
                 raise IntegrityError(
                     f"sequence {split}/{sample.seq_id}: replay diverges at step {t}"

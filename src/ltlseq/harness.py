@@ -22,14 +22,14 @@ import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .constraints import tensor_probability
 from .errors import DomainError
 from .generator import Dataset, SequenceSample, _digest_int, generate_dataset
-from .inference import apply_temperature, calibrate_temperature, make_engine, run_sequence
+from .inference import RunResult, apply_temperature, calibrate_temperature, make_engine, run_sequence
 from .tasks import CompiledTask
 
 ORACLE_TARGETS = ("ic", "ic_cc")
@@ -185,6 +185,30 @@ def _corrupted_cb_trace(
     return trace, ic_hits, ic_total
 
 
+def _oracle_runs(
+    task: CompiledTask,
+    dataset: Dataset,
+    engine,
+    oracle: OracleConfig,
+    split: str,
+) -> Iterator[tuple[SequenceSample, list[np.ndarray], int, int, RunResult]]:
+    """Per sample of ``split``: the sample, its corrupted belief trace, the IC
+    (hits, total) of that trace, and the engine's run over it.
+
+    ``engine`` is an engine or an engine name.  Raises DomainError, on first
+    iteration, when the split is empty.
+    """
+    if isinstance(engine, str):
+        engine = make_engine(engine, task.dfa)
+    samples = dataset.splits.get(split, [])
+    if not samples:
+        raise DomainError(f"split {split!r} is empty")
+    for sample in samples:
+        rng = None if oracle.kind == "perfect" else _oracle_rng(oracle.seed, split, sample.seq_id)
+        trace, hits, total = _corrupted_cb_trace(task, sample, oracle, rng)
+        yield sample, trace, hits, total, run_sequence(engine, trace)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -205,26 +229,18 @@ def evaluate(
     sequence label; IC is the oracle's own argmax accuracy, reported only
     when the ``ic`` target simulates that stage.
     """
-    if isinstance(engine, str):
-        engine = make_engine(engine, task.dfa)
-    samples = dataset.splits.get(split, [])
-    if not samples:
-        raise DomainError(f"split {split!r} is empty")
     atoms = task.atoms
     ic_hits = ic_total = 0
     cc_hits = cc_total = 0
     nsp_hits = nsp_total = 0
     sc_hits = 0
-    for sample in samples:
-        rng = None if oracle.kind == "perfect" else _oracle_rng(oracle.seed, split, sample.seq_id)
-        trace, hits, total = _corrupted_cb_trace(task, sample, oracle, rng)
+    for sample, trace, hits, total, result in _oracle_runs(task, dataset, engine, oracle, split):
         ic_hits += hits
         ic_total += total
         for cb, truths in zip(trace, sample.truths):
             for i, atom in enumerate(atoms):
                 cc_hits += (cb[i] >= 0.5) == truths[atom]
                 cc_total += 1
-        result = run_sequence(engine, trace)
         for belief, state in zip(result.beliefs, sample.states):
             nsp_hits += int(np.argmax(belief)) == state
             nsp_total += 1
@@ -235,7 +251,7 @@ def evaluate(
     ic_acc = ic_hits / ic_total if oracle.target == "ic" else None
     cc_acc = cc_hits / cc_total
     nsp_acc = nsp_hits / nsp_total
-    sc_acc = sc_hits / len(samples)
+    sc_acc = sc_hits / len(dataset.splits[split])
     present = [a for a in (ic_acc, cc_acc, nsp_acc, sc_acc) if a is not None]
     mp_successor, mp_sequence = mp_baselines(dataset)
     return Metrics(
@@ -322,17 +338,10 @@ def fit_sc_temperature(
     split: str = "val",
 ) -> tuple[float, bool]:
     """Calibrate a scalar temperature on acceptance probabilities of a split."""
-    if isinstance(engine, str):
-        engine = make_engine(engine, task.dfa)
-    samples = dataset.splits.get(split, [])
-    if not samples:
-        raise DomainError(f"split {split!r} is empty")
-    pairs = []
-    for sample in samples:
-        rng = None if oracle.kind == "perfect" else _oracle_rng(oracle.seed, split, sample.seq_id)
-        trace, _, _ = _corrupted_cb_trace(task, sample, oracle, rng)
-        result = run_sequence(engine, trace)
-        pairs.append((result.acceptance, sample.label))
+    pairs = [
+        (result.acceptance, sample.label)
+        for sample, _, _, _, result in _oracle_runs(task, dataset, engine, oracle, split)
+    ]
     return calibrate_temperature(pairs)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import formulas as fm
-from .automata import Dfa, ltlf_to_dfa
+from .automata import Dfa, letter_of, ltlf_to_dfa
 from .constraints import (
     Constraint,
     SymbolicDomain,
@@ -198,9 +198,11 @@ def load_task_yaml(path: str | Path) -> TaskSpec:
     """Read a task spec from YAML; errors name the file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise TaskFileError(f"{path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise TaskFileError(f"{path}: not UTF-8 text ({err})") from err
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as err:
@@ -214,7 +216,7 @@ def load_task_yaml(path: str | Path) -> TaskSpec:
 
 
 def save_task_yaml(spec: TaskSpec, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(spec.to_dict(), sort_keys=False))
+    Path(path).write_text(yaml.safe_dump(spec.to_dict(), sort_keys=False), encoding="utf-8")
 
 
 @dataclass
@@ -247,7 +249,7 @@ class CompiledTask:
         return {c.name: c for c in self.spec.constraints}
 
     def truth_letter(self, truths: Mapping[str, bool]) -> int:
-        return sum(1 << i for i, a in enumerate(self.atoms) if truths[a])
+        return letter_of(truths, self.atoms)
 
     def feasible_letters(self, state: int, remaining: int, label: int) -> tuple[int, ...]:
         """Usable letters from ``state`` keeping ``label`` reachable in ``remaining`` steps."""
@@ -311,8 +313,7 @@ def compile_task(
         letter: () for letter in range(dfa.n_letters)
     }
     for key, sols in buckets.items():
-        letter = sum(1 << i for i, truth in enumerate(key) if truth)
-        solutions[letter] = sols
+        solutions[letter_of(dict(zip(atoms, key)), atoms)] = sols
     usable = tuple(letter for letter in range(dfa.n_letters) if solutions[letter])
 
     reach = _reach_table(dfa, usable, spec.max_length)

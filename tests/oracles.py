@@ -1,9 +1,14 @@
 """Reference implementations the tests check the library against.
 
 Everything here is written independently of the package internals: direct
-finite-trace semantics by recursion over formula structure, and a random
-formula generator for property-style checks.
+finite-trace semantics by recursion over formula structure, a random
+formula generator for property-style checks, and per-point enumeration of
+constraint solutions.
 """
+
+import itertools
+
+from ltlseq.constraints import AllDifferent, AllEqual, Comparison
 
 from ltlseq.formulas import (
     FALSE,
@@ -139,3 +144,43 @@ def minimize_reference(d):
             tuple(number[cls[t]] for t in d.transitions[members[c]]) for c in order
         ),
     )
+
+
+def _linear_value(expr, assignment):
+    return expr.constant + sum(coeff * assignment[var] for var, coeff in expr.terms)
+
+
+def constraint_holds(c, assignment):
+    """Truth of a constraint on one integer assignment, in plain Python."""
+    body = c.body
+    if isinstance(body, Comparison):
+        lhs, rhs = _linear_value(body.lhs, assignment), _linear_value(body.rhs, assignment)
+        return {
+            "<": lhs < rhs,
+            "<=": lhs <= rhs,
+            "=": lhs == rhs,
+            "!=": lhs != rhs,
+            ">=": lhs >= rhs,
+            ">": lhs > rhs,
+        }[body.op]
+    values = [assignment[n] for n in body.names]
+    if isinstance(body, AllDifferent):
+        return len(set(values)) == len(values)
+    assert isinstance(body, AllEqual)
+    return all(v == values[0] for v in values)
+
+
+def partition_reference(constraints, variables):
+    """Per-point bucketing of the Cartesian product by constraint-truth vector.
+
+    Buckets appear in the order of their first assignment and list their
+    assignments in ``itertools.product`` order, as ``partition_solutions``
+    promises.
+    """
+    names = [v.name for v in variables]
+    buckets = {}
+    for values in itertools.product(*(v.domain.values for v in variables)):
+        a = dict(zip(names, values))
+        key = tuple(constraint_holds(c, a) for c in constraints)
+        buckets.setdefault(key, []).append(a)
+    return {key: tuple(sols) for key, sols in buckets.items()}

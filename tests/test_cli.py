@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from ltlseq.cli import main
@@ -59,6 +60,14 @@ def test_compile_writes_artifacts(tmp_path):
 def test_compile_malformed_yaml(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("name: task\nformula: 'p &'\n")
+    result = run("compile", str(path))
+    assert result.exit_code == 2
+    assert "bad.yaml" in result.output
+
+
+def test_compile_non_utf8_yaml(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"name: t\xe9st\n")
     result = run("compile", str(path))
     assert result.exit_code == 2
     assert "bad.yaml" in result.output
@@ -236,6 +245,34 @@ def test_infer_corrupted_dataset(tmp_path):
     assert result.exit_code == 1
 
 
+def _set_first_t_cell(path):
+    rows = list(csv.reader(path.open(newline="")))
+    rows[1][rows[0].index("t")] = "zero"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _prepend_bad_byte(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("sequences.csv", _set_first_t_cell),
+        ("sequences.csv", _prepend_bad_byte),
+        ("metadata.json", _prepend_bad_byte),
+    ],
+    ids=["t-not-integer", "csv-not-utf8", "metadata-not-utf8"],
+)
+def test_infer_rejects_malformed_dataset(tmp_path, name, corrupt):
+    out = generate(tmp_path)
+    corrupt(out / name)
+    result = run("infer", str(out))
+    assert result.exit_code == 1
+    assert name in result.output
+
+
 def test_infer_calibrate_writes_temperature(tmp_path):
     out = generate(tmp_path)
     result = run("infer", str(out), "--calibrate")
@@ -302,6 +339,25 @@ def test_report_rejects_foreign_csv(tmp_path):
     path.write_text("a,b\n1,2\n")
     result = run("report", str(path))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        b"task5,exact,ic,flip,zero,7,,1,1,1,1",
+        b"task5,exact,ic,flip,0.1",
+        b"task5,ex\xffact,ic,flip,0.1,7,,1,1,1,1",
+    ],
+    ids=["p-not-a-number", "short-row", "not-utf8"],
+)
+def test_report_rejects_malformed_csv(tmp_path, row):
+    from ltlseq.harness import SWEEP_COLUMNS
+
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(",".join(SWEEP_COLUMNS).encode() + b"\n" + row + b"\n")
+    result = run("report", str(path))
+    assert result.exit_code == 2
+    assert "sweep.csv" in result.output
 
 
 # ---------------------------------------------------------------------------

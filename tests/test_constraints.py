@@ -8,6 +8,11 @@ import numpy as np
 import pytest
 
 from ltlseq.constraints import (
+    AllDifferent,
+    AllEqual,
+    Comparison,
+    Constraint,
+    LinearExpr,
     SymbolicDomain,
     VariableSpec,
     constraint_probability,
@@ -22,7 +27,9 @@ from ltlseq.constraints import (
     tensor_probability,
     variable_map,
 )
-from ltlseq.errors import DomainError, UnsatisfiableLetterError
+from ltlseq.errors import DomainError, ResourceLimitError, UnsatisfiableLetterError
+
+from oracles import partition_reference
 
 DIGITS = SymbolicDomain.from_range("digits", 0, 9)
 
@@ -201,6 +208,113 @@ def test_undeclared_variable_rejected():
     c = parse_constraint("lt", "A < B")
     with pytest.raises(DomainError):
         partition_solutions([c], variables)
+
+
+def rand_domain(rng, name):
+    """A range domain, or explicit values with gaps (possibly negative)."""
+    size = rng.randint(1, 5)
+    if rng.random() < 0.3:
+        return SymbolicDomain.from_range(name, rng.randint(0, 3), rng.randint(0, 3) + size + 2)
+    values = sorted(rng.sample(range(-8, 12), size))
+    return SymbolicDomain.from_values(name, [f"l{i}" for i in range(size)], values)
+
+
+def rand_constraint(rng, name, names):
+    kind = rng.random()
+    if names and kind < 0.3:
+        picked = tuple(rng.choice(names) for _ in range(rng.randint(2, 4)))  # may repeat
+        return Constraint(name, (AllDifferent if kind < 0.15 else AllEqual)(picked))
+
+    def side():
+        terms = tuple(
+            (rng.choice(names), rng.choice([-3, -2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(0, min(3, len(names))))
+        )
+        return LinearExpr(terms=terms, constant=rng.randint(-6, 6))
+
+    op = rng.choice(["<", "<=", "=", "!=", ">=", ">"])
+    return Constraint(name, Comparison(lhs=side(), op=op, rhs=side()))
+
+
+def indicator_reference(c, variables):
+    """0/1 tensor of ``c`` over its own variables, read off the reference partition."""
+    vmap = variable_map(variables)
+    names = constraint_vars(c)
+    arr = np.zeros([vmap[n].domain.size for n in names])
+    own = [vmap[n] for n in names]
+    for a in partition_reference([c], own).get((True,), ()):
+        arr[tuple(vmap[n].domain.index_of(a[n]) for n in names)] = 1.0
+    return names, arr
+
+
+def assert_same_partition(got, want):
+    assert list(got) == list(want)  # same keys in the same order
+    for key, bucket in got.items():
+        assert all(type(t) is bool for t in key)
+        assert [list(a.items()) for a in bucket] == [list(a.items()) for a in want[key]]
+        assert all(type(x) is int for a in bucket for x in a.values())
+
+
+def check_grounding(constraints, variables):
+    want = partition_reference(constraints, variables)
+    assert_same_partition(partition_solutions(constraints, variables), want)
+    names = [c.name for c in constraints]
+    absent = tuple(not t for t in next(iter(want)))
+    for key in [*want, absent]:
+        got = enumerate_solutions(dict(zip(names, key)), constraints, variables)
+        assert got == want.get(key, ())
+    domains = {v.name: v.domain for v in variables}
+    for c in constraints:
+        got_names, got_arr = indicator_tensor(c, domains)
+        want_names, want_arr = indicator_reference(c, variables)
+        assert got_names == want_names
+        assert got_arr.dtype == want_arr.dtype and np.array_equal(got_arr, want_arr)
+
+
+def test_grid_grounding_matches_reference():
+    rng = random.Random(4404)
+    for _ in range(300):
+        names = rng.sample("ABCD", rng.randint(0, 4))
+        variables = [VariableSpec(n, rand_domain(rng, f"d{n}")) for n in names]
+        constraints = [
+            rand_constraint(rng, f"c{i}", names) for i in range(rng.randint(0, 4))
+        ]
+        check_grounding(constraints, variables)
+
+
+def test_grounding_without_variables():
+    true, false = parse_constraint("t", "1 < 2"), parse_constraint("f", "0 = 1")
+    assert partition_solutions([true], []) == {(True,): ({},)}
+    assert partition_solutions([], []) == {(): ({},)}
+    assert enumerate_solutions({"t": True, "f": False}, [true, false], []) == ({},)
+    assert enumerate_solutions({"t": False}, [true], []) == ()
+    names, tensor = indicator_tensor(false, {})
+    assert names == () and tensor.shape == () and tensor == 0.0
+    check_grounding([true, false], [])
+
+
+def test_grounding_exact_beyond_int64():
+    # 2**62 * 2 overflows int64; the grid must keep exact integers
+    huge = SymbolicDomain.from_values("huge", ["a", "b", "c"], [0, 2**62, 2**64])
+    variables = vars_over(SymbolicDomain.from_range("small", 0, 3), "A", "B")
+    variables.append(VariableSpec("H", huge))
+    check_grounding(
+        [
+            parse_constraint("big", f"{2**62}*A > {2**62} + B"),
+            parse_constraint("eq", "all_equal(H, H)"),
+            parse_constraint("h", f"H + A >= {2**64}"),
+        ],
+        variables,
+    )
+
+
+def test_partition_constraint_cap():
+    variables = vars_over(SymbolicDomain.from_range("bit", 0, 1), "A")
+    constraints = [parse_constraint(f"c{i}", f"A + {i} >= {i + 1}") for i in range(64)]
+    check_grounding(constraints[:63], variables)  # the top code bit is used
+    with pytest.raises(ResourceLimitError) as exc:
+        partition_solutions(constraints, variables)
+    assert "63" in str(exc.value)
 
 
 def test_sample_solution_uniform():

@@ -1,5 +1,7 @@
 """Task specs: built-ins, YAML round trip, hashing, and compilation."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -267,3 +269,92 @@ def test_indicator_shapes():
         dims = tuple(ct.variables_by_name[n].domain.size for n in names)
         assert tensor.shape == dims
         assert set(tensor.ravel().tolist()) <= {0.0, 1.0}
+
+
+# ---------------------------------------------------------------------------
+# Golden grounding: sha256 of every letter's solutions (in order) and of every
+# atom's indicator tensor, as per-point enumeration produced them before
+# constraints were evaluated on numpy grids.
+
+_FAMILY_CONSTRAINTS = (
+    ("a0", "X < Y"),
+    ("b0", "Y < Z"),
+    ("a1", "X + Y = Z"),
+    ("b1", "all_different(X, Y, Z)"),
+    ("a2", "W = V"),
+    ("b2", "W < V"),
+    ("a3", "X + W = Y + V"),
+    ("b3", "all_equal(X, Y)"),
+    ("a4", "Z < W"),
+    ("b4", "X + Y = W + V"),
+)
+
+
+def family_spec(n_atoms):
+    """``&_i G(a_i -> F b_i)`` over five digit variables, ``n_atoms`` atoms."""
+    digits = SymbolicDomain.from_range("digits", 0, 9)
+    return TaskSpec(
+        name=f"fam{n_atoms}",
+        domains=(digits,),
+        variables=tuple(VariableSpec(n, digits, "mnist") for n in "VWXYZ"),
+        constraints=tuple(parse_constraint(a, t) for a, t in _FAMILY_CONSTRAINTS[:n_atoms]),
+        formula=" & ".join(f"G(a{i} -> F b{i})" for i in range(n_atoms // 2)),
+    )
+
+
+GOLDEN_GROUNDING = {
+    "task1": (
+        "5ccb283622aca3b836455efeacf765a4aae33ab0f9061fe2fc1eef0e1c89f5f7",
+        "096a9dc56e239265fcffcf8a1563478419a14d7ebc21388070c9566c620e2b4e",
+    ),
+    "task2": (
+        "5ccb283622aca3b836455efeacf765a4aae33ab0f9061fe2fc1eef0e1c89f5f7",
+        "096a9dc56e239265fcffcf8a1563478419a14d7ebc21388070c9566c620e2b4e",
+    ),
+    "task3": (
+        "7cf25cb8845f523315ab6396bd6902706df63144d36ac90342ae992a5cd016cf",
+        "4ffb11c18f1bcaa79c054e8f758471426ed4348e23aee64df67bbdc4067edebe",
+    ),
+    "task4": (
+        "7cf25cb8845f523315ab6396bd6902706df63144d36ac90342ae992a5cd016cf",
+        "4ffb11c18f1bcaa79c054e8f758471426ed4348e23aee64df67bbdc4067edebe",
+    ),
+    "task5": (
+        "22c8e6f0580b6e84dda4b9a433f46b40b27a106480cc4f4b8709cd7913715b0d",
+        "7ae5551cd681f99100feea4e207db9288dda15177a869c986cef347e05cf3cde",
+    ),
+    "task6": (
+        "b258ec90df92353f5c37a22c4b71b27124cbf7c6a575fd6469d44193d724d529",
+        "be61ef85e55815d5b00d60186c005aebb055a0ed1c054f2ebfdeed55b7d7c2bc",
+    ),
+    "example": (
+        "c8a78ca23ca7797f9e51e536a6333de0efc13b7c64928f3b63174e3a49b84cea",
+        "aaf9ad9cf4739b4b54d7d960f42d6fa82ef9ea95b8cd1db606934e5534cbeee3",
+    ),
+    "fam6": (
+        "346d108bd2390dc555681ec560755821466183b29181d14d48247a54864b5e73",
+        "1a70c9269b89a189b1ecdc508d5548aad2e734b1767a9926d1f27c8870780ba0",
+    ),
+    "fam10": (
+        "39c1e2bd6aadf2c771878e84d0c61f3f622f244f006621d80a1200c1fa741305",
+        "108c6e64df506b7a2eb44cecc064a08c3c6d776f9a4093749e7f7c78984df0cd",
+    ),
+}
+
+
+def grounding_digests(ct):
+    # json.dumps rejects numpy integers, so this also pins Python int values
+    solutions = hashlib.sha256(json.dumps(list(ct.solutions.items())).encode())
+    indicators = hashlib.sha256()
+    for atom in ct.atoms:
+        names, arr = ct.indicator(atom)
+        indicators.update(json.dumps([atom, list(names), str(arr.dtype), list(arr.shape)]).encode())
+        indicators.update(arr.tobytes())
+    return solutions.hexdigest(), indicators.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GROUNDING))
+def test_golden_grounding(name):
+    assert set(builtin_task_names()) <= set(GOLDEN_GROUNDING)
+    spec = family_spec(int(name[3:])) if name.startswith("fam") else builtin_task(name)
+    assert grounding_digests(compile_task(spec)) == GOLDEN_GROUNDING[name]
