@@ -72,12 +72,14 @@ from .harness import (
 )
 from .inference import (
     ENGINE_NAMES,
+    BatchResult,
     RunResult,
     apply_temperature,
     calibrate_temperature,
     exact_step,
     fuzzy_step,
     make_engine,
+    run_batch,
     run_sequence,
     sddnnf_step,
 )
@@ -144,11 +146,13 @@ __all__ = [
     # inference
     "ENGINE_NAMES",
     "RunResult",
+    "BatchResult",
     "exact_step",
     "fuzzy_step",
     "sddnnf_step",
     "make_engine",
     "run_sequence",
+    "run_batch",
     "apply_temperature",
     "calibrate_temperature",
     # harness

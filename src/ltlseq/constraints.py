@@ -576,9 +576,15 @@ def indicator_tensor(
     return names, truth.astype(float)
 
 
-def tensor_probability(indicator: np.ndarray, dists: Sequence[np.ndarray]) -> float:
-    """Contract an indicator tensor with per-axis probability vectors."""
+def tensor_probability(indicator: np.ndarray, dists: Sequence[np.ndarray]) -> float | np.ndarray:
+    """Contract an indicator tensor with per-axis probability vectors.
+
+    Given (steps × axis) matrices instead of vectors, contracts every step at
+    once and returns one probability per step; each equals the vector
+    contraction of that step's rows.
+    """
     letters = "abcdefghijklmnop"
     axes = letters[: indicator.ndim]
-    spec = f"{axes},{','.join(axes)}->"
-    return float(np.einsum(spec, indicator, *dists))
+    if all(np.ndim(d) == 1 for d in dists):
+        return float(np.einsum(f"{axes},{','.join(axes)}->", indicator, *dists))
+    return np.einsum(f"{axes},{','.join('z' + a for a in axes)}->z", indicator, *dists)

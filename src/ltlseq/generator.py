@@ -252,11 +252,25 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
         raise DatasetFormatError(f"{meta_path}: not UTF-8 text ({err})") from err
     except json.JSONDecodeError as err:
         raise DatasetFormatError(f"{meta_path}: invalid JSON: {err}") from err
+    if not isinstance(metadata, dict):
+        raise DatasetFormatError(f"{meta_path}: expected a JSON object")
     for key in ("spec", "spec_hash", "seed", "atoms", "dfa"):
         if key not in metadata:
             raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
+    for key in ("spec", "dfa"):
+        if not isinstance(metadata[key], dict):
+            raise DatasetFormatError(f"{meta_path}: {key!r} must be an object")
+    atoms = metadata["atoms"]
+    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+        raise DatasetFormatError(f"{meta_path}: 'atoms' must be a list of names")
+    if metadata["dfa"].get("atoms") != atoms:
+        raise DatasetFormatError(
+            f"{meta_path}: atoms {atoms} differ from the stored DFA's "
+            f"{metadata['dfa'].get('atoms')!r}"
+        )
     spec = TaskSpec.from_dict(metadata["spec"], where=str(meta_path))
-    atoms = list(metadata["atoms"])
+    if atoms != sorted(c.name for c in spec.constraints):
+        raise DatasetFormatError(f"{meta_path}: atoms {atoms} are not the spec's constraint names")
     vmap = {v.name: v for v in spec.variables}
 
     if verify and spec.spec_hash != metadata["spec_hash"]:

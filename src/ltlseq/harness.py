@@ -22,14 +22,20 @@ import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .constraints import tensor_probability
 from .errors import DomainError
 from .generator import Dataset, SequenceSample, _digest_int, generate_dataset
-from .inference import RunResult, apply_temperature, calibrate_temperature, make_engine, run_sequence
+from .inference import (
+    apply_temperature,
+    calibrate_temperature,
+    make_engine,
+    run_batch,
+    run_sequence,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
+)
 from .tasks import CompiledTask
 
 ORACLE_TARGETS = ("ic", "ic_cc")
@@ -152,61 +158,93 @@ def _corrupted_cb_trace(
     sample: SequenceSample,
     cfg: OracleConfig,
     rng: np.random.Generator | None,
-) -> tuple[list[np.ndarray], int, int]:
-    """Constraint-belief trace for one sample, plus IC (hits, total).
+) -> tuple[np.ndarray, int, int]:
+    """Constraint-belief trace (steps × atoms) for one sample, plus IC (hits, total).
 
     Draw order is fixed — steps outer; declared variables (``ic``) or sorted
     atoms (``ic_cc``) inner — so a given (seed, split, seq_id) always yields
-    the same corruption regardless of engine or caller.
+    the same corruption regardless of engine or caller.  The ``ic`` target
+    draws every label distribution first, then contracts each constraint's
+    indicator over all steps at once.
     """
     atoms = task.atoms
-    trace: list[np.ndarray] = []
-    ic_hits = ic_total = 0
-    for t in range(sample.length):
-        if cfg.target == "ic":
-            dists: dict[str, np.ndarray] = {}
-            for v in task.spec.variables:
-                true_idx = v.domain.index_of(sample.values[t][v.name])
-                d = _label_distribution(cfg, true_idx, v.domain.size, rng)
-                dists[v.name] = d
-                ic_total += 1
-                ic_hits += int(np.argmax(d)) == true_idx
-            cb = np.empty(len(atoms))
-            for i, atom in enumerate(atoms):
-                names, tensor = task.indicator(atom)
-                cb[i] = tensor_probability(tensor, [dists[n] for n in names])
-        else:
-            truths = sample.truths[t]
-            cb = np.empty(len(atoms))
-            for i, atom in enumerate(atoms):
-                d = _label_distribution(cfg, int(truths[atom]), 2, rng)
-                cb[i] = d[1]
-        trace.append(cb)
-    return trace, ic_hits, ic_total
+    trace = np.empty((sample.length, len(atoms)))
+    if cfg.target == "ic":
+        variables = task.spec.variables
+        true_idx = np.array(
+            [[v.domain.index_of(values[v.name]) for v in variables] for values in sample.values]
+        ).reshape(sample.length, len(variables))
+        drawn = [
+            [_label_distribution(cfg, int(i), v.domain.size, rng) for i, v in zip(row, variables)]
+            for row in true_idx
+        ]
+        dists = {v.name: np.array([row[j] for row in drawn]) for j, v in enumerate(variables)}
+        ic_total = true_idx.size
+        ic_hits = sum(
+            int(np.count_nonzero(dists[v.name].argmax(axis=1) == true_idx[:, j]))
+            for j, v in enumerate(variables)
+        )
+        for i, atom in enumerate(atoms):
+            names, tensor = task.indicator(atom)
+            trace[:, i] = tensor_probability(tensor, [dists[n] for n in names])
+        return trace, ic_hits, ic_total
+    for t, truths in enumerate(sample.truths):
+        for i, atom in enumerate(atoms):
+            trace[t, i] = _label_distribution(cfg, int(truths[atom]), 2, rng)[1]
+    return trace, 0, 0
 
 
-def _oracle_runs(
-    task: CompiledTask,
-    dataset: Dataset,
-    engine,
-    oracle: OracleConfig,
-    split: str,
-) -> Iterator[tuple[SequenceSample, list[np.ndarray], int, int, RunResult]]:
-    """Per sample of ``split``: the sample, its corrupted belief trace, the IC
-    (hits, total) of that trace, and the engine's run over it.
+@dataclass(frozen=True)
+class _Split:
+    """One split of a dataset as arrays padded to its longest sequence:
+    lengths, a step mask, truth vectors (sequences × steps × atoms) and
+    states (-1 past each sequence's end)."""
 
-    ``engine`` is an engine or an engine name.  Raises DomainError, on first
-    iteration, when the split is empty.
-    """
-    if isinstance(engine, str):
-        engine = make_engine(engine, task.dfa)
+    name: str
+    samples: Sequence[SequenceSample]
+    lengths: np.ndarray
+    mask: np.ndarray
+    truths: np.ndarray
+    states: np.ndarray
+
+
+def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
     samples = dataset.splits.get(split, [])
     if not samples:
         raise DomainError(f"split {split!r} is empty")
-    for sample in samples:
-        rng = None if oracle.kind == "perfect" else _oracle_rng(oracle.seed, split, sample.seq_id)
+    lengths = np.array([s.length for s in samples])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    truths = np.zeros(mask.shape + (len(task.atoms),), dtype=bool)
+    states = np.full(mask.shape, -1)
+    for i, sample in enumerate(samples):
+        truths[i, : sample.length] = [[t[a] for a in task.atoms] for t in sample.truths]
+        states[i, : sample.length] = sample.states
+    return _Split(split, samples, lengths, mask, truths, states)
+
+
+@dataclass(frozen=True)
+class _Traces:
+    """Corrupted constraint beliefs of one split under one oracle config,
+    padded with zeros like the split's arrays, plus IC (hits, total)."""
+
+    data: _Split
+    cb: np.ndarray
+    ic_hits: int
+    ic_total: int
+
+
+def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _Traces:
+    cb = np.zeros(data.truths.shape)
+    ic_hits = ic_total = 0
+    for i, sample in enumerate(data.samples):
+        rng = None
+        if oracle.kind != "perfect":
+            rng = _oracle_rng(oracle.seed, data.name, sample.seq_id)
         trace, hits, total = _corrupted_cb_trace(task, sample, oracle, rng)
-        yield sample, trace, hits, total, run_sequence(engine, trace)
+        cb[i, : sample.length] = trace
+        ic_hits += hits
+        ic_total += total
+    return _Traces(data=data, cb=cb, ic_hits=ic_hits, ic_total=ic_total)
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +265,39 @@ def evaluate(
     vectors; NSP compares the belief argmax to the stored state trace per
     step; SC compares thresholded acceptance (ties → positive) to the
     sequence label; IC is the oracle's own argmax accuracy, reported only
-    when the ``ic`` target simulates that stage.
+    when the ``ic`` target simulates that stage.  ``engine`` is an engine or
+    an engine name.
     """
-    atoms = task.atoms
-    ic_hits = ic_total = 0
-    cc_hits = cc_total = 0
-    nsp_hits = nsp_total = 0
-    sc_hits = 0
-    for sample, trace, hits, total, result in _oracle_runs(task, dataset, engine, oracle, split):
-        ic_hits += hits
-        ic_total += total
-        for cb, truths in zip(trace, sample.truths):
-            for i, atom in enumerate(atoms):
-                cc_hits += (cb[i] >= 0.5) == truths[atom]
-                cc_total += 1
-        for belief, state in zip(result.beliefs, sample.states):
-            nsp_hits += int(np.argmax(belief)) == state
-            nsp_total += 1
-        acceptance = result.acceptance
-        if sc_temperature is not None:
-            acceptance = apply_temperature(acceptance, sc_temperature)
-        sc_hits += (acceptance >= 0.5) == bool(sample.label)
-    ic_acc = ic_hits / ic_total if oracle.target == "ic" else None
+    if isinstance(engine, str):
+        engine = make_engine(engine, task.dfa)
+    traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
+    return _score(engine, traces, oracle, sc_temperature, mp_baselines(dataset))
+
+
+def _score(
+    engine,
+    traces: _Traces,
+    oracle: OracleConfig,
+    sc_temperature: float | None,
+    baselines: tuple[float, float],
+) -> Metrics:
+    data = traces.data
+    result = run_batch(engine, traces.cb, data.lengths)
+    cc_hits = int(np.count_nonzero(((traces.cb >= 0.5) == data.truths) & data.mask[..., None]))
+    cc_total = int(data.mask.sum()) * data.truths.shape[2]
+    nsp_hits = int(np.count_nonzero(result.beliefs.argmax(axis=2) == data.states))
+    nsp_total = int(data.lengths.sum())
+    acceptances = result.acceptance.tolist()
+    if sc_temperature is not None:
+        acceptances = [apply_temperature(a, sc_temperature) for a in acceptances]
+    samples = data.samples
+    sc_hits = sum((a >= 0.5) == bool(s.label) for a, s in zip(acceptances, samples))
+    ic_acc = traces.ic_hits / traces.ic_total if oracle.target == "ic" else None
     cc_acc = cc_hits / cc_total
     nsp_acc = nsp_hits / nsp_total
-    sc_acc = sc_hits / len(dataset.splits[split])
+    sc_acc = sc_hits / len(samples)
     present = [a for a in (ic_acc, cc_acc, nsp_acc, sc_acc) if a is not None]
-    mp_successor, mp_sequence = mp_baselines(dataset)
+    mp_successor, mp_sequence = baselines
     return Metrics(
         ic_acc=ic_acc,
         cc_acc=cc_acc,
@@ -338,11 +382,15 @@ def fit_sc_temperature(
     split: str = "val",
 ) -> tuple[float, bool]:
     """Calibrate a scalar temperature on acceptance probabilities of a split."""
-    pairs = [
-        (result.acceptance, sample.label)
-        for sample, _, _, _, result in _oracle_runs(task, dataset, engine, oracle, split)
-    ]
-    return calibrate_temperature(pairs)
+    if isinstance(engine, str):
+        engine = make_engine(engine, task.dfa)
+    traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
+    return _fit_temperature(engine, traces)
+
+
+def _fit_temperature(engine, traces: _Traces) -> tuple[float, bool]:
+    acceptances = run_batch(engine, traces.cb, traces.data.lengths).acceptance.tolist()
+    return calibrate_temperature([(a, s.label) for a, s in zip(acceptances, traces.data.samples)])
 
 
 def oracle_sweep(
@@ -359,50 +407,59 @@ def oracle_sweep(
 
     Rows come back in (config, engine, seed) input order whatever ``jobs``
     is — oracle draws depend only on (seed, split, seq_id), never on
-    scheduling.  Calibration (optional) fits a scalar acceptance temperature
-    on the val split per combination; it cannot change thresholded
-    accuracies (the rescaling is monotone around 0.5) and is recorded as an
-    ``sc_temp`` diagnostic column.
+    scheduling.  Each (config, seed) corrupts its splits once and every
+    engine runs on those same traces; with ``jobs > 1`` that pair is the unit
+    of work.  Calibration (optional) fits a scalar acceptance temperature on
+    the val split per combination; it cannot change thresholded accuracies
+    (the rescaling is monotone around 0.5) and is recorded as an ``sc_temp``
+    diagnostic column.
     """
     if dataset is None:
         dataset = generate_dataset(task)
     if configs is None:
         configs = default_sweep_configs()
     built = {name: make_engine(name, task.dfa) for name in engines}
-    combos = [
-        (cfg, name, seed) for cfg in configs for name in engines for seed in seeds
-    ]
+    data = {split: _split_arrays(task, dataset, split)}
+    if calibrate:
+        data.setdefault("val", _split_arrays(task, dataset, "val"))
+    baselines = mp_baselines(dataset)
 
-    def run(combo: tuple[OracleConfig, str, int]) -> dict:
-        cfg, name, seed = combo
+    def run(unit: tuple[OracleConfig, int]) -> dict[str, dict]:
+        cfg, seed = unit
         run_cfg = replace(cfg, seed=seed)
-        temp = None
-        if calibrate:
-            temp, _ = fit_sc_temperature(task, dataset, built[name], run_cfg)
-        metrics = evaluate(
-            task, dataset, built[name], run_cfg, split=split, sc_temperature=temp
-        )
-        row = {
-            "task": task.spec.name,
-            "engine": name,
-            "oracle_target": run_cfg.target,
-            "oracle_kind": run_cfg.kind,
-            "p": run_cfg.p,
-            "seed": seed,
-            "ic_acc": metrics.ic_acc,
-            "cc_acc": metrics.cc_acc,
-            "nsp_acc": metrics.nsp_acc,
-            "sc_acc": metrics.sc_acc,
-            "avg_acc": metrics.avg_acc,
-        }
-        if calibrate:
-            row["sc_temp"] = temp
-        return row
+        traces = {name: _oracle_traces(task, d, run_cfg) for name, d in data.items()}
+        rows = {}
+        for name, engine in built.items():
+            temp = _fit_temperature(engine, traces["val"])[0] if calibrate else None
+            metrics = _score(engine, traces[split], run_cfg, temp, baselines)
+            row = {
+                "task": task.spec.name,
+                "engine": name,
+                "oracle_target": run_cfg.target,
+                "oracle_kind": run_cfg.kind,
+                "p": run_cfg.p,
+                "seed": seed,
+                "ic_acc": metrics.ic_acc,
+                "cc_acc": metrics.cc_acc,
+                "nsp_acc": metrics.nsp_acc,
+                "sc_acc": metrics.sc_acc,
+                "avg_acc": metrics.avg_acc,
+            }
+            if calibrate:
+                row["sc_temp"] = temp
+            rows[name] = row
+        return rows
 
+    units = [(cfg, seed) for cfg in configs for seed in seeds]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, combos))
-    return [run(combo) for combo in combos]
+            done = list(pool.map(run, units))
+    else:
+        done = [run(unit) for unit in units]
+    n = len(seeds)
+    return [
+        done[c * n + s][name] for c in range(len(configs)) for name in engines for s in range(n)
+    ]
 
 
 def write_sweep_csv(rows: Sequence[Mapping], path) -> None:

@@ -1,21 +1,36 @@
 """Probabilistic temporal inference over a task DFA.
 
 A belief state is a distribution over DFA states, advanced one step per time
-step from the per-atom constraint beliefs.  Three step semantics exist:
+step from the per-atom constraint beliefs.  The five engines run two update
+rules, each a numpy kernel over the transition table δ (states × 2^k letters)
+that steps a whole batch of sequences at once:
 
-* ``exact_step``: enumerate letters — the true stochastic-matrix update;
-* ``sddnnf_step``: algebraic model counting on compiled next-state circuits
-  with the multi-hot state encoding (coincides with exact for one-hot
-  beliefs);
-* ``fuzzy_step``: structural semiring evaluation of the simplified
-  next-state formulas.
+* linear (``exact``, ``fuzzy-p``, ``fuzzy-lp``): the stochastic-matrix update
+  ``b'[t] = Σ_ℓ P(ℓ)·Σ_{s: δ(s,ℓ)=t} b[s]``;
+* multi-hot (``sddnnf-p``, ``sddnnf-lp``): state atoms are independent with
+  ``P(state s) = b[s]``, so ``b'[t] = Σ_ℓ P(ℓ)·(1 − Π_{s: δ(s,ℓ)=t}(1 − b[s]))``;
+  it coincides with the linear rule on one-hot beliefs.
 
-Raw step outputs keep whatever mass the semantics produced; Engine wrappers
-renormalize each step and record the pre-normalization mass as a diagnostic.
+The ``-lp`` engines sum over letters with logsumexp in log space, so letter
+probabilities that underflow in float64 still give the log-semiring answer.
+
+The per-step semantics the kernels implement stay as checked references:
+
+* ``exact_step``: enumerate letters;
+* ``sddnnf_step``: algebraic model counting on the compiled next-state
+  circuits (``SddnnfEngine.circuits``);
+* ``fuzzy_step``: structural semiring evaluation of the simplified next-state
+  formulas (``FuzzyEngine.formulas``).
+
+Circuits and formulas are built only when something reads them.  Raw step
+outputs keep whatever mass the semantics produced; every engine but
+``exact`` renormalizes each step and records the pre-normalization mass as a
+diagnostic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,7 +71,7 @@ def apply_temperature(prob, temp: float):
     """
     if temp <= 0:
         raise DomainError(f"temperature must be positive, got {temp}")
-    if np.ndim(prob) == 0:
+    if isinstance(prob, float) or np.ndim(prob) == 0:
         p = min(max(float(prob), _CLAMP), 1.0 - _CLAMP)
         z = math.log(p / (1.0 - p)) / temp
         if z >= 0:
@@ -190,63 +205,175 @@ def fuzzy_step(
 
 
 # ---------------------------------------------------------------------------
+# Table kernels
+
+
+def _letter_table(cb: np.ndarray, log: bool) -> np.ndarray:
+    """P(letter), or its log, along the last axis of ``cb``; bit i of a letter
+    is atom i.
+
+    The probability form multiplies in the same order as
+    ``letter_probabilities``; the log form adds logs, so letters whose
+    probability underflows keep a finite log.
+    """
+    if log:
+        with np.errstate(divide="ignore"):
+            on, off = np.log(cb), np.log1p(-cb)
+        combine, out = np.add, np.zeros(cb.shape[:-1] + (1,))
+    else:
+        on, off = cb, 1.0 - cb
+        combine, out = np.multiply, np.ones(cb.shape[:-1] + (1,))
+    for i in range(cb.shape[-1]):
+        # doubling the table adds atom i at bit position i
+        pair = (combine(out, off[..., i, None]), combine(out, on[..., i, None]))
+        out = np.concatenate(pair, axis=-1)
+    return out
+
+
+class _Preimages:
+    """Sums over the preimages {s: δ(s,ℓ) = t} of a DFA's transition table δ.
+
+    The (source, letter) pairs are sorted by (letter, target), so one
+    ``np.add.reduceat`` sums every preimage; the working array is
+    sequences × letters × states.
+    """
+
+    def __init__(self, dfa: Dfa):
+        n, n_letters = dfa.n_states, dfa.n_letters
+        table = np.asarray(dfa.transitions, dtype=np.intp).reshape(n, n_letters)
+        keys = (np.arange(n_letters) * n + table).ravel()  # source-major pairs
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        self.starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        self.keys = sorted_keys[self.starts]
+        self.sources = order // n_letters
+        self.shape = (n_letters, n)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """x[:, ℓ, t] = Σ_{s: δ(s,ℓ)=t} v[:, s] for v of shape sequences × states."""
+        x = np.zeros((len(v), self.shape[0] * self.shape[1]))
+        x[:, self.keys] = np.add.reduceat(v[:, self.sources], self.starts, axis=1)
+        return x.reshape(len(v), *self.shape)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    top = np.max(a, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf slice stays -inf
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
+    return np.squeeze(out, axis=axis)
+
+
+# ---------------------------------------------------------------------------
 # Engines
 
 
-class ExactEngine:
-    name = "exact"
+class _TableEngine:
+    """One update rule in one semiring, stepping a batch of beliefs at once.
+
+    The linear rule is ``b'[t] = Σ_ℓ P(ℓ)·Σ_{s: δ(s,ℓ)=t} b[s]``; the
+    multi-hot rule is ``b'[t] = Σ_ℓ P(ℓ)·(1 − Π_{s: δ(s,ℓ)=t}(1 − b[s]))``.
+    In LOGPROB the sum over letters is a logsumexp.  ``exact`` returns its
+    raw update; every other engine renormalizes each step and reports the
+    pre-normalization mass.
+    """
+
+    name: str
+    semiring: Semiring = PROB
+    multihot = False
+    renormalize = True
 
     def __init__(self, dfa: Dfa):
         self.dfa = dfa
+        self._preimages = _Preimages(dfa)
 
-    def step(self, b: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, float]:
-        out = exact_step(self.dfa, b, cb)
-        return out, float(out.sum())
+    def letter_weights(self, cb: np.ndarray) -> np.ndarray:
+        """P(letter) (log P(letter) in LOGPROB) for constraint beliefs ``cb``
+        of shape (..., atoms); the result has shape (..., 2^atoms)."""
+        cb = np.asarray(cb, dtype=float)
+        n_atoms = len(self.dfa.atoms)
+        if cb.shape[-1:] != (n_atoms,):
+            raise DomainError(f"expected {n_atoms} constraint beliefs, got shape {cb.shape}")
+        if np.any(cb < 0) or np.any(cb > 1):
+            raise DomainError("constraint beliefs must lie in [0, 1]")
+        return _letter_table(cb, self.semiring is LOGPROB)
 
+    def raw(self, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Raw next-state scores (semiring carrier space) for state beliefs
+        ``b`` (sequences × states) and ``letter_weights`` (sequences × 2^k)."""
+        if self.multihot:
+            with np.errstate(divide="ignore"):
+                # b = 1 makes log1p(−b) = -inf, and exp(-inf) = 0 keeps Π(1 − b) exact
+                mass = -np.expm1(self._preimages(np.log1p(-b)))
+        else:
+            mass = self._preimages(b)
+        if self.semiring is not LOGPROB:
+            return np.matmul(weights[:, None, :], mass)[:, 0, :]
+        with np.errstate(divide="ignore"):
+            return _logsumexp(weights[:, :, None] + np.log(mass), axis=1)
 
-class _AlgebraicEngine:
-    """Shared renormalization logic for the fuzzy and circuit engines."""
-
-    semiring: Semiring
-
-    def _raw(self, b: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def step(self, b: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, float]:
-        raw = self._raw(b, cb)
+    def advance(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Beliefs (sequences × states) and masses (sequences) after one step."""
+        raw = self.raw(b, weights)
+        if not self.renormalize:
+            return raw, raw.sum(axis=1)
         if self.semiring is LOGPROB:
-            top = float(raw.max())
-            if top == float("-inf"):
+            top = raw.max(axis=1)
+            if np.any(top == -np.inf):
                 raise DegenerateBeliefError(f"{self.name}: all next-state scores are zero")
-            mass = float(np.exp(raw - top).sum() * math.exp(top)) if top < 700 else math.inf
-            belief = np.exp(raw - top)
-            return belief / belief.sum(), mass
-        mass = float(raw.sum())
-        if mass == 0.0:
+            belief = np.exp(raw - top[:, None])
+            total = belief.sum(axis=1)
+            with np.errstate(over="ignore"):
+                mass = np.where(top < 700, total * np.exp(top), np.inf)
+            return belief / total[:, None], mass
+        mass = raw.sum(axis=1)
+        if not mass.all():
             raise DegenerateBeliefError(f"{self.name}: all next-state scores are zero")
-        return raw / mass, mass
+        return raw / mass[:, None], mass
+
+    def step(self, b: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, float]:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.dfa.n_states,):
+            raise DomainError(f"expected {self.dfa.n_states} state beliefs, got shape {b.shape}")
+        beliefs, masses = self.advance(b[None], self.letter_weights(cb)[None])
+        return beliefs[0], float(masses[0])
 
 
-class FuzzyEngine(_AlgebraicEngine):
+class ExactEngine(_TableEngine):
+    name = "exact"
+    renormalize = False
+
+
+class FuzzyEngine(_TableEngine):
+    """The linear rule.  The simplified next-state formulas are disjoint
+    minterm DNFs, so their structural evaluation is that same update."""
+
     def __init__(self, dfa: Dfa, semiring: Semiring = PROB):
-        self.dfa = dfa
+        super().__init__(dfa)
         self.semiring = semiring
-        self.formulas = [simplify(f) for f in next_state_formulas(dfa)]
         self.name = "fuzzy-lp" if semiring is LOGPROB else "fuzzy-p"
 
-    def _raw(self, b: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        return fuzzy_step(self.formulas, self.dfa, b, cb, self.semiring)
+    @functools.cached_property
+    def formulas(self) -> list[PropFormula]:
+        """Reference formulas for ``fuzzy_step``, built on first read."""
+        return [simplify(f) for f in next_state_formulas(self.dfa)]
 
 
-class SddnnfEngine(_AlgebraicEngine):
+class SddnnfEngine(_TableEngine):
+    """The multi-hot rule: the closed form of model counting on the
+    next-state circuits when state atoms are independent."""
+
+    multihot = True
+
     def __init__(self, dfa: Dfa, semiring: Semiring = PROB):
-        self.dfa = dfa
+        super().__init__(dfa)
         self.semiring = semiring
-        self.circuits = [smooth(compile_sddnnf(f)) for f in next_state_formulas(dfa)]
         self.name = "sddnnf-lp" if semiring is LOGPROB else "sddnnf-p"
 
-    def _raw(self, b: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        return sddnnf_step(self.circuits, self.dfa, b, cb, self.semiring)
+    @functools.cached_property
+    def circuits(self) -> list[Circuit]:
+        """Reference circuits for ``sddnnf_step``, compiled on first read."""
+        return [smooth(compile_sddnnf(f)) for f in next_state_formulas(self.dfa)]
 
 
 def make_engine(name: str, dfa: Dfa):
@@ -273,18 +400,73 @@ class RunResult:
     masses: list[float]
 
 
+@dataclass
+class BatchResult:
+    """``run_batch`` output: beliefs (sequences × steps × states), final
+    acceptance masses (sequences) and per-step raw masses (sequences ×
+    steps).  Past a sequence's length its beliefs and masses are NaN."""
+
+    beliefs: np.ndarray
+    acceptance: np.ndarray
+    masses: np.ndarray
+
+
+def _step_each(engine, b: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch step for an engine that only has the per-sequence ``step``."""
+    pairs = [engine.step(bi, ci) for bi, ci in zip(b, cb)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> BatchResult:
+    """Iterate an engine from the one-hot initial belief over a batch of cb
+    traces, given as one array of shape sequences × steps × atoms.
+
+    ``lengths`` gives each sequence's own length when the batch is padded
+    (default: every sequence fills every step); padding steps are run but
+    masked out, and acceptance is read at each sequence's last step.
+    Engines from ``make_engine`` step the whole batch at once; any other
+    object with ``dfa`` and ``step`` is run sequence by sequence.
+    """
+    cb = np.asarray(cb, dtype=float)
+    if cb.ndim != 3 or cb.shape[1] == 0:
+        raise DomainError(f"expected traces of shape (sequences, steps > 0, atoms), got {cb.shape}")
+    n_seq, length = cb.shape[:2]
+    lengths = np.full(n_seq, length) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (n_seq,) or np.any(lengths < 1) or np.any(lengths > length):
+        raise DomainError(f"sequence lengths must lie in [1, {length}], one per sequence")
+    if isinstance(engine, _TableEngine):
+        weights, step = engine.letter_weights(cb), engine.advance
+    else:
+        weights, step = cb, functools.partial(_step_each, engine)
+    dfa = engine.dfa
+    b = np.zeros((n_seq, dfa.n_states))
+    b[:, dfa.initial] = 1.0
+    beliefs = np.empty((n_seq, length, dfa.n_states))
+    masses = np.empty((n_seq, length))
+    for t in range(length):
+        b, masses[:, t] = step(b, weights[:, t])
+        beliefs[:, t] = b
+    final = beliefs[np.arange(n_seq), lengths - 1]
+    acceptance = np.zeros(n_seq)
+    for s in dfa.accepting:  # the set's order, as the per-sequence sum had it
+        acceptance += final[:, s]
+    padding = np.arange(length) >= lengths[:, None]
+    beliefs[padding] = np.nan
+    masses[padding] = np.nan
+    return BatchResult(beliefs=beliefs, acceptance=acceptance, masses=masses)
+
+
 def run_sequence(engine, cb_trace: Sequence[np.ndarray]) -> RunResult:
     """Iterate an engine from the one-hot initial belief over a cb trace."""
     if len(cb_trace) == 0:
         raise DomainError("constraint-belief trace must be non-empty")
-    dfa = engine.dfa
-    b = np.zeros(dfa.n_states)
-    b[dfa.initial] = 1.0
-    beliefs, masses = [], []
-    for cb in cb_trace:
-        b, mass = engine.step(b, np.asarray(cb, dtype=float))
-        beliefs.append(b)
-        masses.append(mass)
-    final = beliefs[-1]
-    acceptance = float(sum(final[s] for s in dfa.accepting))
-    return RunResult(beliefs=np.array(beliefs), acceptance=acceptance, masses=masses)
+    try:
+        cb = np.array([np.asarray(c, dtype=float) for c in cb_trace])
+    except ValueError as err:
+        raise DomainError(f"constraint-belief trace rows differ in shape: {err}") from None
+    if cb.ndim != 2:
+        raise DomainError(f"expected a steps × atoms trace, got shape {cb.shape}")
+    out = run_batch(engine, cb[None])
+    return RunResult(
+        beliefs=out.beliefs[0], acceptance=float(out.acceptance[0]), masses=out.masses[0].tolist()
+    )

@@ -281,6 +281,67 @@ def test_infer_calibrate_writes_temperature(tmp_path):
     assert "sc_temp" in metrics
 
 
+def _rewrite_metadata(path, change):
+    metadata = json.loads(path.read_text())
+    path.write_text(json.dumps(change(metadata)))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda m: 5,
+        lambda m: [m],
+        lambda m: "metadata",
+        lambda m: None,
+        lambda m: m | {"atoms": "p"},
+        lambda m: m | {"atoms": [1]},
+        lambda m: m | {"atoms": None},
+        lambda m: m | {"spec": []},
+        lambda m: m | {"spec": "task5"},
+        lambda m: m | {"dfa": 3},
+        lambda m: m | {"dfa": [m["dfa"]]},
+    ],
+    ids=[
+        "int", "list", "string", "null", "atoms-string", "atoms-int", "atoms-null",
+        "spec-list", "spec-string", "dfa-int", "dfa-list",
+    ],
+)
+def test_infer_rejects_metadata_of_wrong_type(tmp_path, change):
+    out = generate(tmp_path)
+    _rewrite_metadata(out / "metadata.json", change)
+    result = run("infer", str(out))
+    assert result.exit_code == 1
+    assert "metadata.json" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_infer_rejects_atoms_that_differ_from_the_dfa(tmp_path):
+    out = generate(tmp_path, task="task1")
+    _rewrite_metadata(out / "metadata.json", lambda m: m | {"atoms": ["p"]})
+    result = run("infer", str(out))
+    assert result.exit_code == 1
+    assert "atoms" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_infer_rejects_atoms_that_are_not_the_spec_constraints(tmp_path):
+    # atom q renamed to r in the metadata, the stored DFA and the CSV header
+    out = generate(tmp_path, task="task1")
+    _rewrite_metadata(
+        out / "metadata.json",
+        lambda m: m | {"atoms": ["p", "r"], "dfa": m["dfa"] | {"atoms": ["p", "r"]}},
+    )
+    csv_path = out / "sequences.csv"
+    rows = list(csv.reader(csv_path.open(newline="")))
+    rows[0] = ["r_truth" if col == "q_truth" else col for col in rows[0]]
+    with csv_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    result = run("infer", str(out))
+    assert result.exit_code == 1
+    assert "constraint names" in result.output
+    assert "Traceback" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # sweep and report
 

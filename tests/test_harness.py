@@ -1,6 +1,7 @@
 """Oracle noise models, evaluation metrics, baselines, and sweeps."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -394,6 +395,36 @@ def test_oracle_sweep_calibrate_adds_column():
         ct, dataset=ds, configs=[OracleConfig()], engines=("exact",), calibrate=True
     )
     assert all("sc_temp" in r for r in rows)
+
+
+# sha256 of write_sweep_csv output for builtin_task(name) with its default
+# splits and mixed lengths, all five engines, calibration on, two seeds.
+# Captured from the per-step engines; the batched kernels must match them
+# byte for byte, sc_temp included.
+GOLDEN_SWEEPS = {
+    "task3": "b7087865a01c4d072adf2b26b3b8736577495fa46e63a20e96ca7a2734df54e4",
+    "task4": "97824cf3f905410f4c82993051093ca01d4d3ad5f4f828704f2b1820d098ca14",
+    "task5": "54bfa632c75162749c98647eebb945f4fcfb25f684331e776131139535518e2d",
+    "task6": "dc6f92b7f9b736333c1e1c9d02d6dfc098d7ef5f8f572b8328eee1139271151d",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SWEEPS))
+def test_golden_sweep_bytes(tmp_path, name):
+    from ltlseq.inference import ENGINE_NAMES
+
+    ct = compile_task(builtin_task(name))
+    rows = oracle_sweep(
+        ct,
+        dataset=generate_dataset(ct),
+        configs=default_sweep_configs(),
+        engines=ENGINE_NAMES,
+        seeds=(12345, 67890),
+        calibrate=True,
+    )
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SWEEPS[name]
 
 
 def test_sweep_csv_round_trip(tmp_path):
