@@ -1,9 +1,9 @@
 """Command-line front end: compile, generate, infer, sweep, baseline, report.
 
-Every subcommand is deterministic given its flags; parallel flags (--jobs)
-only bound worker threads and never change output bytes.  Compiled automata
-are cached under $LTLSEQ_CACHE_DIR (keyed by the task-spec hash) when that
-variable is set.
+Every subcommand is deterministic given its flags; --jobs is accepted for
+compatibility, starts no threads and never changes output bytes.  Compiled
+automata are cached under $LTLSEQ_CACHE_DIR (keyed by the task-spec hash)
+when that variable is set.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -189,7 +189,7 @@ def cmd_compile(task_ref: str, out: str | None, max_states: int | None) -> None:
     type=int,
     default=1,
     show_default=True,
-    help="Worker threads; outputs are identical for any value.",
+    help="Accepted for compatibility; starts no threads, outputs are identical for any value.",
 )
 @_friendly
 def cmd_generate(
@@ -369,7 +369,13 @@ def cmd_infer(
     default=False,
     help="Fit SC temperatures on the val split (adds an sc_temp column).",
 )
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker threads.")
+@click.option(
+    "--jobs",
+    type=int,
+    default=1,
+    show_default=True,
+    help="Accepted for compatibility; starts no threads, outputs are identical for any value.",
+)
 @_friendly
 def cmd_sweep(
     task_ref: str,

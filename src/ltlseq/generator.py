@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -117,27 +116,18 @@ def _split_plan(spec: TaskSpec, split: str) -> list[tuple[int, int]]:
 def generate_dataset(source: TaskSpec | CompiledTask, jobs: int = 1) -> Dataset:
     """Full train/val/test dataset for a task, deterministic in its seed.
 
-    Each sequence draws from its own ``(seed, split, index)`` stream, so
-    ``jobs > 1`` only bounds worker threads — the output is identical.
+    Each sequence draws from its own ``(seed, split, index)`` stream.
+    ``jobs`` is accepted for compatibility and starts no threads: the walks
+    are pure Python, so worker threads never ran them faster.
     """
     task = source if isinstance(source, CompiledTask) else compile_task(source)
     spec = task.spec
-
-    def build(split: str, index: int, label: int, length: int) -> SequenceSample:
-        rng = _sequence_rng(spec.seed, split, index)
-        return generate_sequence(task, label, length, rng, seq_id=index)
-
     splits: dict[str, list[SequenceSample]] = {}
     for split in SPLIT_NAMES:
-        plan = _split_plan(spec, split)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                samples = list(
-                    pool.map(lambda a: build(*a), [(split, i, lb, ln) for i, (lb, ln) in enumerate(plan)])
-                )
-        else:
-            samples = [build(split, i, lb, ln) for i, (lb, ln) in enumerate(plan)]
-        splits[split] = samples
+        splits[split] = [
+            generate_sequence(task, label, length, _sequence_rng(spec.seed, split, i), seq_id=i)
+            for i, (label, length) in enumerate(_split_plan(spec, split))
+        ]
     metadata = {
         "spec": spec.to_dict(),
         "spec_hash": spec.spec_hash,

@@ -9,7 +9,11 @@ the atom level (``ic_cc`` target: noisy truth distributions used directly as
 constraint beliefs).
 
 Oracle randomness is derived per sequence from ``(seed, split, seq_id)``, so
-results do not depend on evaluation order and parallel runs merge cleanly.
+results do not depend on evaluation order.  Corruption is array code over a
+whole split: flip oracles keep their scalar draw loop but emit label indices,
+and confidence oracles draw each sequence's masses in one call.  A sweep then
+runs every (config, seed) unit of a split through each engine in one batched
+pass and scores the units one by one; no threads are started.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import json
 import math
 import statistics
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -136,90 +139,81 @@ def _check_oracle_args(true_label: int, k: int, p: float) -> None:
         raise DomainError(f"noise level must be in [0, 1], got {p}")
 
 
-def _label_distribution(
-    cfg: OracleConfig, true_label: int, k: int, rng: np.random.Generator | None
+def _flip_labels(
+    true: np.ndarray,
+    sizes: Sequence[int],
+    p: float,
+    rngs: Sequence[np.random.Generator],
+    lengths: np.ndarray,
 ) -> np.ndarray:
-    if cfg.kind == "perfect":
-        out = np.zeros(k)
-        out[true_label] = 1.0
-        return out
-    assert rng is not None
-    if cfg.kind == "flip":
-        return flip_oracle(true_label, k, cfg.p, rng)
-    return confidence_oracle(true_label, k, cfg.p, rng)
+    """Labels after the flip oracle's scalar draws: per sequence, steps outer
+    and columns inner, each entry re-drawn over all its ``sizes`` classes
+    with probability p, exactly as ``flip_oracle`` draws them."""
+    n = len(sizes)
+    flat = true.ravel().tolist()
+    lo = 0
+    for rng, length in zip(rngs, lengths):
+        random, integers = rng.random, rng.integers
+        for i in range(lo, lo + int(length) * n):
+            if random() < p:
+                flat[i] = int(integers(sizes[i % n]))
+        lo += int(length) * n
+    return np.array(flat, dtype=np.intp).reshape(true.shape)
 
 
-def _oracle_rng(seed: int, split: str, seq_id: int) -> np.random.Generator:
-    return np.random.default_rng(_digest_int(f"{seed}:{split}:{seq_id}:oracle"))
-
-
-def _corrupted_cb_trace(
-    task: CompiledTask,
-    sample: SequenceSample,
-    cfg: OracleConfig,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, int, int]:
-    """Constraint-belief trace (steps × atoms) for one sample, plus IC (hits, total).
-
-    Draw order is fixed — steps outer; declared variables (``ic``) or sorted
-    atoms (``ic_cc``) inner — so a given (seed, split, seq_id) always yields
-    the same corruption regardless of engine or caller.  The ``ic`` target
-    draws every label distribution first, then contracts each constraint's
-    indicator over all steps at once.
-    """
-    atoms = task.atoms
-    trace = np.empty((sample.length, len(atoms)))
-    if cfg.target == "ic":
-        variables = task.spec.variables
-        true_idx = np.array(
-            [[v.domain.index_of(values[v.name]) for v in variables] for values in sample.values]
-        ).reshape(sample.length, len(variables))
-        drawn = [
-            [_label_distribution(cfg, int(i), v.domain.size, rng) for i, v in zip(row, variables)]
-            for row in true_idx
-        ]
-        dists = {v.name: np.array([row[j] for row in drawn]) for j, v in enumerate(variables)}
-        ic_total = true_idx.size
-        ic_hits = sum(
-            int(np.count_nonzero(dists[v.name].argmax(axis=1) == true_idx[:, j]))
-            for j, v in enumerate(variables)
-        )
-        for i, atom in enumerate(atoms):
-            names, tensor = task.indicator(atom)
-            trace[:, i] = tensor_probability(tensor, [dists[n] for n in names])
-        return trace, ic_hits, ic_total
-    for t, truths in enumerate(sample.truths):
-        for i, atom in enumerate(atoms):
-            trace[t, i] = _label_distribution(cfg, int(truths[atom]), 2, rng)[1]
-    return trace, 0, 0
+def _confidence_masses(
+    p: float, n: int, rngs: Sequence[np.random.Generator], lengths: np.ndarray
+) -> np.ndarray:
+    """True-label masses m ~ U[1−p, 1] (steps × ``n`` columns), one bulk
+    draw per sequence; equal to ``confidence_oracle``'s scalar draws."""
+    draws = [rng.uniform(1.0 - p, 1.0, size=int(length) * n) for rng, length in zip(rngs, lengths)]
+    return np.concatenate(draws).reshape(-1, n)
 
 
 @dataclass(frozen=True)
 class _Split:
     """One split of a dataset as arrays padded to its longest sequence:
-    lengths, a step mask, truth vectors (sequences × steps × atoms) and
-    states (-1 past each sequence's end)."""
+    lengths, a step mask, truth vectors (sequences × steps × atoms), true
+    domain indices (sequences × steps × variables) and states (-1 past each
+    sequence's end)."""
 
     name: str
     samples: Sequence[SequenceSample]
     lengths: np.ndarray
     mask: np.ndarray
     truths: np.ndarray
+    labels: np.ndarray
     states: np.ndarray
+    _rng_seeds: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def oracle_rngs(self, seed: int) -> list[np.random.Generator]:
+        """Fresh oracle generators, one per sequence, seeded from
+        ``(seed, split, seq_id)``; the digests are hashed once per seed."""
+        digests = self._rng_seeds.get(seed)
+        if digests is None:
+            digests = self._rng_seeds[seed] = [
+                _digest_int(f"{seed}:{self.name}:{s.seq_id}:oracle") for s in self.samples
+            ]
+        return [np.random.default_rng(d) for d in digests]
 
 
 def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
     samples = dataset.splits.get(split, [])
     if not samples:
         raise DomainError(f"split {split!r} is empty")
+    variables = task.spec.variables
     lengths = np.array([s.length for s in samples])
     mask = np.arange(lengths.max()) < lengths[:, None]
     truths = np.zeros(mask.shape + (len(task.atoms),), dtype=bool)
+    labels = np.zeros(mask.shape + (len(variables),), dtype=np.intp)
     states = np.full(mask.shape, -1)
     for i, sample in enumerate(samples):
         truths[i, : sample.length] = [[t[a] for a in task.atoms] for t in sample.truths]
+        labels[i, : sample.length] = [
+            [v.domain.index_of(values[v.name]) for v in variables] for values in sample.values
+        ]
         states[i, : sample.length] = sample.states
-    return _Split(split, samples, lengths, mask, truths, states)
+    return _Split(split, samples, lengths, mask, truths, labels, states)
 
 
 @dataclass(frozen=True)
@@ -234,17 +228,93 @@ class _Traces:
 
 
 def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _Traces:
-    cb = np.zeros(data.truths.shape)
+    """Corrupt every sequence of a split under one config.
+
+    Each sequence draws from its own ``(seed, split, seq_id)`` stream in a
+    fixed order — steps outer; declared variables (``ic``) or sorted atoms
+    (``ic_cc``) inner — so a config always yields the same corruption
+    whatever the engine or caller.  On ``ic``, a perfect or flip oracle's
+    label distributions are one-hot, so each atom's belief is its indicator
+    tensor read at the drawn labels; a confidence oracle's distributions are
+    contracted with each indicator over all steps at once.
+    """
+    rngs = None if oracle.kind == "perfect" else data.oracle_rngs(oracle.seed)
+    lengths = data.lengths
     ic_hits = ic_total = 0
-    for i, sample in enumerate(data.samples):
-        rng = None
-        if oracle.kind != "perfect":
-            rng = _oracle_rng(oracle.seed, data.name, sample.seq_id)
-        trace, hits, total = _corrupted_cb_trace(task, sample, oracle, rng)
-        cb[i, : sample.length] = trace
-        ic_hits += hits
-        ic_total += total
+    if oracle.target == "ic":
+        variables = task.spec.variables
+        sizes = [v.domain.size for v in variables]
+        if rngs is not None:
+            for k in sizes:
+                if k < 2:
+                    raise DomainError(f"class count must be >= 2, got {k}")
+        true = data.labels[data.mask]  # steps of every sequence × variables
+        ic_total = true.size
+        flat = np.empty((len(true), len(task.atoms)))
+        if oracle.kind == "confidence":
+            m = _confidence_masses(oracle.p, len(variables), rngs, lengths)
+            dists = {}
+            for j, (v, k) in enumerate(zip(variables, sizes)):
+                dist = np.repeat(((1.0 - m[:, j]) / (k - 1))[:, None], k, axis=1)
+                dist[np.arange(len(true)), true[:, j]] = m[:, j]
+                ic_hits += int(np.count_nonzero(dist.argmax(axis=1) == true[:, j]))
+                dists[v.name] = dist
+            for i, atom in enumerate(task.atoms):
+                names, tensor = task.indicator(atom)
+                flat[:, i] = tensor_probability(tensor, [dists[n] for n in names])
+        else:
+            drawn = true if rngs is None else _flip_labels(true, sizes, oracle.p, rngs, lengths)
+            ic_hits = int(np.count_nonzero(drawn == true))
+            column = {v.name: j for j, v in enumerate(variables)}
+            for i, atom in enumerate(task.atoms):
+                names, tensor = task.indicator(atom)
+                flat[:, i] = tensor[tuple(drawn[:, column[n]] for n in names)]
+    else:
+        truths = data.truths[data.mask]
+        if oracle.kind == "perfect":
+            flat = truths.astype(float)
+        elif oracle.kind == "flip":
+            bits = _flip_labels(truths.astype(np.intp), [2] * truths.shape[1], oracle.p, rngs, lengths)
+            flat = bits.astype(float)
+        else:
+            m = _confidence_masses(oracle.p, truths.shape[1], rngs, lengths)
+            flat = np.where(truths, m, 1.0 - m)
+    cb = np.zeros(data.truths.shape)
+    cb[data.mask] = flat
     return _Traces(data=data, cb=cb, ic_hits=ic_hits, ic_total=ic_total)
+
+
+# Cells of run_batch's working arrays (rows × letters × (states + steps))
+# allowed in one call, so stacking many units keeps memory bounded.  2^21
+# float64 cells (16 MB) is about one 40-sequence unit of a 10-atom, 32-state
+# task, the size one call had before units were stacked.
+_BATCH_CELLS = 1 << 21
+
+
+def _run_units(engine, units: Sequence[_Traces]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Predicted states (argmax belief per step) and acceptance of each
+    unit's traces, all of one split.
+
+    The units are stacked into as few ``run_batch`` calls as the cell budget
+    allows.  Kernel rows are independent, so each unit's slice equals a
+    ``run_batch`` call on that unit alone, bit for bit.
+    """
+    data = units[0].data
+    n_seq, steps = data.mask.shape
+    cb = np.concatenate([u.cb for u in units])
+    lengths = np.tile(data.lengths, len(units))
+    dfa = engine.dfa
+    rows = max(1, _BATCH_CELLS // (dfa.n_letters * (dfa.n_states + steps)))
+    predicted, acceptance = [], []
+    for lo in range(0, len(cb), rows):
+        result = run_batch(engine, cb[lo : lo + rows], lengths[lo : lo + rows])
+        predicted.append(result.beliefs.argmax(axis=2))
+        acceptance.append(result.acceptance)
+    predicted, acceptance = np.concatenate(predicted), np.concatenate(acceptance)
+    return [
+        (predicted[u * n_seq : (u + 1) * n_seq], acceptance[u * n_seq : (u + 1) * n_seq])
+        for u in range(len(units))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +341,24 @@ def evaluate(
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    return _score(engine, traces, oracle, sc_temperature, mp_baselines(dataset))
+    predicted, acceptance = _run_units(engine, [traces])[0]
+    return _score(traces, predicted, acceptance, oracle, sc_temperature, mp_baselines(dataset))
 
 
 def _score(
-    engine,
     traces: _Traces,
+    predicted: np.ndarray,
+    acceptance: np.ndarray,
     oracle: OracleConfig,
     sc_temperature: float | None,
     baselines: tuple[float, float],
 ) -> Metrics:
     data = traces.data
-    result = run_batch(engine, traces.cb, data.lengths)
     cc_hits = int(np.count_nonzero(((traces.cb >= 0.5) == data.truths) & data.mask[..., None]))
     cc_total = int(data.mask.sum()) * data.truths.shape[2]
-    nsp_hits = int(np.count_nonzero(result.beliefs.argmax(axis=2) == data.states))
+    nsp_hits = int(np.count_nonzero(predicted == data.states))
     nsp_total = int(data.lengths.sum())
-    acceptances = result.acceptance.tolist()
+    acceptances = acceptance.tolist()
     if sc_temperature is not None:
         acceptances = [apply_temperature(a, sc_temperature) for a in acceptances]
     samples = data.samples
@@ -385,12 +456,12 @@ def fit_sc_temperature(
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    return _fit_temperature(engine, traces)
+    return _fit_temperature(traces, _run_units(engine, [traces])[0][1])
 
 
-def _fit_temperature(engine, traces: _Traces) -> tuple[float, bool]:
-    acceptances = run_batch(engine, traces.cb, traces.data.lengths).acceptance.tolist()
-    return calibrate_temperature([(a, s.label) for a, s in zip(acceptances, traces.data.samples)])
+def _fit_temperature(traces: _Traces, acceptance: np.ndarray) -> tuple[float, bool]:
+    samples = traces.data.samples
+    return calibrate_temperature([(a, s.label) for a, s in zip(acceptance.tolist(), samples)])
 
 
 def oracle_sweep(
@@ -405,14 +476,16 @@ def oracle_sweep(
 ) -> list[dict]:
     """Evaluate every (config, engine, seed) combination into long-format rows.
 
-    Rows come back in (config, engine, seed) input order whatever ``jobs``
-    is — oracle draws depend only on (seed, split, seq_id), never on
-    scheduling.  Each (config, seed) corrupts its splits once and every
-    engine runs on those same traces; with ``jobs > 1`` that pair is the unit
-    of work.  Calibration (optional) fits a scalar acceptance temperature on
-    the val split per combination; it cannot change thresholded accuracies
-    (the rescaling is monotone around 0.5) and is recorded as an ``sc_temp``
-    diagnostic column.
+    Rows come back in (config, engine, seed) order.  Each (config, seed)
+    unit corrupts its splits once, and every engine runs on those same
+    traces: the units of one split are stacked into one ``run_batch`` batch
+    per engine (chunked to bound memory), then scored one by one.  Oracle
+    draws depend only on (seed, split, seq_id), so results equal separate
+    ``evaluate`` calls.  Calibration (optional) fits a scalar acceptance
+    temperature on the val split per combination; it cannot change
+    thresholded accuracies (the rescaling is monotone around 0.5) and is
+    recorded as an ``sc_temp`` diagnostic column.  ``jobs`` is accepted for
+    compatibility and starts no threads; the output is the same for any value.
     """
     if dataset is None:
         dataset = generate_dataset(task)
@@ -423,22 +496,23 @@ def oracle_sweep(
     if calibrate:
         data.setdefault("val", _split_arrays(task, dataset, "val"))
     baselines = mp_baselines(dataset)
+    units = [replace(cfg, seed=seed) for cfg in configs for seed in seeds]
+    traces = {name: [_oracle_traces(task, d, u) for u in units] for name, d in data.items()}
 
-    def run(unit: tuple[OracleConfig, int]) -> dict[str, dict]:
-        cfg, seed = unit
-        run_cfg = replace(cfg, seed=seed)
-        traces = {name: _oracle_traces(task, d, run_cfg) for name, d in data.items()}
-        rows = {}
-        for name, engine in built.items():
-            temp = _fit_temperature(engine, traces["val"])[0] if calibrate else None
-            metrics = _score(engine, traces[split], run_cfg, temp, baselines)
+    rows: dict[str, list[dict]] = {}
+    for name, engine in built.items():
+        runs = {s: _run_units(engine, unit_traces) for s, unit_traces in traces.items()}
+        rows[name] = []
+        for u, unit in enumerate(units):
+            temp = _fit_temperature(traces["val"][u], runs["val"][u][1])[0] if calibrate else None
+            metrics = _score(traces[split][u], *runs[split][u], unit, temp, baselines)
             row = {
                 "task": task.spec.name,
                 "engine": name,
-                "oracle_target": run_cfg.target,
-                "oracle_kind": run_cfg.kind,
-                "p": run_cfg.p,
-                "seed": seed,
+                "oracle_target": unit.target,
+                "oracle_kind": unit.kind,
+                "p": unit.p,
+                "seed": unit.seed,
                 "ic_acc": metrics.ic_acc,
                 "cc_acc": metrics.cc_acc,
                 "nsp_acc": metrics.nsp_acc,
@@ -447,18 +521,10 @@ def oracle_sweep(
             }
             if calibrate:
                 row["sc_temp"] = temp
-            rows[name] = row
-        return rows
-
-    units = [(cfg, seed) for cfg in configs for seed in seeds]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(run, units))
-    else:
-        done = [run(unit) for unit in units]
+            rows[name].append(row)
     n = len(seeds)
     return [
-        done[c * n + s][name] for c in range(len(configs)) for name in engines for s in range(n)
+        rows[name][c * n + s] for c in range(len(configs)) for name in engines for s in range(n)
     ]
 
 

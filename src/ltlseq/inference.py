@@ -85,15 +85,6 @@ def apply_temperature(prob, temp: float):
     return out / out.sum()
 
 
-def _nll(pairs: Sequence[tuple[float, int]], temp: float) -> float:
-    total = 0.0
-    for prob, truth in pairs:
-        p = apply_temperature(prob, temp)
-        p = min(max(p, _CLAMP), 1.0 - _CLAMP)
-        total -= math.log(p) if truth else math.log(1.0 - p)
-    return total
-
-
 def calibrate_temperature(
     pairs: Sequence[tuple[float, int]],
     tol: float = 1e-4,
@@ -103,16 +94,34 @@ def calibrate_temperature(
     Returns (temperature, degenerate).  A flat objective — e.g. every
     prediction exactly 0.5 — cannot be calibrated; then (1.0, True) comes
     back.  The calibrated predictions provably keep their argmax; this is
-    asserted on the inputs.
+    asserted on the inputs.  The clamped logits are computed once; each
+    probe then rescales them with the scalar steps of ``apply_temperature``.
     """
     if not pairs:
         raise DomainError("calibration needs at least one (probability, truth) pair")
     for _, truth in pairs:
         if truth not in (0, 1):
             raise DomainError(f"truth labels must be 0/1, got {truth!r}")
+    logits = []
+    for prob, truth in pairs:
+        p = min(max(float(prob), _CLAMP), 1.0 - _CLAMP)
+        logits.append((math.log(p / (1.0 - p)), truth))
+
+    def nll(temp: float) -> float:
+        total = 0.0
+        for logit, truth in logits:
+            z = logit / temp
+            if z >= 0:
+                p = 1.0 / (1.0 + math.exp(-z))
+            else:
+                e = math.exp(z)
+                p = e / (1.0 + e)
+            p = min(max(p, _CLAMP), 1.0 - _CLAMP)
+            total -= math.log(p) if truth else math.log(1.0 - p)
+        return total
 
     lo, hi = -5.0, 5.0
-    probe = [_nll(pairs, math.exp(x)) for x in np.linspace(lo, hi, 9)]
+    probe = [nll(math.exp(x)) for x in np.linspace(lo, hi, 9)]
     if max(probe) - min(probe) < 1e-12:
         return 1.0, True
 
@@ -120,16 +129,16 @@ def calibrate_temperature(
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = _nll(pairs, math.exp(c)), _nll(pairs, math.exp(d))
+    fc, fd = nll(math.exp(c)), nll(math.exp(d))
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _nll(pairs, math.exp(c))
+            fc = nll(math.exp(c))
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _nll(pairs, math.exp(d))
+            fd = nll(math.exp(d))
     temp = math.exp((a + b) / 2.0)
     for prob, _ in pairs:
         assert (apply_temperature(prob, temp) >= 0.5) == (prob >= 0.5)

@@ -2,13 +2,20 @@
 
 Everything here is written independently of the package internals: direct
 finite-trace semantics by recursion over formula structure, a random
-formula generator for property-style checks, and per-point enumeration of
-constraint solutions.
+formula generator for property-style checks, per-point enumeration of
+constraint solutions, the per-sample, per-draw oracle corruption loop and
+the per-pair temperature search.
 """
 
 import itertools
+import math
 
-from ltlseq.constraints import AllDifferent, AllEqual, Comparison
+import numpy as np
+
+from ltlseq.constraints import AllDifferent, AllEqual, Comparison, tensor_probability
+from ltlseq.generator import _digest_int
+from ltlseq.harness import confidence_oracle, flip_oracle
+from ltlseq.inference import apply_temperature
 
 from ltlseq.formulas import (
     FALSE,
@@ -184,3 +191,102 @@ def partition_reference(constraints, variables):
         key = tuple(constraint_holds(c, a) for c in constraints)
         buckets.setdefault(key, []).append(a)
     return {key: tuple(sols) for key, sols in buckets.items()}
+
+
+def oracle_rng(seed, split, seq_id):
+    """The oracle stream of one sequence, as ``harness`` seeds it."""
+    return np.random.default_rng(_digest_int(f"{seed}:{split}:{seq_id}:oracle"))
+
+
+def label_distribution(cfg, true_label, k, rng):
+    """One drawn label distribution: one-hot for a perfect oracle, else one
+    ``flip_oracle`` or ``confidence_oracle`` draw."""
+    if cfg.kind == "perfect":
+        out = np.zeros(k)
+        out[true_label] = 1.0
+        return out
+    if cfg.kind == "flip":
+        return flip_oracle(true_label, k, cfg.p, rng)
+    return confidence_oracle(true_label, k, cfg.p, rng)
+
+
+def corrupted_cb_trace(task, sample, cfg, rng):
+    """Constraint-belief trace (steps × atoms) of one sample, plus IC (hits, total).
+
+    Draws in the contract's order: steps outer; declared variables (``ic``)
+    or sorted atoms (``ic_cc``) inner.  The ``ic`` target draws every label
+    distribution first, then contracts each constraint's indicator tensor
+    with them over all steps.
+    """
+    atoms = task.atoms
+    trace = np.empty((sample.length, len(atoms)))
+    if cfg.target == "ic":
+        variables = task.spec.variables
+        true_idx = np.array(
+            [[v.domain.index_of(values[v.name]) for v in variables] for values in sample.values]
+        ).reshape(sample.length, len(variables))
+        drawn = [
+            [label_distribution(cfg, int(i), v.domain.size, rng) for i, v in zip(row, variables)]
+            for row in true_idx
+        ]
+        dists = {v.name: np.array([row[j] for row in drawn]) for j, v in enumerate(variables)}
+        ic_hits = sum(
+            int(np.count_nonzero(dists[v.name].argmax(axis=1) == true_idx[:, j]))
+            for j, v in enumerate(variables)
+        )
+        for i, atom in enumerate(atoms):
+            names, tensor = task.indicator(atom)
+            trace[:, i] = tensor_probability(tensor, [dists[n] for n in names])
+        return trace, ic_hits, true_idx.size
+    for t, truths in enumerate(sample.truths):
+        for i, atom in enumerate(atoms):
+            trace[t, i] = label_distribution(cfg, int(truths[atom]), 2, rng)[1]
+    return trace, 0, 0
+
+
+def oracle_traces(task, samples, split, cfg):
+    """Per-sample traces of a split under one config, plus summed IC (hits, total)."""
+    traces, hits, total = [], 0, 0
+    for sample in samples:
+        rng = None if cfg.kind == "perfect" else oracle_rng(cfg.seed, split, sample.seq_id)
+        trace, h, n = corrupted_cb_trace(task, sample, cfg, rng)
+        traces.append(trace)
+        hits += h
+        total += n
+    return traces, hits, total
+
+
+_CLAMP = 1e-7
+
+
+def _nll(pairs, temp):
+    total = 0.0
+    for prob, truth in pairs:
+        p = apply_temperature(prob, temp)
+        p = min(max(p, _CLAMP), 1.0 - _CLAMP)
+        total -= math.log(p) if truth else math.log(1.0 - p)
+    return total
+
+
+def calibrate_temperature_reference(pairs, tol=1e-4):
+    """Golden-section search on log-temp, scoring each probe pair by pair
+    through ``apply_temperature``; returns (temperature, degenerate)."""
+    lo, hi = -5.0, 5.0
+    probe = [_nll(pairs, math.exp(x)) for x in np.linspace(lo, hi, 9)]
+    if max(probe) - min(probe) < 1e-12:
+        return 1.0, True
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = _nll(pairs, math.exp(c)), _nll(pairs, math.exp(d))
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = _nll(pairs, math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = _nll(pairs, math.exp(d))
+    return math.exp((a + b) / 2.0), False

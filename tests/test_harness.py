@@ -468,3 +468,60 @@ def test_summarize_rows_groups_and_stats(tmp_path):
     path = tmp_path / "summary.json"
     write_summary_json(summary, path)
     assert json.loads(path.read_text()) == json.loads(json.dumps(summary))
+
+
+# ---------------------------------------------------------------------------
+# Array oracle traces against the per-sample, per-draw reference loop
+
+
+def _trace_configs():
+    configs = [OracleConfig(target=t) for t in ORACLE_TARGETS]
+    for target in ORACLE_TARGETS:
+        for kind in ("flip", "confidence"):
+            for p in (0.05, 0.5, 1.0):
+                configs.append(OracleConfig(target=target, kind=kind, p=p))
+    return configs
+
+
+@pytest.mark.parametrize("name", ["task1", "task3", "task4", "task5", "task6", "example"])
+def test_array_traces_equal_reference_loop(name):
+    from dataclasses import replace
+
+    from ltlseq.harness import _oracle_traces, _split_arrays
+    from oracles import oracle_traces
+
+    ct = compile_task(builtin_task(name, splits=(2, 9, 0), min_length=4, max_length=12))
+    ds = generate_dataset(ct)
+    data = _split_arrays(ct, ds, "val")
+    assert len(set(data.lengths.tolist())) > 1  # mixed lengths pad the batch
+    for cfg in _trace_configs():
+        for seed in (3, 41):
+            cfg = replace(cfg, seed=seed)
+            got = _oracle_traces(ct, data, cfg)
+            want, hits, total = oracle_traces(ct, ds.splits["val"], "val", cfg)
+            for i, trace in enumerate(want):
+                assert np.array_equal(got.cb[i, : len(trace)], trace), (cfg, i)
+                assert not got.cb[i, len(trace):].any()
+            assert (got.ic_hits, got.ic_total) == (hits, total), cfg
+
+
+@pytest.mark.parametrize("kind", ["flip", "confidence"])
+def test_one_label_domain_is_rejected_by_noisy_ic_oracles(kind):
+    from dataclasses import replace
+
+    from ltlseq.constraints import SymbolicDomain, VariableSpec
+
+    spec = builtin_task("task6", splits=(8, 4, 4))
+    one = SymbolicDomain.from_values("one", ("five",), (5,))
+    variables = tuple(
+        VariableSpec(v.name, one, v.source) if v.name == "Z" else v for v in spec.variables
+    )
+    ct = compile_task(replace(spec, domains=spec.domains + (one,), variables=variables))
+    ds = generate_dataset(ct)
+    assert evaluate(ct, ds, "exact", OracleConfig()).ic_acc == 1.0
+    assert evaluate(ct, ds, "exact", OracleConfig(target="ic_cc", kind=kind, p=0.2)).ic_acc is None
+    cfg = OracleConfig(kind=kind, p=0.2)
+    with pytest.raises(DomainError, match="class count must be >= 2, got 1"):
+        evaluate(ct, ds, "exact", cfg)
+    with pytest.raises(DomainError, match="class count must be >= 2, got 1"):
+        oracle_sweep(ct, dataset=ds, configs=[OracleConfig(), cfg], engines=("exact",))

@@ -333,3 +333,18 @@ def test_run_sequence_rejects_empty_trace():
     ct = compile_task(builtin_task("task5"))
     with pytest.raises(DomainError):
         run_sequence(make_engine("exact", ct.dfa), [])
+
+
+def test_calibration_equals_per_pair_reference_search():
+    from oracles import calibrate_temperature_reference
+
+    rng = np.random.default_rng(2718)
+    cases = [[(0.5, 1), (0.5, 0), (0.5, 1)], [(0.0, 0), (1.0, 1)], [(1.0, 0), (0.0, 1), (0.3, 1)]]
+    while len(cases) < 200:
+        n = int(rng.integers(1, 40))
+        probs = rng.random(n)
+        probs[rng.random(n) < 0.2] = rng.choice([0.0, 1.0, 0.5, 1e-9, 1 - 1e-9])
+        labels = rng.integers(0, 2, size=n)
+        cases.append([(float(p), int(y)) for p, y in zip(probs, labels)])
+    for pairs in cases:
+        assert calibrate_temperature(pairs) == calibrate_temperature_reference(pairs), pairs

@@ -195,3 +195,36 @@ def test_reference_circuits_and_formulas_are_built_lazily():
     assert "formulas" not in vars(fuzzy) and "circuits" not in vars(sddnnf)
     assert len(fuzzy.formulas) == dfa.n_states
     assert fuzzy.formulas is fuzzy.formulas
+
+
+@pytest.mark.parametrize("case", CASES, ids=[name for name, _ in CASES])
+def test_stacked_batches_equal_separate_runs(case, monkeypatch):
+    from ltlseq import harness
+    from ltlseq.harness import _run_units, _Split, _Traces
+
+    _, dfa = case
+    rng = np.random.default_rng(dfa.n_states * 7717 + dfa.n_letters)
+    steps, n_seq = 5, 4
+    lengths = rng.integers(1, steps + 1, size=n_seq)
+    lengths[0] = steps
+    mask = np.arange(steps) < lengths[:, None]
+    split = _Split("val", (), lengths, mask, None, None, None)
+    units = []
+    for _ in range(3):
+        cb = rng.random((n_seq, steps, len(dfa.atoms)))
+        cb[::2] = np.round(cb[::2])
+        units.append(_Traces(split, np.where(mask[..., None], cb, 0.0), 0, 0))
+    # three rows per run_batch call over 4-row units: chunks 2 and 3 straddle units
+    monkeypatch.setattr(harness, "_BATCH_CELLS", 3 * dfa.n_letters * (dfa.n_states + steps))
+    for name in ENGINE_NAMES:
+        engine = make_engine(name, dfa)
+        parts = [run_batch(engine, u.cb, lengths) for u in units]
+        whole = run_batch(engine, np.concatenate([u.cb for u in units]), np.tile(lengths, 3))
+        chunked = _run_units(engine, units)
+        for i, part in enumerate(parts):
+            rows = slice(i * n_seq, (i + 1) * n_seq)
+            assert np.array_equal(whole.beliefs[rows], part.beliefs, equal_nan=True), name
+            assert np.array_equal(whole.masses[rows], part.masses, equal_nan=True), name
+            assert np.array_equal(whole.acceptance[rows], part.acceptance), name
+            assert np.array_equal(chunked[i][0], part.beliefs.argmax(axis=2)), name
+            assert np.array_equal(chunked[i][1], part.acceptance), name
