@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .automata import Dfa, assignment_of, letter_of
+from .automata import Dfa, letter_of
 from .constraints import sample_solution
 from .errors import DatasetFormatError, DomainError, IntegrityError
 from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task
@@ -89,7 +91,7 @@ def generate_sequence(
         letters = task.feasible_letters(state, length - step, label)
         letter = letters[int(rng.integers(len(letters)))]
         values.append(sample_solution(task.solutions[letter], rng))
-        truths.append(assignment_of(letter, task.atoms))
+        truths.append(task.letter_truths(letter))
         state = task.dfa.transitions[state][letter]
         states.append(state)
     assert (states[-1] in task.dfa.accepting) == bool(label)
@@ -198,7 +200,8 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atoms = ds.metadata["atoms"]
-    vmap = {v.name: v for v in ds.spec.variables}
+    variables = ds.spec.variables
+    label_codes = [(v.name, dict(zip(v.domain.values, v.domain.labels))) for v in variables]
     with_indices = any(s.indices is not None for _, s in ds)
     with open(out_dir / "sequences.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -206,30 +209,51 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
         for split, sample in ds:
             for t in range(sample.length):
                 row: list = [split, sample.seq_id, t]
-                row += [
-                    vmap[v.name].domain.label_of(sample.values[t][v.name])
-                    for v in ds.spec.variables
-                ]
+                values = sample.values[t]
+                try:
+                    row += [codes[values[name]] for name, codes in label_codes]
+                except KeyError:
+                    # raises what a per-cell label_of raised: DomainError or KeyError
+                    row += [v.domain.label_of(values[v.name]) for v in variables]
                 if with_indices:
                     if sample.indices is None:
                         raise DomainError(
                             f"sample {split}/{sample.seq_id} has no image indices"
                         )
-                    row += [sample.indices[t][v.name] for v in ds.spec.variables]
+                    row += [sample.indices[t][v.name] for v in variables]
                 row += [int(sample.truths[t][a]) for a in atoms]
                 row += [sample.states[t], sample.label]
                 writer.writerow(row)
     with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(ds.metadata, fh, indent=2, sort_keys=True)
+        # streamed like json.dump, in fewer writes; one-shot dumps costs peak memory
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(ds.metadata))
         fh.write("\n")
+
+
+# the only cells the *_truth and seq_label columns accept
+_TRUTHS = {"0": False, "1": True}
+_LABELS = {"0": 0, "1": 1}
+
+
+def _undecodable(row: list[str], label_cols, bit_cols) -> str:
+    """Why a label or 0/1 cell of ``row`` does not decode (first in column order)."""
+    labels = (
+        f"label {row[i]!r} not in domain {domain.name!r}"
+        for _, i, codes, domain in label_cols
+        if row[i] not in codes
+    )
+    bits = (f"{col} cell {row[i]!r} is not 0 or 1" for col, i in bit_cols if row[i] not in _LABELS)
+    return next(itertools.chain(labels, bits))
 
 
 def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     """Load a serialized dataset.
 
-    With ``verify=True`` also recomputes the spec hash and replays every
-    truth vector through the stored DFA, raising IntegrityError on any
-    mismatch with the recorded states or labels.
+    Every row must have as many cells as the header, and ``*_truth`` and
+    ``seq_label`` cells must read exactly ``0`` or ``1``.  With
+    ``verify=True`` also recomputes the spec hash and replays every truth
+    vector through the stored DFA, raising IntegrityError on any mismatch
+    with the recorded states or labels.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / "metadata.json"
@@ -261,7 +285,6 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     spec = TaskSpec.from_dict(metadata["spec"], where=str(meta_path))
     if atoms != sorted(c.name for c in spec.constraints):
         raise DatasetFormatError(f"{meta_path}: atoms {atoms} are not the spec's constraint names")
-    vmap = {v.name: v for v in spec.variables}
 
     if verify and spec.spec_hash != metadata["spec_hash"]:
         raise IntegrityError(
@@ -275,56 +298,82 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
         raise DatasetFormatError(f"{csv_path}: {err}") from err
     try:
         with fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             with_indices = any(col.endswith("_index") for col in header)
             needed = _columns(spec, atoms, with_indices)
             missing = [col for col in needed if col not in header]
             if missing:
                 raise DatasetFormatError(f"{csv_path}: missing columns {missing}")
+            width = len(header)
+            # a repeated column reads its last occurrence
+            pos = {col: i for i, col in enumerate(header)}
+            i_split, i_seq = pos["split"], pos["seq_id"]
 
-            groups: dict[tuple[str, int], list[dict]] = {}
-            order: list[tuple[str, int]] = []
-            for line_no, row in enumerate(reader, start=2):
+            groups: dict[tuple[str, int], list[tuple[int, list[str]]]] = {}
+            line_no = 1
+            for row in reader:
+                if not row:
+                    continue  # blank lines are not records
+                line_no += 1
+                if len(row) != width:
+                    raise DatasetFormatError(
+                        f"{csv_path}:{line_no}: row has {len(row)} cells, "
+                        f"the header has {width}"
+                    )
                 try:
-                    key = (row["split"], int(row["seq_id"]))
-                except (TypeError, ValueError) as err:
+                    key = (row[i_split], int(row[i_seq]))
+                except ValueError as err:
                     raise DatasetFormatError(f"{csv_path}:{line_no}: bad seq_id") from err
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(row | {"_line": line_no})
+                groups.setdefault(key, []).append((line_no, row))
     except UnicodeDecodeError as err:
         raise DatasetFormatError(f"{csv_path}: not UTF-8 text ({err})") from err
 
+    label_cols = [
+        (v.name, pos[f"{v.name}_label"], dict(zip(v.domain.labels, v.domain.values)), v.domain)
+        for v in spec.variables
+    ]
+    truth_cols = [(a, pos[f"{a}_truth"]) for a in atoms]
+    index_cols = [(v.name, pos[f"{v.name}_index"]) for v in spec.variables] if with_indices else []
+    i_t, i_state, i_label = pos["t"], pos["state_after"], pos["seq_label"]
+    bit_cols = [(f"{a}_truth", i) for a, i in truth_cols] + [("seq_label", i_label)]
+    # the seq_label and *_truth cells of a row -> (label, truth dict, letter)
+    bit_cells = operator.itemgetter(i_label, *(i for _, i in truth_cols))
+    bit_codes: dict = {}
+
     splits: dict[str, list[SequenceSample]] = {s: [] for s in SPLIT_NAMES}
-    for split, seq_id in order:
+    letters: dict[tuple[str, int], list[int]] = {}
+    for (split, seq_id), rows in groups.items():
         if split not in splits:
             raise DatasetFormatError(f"{csv_path}: unknown split {split!r}")
-        rows = groups[(split, seq_id)]
         values, truths, states, indices = [], [], [], []
+        letters[split, seq_id] = seq_letters = []
         label = None
-        for t, row in enumerate(rows):
-            line = row["_line"]
+        for t, (line, row) in enumerate(rows):
             try:
-                step = int(row["t"])
-                values.append(
-                    {v.name: v.domain.value_of(row[f"{v.name}_label"]) for v in spec.variables}
-                )
-                truths.append({a: bool(int(row[f"{a}_truth"])) for a in atoms})
-                states.append(int(row["state_after"]))
-                if with_indices:
-                    indices.append(
-                        {v.name: int(row[f"{v.name}_index"]) for v in spec.variables}
+                step = int(row[i_t])
+                values.append({name: codes[row[i]] for name, i, codes, _ in label_cols})
+                cells = bit_cells(row)
+                bits = bit_codes.get(cells)
+                if bits is None:
+                    truth = {a: _TRUTHS[row[i]] for a, i in truth_cols}
+                    bits = bit_codes[cells] = (
+                        _LABELS[row[i_label]], truth, letter_of(truth, atoms)
                     )
-                row_label = int(row["seq_label"])
-            except DomainError as err:
-                raise DatasetFormatError(f"{csv_path}:{line}: {err}") from err
-            except (TypeError, ValueError) as err:
+                row_label, truth, letter = bits
+                truths.append(truth.copy())
+                seq_letters.append(letter)
+                states.append(int(row[i_state]))
+                if with_indices:
+                    indices.append({name: int(row[i]) for name, i in index_cols})
+            except KeyError:
+                reason = _undecodable(row, label_cols, bit_cols)
+                raise DatasetFormatError(f"{csv_path}:{line}: {reason}") from None
+            except ValueError as err:
                 raise DatasetFormatError(f"{csv_path}:{line}: bad cell ({err})") from err
             if step != t:
                 raise DatasetFormatError(
-                    f"{csv_path}:{line}: time step {row['t']} out of order (expected {t})"
+                    f"{csv_path}:{line}: time step {row[i_t]} out of order (expected {t})"
                 )
             if label is None:
                 label = row_label
@@ -335,7 +384,7 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
         splits[split].append(
             SequenceSample(
                 seq_id=seq_id,
-                label=int(label),
+                label=label,
                 values=tuple(values),
                 truths=tuple(truths),
                 states=tuple(states),
@@ -345,17 +394,18 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
 
     ds = Dataset(spec=spec, splits=splits, metadata=metadata)
     if verify:
-        _verify_replay(ds)
+        _verify_replay(ds, letters)
     return ds
 
 
-def _verify_replay(ds: Dataset) -> None:
+def _verify_replay(ds: Dataset, letters: Mapping[tuple[str, int], Sequence[int]]) -> None:
+    """Replay each sample's ``letters[split, seq_id]`` through the stored DFA."""
     dfa = Dfa.from_json_dict(ds.metadata["dfa"])
-    atoms = dfa.atoms
+    transitions = dfa.transitions
     for split, sample in ds:
         state = dfa.initial
-        for t, truth in enumerate(sample.truths):
-            state = dfa.transitions[state][letter_of(truth, atoms)]
+        for t, letter in enumerate(letters[split, sample.seq_id]):
+            state = transitions[state][letter]
             if state != sample.states[t]:
                 raise IntegrityError(
                     f"sequence {split}/{sample.seq_id}: replay diverges at step {t}"

@@ -482,7 +482,8 @@ def oracle_sweep(
     per engine (chunked to bound memory), then scored one by one.  Oracle
     draws depend only on (seed, split, seq_id), so results equal separate
     ``evaluate`` calls.  Calibration (optional) fits a scalar acceptance
-    temperature on the val split per combination; it cannot change
+    temperature on the val split per combination, once per distinct
+    acceptance vector (engines and configs often agree); it cannot change
     thresholded accuracies (the rescaling is monotone around 0.5) and is
     recorded as an ``sc_temp`` diagnostic column.  ``jobs`` is accepted for
     compatibility and starts no threads; the output is the same for any value.
@@ -500,11 +501,19 @@ def oracle_sweep(
     traces = {name: [_oracle_traces(task, d, u) for u in units] for name, d in data.items()}
 
     rows: dict[str, list[dict]] = {}
+    # every unit scores the same val samples, so equal acceptances fit equal temperatures
+    temps: dict[bytes, float] = {}
     for name, engine in built.items():
         runs = {s: _run_units(engine, unit_traces) for s, unit_traces in traces.items()}
         rows[name] = []
         for u, unit in enumerate(units):
-            temp = _fit_temperature(traces["val"][u], runs["val"][u][1])[0] if calibrate else None
+            temp = None
+            if calibrate:
+                acceptance = runs["val"][u][1]
+                key = acceptance.tobytes()
+                if key not in temps:
+                    temps[key] = _fit_temperature(traces["val"][u], acceptance)[0]
+                temp = temps[key]
             metrics = _score(traces[split][u], *runs[split][u], unit, temp, baselines)
             row = {
                 "task": task.spec.name,

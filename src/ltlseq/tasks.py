@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import formulas as fm
-from .automata import Dfa, letter_of, ltlf_to_dfa
+from .automata import Dfa, assignment_of, letter_of, ltlf_to_dfa
 from .constraints import (
     Constraint,
     SymbolicDomain,
@@ -227,6 +227,12 @@ class CompiledTask:
     to the tuple of full variable assignments realizing it; ``reach[r][s]``
     tells, for each label, whether a walk of exactly ``r`` further steps from
     state ``s`` can end with that label using only usable letters.
+
+    ``feasible_letters`` memoizes its answer per ``(state, remaining, label)``
+    on the instance, one shared tuple per distinct letter set, so a dataset's
+    walks filter ``usable_letters`` at most once per key instead of once per
+    step; ``letter_truths`` likewise builds each letter's truth dict once and
+    hands out copies.
     """
 
     spec: TaskSpec
@@ -235,6 +241,13 @@ class CompiledTask:
     usable_letters: tuple[int, ...]
     reach: list[list[tuple[bool, bool]]]
     _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(default_factory=dict)
+    _feasible: dict[tuple[int, int, int], tuple[int, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _letter_sets: dict[tuple[int, ...], tuple[int, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _truths: dict[int, dict[str, bool]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -251,16 +264,28 @@ class CompiledTask:
     def truth_letter(self, truths: Mapping[str, bool]) -> int:
         return letter_of(truths, self.atoms)
 
+    def letter_truths(self, letter: int) -> dict[str, bool]:
+        """A fresh ``{atom: truth}`` dict for ``letter`` (bit i = ``atoms[i]``)."""
+        cached = self._truths.get(letter)
+        if cached is None:
+            cached = self._truths[letter] = assignment_of(letter, self.atoms)
+        return cached.copy()
+
     def feasible_letters(self, state: int, remaining: int, label: int) -> tuple[int, ...]:
         """Usable letters from ``state`` keeping ``label`` reachable in ``remaining`` steps."""
         if remaining < 1:
             raise DomainError("remaining steps must be >= 1")
-        row = self.reach[remaining - 1]
-        return tuple(
-            letter
-            for letter in self.usable_letters
-            if row[self.dfa.transitions[state][letter]][label]
-        )
+        key = (state, remaining, label)
+        cached = self._feasible.get(key)
+        if cached is None:
+            row = self.reach[remaining - 1]
+            successors = self.dfa.transitions[state]
+            letters = tuple(
+                letter for letter in self.usable_letters if row[successors[letter]][label]
+            )
+            # keys share few distinct sets (fam10: 53 for 1,171 keys); keep one tuple each
+            cached = self._feasible[key] = self._letter_sets.setdefault(letters, letters)
+        return cached
 
     def indicator(self, atom: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Cached 0/1 tensor of the named constraint over its domain grid."""

@@ -3,8 +3,8 @@
 Everything here is written independently of the package internals: direct
 finite-trace semantics by recursion over formula structure, a random
 formula generator for property-style checks, per-point enumeration of
-constraint solutions, the per-sample, per-draw oracle corruption loop and
-the per-pair temperature search.
+constraint solutions, the per-sample, per-draw oracle corruption loop,
+the per-pair temperature search and the feasible letters of a walk step.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ltlseq.constraints import AllDifferent, AllEqual, Comparison, tensor_probability
+from ltlseq.errors import DomainError
 from ltlseq.generator import _digest_int
 from ltlseq.harness import confidence_oracle, flip_oracle
 from ltlseq.inference import apply_temperature
@@ -290,3 +291,37 @@ def calibrate_temperature_reference(pairs, tol=1e-4):
             d = a + inv_phi * (b - a)
             fd = _nll(pairs, math.exp(d))
     return math.exp((a + b) / 2.0), False
+
+
+def feasible_letters_reference(task, state, remaining, label, ends=None):
+    """The usable letters, in ``usable_letters`` order, after which some walk
+    of ``remaining - 1`` more usable letters ends in a state whose acceptance
+    is ``label``.
+
+    Works forward on sets of end states, ``ends[s, n]`` being every state a
+    walk of exactly ``n`` usable letters from ``s`` can stop in; pass one dict
+    as ``ends`` to share those sets between calls on the same task.
+    """
+    if remaining < 1:
+        raise DomainError("remaining steps must be >= 1")
+    ends = {} if ends is None else ends
+    dfa, usable = task.dfa, task.usable_letters
+
+    def end_states(s, n):
+        if (s, n) not in ends:
+            if n == 0:
+                ends[s, n] = {s}
+            else:  # extend every walk of n - 1 letters by one more letter
+                ends[s, n] = {
+                    dfa.transitions[q][letter] for q in end_states(s, n - 1) for letter in usable
+                }
+        return ends[s, n]
+
+    return tuple(
+        letter
+        for letter in usable
+        if any(
+            (q in dfa.accepting) == bool(label)
+            for q in end_states(dfa.transitions[state][letter], remaining - 1)
+        )
+    )

@@ -525,3 +525,26 @@ def test_one_label_domain_is_rejected_by_noisy_ic_oracles(kind):
         evaluate(ct, ds, "exact", cfg)
     with pytest.raises(DomainError, match="class count must be >= 2, got 1"):
         oracle_sweep(ct, dataset=ds, configs=[OracleConfig(), cfg], engines=("exact",))
+
+
+def test_oracle_sweep_calibrates_each_distinct_acceptance_once(monkeypatch):
+    from ltlseq import harness
+    from ltlseq.inference import ENGINE_NAMES
+
+    ct, ds = small_dataset("task3", splits=(20, 10, 10))
+    calls = []
+    fit = harness.calibrate_temperature
+
+    def counting(pairs, *args, **kwargs):
+        calls.append(pairs)
+        return fit(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "calibrate_temperature", counting)
+    seeds = (1, 2)
+    rows = oracle_sweep(ct, dataset=ds, engines=ENGINE_NAMES, seeds=seeds, calibrate=True)
+    units = len(default_sweep_configs()) * len(seeds)
+    assert 0 < len(calls) < units * len(ENGINE_NAMES)
+    # a shared fit is still the fit of the row's own (config, engine, seed)
+    for row in rows[::5]:
+        cfg = OracleConfig(row["oracle_target"], row["oracle_kind"], row["p"], row["seed"])
+        assert row["sc_temp"] == fit_sc_temperature(ct, ds, row["engine"], cfg)[0]

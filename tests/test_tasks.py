@@ -4,18 +4,23 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from ltlseq.automata import Dfa
 from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint
 from ltlseq.errors import DomainError, TaskCompileError, TaskFileError
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import (
+    CompiledTask,
     TaskSpec,
+    _reach_table,
     builtin_or_file,
     compile_task,
     load_task_yaml,
     save_task_yaml,
 )
+from oracles import feasible_letters_reference
 
 EXPECTED_STATES = {
     "task1": 8,
@@ -358,3 +363,67 @@ def test_golden_grounding(name):
     assert set(builtin_task_names()) <= set(GOLDEN_GROUNDING)
     spec = family_spec(int(name[3:])) if name.startswith("fam") else builtin_task(name)
     assert grounding_digests(compile_task(spec)) == GOLDEN_GROUNDING[name]
+
+
+# ---------------------------------------------------------------------------
+# Memoized feasible letters
+
+
+def random_walk_task(rng):
+    """A task over a random complete DFA with a random set of usable letters."""
+    n_atoms, n_states = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    n_letters = 1 << n_atoms
+    dfa = Dfa(
+        atoms=tuple("pqr"[:n_atoms]),
+        n_states=n_states,
+        accepting=frozenset(
+            int(s) for s in rng.choice(n_states, int(rng.integers(0, n_states + 1)), replace=False)
+        ),
+        transitions=tuple(
+            tuple(int(t) for t in rng.integers(n_states, size=n_letters)) for _ in range(n_states)
+        ),
+    )
+    usable = tuple(
+        sorted(int(x) for x in rng.choice(n_letters, int(rng.integers(1, n_letters + 1)), replace=False))
+    )
+    spec = small_spec(max_length=8)
+    return CompiledTask(
+        spec=spec,
+        dfa=dfa,
+        solutions={x: ({},) if x in usable else () for x in range(n_letters)},
+        usable_letters=usable,
+        reach=_reach_table(dfa, usable, spec.max_length),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [*builtin_task_names(), "fam6", "fam10", *(f"random{i}" for i in range(12))]
+)
+def test_feasible_letters_equal_reference(name):
+    if name.startswith("random"):
+        ct = random_walk_task(np.random.default_rng(int(name[6:])))
+    else:
+        ct = compile_task(family_spec(int(name[3:])) if name.startswith("fam") else builtin_task(name))
+    keys = [
+        (state, remaining, label)
+        for state in range(ct.dfa.n_states)
+        for remaining in range(1, ct.spec.max_length + 1)
+        for label in (0, 1)
+    ]
+    keys *= 2
+    ends = {}
+    for i in np.random.default_rng(20261018).permutation(len(keys)):
+        key = keys[i]
+        assert ct.feasible_letters(*key) == feasible_letters_reference(ct, *key, ends=ends), key
+    for state in range(ct.dfa.n_states):
+        for remaining in (0, -1):
+            with pytest.raises(DomainError):
+                ct.feasible_letters(state, remaining, 1)
+
+
+def test_letter_truths_are_fresh_copies():
+    ct = compile_task(builtin_task("task3"))
+    first = ct.letter_truths(5)
+    assert first == {a: bool(5 >> i & 1) for i, a in enumerate(ct.atoms)}
+    first[ct.atoms[0]] = None
+    assert ct.letter_truths(5) == {a: bool(5 >> i & 1) for i, a in enumerate(ct.atoms)}
