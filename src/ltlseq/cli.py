@@ -24,12 +24,15 @@ from .automata import Dfa, guard_table
 from .errors import LtlfSyntaxError, LtlseqError, TaskFileError
 from .generator import Dataset, deserialize, generate_dataset, serialize, _digest_int
 from .harness import (
+    METRIC_COLUMNS,
     ORACLE_KINDS,
     ORACLE_TARGETS,
     SWEEP_COLUMNS,
     OracleConfig,
+    default_sweep_configs,
     evaluate,
     fit_sc_temperature,
+    metrics_row,
     mp_baselines,
     oracle_sweep,
     summarize_rows,
@@ -46,7 +49,8 @@ _BASE_SEEDS = (12345, 67890, 88888)
 
 
 def _friendly(fn):
-    """Map library errors to exit 2 (bad input) or exit 1 (runtime)."""
+    """Map library errors to exit 2 (bad input) or exit 1 (runtime, including
+    an output path that cannot be written)."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -54,7 +58,7 @@ def _friendly(fn):
             return fn(*args, **kwargs)
         except (TaskFileError, LtlfSyntaxError) as exc:
             raise click.UsageError(str(exc)) from exc
-        except LtlseqError as exc:
+        except (LtlseqError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
@@ -81,10 +85,7 @@ def _compile_cached(spec: TaskSpec) -> CompiledTask:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(
-            json.dumps(task.dfa.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_summary_json(task.dfa.to_json_dict(), tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -145,10 +146,7 @@ def cmd_compile(task_ref: str, out: str | None, max_states: int | None) -> None:
     if out is not None:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "dfa.json").write_text(
-            json.dumps(dfa.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_summary_json(dfa.to_json_dict(), out_dir / "dfa.json")
         guards = [
             f"{g.source} -> {g.target}: {print_prop(g.formula)}" for g in guard_table(dfa)
         ]
@@ -290,36 +288,18 @@ def cmd_infer(
     if calibrate:
         temperature, _ = fit_sc_temperature(task, ds, engine, cfg)
     metrics = evaluate(task, ds, engine, cfg, split=split, sc_temperature=temperature)
-    row = {
-        "task": task.spec.name,
-        "engine": engine,
-        "oracle_target": cfg.target,
-        "oracle_kind": cfg.kind,
-        "p": cfg.p,
-        "seed": cfg.seed,
-        "ic_acc": metrics.ic_acc,
-        "cc_acc": metrics.cc_acc,
-        "nsp_acc": metrics.nsp_acc,
-        "sc_acc": metrics.sc_acc,
-        "avg_acc": metrics.avg_acc,
-        "mp_successor": metrics.mp_successor,
-        "mp_sequence": metrics.mp_sequence,
-    }
+    row = metrics_row(task, engine, cfg, metrics)
+    row["mp_successor"] = metrics.mp_successor
+    row["mp_sequence"] = metrics.mp_sequence
     if calibrate:
         row["sc_temp"] = temperature
-    for name in ("ic_acc", "cc_acc", "nsp_acc", "sc_acc", "avg_acc", "mp_successor", "mp_sequence"):
+    for name in (*METRIC_COLUMNS, "mp_successor", "mp_sequence"):
         value = row[name]
         click.echo(f"{name}: {'n/a' if value is None else value}")
     out_dir = Path(out) if out is not None else Path(dataset_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = list(row)
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerow(["" if row[c] is None else str(row[c]) for c in columns])
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(row, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_sweep_csv([row], out_dir / "metrics.csv")
+    write_summary_json(row, out_dir / "metrics.json")
     click.echo(f"wrote {out_dir / 'metrics.csv'}, {out_dir / 'metrics.json'}")
 
 
@@ -346,7 +326,7 @@ def cmd_infer(
 )
 @click.option(
     "--seeds",
-    type=int,
+    type=click.IntRange(min=1),
     default=3,
     show_default=True,
     help="Oracle seeds per configuration: 12345, 67890, 88888, then hash-derived.",
@@ -409,14 +389,9 @@ def cmd_sweep(
     spec = replace(builtin_or_file(task_ref), seed=gen_seed)
     task = _compile_cached(spec)
     ds = generate_dataset(task, jobs=jobs)
-    configs = []
-    if 0.0 in p_values:
-        configs.append(OracleConfig(target="ic", kind="perfect", p=0.0))
-    for kind in ("flip", "confidence"):
-        for target in ORACLE_TARGETS:
-            for p in p_values:
-                if p > 0.0:
-                    configs.append(OracleConfig(target=target, kind=kind, p=p))
+    configs = default_sweep_configs([p for p in p_values if p > 0.0])
+    if 0.0 not in p_values:
+        configs = configs[1:]  # drop the leading perfect config
     rows = oracle_sweep(
         task,
         ds,
@@ -464,9 +439,7 @@ def cmd_baseline(dataset_dir: str, out: str | None) -> None:
             "mp_successor": mp_successor,
             "mp_sequence": mp_sequence,
         }
-        with open(out_dir / "baseline.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_summary_json(payload, out_dir / "baseline.json")
         click.echo(f"wrote {out_dir / 'baseline.json'}")
 
 
@@ -491,7 +464,7 @@ def _read_sweep_csv(path: str) -> list[dict]:
                     "p": float(record["p"]),
                     "seed": int(record["seed"]),
                 }
-                for metric in ("ic_acc", "cc_acc", "nsp_acc", "sc_acc", "avg_acc"):
+                for metric in METRIC_COLUMNS:
                     text = record.get(metric, "")
                     row[metric] = float(text) if text else None
                 rows.append(row)

@@ -44,21 +44,9 @@ from .tasks import CompiledTask
 ORACLE_TARGETS = ("ic", "ic_cc")
 ORACLE_KINDS = ("perfect", "flip", "confidence")
 
-SWEEP_COLUMNS = (
-    "task",
-    "engine",
-    "oracle_target",
-    "oracle_kind",
-    "p",
-    "seed",
-    "ic_acc",
-    "cc_acc",
-    "nsp_acc",
-    "sc_acc",
-    "avg_acc",
-)
+METRIC_COLUMNS = ("ic_acc", "cc_acc", "nsp_acc", "sc_acc", "avg_acc")
 
-_METRIC_COLUMNS = ("ic_acc", "cc_acc", "nsp_acc", "sc_acc", "avg_acc")
+SWEEP_COLUMNS = ("task", "engine", "oracle_target", "oracle_kind", "p", "seed", *METRIC_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -299,6 +287,8 @@ def _run_units(engine, units: Sequence[_Traces]) -> list[tuple[np.ndarray, np.nd
     allows.  Kernel rows are independent, so each unit's slice equals a
     ``run_batch`` call on that unit alone, bit for bit.
     """
+    if not units:
+        return []
     data = units[0].data
     n_seq, steps = data.mask.shape
     cb = np.concatenate([u.cb for u in units])
@@ -515,19 +505,7 @@ def oracle_sweep(
                     temps[key] = _fit_temperature(traces["val"][u], acceptance)[0]
                 temp = temps[key]
             metrics = _score(traces[split][u], *runs[split][u], unit, temp, baselines)
-            row = {
-                "task": task.spec.name,
-                "engine": name,
-                "oracle_target": unit.target,
-                "oracle_kind": unit.kind,
-                "p": unit.p,
-                "seed": unit.seed,
-                "ic_acc": metrics.ic_acc,
-                "cc_acc": metrics.cc_acc,
-                "nsp_acc": metrics.nsp_acc,
-                "sc_acc": metrics.sc_acc,
-                "avg_acc": metrics.avg_acc,
-            }
+            row = metrics_row(task, name, unit, metrics)
             if calibrate:
                 row["sc_temp"] = temp
             rows[name].append(row)
@@ -537,11 +515,25 @@ def oracle_sweep(
     ]
 
 
+def metrics_row(task: CompiledTask, engine: str, oracle: OracleConfig, metrics: Metrics) -> dict:
+    """One long-format result row: the ``SWEEP_COLUMNS`` of one (config,
+    engine, seed) combination, in order."""
+    return {
+        "task": task.spec.name,
+        "engine": engine,
+        "oracle_target": oracle.target,
+        "oracle_kind": oracle.kind,
+        "p": oracle.p,
+        "seed": oracle.seed,
+        **{name: getattr(metrics, name) for name in METRIC_COLUMNS},
+    }
+
+
 def write_sweep_csv(rows: Sequence[Mapping], path) -> None:
-    """Long-format RFC-4180 CSV, one row per (config, engine, seed)."""
-    columns = list(SWEEP_COLUMNS)
-    if any("sc_temp" in row for row in rows):
-        columns.append("sc_temp")
+    """Long-format RFC-4180 CSV, one row per (config, engine, seed): the
+    ``SWEEP_COLUMNS``, then any other row keys in first-seen order; None is
+    written as an empty cell."""
+    columns = list(dict.fromkeys([*SWEEP_COLUMNS, *(key for row in rows for key in row)]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -551,16 +543,17 @@ def write_sweep_csv(rows: Sequence[Mapping], path) -> None:
 
 def summarize_rows(rows: Sequence[Mapping]) -> dict:
     """Group sweep rows over seeds: mean ± population std per metric."""
+    group_columns = SWEEP_COLUMNS[:5]  # the key columns but the seed
     groups: dict[tuple, list[Mapping]] = {}
     for row in rows:
-        key = (row["task"], row["engine"], row["oracle_target"], row["oracle_kind"], row["p"])
+        key = tuple(row[c] for c in group_columns)
         groups.setdefault(key, []).append(row)
     entries = []
     for key in sorted(groups, key=lambda k: tuple(map(str, k))):
         members = groups[key]
-        entry: dict = dict(zip(("task", "engine", "oracle_target", "oracle_kind", "p"), key))
+        entry: dict = dict(zip(group_columns, key))
         entry["seeds"] = sorted(row["seed"] for row in members)
-        for metric in _METRIC_COLUMNS:
+        for metric in METRIC_COLUMNS:
             values = [row[metric] for row in members if row.get(metric) is not None]
             if values:
                 entry[metric] = {
@@ -580,6 +573,8 @@ def summarize_rows(rows: Sequence[Mapping]) -> dict:
 
 
 def write_summary_json(summary: Mapping, path) -> None:
+    """Write a JSON output file: UTF-8, two-space indent, sorted keys and a
+    trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

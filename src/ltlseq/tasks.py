@@ -240,7 +240,9 @@ class CompiledTask:
     solutions: dict[int, tuple[dict[str, int], ...]]
     usable_letters: tuple[int, ...]
     reach: list[list[tuple[bool, bool]]]
-    _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(default_factory=dict)
+    _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _feasible: dict[tuple[int, int, int], tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )

@@ -395,6 +395,13 @@ def test_sweep_rejects_bad_p(tmp_path):
     assert result.exit_code == 2
 
 
+def test_sweep_rejects_seed_count_below_one(tmp_path):
+    result = run("sweep", "task5", "-o", str(tmp_path / "s"), "--seeds", "-1", "--p-list", "0.0")
+    assert result.exit_code == 2
+    assert "--seeds" in result.output
+    assert not (tmp_path / "s").exists()
+
+
 def test_report_rejects_foreign_csv(tmp_path):
     path = tmp_path / "foreign.csv"
     path.write_text("a,b\n1,2\n")
@@ -435,3 +442,101 @@ def test_baseline_outputs(tmp_path):
     assert result.exit_code == 0
     data = json.loads((tmp_path / "bl" / "baseline.json").read_text())
     assert set(data) == {"task", "mp_successor", "mp_sequence"}
+
+
+# ---------------------------------------------------------------------------
+# unwritable outputs
+
+
+@pytest.mark.parametrize("command", ["compile", "generate", "infer", "sweep", "report"])
+def test_unwritable_output_exits_1(tmp_path, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    under_file = str(afile / "sub")
+    if command == "compile":
+        args = ["compile", "task5", "-o", under_file]
+    elif command == "generate":
+        args = ["generate", "task5", "-o", under_file, "--splits", "10", "4", "4"]
+    elif command == "infer":
+        args = ["infer", str(generate(tmp_path)), "-o", under_file]
+    elif command == "sweep":
+        args = ["sweep", str(small_task_file(tmp_path)), "-o", under_file, "--p-list", "0.0", "--seeds", "1"]
+    else:
+        sweep = tmp_path / "sweep"
+        assert run("sweep", str(small_task_file(tmp_path)), "-o", str(sweep), "--p-list", "0.0").exit_code == 0
+        args = ["report", str(sweep / "sweep.csv"), "-o", str(tmp_path / "missing_dir" / "out.json")]
+    result = run(*args)
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert ("missing_dir" if command == "report" else "afile") in result.output
+
+
+# ---------------------------------------------------------------------------
+# golden output bytes
+
+# Run in order in one work directory ("{w}"; "{yaml}" is a small task5 spec
+# kept outside it), all with LTLSEQ_CACHE_DIR set to {w}/cache.
+GOLDEN_COMMANDS = (
+    ("compile", "task5", "-o", "{w}/build"),
+    ("generate", "task5", "-o", "{w}/ds", "--splits", "10", "4", "4"),
+    ("infer", "{w}/ds"),
+    (
+        "infer", "{w}/ds", "--engine", "sddnnf-lp", "--oracle", "flip", "-p", "0.2",
+        "--target", "ic_cc", "--calibrate", "-o", "{w}/infer-flip",
+    ),
+    ("infer", "{w}/ds", "--oracle", "confidence", "-p", "0.1", "--split", "val", "-o", "{w}/infer-val"),
+    ("sweep", "{yaml}", "-o", "{w}/sweep", "-e", "exact", "-e", "sddnnf-p", "--seeds", "2", "--calibrate"),
+    ("sweep", "{yaml}", "-o", "{w}/sweep-b", "--seed-list", "7", "--p-list", "0.2,0.1"),
+    ("report", "{w}/sweep/sweep.csv", "{w}/sweep-b/sweep.csv", "-o", "{w}/report.json"),
+    ("baseline", "{w}/ds", "-o", "{w}/bl"),
+)
+
+# sha256 of each command's stdout (work directory shown as "<w>") and of
+# every file the commands write, by path relative to the work directory.
+GOLDEN_CLI = {
+    "stdout 0": "3eef49bf3bb0ec3c1f0ea67d624dbaa5c72b5290c8d6713ff4a914626196d5c4",
+    "stdout 1": "82a85239c24b1f73dfe1e9d5ee5700ad714c5d25edfe1661b59e34bffaee9a7b",
+    "stdout 2": "4fe31bd710721743eb60afa6934f8402b0b461e4c02ecb35b658ba42d62b55f1",
+    "stdout 3": "f494a26a2ed6b68316e2b7269c45d4de7e2a0e6454aed1be659f1e685b872bfe",
+    "stdout 4": "a61bd21c4cb6a6ae475e55bdf6d4cf9c2de96bcac40eedde6083e796e0289dfc",
+    "stdout 5": "0ad759ad30cc7be89dd27167280f20b77a7d82b03a5e1b944b8386fca49f6982",
+    "stdout 6": "f4408a6e8d60147cff0ccd6c06ce045fdaf4f7a299904c67aee222bd7dfadfaa",
+    "stdout 7": "88d72ce7385d67740a43d1b783b550ef63dd4f747e848d2c658f1b39ce8b5e76",
+    "stdout 8": "55486b675beaca5536a4d31d6d09d1802f23ca119a812aa57af4d9c64d44831c",
+    "bl/baseline.json": "fa90f9026946edfcf936bd73b7f37e13e326f09b57e2d05ff7dc8abd066e4bd5",
+    "build/dfa.json": "edb07fb1790bde98fdf8c2c15a63ed5abb3c107f79f12e1487303ac8b99d544d",
+    "build/guards.txt": "148b7a82ca13bb7854d72418bdd76ab5226c9a259f935ac43cceb33f16104b9f",
+    "cache/8cac525ac078e0e9883e0da9d3c66c4b151a0b099066a26cfe87b11a641cc792.dfa.json": "edb07fb1790bde98fdf8c2c15a63ed5abb3c107f79f12e1487303ac8b99d544d",
+    "cache/ec151e79a8deca99042a77b9ed47d14223ed7a698acc8a2d8fb090076375dc1f.dfa.json": "edb07fb1790bde98fdf8c2c15a63ed5abb3c107f79f12e1487303ac8b99d544d",
+    "ds/metadata.json": "5fa3fcf880e43b823168141b4918b4a489b25ef17d649dbee62b5fc2c2f9d022",
+    "ds/metrics.csv": "c65a636ab28b988a47af0ea15d6bff0c6d09e5953cebcbb233fab9b5ac02c480",
+    "ds/metrics.json": "5fc352e55e991ce6f69c8b1e3d3ebde8d20e21db3e2afeeb8fdcff8a9c042fe5",
+    "ds/sequences.csv": "4b9bd98afd9772977374b80aeb4c28d866e9dc764ed2dcc8169c2f2708763164",
+    "infer-flip/metrics.csv": "f306b6a7e9937c0db927a8b4e65830dcea7618734c07aa452f6a81c92e12779c",
+    "infer-flip/metrics.json": "c9f9d934a58d391b78ad372fde3906ff3fcc2f0f72cfe954c69bdce0c7d5b9c4",
+    "infer-val/metrics.csv": "af6f0f0464539c57c9be660cb525f7d361ca29ef89768ce51da3ef2f3edfdfeb",
+    "infer-val/metrics.json": "b6f4941c5759a324dc3fbbcc2d953cf30b31abbdddbc2fa6731105bab13be043",
+    "report.json": "52de222079fa50efc4a575d01cb3f4733daa9d0842356dcf3d94f4f92a3a2416",
+    "sweep/summary.json": "3c929bf1fa4ce553fa3ecc6f9e3f040d1d69e1b33cf6baa9880637ce2cdbb6cf",
+    "sweep/sweep.csv": "85acaa429824e0931da6b0a6f64546a4a3c9274a77ae958d15dbb5b56f213e91",
+    "sweep-b/summary.json": "1d69b7818c7af72d5d852a2e32393a9f8d93905008039f7d6fe10e2c87bb7bda",
+    "sweep-b/sweep.csv": "732714e696ec9852bbb004173c770b39317a76d6af8b862d755fe62cc75c0f80",
+}
+
+
+def test_golden_cli_outputs(tmp_path):
+    work = tmp_path / "w"
+    yaml_path = small_task_file(tmp_path)
+    env = {"LTLSEQ_CACHE_DIR": str(work / "cache")}
+    digests = {}
+    for i, command in enumerate(GOLDEN_COMMANDS):
+        args = [a.format(w=work, yaml=yaml_path) for a in command]
+        result = run(*args, env=env)
+        assert result.exit_code == 0, result.output
+        stdout = result.output.replace(str(work), "<w>")
+        digests[f"stdout {i}"] = hashlib.sha256(stdout.encode()).hexdigest()
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            rel = path.relative_to(work).as_posix()
+            digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_CLI

@@ -548,3 +548,10 @@ def test_oracle_sweep_calibrates_each_distinct_acceptance_once(monkeypatch):
     for row in rows[::5]:
         cfg = OracleConfig(row["oracle_target"], row["oracle_kind"], row["p"], row["seed"])
         assert row["sc_temp"] == fit_sc_temperature(ct, ds, row["engine"], cfg)[0]
+
+
+@pytest.mark.parametrize("empty", ["configs", "seeds"])
+def test_oracle_sweep_with_no_units_returns_no_rows(empty):
+    ct, ds = small_dataset()
+    grid = {"configs": [OracleConfig()], "seeds": (12345,)} | {empty: ()}
+    assert oracle_sweep(ct, dataset=ds, engines=("exact", "sddnnf-p"), calibrate=True, **grid) == []

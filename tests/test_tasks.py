@@ -427,3 +427,13 @@ def test_letter_truths_are_fresh_copies():
     assert first == {a: bool(5 >> i & 1) for i, a in enumerate(ct.atoms)}
     first[ct.atoms[0]] = None
     assert ct.letter_truths(5) == {a: bool(5 >> i & 1) for i, a in enumerate(ct.atoms)}
+
+
+def test_compiled_tasks_compare_after_indicator():
+    a, b, fresh = (compile_task(builtin_task("task3")) for _ in range(3))
+    for atom in a.atoms:
+        a.indicator(atom)
+        b.indicator(atom)
+    assert a == b
+    assert a == fresh
+    assert "array" not in repr(a)
