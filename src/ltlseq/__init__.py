@@ -53,6 +53,7 @@ from .generator import (
     generate_dataset,
     generate_sequence,
     serialize,
+    write_summary_json,
 )
 from .harness import (
     Metrics,
@@ -67,7 +68,6 @@ from .harness import (
     semantic_loss,
     soft_xor,
     summarize_rows,
-    write_summary_json,
     write_sweep_csv,
 )
 from .inference import (
@@ -132,6 +132,7 @@ __all__ = [
     "attach_image_indices",
     "serialize",
     "deserialize",
+    "write_summary_json",
     # circuits
     "Circuit",
     "Semiring",
@@ -169,7 +170,6 @@ __all__ = [
     "oracle_sweep",
     "summarize_rows",
     "write_sweep_csv",
-    "write_summary_json",
     # errors
     "LtlseqError",
     "LtlfSyntaxError",

@@ -51,7 +51,6 @@ __all__ = [
     "amc",
     "fuzzy_eval",
     "brute_force_wmc",
-    "circuit_to_text",
 ]
 
 
@@ -401,23 +400,3 @@ def brute_force_wmc(
             )
             total = s.plus(total, term)
     return total
-
-
-def circuit_to_text(c: Circuit) -> str:
-    """Line-oriented dump: one node per line, root last."""
-    lines = []
-    for i, node in enumerate(c.nodes):
-        kind = node[0]
-        if kind == "true":
-            lines.append(f"{i} T")
-        elif kind == "false":
-            lines.append(f"{i} F")
-        elif kind == "lit":
-            lines.append(f"{i} L {node[1]} {'+' if node[2] else '-'}")
-        elif kind == "and":
-            lines.append(f"{i} A {' '.join(map(str, node[1]))}")
-        else:
-            decision = node[2] if node[2] is not None else "-"
-            lines.append(f"{i} O {decision} {' '.join(map(str, node[1]))}")
-    lines.append(f"root {c.root}")
-    return "\n".join(lines)

@@ -3,7 +3,10 @@
 Every subcommand is deterministic given its flags; --jobs is accepted for
 compatibility, starts no threads and never changes output bytes.  Compiled
 automata are cached under $LTLSEQ_CACHE_DIR (keyed by the task-spec hash)
-when that variable is set.
+when that variable is set.  ``infer`` scores one (engine, oracle, seed)
+combination as a one-row ``oracle_sweep`` and appends the dataset's
+baselines; ``sweep`` runs distinct oracle seeds only.  --split names one of
+train, val or test.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -30,9 +33,6 @@ from .harness import (
     SWEEP_COLUMNS,
     OracleConfig,
     default_sweep_configs,
-    evaluate,
-    fit_sc_temperature,
-    metrics_row,
     mp_baselines,
     oracle_sweep,
     summarize_rows,
@@ -46,6 +46,11 @@ from .tasks import CompiledTask, SPLIT_NAMES, TaskSpec, builtin_or_file, compile
 CACHE_ENV = "LTLSEQ_CACHE_DIR"
 
 _BASE_SEEDS = (12345, 67890, 88888)
+
+_split_option = click.option(
+    "--split", type=click.Choice(SPLIT_NAMES), default="test", show_default=True,
+    help="Split to score.",
+)
 
 
 def _friendly(fn):
@@ -98,9 +103,13 @@ def _load_dataset(dataset_dir: str) -> tuple[Dataset, CompiledTask]:
 
 
 def _seed_list(count: int) -> tuple[int, ...]:
-    seeds = list(_BASE_SEEDS[:count])
-    for i in range(len(seeds), count):
-        seeds.append(_digest_int(f"sweep-seed:{i}") % 1_000_000)
+    """``count`` distinct seeds: the base seeds, then hash-derived ones, each
+    skipped if already drawn."""
+    seeds = dict.fromkeys(_BASE_SEEDS[:count])
+    i = len(seeds)
+    while len(seeds) < count:
+        seeds.setdefault(_digest_int(f"sweep-seed:{i}") % 1_000_000)
+        i += 1
     return tuple(seeds)
 
 
@@ -254,7 +263,7 @@ def cmd_generate(
 )
 @click.option("--noise", "-p", type=float, default=0.0, show_default=True, help="Noise level p.")
 @click.option("--oracle-seed", type=int, default=12345, show_default=True)
-@click.option("--split", default="test", show_default=True, help="Split to score.")
+@_split_option
 @click.option(
     "--calibrate/--no-calibrate",
     default=False,
@@ -279,20 +288,18 @@ def cmd_infer(
     calibrate: bool,
     out: str | None,
 ) -> None:
-    """Score a stored dataset through an engine under an oracle."""
+    """Score a stored dataset through an engine under an oracle.
+
+    Writes the row a one-row sweep of that combination gives, plus the
+    dataset's most-probable-class baselines."""
     if kind == "perfect" and noise != 0.0:
         raise click.UsageError("perfect oracle requires --noise 0")
     ds, task = _load_dataset(dataset_dir)
-    cfg = OracleConfig(target=target, kind=kind, p=noise, seed=oracle_seed)
-    temperature = None
+    cfg = OracleConfig(target=target, kind=kind, p=noise)
+    (row,) = oracle_sweep(task, ds, [cfg], (engine,), (oracle_seed,), split, calibrate)
+    row["mp_successor"], row["mp_sequence"] = mp_baselines(ds)
     if calibrate:
-        temperature, _ = fit_sc_temperature(task, ds, engine, cfg)
-    metrics = evaluate(task, ds, engine, cfg, split=split, sc_temperature=temperature)
-    row = metrics_row(task, engine, cfg, metrics)
-    row["mp_successor"] = metrics.mp_successor
-    row["mp_sequence"] = metrics.mp_sequence
-    if calibrate:
-        row["sc_temp"] = temperature
+        row["sc_temp"] = row.pop("sc_temp")  # after the baselines
     for name in (*METRIC_COLUMNS, "mp_successor", "mp_sequence"):
         value = row[name]
         click.echo(f"{name}: {'n/a' if value is None else value}")
@@ -329,12 +336,12 @@ def cmd_infer(
     type=click.IntRange(min=1),
     default=3,
     show_default=True,
-    help="Oracle seeds per configuration: 12345, 67890, 88888, then hash-derived.",
+    help="Oracle seeds per configuration: 12345, 67890, 88888, then distinct hash-derived ones.",
 )
 @click.option(
     "--seed-list",
     default=None,
-    help="Comma-separated explicit oracle seeds (overrides --seeds).",
+    help="Comma-separated distinct oracle seeds (overrides --seeds).",
 )
 @click.option(
     "--p-list",
@@ -343,7 +350,7 @@ def cmd_infer(
     help="Comma-separated noise levels; 0.0 runs the perfect oracle only.",
 )
 @click.option("--gen-seed", type=int, default=12345, show_default=True, help="Dataset generation seed.")
-@click.option("--split", default="test", show_default=True)
+@_split_option
 @click.option(
     "--calibrate/--no-calibrate",
     default=False,
@@ -381,6 +388,9 @@ def cmd_sweep(
             seed_values = tuple(int(tok) for tok in seed_list.split(",") if tok.strip())
         except ValueError as exc:
             raise click.UsageError(f"bad --seed-list: {exc}") from exc
+        repeated = sorted({s for s in seed_values if seed_values.count(s) > 1})
+        if repeated:
+            raise click.UsageError(f"--seed-list repeats seed {', '.join(map(str, repeated))}")
     else:
         seed_values = _seed_list(seeds)
     if not seed_values:

@@ -196,7 +196,8 @@ def _columns(spec: TaskSpec, atoms: Sequence[str], with_indices: bool) -> list[s
 
 
 def serialize(ds: Dataset, out_dir: str | Path) -> None:
-    """Write ``sequences.csv`` and ``metadata.json``; output is byte-stable."""
+    """Write ``sequences.csv`` and ``metadata.json`` (through
+    ``write_summary_json``); output is byte-stable."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atoms = ds.metadata["atoms"]
@@ -224,9 +225,14 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
                 row += [int(sample.truths[t][a]) for a in atoms]
                 row += [sample.states[t], sample.label]
                 writer.writerow(row)
-    with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
-        # streamed like json.dump, in fewer writes; one-shot dumps costs peak memory
-        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(ds.metadata))
+    write_summary_json(ds.metadata, out_dir / "metadata.json")
+
+
+def write_summary_json(summary: Mapping, path) -> None:
+    """Write a JSON output file: UTF-8, two-space indent, sorted keys and a
+    trailing newline.  Every JSON file the package writes goes through it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 import statistics
 from collections import Counter
@@ -32,6 +31,7 @@ import numpy as np
 from .constraints import tensor_probability
 from .errors import DomainError
 from .generator import Dataset, SequenceSample, _digest_int, generate_dataset
+from .generator import write_summary_json  # noqa: F401  (re-exported; every JSON output uses it)
 from .inference import (
     apply_temperature,
     calibrate_temperature,
@@ -317,7 +317,6 @@ def evaluate(
     engine,
     oracle: OracleConfig,
     split: str = "test",
-    sc_temperature: float | None = None,
 ) -> Metrics:
     """Run one oracle/engine combination over a split and score every stage.
 
@@ -326,13 +325,14 @@ def evaluate(
     step; SC compares thresholded acceptance (ties → positive) to the
     sequence label; IC is the oracle's own argmax accuracy, reported only
     when the ``ic`` target simulates that stage.  ``engine`` is an engine or
-    an engine name.
+    an engine name.  SC is scored uncalibrated; a calibrated row is
+    ``oracle_sweep(..., calibrate=True)``, which ``ltlseq infer`` calls.
     """
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
     predicted, acceptance = _run_units(engine, [traces])[0]
-    return _score(traces, predicted, acceptance, oracle, sc_temperature, mp_baselines(dataset))
+    return _score(traces, predicted, acceptance, oracle, None, mp_baselines(dataset))
 
 
 def _score(
@@ -570,11 +570,3 @@ def summarize_rows(rows: Sequence[Mapping]) -> dict:
         ],
         "groups": entries,
     }
-
-
-def write_summary_json(summary: Mapping, path) -> None:
-    """Write a JSON output file: UTF-8, two-space indent, sorted keys and a
-    trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

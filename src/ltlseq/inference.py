@@ -55,6 +55,7 @@ from .errors import DegenerateBeliefError, DomainError
 from .props import PropFormula, simplify
 
 _CLAMP = 1e-7
+_LOG_TEMP_TOL = 1e-4  # width at which calibrate_temperature's log-temperature search stops
 
 ENGINE_NAMES = ("exact", "fuzzy-p", "fuzzy-lp", "sddnnf-p", "sddnnf-lp")
 
@@ -85,10 +86,7 @@ def apply_temperature(prob, temp: float):
     return out / out.sum()
 
 
-def calibrate_temperature(
-    pairs: Sequence[tuple[float, int]],
-    tol: float = 1e-4,
-) -> tuple[float, bool]:
+def calibrate_temperature(pairs: Sequence[tuple[float, int]]) -> tuple[float, bool]:
     """Fit a scalar temperature by golden-section search on log-temp.
 
     Returns (temperature, degenerate).  A flat objective — e.g. every
@@ -130,7 +128,7 @@ def calibrate_temperature(
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = nll(math.exp(c)), nll(math.exp(d))
-    while b - a > tol:
+    while b - a > _LOG_TEMP_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -209,10 +209,7 @@ def load_task_yaml(path: str | Path) -> TaskSpec:
         raise TaskFileError(f"{path}: invalid YAML: {err}") from err
     if not isinstance(data, dict):
         raise TaskFileError(f"{path}: top level must be a mapping")
-    try:
-        return TaskSpec.from_dict(data, where=str(path))
-    except DomainError as err:
-        raise TaskFileError(f"{path}: {err}") from err
+    return TaskSpec.from_dict(data, where=str(path))
 
 
 def save_task_yaml(spec: TaskSpec, path: str | Path) -> None:

@@ -281,6 +281,42 @@ def test_infer_calibrate_writes_temperature(tmp_path):
     assert "sc_temp" in metrics
 
 
+@pytest.mark.parametrize("calibrate", [False, True], ids=["plain", "calibrate"])
+def test_infer_row_equals_sweep_row(tmp_path, calibrate):
+    from ltlseq.generator import deserialize
+    from ltlseq.harness import SWEEP_COLUMNS, OracleConfig, mp_baselines, oracle_sweep
+    from ltlseq.inference import ENGINE_NAMES
+    from ltlseq.tasks import compile_task
+
+    out = generate(tmp_path)
+    ds = deserialize(out)
+    configs = [
+        OracleConfig(target="ic", kind="perfect", p=0.0),
+        OracleConfig(target="ic", kind="flip", p=0.2),
+        OracleConfig(target="ic_cc", kind="confidence", p=0.1),
+    ]
+    rows = oracle_sweep(
+        compile_task(ds.spec), ds, configs, ENGINE_NAMES, (12345,), "test", calibrate
+    )
+    mp_successor, mp_sequence = mp_baselines(ds)
+    flag = "--calibrate" if calibrate else "--no-calibrate"
+    for row, (cfg, engine) in zip(rows, [(c, e) for c in configs for e in ENGINE_NAMES]):
+        result = run(
+            "infer", str(out), "--engine", engine, "--target", cfg.target,
+            "--oracle", cfg.kind, "-p", str(cfg.p), flag, "-o", str(tmp_path / "m"),
+        )
+        assert result.exit_code == 0, result.output
+        want = {c: row[c] for c in SWEEP_COLUMNS}
+        want |= {"mp_successor": mp_successor, "mp_sequence": mp_sequence}
+        if calibrate:
+            want["sc_temp"] = row["sc_temp"]
+        with open(tmp_path / "m" / "metrics.csv", newline="") as fh:
+            (got,) = csv.DictReader(fh)
+        assert list(got) == list(want)
+        assert got == {k: "" if v is None else str(v) for k, v in want.items()}
+        assert json.loads((tmp_path / "m" / "metrics.json").read_text()) == want
+
+
 def _rewrite_metadata(path, change):
     metadata = json.loads(path.read_text())
     path.write_text(json.dumps(change(metadata)))
@@ -400,6 +436,38 @@ def test_sweep_rejects_seed_count_below_one(tmp_path):
     assert result.exit_code == 2
     assert "--seeds" in result.output
     assert not (tmp_path / "s").exists()
+
+
+def test_sweep_rejects_repeated_seed(tmp_path):
+    result = run(
+        "sweep", "task5", "-o", str(tmp_path / "s"), "--seed-list", "7,8,7", "--p-list", "0.0"
+    )
+    assert result.exit_code == 2
+    assert "repeats seed 7" in result.output
+    assert not (tmp_path / "s").exists()
+
+
+def test_derived_seeds_are_distinct():
+    from ltlseq.cli import _seed_list
+
+    seeds = _seed_list(500)
+    assert len(set(seeds)) == 500
+    # the first repeat of the raw derivation comes at 398 (576773, first at 26)
+    assert _seed_list(397) == seeds[:397]
+    assert seeds[:3] == (12345, 67890, 88888)
+
+
+@pytest.mark.parametrize("command", ["infer", "sweep"])
+def test_split_must_be_a_split_name(tmp_path, command):
+    if command == "infer":
+        args = ["infer", str(generate(tmp_path)), "--split", "tset"]
+    else:
+        args = ["sweep", "task5", "-o", str(tmp_path / "s"), "--p-list", "0.0", "--split", "tset"]
+    result = run(*args)
+    assert result.exit_code == 2
+    assert "--split" in result.output
+    for name in ("train", "val", "test"):
+        assert name in result.output
 
 
 def test_report_rejects_foreign_csv(tmp_path):
