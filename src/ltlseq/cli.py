@@ -25,7 +25,7 @@ import click
 from . import __version__
 from .automata import Dfa, guard_table
 from .errors import LtlfSyntaxError, LtlseqError, TaskFileError
-from .generator import Dataset, deserialize, generate_dataset, serialize, _digest_int
+from .generator import deserialize, generate_dataset, serialize, _digest_int
 from .harness import (
     METRIC_COLUMNS,
     ORACLE_KINDS,
@@ -72,9 +72,10 @@ def _friendly(fn):
 def _compile_cached(spec: TaskSpec) -> CompiledTask:
     """compile_task with an automaton cache keyed by the spec hash.
 
-    A cache file that is truncated or not a valid automaton is recompiled
-    and rewritten; writes go through a temporary file and ``os.replace``, so
-    readers never see a partial file.
+    A cache file that is truncated, not a valid automaton, or an automaton
+    over other atoms than the spec's is recompiled and rewritten; writes go
+    through a temporary file and ``os.replace``, so readers never see a
+    partial file.
     """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -85,7 +86,8 @@ def _compile_cached(spec: TaskSpec) -> CompiledTask:
     except (FileNotFoundError, ValueError):
         pass  # absent, or undecodable: JSON, UTF-8 and DomainError are ValueErrors
     else:
-        return compile_task(spec, dfa=dfa)
+        if dfa.atoms == spec.atoms:
+            return compile_task(spec, dfa=dfa)
     task = compile_task(spec)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -95,11 +97,6 @@ def _compile_cached(spec: TaskSpec) -> CompiledTask:
     finally:
         tmp.unlink(missing_ok=True)
     return task
-
-
-def _load_dataset(dataset_dir: str) -> tuple[Dataset, CompiledTask]:
-    ds = deserialize(dataset_dir, verify=True)
-    return ds, _compile_cached(ds.spec)
 
 
 def _seed_list(count: int) -> tuple[int, ...]:
@@ -294,7 +291,8 @@ def cmd_infer(
     dataset's most-probable-class baselines."""
     if kind == "perfect" and noise != 0.0:
         raise click.UsageError("perfect oracle requires --noise 0")
-    ds, task = _load_dataset(dataset_dir)
+    ds = deserialize(dataset_dir, verify=True)
+    task = _compile_cached(ds.spec)
     cfg = OracleConfig(target=target, kind=kind, p=noise)
     (row,) = oracle_sweep(task, ds, [cfg], (engine,), (oracle_seed,), split, calibrate)
     row["mp_successor"], row["mp_sequence"] = mp_baselines(ds)
@@ -437,7 +435,7 @@ def cmd_sweep(
 @_friendly
 def cmd_baseline(dataset_dir: str, out: str | None) -> None:
     """Most-probable-class baselines of a stored dataset."""
-    ds, _task = _load_dataset(dataset_dir)
+    ds = deserialize(dataset_dir, verify=True)
     mp_successor, mp_sequence = mp_baselines(ds)
     click.echo(f"mp_successor: {mp_successor}")
     click.echo(f"mp_sequence: {mp_sequence}")
@@ -478,7 +476,8 @@ def _read_sweep_csv(path: str) -> list[dict]:
                     text = record.get(metric, "")
                     row[metric] = float(text) if text else None
                 rows.append(row)
-    except (TypeError, ValueError) as exc:  # a bad number, a short row, or bytes not UTF-8
+    # a bad number, a short row, bytes not UTF-8, or a cell the csv module rejects
+    except (TypeError, ValueError, csv.Error) as exc:
         raise click.UsageError(f"{path}: malformed sweep CSV ({exc})") from exc
     return rows
 

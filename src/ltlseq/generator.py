@@ -289,7 +289,7 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
             f"{metadata['dfa'].get('atoms')!r}"
         )
     spec = TaskSpec.from_dict(metadata["spec"], where=str(meta_path))
-    if atoms != sorted(c.name for c in spec.constraints):
+    if tuple(atoms) != spec.atoms:
         raise DatasetFormatError(f"{meta_path}: atoms {atoms} are not the spec's constraint names")
 
     if verify and spec.spec_hash != metadata["spec_hash"]:
@@ -334,6 +334,8 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
                 groups.setdefault(key, []).append((line_no, row))
     except UnicodeDecodeError as err:
         raise DatasetFormatError(f"{csv_path}: not UTF-8 text ({err})") from err
+    except csv.Error as err:  # a cell over csv.field_size_limit(), or a NUL byte before 3.11
+        raise DatasetFormatError(f"{csv_path}: malformed CSV ({err})") from err
 
     label_cols = [
         (v.name, pos[f"{v.name}_label"], dict(zip(v.domain.labels, v.domain.values)), v.domain)

@@ -13,7 +13,9 @@ results do not depend on evaluation order.  Corruption is array code over a
 whole split: flip oracles keep their scalar draw loop but emit label indices,
 and confidence oracles draw each sequence's masses in one call.  A sweep then
 runs every (config, seed) unit of a split through each engine in one batched
-pass and scores the units one by one; no threads are started.
+pass and scores the units one by one; no threads are started.  SC is always
+scored on raw acceptance: a fitted calibration temperature is reported as
+the ``sc_temp`` column and read by no metric.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import DomainError
 from .generator import Dataset, SequenceSample, _digest_int, generate_dataset
 from .generator import write_summary_json  # noqa: F401  (re-exported; every JSON output uses it)
 from .inference import (
-    apply_temperature,
     calibrate_temperature,
     make_engine,
     run_batch,
@@ -322,52 +323,37 @@ def evaluate(
 
     CC compares thresholded (≥ 0.5) constraint beliefs to the stored truth
     vectors; NSP compares the belief argmax to the stored state trace per
-    step; SC compares thresholded acceptance (ties → positive) to the
+    step; SC compares thresholded raw acceptance (ties → positive) to the
     sequence label; IC is the oracle's own argmax accuracy, reported only
     when the ``ic`` target simulates that stage.  ``engine`` is an engine or
-    an engine name.  SC is scored uncalibrated; a calibrated row is
-    ``oracle_sweep(..., calibrate=True)``, which ``ltlseq infer`` calls.
+    an engine name.  No stage reads a calibration temperature; the fitted
+    one is the ``sc_temp`` column of ``oracle_sweep(..., calibrate=True)``.
     """
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    predicted, acceptance = _run_units(engine, [traces])[0]
-    return _score(traces, predicted, acceptance, oracle, None, mp_baselines(dataset))
+    scores = _score(traces, *_run_units(engine, [traces])[0], oracle)
+    mp_successor, mp_sequence = mp_baselines(dataset)
+    return Metrics(**scores, mp_successor=mp_successor, mp_sequence=mp_sequence)
 
 
 def _score(
-    traces: _Traces,
-    predicted: np.ndarray,
-    acceptance: np.ndarray,
-    oracle: OracleConfig,
-    sc_temperature: float | None,
-    baselines: tuple[float, float],
-) -> Metrics:
+    traces: _Traces, predicted: np.ndarray, acceptance: np.ndarray, oracle: OracleConfig
+) -> dict[str, float | None]:
+    """The ``METRIC_COLUMNS`` of one unit, as ``evaluate`` defines them."""
     data = traces.data
     cc_hits = int(np.count_nonzero(((traces.cb >= 0.5) == data.truths) & data.mask[..., None]))
     cc_total = int(data.mask.sum()) * data.truths.shape[2]
     nsp_hits = int(np.count_nonzero(predicted == data.states))
-    nsp_total = int(data.lengths.sum())
-    acceptances = acceptance.tolist()
-    if sc_temperature is not None:
-        acceptances = [apply_temperature(a, sc_temperature) for a in acceptances]
-    samples = data.samples
-    sc_hits = sum((a >= 0.5) == bool(s.label) for a, s in zip(acceptances, samples))
-    ic_acc = traces.ic_hits / traces.ic_total if oracle.target == "ic" else None
-    cc_acc = cc_hits / cc_total
-    nsp_acc = nsp_hits / nsp_total
-    sc_acc = sc_hits / len(samples)
-    present = [a for a in (ic_acc, cc_acc, nsp_acc, sc_acc) if a is not None]
-    mp_successor, mp_sequence = baselines
-    return Metrics(
-        ic_acc=ic_acc,
-        cc_acc=cc_acc,
-        nsp_acc=nsp_acc,
-        sc_acc=sc_acc,
-        avg_acc=sum(present) / len(present),
-        mp_successor=mp_successor,
-        mp_sequence=mp_sequence,
+    sc_hits = int(np.count_nonzero((acceptance >= 0.5) == [bool(s.label) for s in data.samples]))
+    accuracies = (
+        traces.ic_hits / traces.ic_total if oracle.target == "ic" else None,
+        cc_hits / cc_total,
+        nsp_hits / int(data.lengths.sum()),
+        sc_hits / len(data.samples),
     )
+    present = [a for a in accuracies if a is not None]
+    return dict(zip(METRIC_COLUMNS, (*accuracies, sum(present) / len(present))))
 
 
 def mp_baselines(dataset: Dataset) -> tuple[float, float]:
@@ -466,16 +452,17 @@ def oracle_sweep(
 ) -> list[dict]:
     """Evaluate every (config, engine, seed) combination into long-format rows.
 
-    Rows come back in (config, engine, seed) order.  Each (config, seed)
-    unit corrupts its splits once, and every engine runs on those same
+    Rows come back in (config, engine, seed) order: the ``SWEEP_COLUMNS``
+    of each combination, plus ``sc_temp`` when calibrating.  Each (config,
+    seed) unit corrupts its splits once, and every engine runs on those same
     traces: the units of one split are stacked into one ``run_batch`` batch
     per engine (chunked to bound memory), then scored one by one.  Oracle
-    draws depend only on (seed, split, seq_id), so results equal separate
-    ``evaluate`` calls.  Calibration (optional) fits a scalar acceptance
-    temperature on the val split per combination, once per distinct
-    acceptance vector (engines and configs often agree); it cannot change
-    thresholded accuracies (the rescaling is monotone around 0.5) and is
-    recorded as an ``sc_temp`` diagnostic column.  ``jobs`` is accepted for
+    draws depend only on (seed, split, seq_id), so the metrics equal
+    separate ``evaluate`` calls.  Calibration (optional) fits a scalar
+    acceptance temperature on the val split per combination, once per
+    distinct acceptance vector (engines and configs often agree).  It is
+    reported as the ``sc_temp`` column only: SC is always scored on raw
+    acceptance, so calibrating changes no metric.  ``jobs`` is accepted for
     compatibility and starts no threads; the output is the same for any value.
     """
     if dataset is None:
@@ -486,7 +473,6 @@ def oracle_sweep(
     data = {split: _split_arrays(task, dataset, split)}
     if calibrate:
         data.setdefault("val", _split_arrays(task, dataset, "val"))
-    baselines = mp_baselines(dataset)
     units = [replace(cfg, seed=seed) for cfg in configs for seed in seeds]
     traces = {name: [_oracle_traces(task, d, u) for u in units] for name, d in data.items()}
 
@@ -497,36 +483,26 @@ def oracle_sweep(
         runs = {s: _run_units(engine, unit_traces) for s, unit_traces in traces.items()}
         rows[name] = []
         for u, unit in enumerate(units):
-            temp = None
+            row = {
+                "task": task.spec.name,
+                "engine": name,
+                "oracle_target": unit.target,
+                "oracle_kind": unit.kind,
+                "p": unit.p,
+                "seed": unit.seed,
+                **_score(traces[split][u], *runs[split][u], unit),
+            }
             if calibrate:
                 acceptance = runs["val"][u][1]
                 key = acceptance.tobytes()
                 if key not in temps:
                     temps[key] = _fit_temperature(traces["val"][u], acceptance)[0]
-                temp = temps[key]
-            metrics = _score(traces[split][u], *runs[split][u], unit, temp, baselines)
-            row = metrics_row(task, name, unit, metrics)
-            if calibrate:
-                row["sc_temp"] = temp
+                row["sc_temp"] = temps[key]
             rows[name].append(row)
     n = len(seeds)
     return [
         rows[name][c * n + s] for c in range(len(configs)) for name in engines for s in range(n)
     ]
-
-
-def metrics_row(task: CompiledTask, engine: str, oracle: OracleConfig, metrics: Metrics) -> dict:
-    """One long-format result row: the ``SWEEP_COLUMNS`` of one (config,
-    engine, seed) combination, in order."""
-    return {
-        "task": task.spec.name,
-        "engine": engine,
-        "oracle_target": oracle.target,
-        "oracle_kind": oracle.kind,
-        "p": oracle.p,
-        "seed": oracle.seed,
-        **{name: getattr(metrics, name) for name in METRIC_COLUMNS},
-    }
 
 
 def write_sweep_csv(rows: Sequence[Mapping], path) -> None:

@@ -51,6 +51,11 @@ class TaskSpec:
     seed: int = 12345
 
     @property
+    def atoms(self) -> tuple[str, ...]:
+        """The formula atoms: the constraint names, sorted."""
+        return tuple(sorted(c.name for c in self.constraints))
+
+    @property
     def split_counts(self) -> dict[str, int]:
         return dict(zip(SPLIT_NAMES, self.splits))
 
@@ -322,7 +327,7 @@ def compile_task(
     no random walk can realize.
     """
     spec.validate()
-    atoms = tuple(sorted(c.name for c in spec.constraints))
+    atoms = spec.atoms
     if dfa is None:
         kwargs = {} if max_states is None else {"max_states": max_states}
         dfa = ltlf_to_dfa(fm.parse(spec.formula), atoms=atoms, **kwargs)

@@ -134,6 +134,19 @@ def test_compile_recovers_invalid_cache(tmp_path):
     assert entry.read_text() == good
 
 
+def test_compile_recovers_cache_over_other_atoms(tmp_path):
+    env, entry = _seed_cache(tmp_path, "task3")
+    good = entry.read_text()
+    data = json.loads(good)
+    data["atoms"] = ["x", "y"]
+    entry.write_text(json.dumps(data))
+    for _ in range(2):
+        result = run("compile", "task3", env=env)
+        assert result.exit_code == 0, result.output
+        assert "atoms: p, q" in result.output
+        assert entry.read_text() == good
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -457,6 +470,22 @@ def test_derived_seeds_are_distinct():
     assert seeds[:3] == (12345, 67890, 88888)
 
 
+# a cell over the csv module's field size limit, and a NUL byte, which the
+# module rejects before Python 3.11
+_CSV_MODULE_ERRORS = {"oversized-cell": b"9" * (csv.field_size_limit() + 1), "nul-byte": b"0\x00"}
+
+
+@pytest.mark.parametrize("cell", _CSV_MODULE_ERRORS.values(), ids=_CSV_MODULE_ERRORS.keys())
+def test_infer_rejects_cell_the_csv_module_rejects(tmp_path, cell):
+    out = generate(tmp_path)
+    path = out / "sequences.csv"
+    path.write_bytes(path.read_bytes() + cell + b"\n")
+    result = run("infer", str(out))
+    assert result.exit_code == 1
+    assert "sequences.csv" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("command", ["infer", "sweep"])
 def test_split_must_be_a_split_name(tmp_path, command):
     if command == "infer":
@@ -496,6 +525,18 @@ def test_report_rejects_malformed_csv(tmp_path, row):
     assert "sweep.csv" in result.output
 
 
+@pytest.mark.parametrize("cell", _CSV_MODULE_ERRORS.values(), ids=_CSV_MODULE_ERRORS.keys())
+def test_report_rejects_cell_the_csv_module_rejects(tmp_path, cell):
+    from ltlseq.harness import SWEEP_COLUMNS
+
+    path = tmp_path / "sweep.csv"
+    row = b"task5,exact,ic,flip,0.1,7,," + cell + b",1,1,1"
+    path.write_bytes(",".join(SWEEP_COLUMNS).encode() + b"\n" + row + b"\n")
+    result = run("report", str(path))
+    assert result.exit_code == 2
+    assert "malformed sweep CSV" in result.output
+
+
 # ---------------------------------------------------------------------------
 # baseline
 
@@ -510,6 +551,20 @@ def test_baseline_outputs(tmp_path):
     assert result.exit_code == 0
     data = json.loads((tmp_path / "bl" / "baseline.json").read_text())
     assert set(data) == {"task", "mp_successor", "mp_sequence"}
+
+
+def test_baseline_does_not_compile_the_task(tmp_path, monkeypatch):
+    out = generate(tmp_path)
+    expected = run("baseline", str(out)).output
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("baseline compiled the task")
+
+    monkeypatch.setattr("ltlseq.cli.compile_task", no_compile)
+    result = run("baseline", str(out))
+    assert result.exit_code == 0
+    assert result.output == expected
+    assert len(expected.splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------

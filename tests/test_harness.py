@@ -1,6 +1,7 @@
 """Oracle noise models, evaluation metrics, baselines, and sweeps."""
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -555,3 +556,22 @@ def test_oracle_sweep_with_no_units_returns_no_rows(empty):
     ct, ds = small_dataset()
     grid = {"configs": [OracleConfig()], "seeds": (12345,)} | {empty: ()}
     assert oracle_sweep(ct, dataset=ds, engines=("exact", "sddnnf-p"), calibrate=True, **grid) == []
+
+
+def test_oracle_sweep_needs_no_train_split():
+    ct, ds = small_dataset("task5", splits=(0, 4, 6))
+    rows = oracle_sweep(ct, dataset=ds)
+    assert len(rows) == len(default_sweep_configs()) == 13
+    assert all(set(row) == set(SWEEP_COLUMNS) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["task3", "task4", "task5", "task6"])
+def test_calibration_changes_no_metric(name):
+    from ltlseq.inference import ENGINE_NAMES
+
+    ct, ds = small_dataset(name, splits=(10, 8, 8))
+    sweep = functools.partial(oracle_sweep, ct, dataset=ds, engines=ENGINE_NAMES, seeds=(1, 2))
+    calibrated = sweep(calibrate=True)
+    for row in calibrated:
+        del row["sc_temp"]
+    assert calibrated == sweep(calibrate=False)

@@ -129,6 +129,16 @@ def test_calibration_errors():
         calibrate_temperature([(0.5, 2)])
 
 
+def test_calibration_accepts_a_score_one_ulp_below_the_threshold():
+    # at the fitted temperature the last score rescales to exactly 0.5,
+    # which is no reason to reject the fit
+    below = math.nextafter(0.5, 0.0)
+    temp, degenerate = calibrate_temperature([(0.99, 0), (0.01, 1), (below, 0)])
+    assert not degenerate
+    assert temp >= 2.0
+    assert apply_temperature(below, temp) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # Letter distribution and the exact update
 
