@@ -44,7 +44,7 @@ from .errors import (
     TaskFileError,
     UnsatisfiableLetterError,
 )
-from .formulas import canonical, eval_empty, parse, print_formula, progress, to_nnf
+from .formulas import eval_empty, parse, print_formula, progress, to_nnf
 from .generator import (
     Dataset,
     SequenceSample,
@@ -93,7 +93,6 @@ __all__ = [
     # formulas
     "parse",
     "print_formula",
-    "canonical",
     "to_nnf",
     "progress",
     "eval_empty",

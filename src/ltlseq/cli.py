@@ -24,7 +24,7 @@ import click
 
 from . import __version__
 from .automata import Dfa, guard_table
-from .errors import LtlfSyntaxError, LtlseqError, TaskFileError
+from .errors import DomainError, LtlfSyntaxError, LtlseqError, TaskFileError
 from .generator import deserialize, generate_dataset, serialize, _digest_int
 from .harness import (
     METRIC_COLUMNS,
@@ -72,10 +72,10 @@ def _friendly(fn):
 def _compile_cached(spec: TaskSpec) -> CompiledTask:
     """compile_task with an automaton cache keyed by the spec hash.
 
-    A cache file that is truncated, not a valid automaton, or an automaton
-    over other atoms than the spec's is recompiled and rewritten; writes go
-    through a temporary file and ``os.replace``, so readers never see a
-    partial file.
+    A cache file that is truncated, nested too deep to parse, not a valid
+    automaton, or an automaton over other atoms than the spec's is
+    recompiled and rewritten; writes go through a temporary file and
+    ``os.replace``, so readers never see a partial file.
     """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -83,8 +83,8 @@ def _compile_cached(spec: TaskSpec) -> CompiledTask:
     path = Path(cache_dir) / f"{spec.spec_hash}.dfa.json"
     try:
         dfa = Dfa.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (FileNotFoundError, ValueError):
-        pass  # absent, or undecodable: JSON, UTF-8 and DomainError are ValueErrors
+    except (FileNotFoundError, ValueError, RecursionError):
+        pass  # absent, or undecodable: JSON, UTF-8, int-digit and DomainError are ValueErrors
     else:
         if dfa.atoms == spec.atoms:
             return compile_task(spec, dfa=dfa)
@@ -288,14 +288,18 @@ def cmd_infer(
     """Score a stored dataset through an engine under an oracle.
 
     Writes the row a one-row sweep of that combination gives, plus the
-    dataset's most-probable-class baselines."""
+    dataset's most-probable-class baselines (empty without a train or test
+    split)."""
     if kind == "perfect" and noise != 0.0:
         raise click.UsageError("perfect oracle requires --noise 0")
     ds = deserialize(dataset_dir, verify=True)
     task = _compile_cached(ds.spec)
     cfg = OracleConfig(target=target, kind=kind, p=noise)
     (row,) = oracle_sweep(task, ds, [cfg], (engine,), (oracle_seed,), split, calibrate)
-    row["mp_successor"], row["mp_sequence"] = mp_baselines(ds)
+    try:
+        row["mp_successor"], row["mp_sequence"] = mp_baselines(ds)
+    except DomainError:  # no train or test split; the row needs only the scored one
+        row["mp_successor"] = row["mp_sequence"] = None
     if calibrate:
         row["sc_temp"] = row.pop("sc_temp")  # after the baselines
     for name in (*METRIC_COLUMNS, "mp_successor", "mp_sequence"):

@@ -5,9 +5,10 @@ unique table, so structurally equal formulas are the same object, ``==`` is
 identity and each node's hash is computed once.  A node also caches its atom
 set and its printed form, which doubles as the sort key of canonical child
 order.  The parser and printer round-trip exactly (``parse(str(f)) is f``).
-``canonical`` flattens and sorts associative connectives so that logically
-identical progression states collapse to a single representative, which
-keeps the automaton construction finite.
+``conj`` and ``disj`` flatten and sort associative connectives, and
+``state_form`` rewrites each progression state as its irredundant DNF over
+maximal temporal subterms, so logically identical states collapse to a
+single representative, which keeps the automaton construction finite.
 """
 
 from __future__ import annotations
@@ -476,29 +477,6 @@ def conj(items: Iterable[Formula]) -> Formula:
 def disj(items: Iterable[Formula]) -> Formula:
     """Canonical disjunction of ``items``."""
     return _canon_nary(items, Or, FALSE, TRUE, And)
-
-
-def canonical(f: Formula) -> Formula:
-    """Rebuild ``f`` bottom-up through the canonical constructors."""
-    t = type(f)
-    if t in (TrueF, FalseF, Atom):
-        return f
-    if t is Not:
-        c = canonical(f.child)
-        if c == TRUE:
-            return FALSE
-        if c == FALSE:
-            return TRUE
-        if isinstance(c, Not):
-            return c.child
-        return Not(c)
-    if t is And:
-        return conj([canonical(f.left), canonical(f.right)])
-    if t is Or:
-        return disj([canonical(f.left), canonical(f.right)])
-    if t in (Implies, Iff, Until, Release):
-        return t(canonical(f.left), canonical(f.right))
-    return t(canonical(f.child))
 
 
 # --------------------------------------------------------------------------

@@ -272,6 +272,8 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
         raise DatasetFormatError(f"{meta_path}: not UTF-8 text ({err})") from err
     except json.JSONDecodeError as err:
         raise DatasetFormatError(f"{meta_path}: invalid JSON: {err}") from err
+    except (RecursionError, ValueError) as err:  # nested too deep, or an int past the digit limit
+        raise DatasetFormatError(f"{meta_path}: unreadable JSON ({err})") from err
     if not isinstance(metadata, dict):
         raise DatasetFormatError(f"{meta_path}: expected a JSON object")
     for key in ("spec", "spec_hash", "seed", "atoms", "dfa"):

@@ -6,7 +6,9 @@ classification (SC).  Oracles replace the learned stages with ground truth
 corrupted in a controlled way, either at the variable level (``ic`` target:
 noisy label distributions pushed through exact constraint probability) or at
 the atom level (``ic_cc`` target: noisy truth distributions used directly as
-constraint beliefs).
+constraint beliefs).  ``ic_cc`` runs the ``ic`` path over two-class atom
+variables: each atom's truth bit is its true class, read through the identity
+indicator, so each oracle kind is written once.
 
 Oracle randomness is derived per sequence from ``(seed, split, seq_id)``, so
 results do not depend on evaluation order.  Corruption is array code over a
@@ -72,10 +74,11 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Per-stage accuracies plus the most-probable-class baselines.
+    """The ``METRIC_COLUMNS`` of one run: the per-stage accuracies.
 
     ``ic_acc`` is None when the IC stage is not simulated (``ic_cc`` target);
     ``avg_acc`` averages whichever of the four stage accuracies are present.
+    The dataset's most-probable-class baselines are ``mp_baselines``.
     """
 
     ic_acc: float | None
@@ -83,8 +86,6 @@ class Metrics:
     nsp_acc: float
     sc_acc: float
     avg_acc: float
-    mp_successor: float
-    mp_sequence: float
 
 
 # ---------------------------------------------------------------------------
@@ -216,61 +217,56 @@ class _Traces:
     ic_total: int
 
 
+_IDENTITY = np.array([0.0, 1.0])  # an atom's indicator over its own truth bit
+
+
 def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _Traces:
     """Corrupt every sequence of a split under one config.
 
     Each sequence draws from its own ``(seed, split, seq_id)`` stream in a
     fixed order — steps outer; declared variables (``ic``) or sorted atoms
     (``ic_cc``) inner — so a config always yields the same corruption
-    whatever the engine or caller.  On ``ic``, a perfect or flip oracle's
-    label distributions are one-hot, so each atom's belief is its indicator
-    tensor read at the drawn labels; a confidence oracle's distributions are
+    whatever the engine or caller.  ``ic_cc`` is ``ic`` over two-class
+    variables, one per atom, whose true class is the atom's truth bit and
+    whose indicator is the identity.  A perfect or flip oracle's label
+    distributions are one-hot, so each atom's belief is its indicator tensor
+    read at the drawn labels; a confidence oracle's distributions are
     contracted with each indicator over all steps at once.
     """
-    rngs = None if oracle.kind == "perfect" else data.oracle_rngs(oracle.seed)
-    lengths = data.lengths
-    ic_hits = ic_total = 0
     if oracle.target == "ic":
-        variables = task.spec.variables
-        sizes = [v.domain.size for v in variables]
-        if rngs is not None:
-            for k in sizes:
-                if k < 2:
-                    raise DomainError(f"class count must be >= 2, got {k}")
         true = data.labels[data.mask]  # steps of every sequence × variables
-        ic_total = true.size
-        flat = np.empty((len(true), len(task.atoms)))
-        if oracle.kind == "confidence":
-            m = _confidence_masses(oracle.p, len(variables), rngs, lengths)
-            dists = {}
-            for j, (v, k) in enumerate(zip(variables, sizes)):
-                dist = np.repeat(((1.0 - m[:, j]) / (k - 1))[:, None], k, axis=1)
-                dist[np.arange(len(true)), true[:, j]] = m[:, j]
-                ic_hits += int(np.count_nonzero(dist.argmax(axis=1) == true[:, j]))
-                dists[v.name] = dist
-            for i, atom in enumerate(task.atoms):
-                names, tensor = task.indicator(atom)
-                flat[:, i] = tensor_probability(tensor, [dists[n] for n in names])
-        else:
-            drawn = true if rngs is None else _flip_labels(true, sizes, oracle.p, rngs, lengths)
-            ic_hits = int(np.count_nonzero(drawn == true))
-            column = {v.name: j for j, v in enumerate(variables)}
-            for i, atom in enumerate(task.atoms):
-                names, tensor = task.indicator(atom)
-                flat[:, i] = tensor[tuple(drawn[:, column[n]] for n in names)]
+        sizes = [v.domain.size for v in task.spec.variables]
+        column = {v.name: j for j, v in enumerate(task.spec.variables)}
+        indicators = map(task.indicator, task.atoms)
+        reads = [([column[n] for n in names], tensor) for names, tensor in indicators]
     else:
-        truths = data.truths[data.mask]
-        if oracle.kind == "perfect":
-            flat = truths.astype(float)
-        elif oracle.kind == "flip":
-            bits = _flip_labels(truths.astype(np.intp), [2] * truths.shape[1], oracle.p, rngs, lengths)
-            flat = bits.astype(float)
-        else:
-            m = _confidence_masses(oracle.p, truths.shape[1], rngs, lengths)
-            flat = np.where(truths, m, 1.0 - m)
+        true = data.truths[data.mask].astype(np.intp)  # steps × atoms
+        sizes = [2] * len(task.atoms)
+        reads = [([i], _IDENTITY) for i in range(len(task.atoms))]
+    rngs = None if oracle.kind == "perfect" else data.oracle_rngs(oracle.seed)
+    if rngs is not None and min(sizes, default=2) < 2:
+        raise DomainError(f"class count must be >= 2, got {min(sizes)}")
+    flat = np.empty((len(true), len(task.atoms)))
+    if oracle.kind == "confidence":
+        m = _confidence_masses(oracle.p, len(sizes), rngs, data.lengths)
+        dists, ic_hits = [], 0
+        for j, k in enumerate(sizes):
+            dist = np.repeat(((1.0 - m[:, j]) / (k - 1))[:, None], k, axis=1)
+            dist[np.arange(len(true)), true[:, j]] = m[:, j]
+            ic_hits += int(np.count_nonzero(dist.argmax(axis=1) == true[:, j]))
+            dists.append(dist)
+        for i, (columns, tensor) in enumerate(reads):
+            flat[:, i] = tensor_probability(tensor, [dists[j] for j in columns])
+    else:
+        drawn = true if rngs is None else _flip_labels(true, sizes, oracle.p, rngs, data.lengths)
+        ic_hits = int(np.count_nonzero(drawn == true))
+        for i, (columns, tensor) in enumerate(reads):
+            flat[:, i] = tensor[tuple(drawn[:, j] for j in columns)]
     cb = np.zeros(data.truths.shape)
     cb[data.mask] = flat
-    return _Traces(data=data, cb=cb, ic_hits=ic_hits, ic_total=ic_total)
+    if oracle.target != "ic":  # ic_cc simulates no IC stage
+        return _Traces(data=data, cb=cb, ic_hits=0, ic_total=0)
+    return _Traces(data=data, cb=cb, ic_hits=ic_hits, ic_total=true.size)
 
 
 # Cells of run_batch's working arrays (rows × letters × (states + steps))
@@ -326,15 +322,14 @@ def evaluate(
     step; SC compares thresholded raw acceptance (ties → positive) to the
     sequence label; IC is the oracle's own argmax accuracy, reported only
     when the ``ic`` target simulates that stage.  ``engine`` is an engine or
-    an engine name.  No stage reads a calibration temperature; the fitted
-    one is the ``sc_temp`` column of ``oracle_sweep(..., calibrate=True)``.
+    an engine name.  Only the scored split is read.  No stage reads a
+    calibration temperature; the fitted one is the ``sc_temp`` column of
+    ``oracle_sweep(..., calibrate=True)``.
     """
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    scores = _score(traces, *_run_units(engine, [traces])[0], oracle)
-    mp_successor, mp_sequence = mp_baselines(dataset)
-    return Metrics(**scores, mp_successor=mp_successor, mp_sequence=mp_sequence)
+    return Metrics(**_score(traces, *_run_units(engine, [traces])[0], oracle))
 
 
 def _score(
@@ -361,7 +356,7 @@ def mp_baselines(dataset: Dataset) -> tuple[float, float]:
 
     ``mp_successor`` scores the modal next state per step; ``mp_sequence``
     the modal sequence label.  Ties break toward the smaller state id and
-    label 0.
+    label 0.  Raises ``DomainError`` when the train or test split is empty.
     """
     train = dataset.splits.get("train", [])
     test = dataset.splits.get("test", [])

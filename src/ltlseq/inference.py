@@ -146,18 +146,20 @@ def calibrate_temperature(pairs: Sequence[tuple[float, int]]) -> tuple[float, bo
 # Step semantics
 
 
-def letter_probabilities(cb: np.ndarray, n_atoms: int) -> np.ndarray:
-    """P(letter) for every bitmask, treating atoms as independent."""
+def _constraint_beliefs(cb, n_atoms: int, batched: bool = True) -> np.ndarray:
+    """``cb`` as floats, checked to lie in [0, 1] and to have shape
+    (..., atoms), or exactly (atoms,) unless ``batched``."""
     cb = np.asarray(cb, dtype=float)
-    if cb.shape != (n_atoms,):
+    if (cb.shape[-1:] if batched else cb.shape) != (n_atoms,):
         raise DomainError(f"expected {n_atoms} constraint beliefs, got shape {cb.shape}")
     if np.any(cb < 0) or np.any(cb > 1):
         raise DomainError("constraint beliefs must lie in [0, 1]")
-    out = np.ones(1)
-    for i in range(n_atoms):
-        # doubling the array adds atom i at bit position i
-        out = np.concatenate([out * (1.0 - cb[i]), out * cb[i]])
-    return out
+    return cb
+
+
+def letter_probabilities(cb: np.ndarray, n_atoms: int) -> np.ndarray:
+    """P(letter) for every bitmask, treating atoms as independent."""
+    return _letter_table(_constraint_beliefs(cb, n_atoms, batched=False), log=False)
 
 
 def exact_step(dfa: Dfa, b: np.ndarray, cb: np.ndarray) -> np.ndarray:
@@ -216,11 +218,8 @@ def fuzzy_step(
 
 def _letter_table(cb: np.ndarray, log: bool) -> np.ndarray:
     """P(letter), or its log, along the last axis of ``cb``; bit i of a letter
-    is atom i.
-
-    The probability form multiplies in the same order as
-    ``letter_probabilities``; the log form adds logs, so letters whose
-    probability underflows keep a finite log.
+    is atom i.  The log form adds logs, so letters whose probability
+    underflows keep a finite log.
     """
     if log:
         with np.errstate(divide="ignore"):
@@ -296,12 +295,7 @@ class _TableEngine:
     def letter_weights(self, cb: np.ndarray) -> np.ndarray:
         """P(letter) (log P(letter) in LOGPROB) for constraint beliefs ``cb``
         of shape (..., atoms); the result has shape (..., 2^atoms)."""
-        cb = np.asarray(cb, dtype=float)
-        n_atoms = len(self.dfa.atoms)
-        if cb.shape[-1:] != (n_atoms,):
-            raise DomainError(f"expected {n_atoms} constraint beliefs, got shape {cb.shape}")
-        if np.any(cb < 0) or np.any(cb > 1):
-            raise DomainError("constraint beliefs must lie in [0, 1]")
+        cb = _constraint_beliefs(cb, len(self.dfa.atoms))
         return _letter_table(cb, self.semiring is LOGPROB)
 
     def raw(self, b: np.ndarray, weights: np.ndarray) -> np.ndarray:

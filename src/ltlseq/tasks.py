@@ -189,7 +189,7 @@ class TaskSpec:
             raise
         except (DomainError, fm.LtlfSyntaxError) as err:
             raise TaskFileError(f"{where}: {err}") from err
-        except (TypeError, ValueError, KeyError) as err:
+        except (TypeError, ValueError, KeyError, OverflowError) as err:
             raise TaskFileError(f"{where}: malformed value ({err})") from err
         return spec
 
@@ -212,6 +212,8 @@ def load_task_yaml(path: str | Path) -> TaskSpec:
         data = yaml.safe_load(text)
     except yaml.YAMLError as err:
         raise TaskFileError(f"{path}: invalid YAML: {err}") from err
+    except (RecursionError, ValueError) as err:  # nested too deep, or an int past the digit limit
+        raise TaskFileError(f"{path}: unreadable YAML ({err})") from err
     if not isinstance(data, dict):
         raise TaskFileError(f"{path}: top level must be a mapping")
     return TaskSpec.from_dict(data, where=str(path))

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -88,6 +89,67 @@ def test_compile_state_cap():
     result = run("compile", "task1", "--max-states", "3")
     assert result.exit_code == 1
     assert "cap" in result.output
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000  # past any parser's recursion limit
+_BIG_INT = "9" * 5_000  # past the int digit limit of str -> int conversion
+
+
+def _sub_once(path, pattern, repl):
+    text = path.read_text()
+    new, count = re.subn(pattern, repl, text, count=1, flags=re.M)
+    assert count == 1
+    path.write_text(new)
+
+
+@pytest.mark.parametrize(
+    "where, content",
+    [
+        ("task", "deep"),
+        ("task", "big-int"),
+        ("task", "inf-seed"),
+        ("metadata", "deep"),
+        ("metadata", "big-int"),
+        ("cache", "deep"),
+        ("cache", "big-int"),
+    ],
+)
+def test_file_boundary_fails_typed(tmp_path, where, content):
+    """Unparseable files end in a typed error naming the file (exit 2 for a
+    task YAML, 1 for a dataset) or, for a cache file, a recompile; never a
+    traceback."""
+    from ltlseq.library import builtin_task
+    from ltlseq.tasks import save_task_yaml
+
+    env = None
+    if where == "task":
+        path = tmp_path / "bad.yaml"
+        save_task_yaml(builtin_task("task1"), path)
+        args, want_exit = ("compile", str(path)), 2
+        value = {"big-int": _BIG_INT, "inf-seed": ".inf"}.get(content)
+        if value is not None:
+            _sub_once(path, r"^seed: .*$", f"seed: {value}")
+    elif where == "metadata":
+        path = generate(tmp_path) / "metadata.json"
+        args, want_exit = ("infer", str(path.parent)), 1
+        if content == "big-int":
+            _sub_once(path, r'"seed": \d+', f'"seed": {_BIG_INT}')
+    else:
+        env, path = _seed_cache(tmp_path, "task3")
+        good = path.read_text()
+        args, want_exit = ("compile", "task3"), 0
+        if content == "big-int":
+            _sub_once(path, r'"states": \d+', f'"states": {_BIG_INT}')
+    if content == "deep":
+        path.write_text(_DEEP)
+    result = CliRunner().invoke(main, list(args), env=env)
+    assert result.exit_code == want_exit, result.output
+    if want_exit:
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert path.name in result.output
+    else:
+        assert result.exception is None, result.exception
+        assert path.read_text() == good  # recompiled and rewritten
 
 
 def test_compile_cache_round_trip(tmp_path):
@@ -216,6 +278,19 @@ def test_infer_perfect_oracle(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert float(rows[0]["avg_acc"]) == 1.0
+
+
+def test_infer_without_train_split_leaves_baselines_empty(tmp_path):
+    out = generate(tmp_path, splits=("0", "4", "6"))
+    result = run("infer", str(out))
+    assert result.exit_code == 0, result.output
+    assert "sc_acc: 1.0" in result.output
+    assert "mp_successor: n/a" in result.output and "mp_sequence: n/a" in result.output
+    with open(out / "metrics.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["mp_successor"] == row["mp_sequence"] == ""
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["mp_successor"] is None and metrics["mp_sequence"] is None
 
 
 def test_infer_combined_target_has_no_ic(tmp_path):

@@ -1,6 +1,7 @@
 """Oracle noise models, evaluation metrics, baselines, and sweeps."""
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 from ltlseq.errors import DomainError
 from ltlseq.generator import generate_dataset
 from ltlseq.harness import (
+    METRIC_COLUMNS,
     ORACLE_KINDS,
     ORACLE_TARGETS,
     SWEEP_COLUMNS,
@@ -189,6 +191,22 @@ def test_evaluate_accepts_engine_instance():
     assert m.sc_acc == 1.0
 
 
+def test_evaluate_needs_no_train_split():
+    ct, ds = small_dataset(splits=(0, 10, 10))
+    m = evaluate(ct, ds, "exact", OracleConfig())
+    assert m.avg_acc == 1.0
+
+
+def test_evaluate_on_val_equals_the_val_sweep_row():
+    ct, ds = small_dataset()
+    configs = [OracleConfig(kind="flip", p=0.3), OracleConfig(target="ic_cc", kind="confidence", p=0.2)]
+    rows = oracle_sweep(ct, ds, configs, engines=("exact", "sddnnf-lp"), split="val")
+    for row in rows:
+        cfg = OracleConfig(row["oracle_target"], row["oracle_kind"], row["p"], row["seed"])
+        m = evaluate(ct, ds, row["engine"], cfg, split="val")
+        assert dataclasses.asdict(m) == {c: row[c] for c in METRIC_COLUMNS}
+
+
 def test_evaluate_split_selection():
     ct, ds = small_dataset()
     m_val = evaluate(ct, ds, "exact", OracleConfig(kind="flip", p=0.3), split="val")
@@ -224,10 +242,7 @@ def test_sc_tie_counts_as_positive():
 
 
 def test_metrics_average_only_present_metrics():
-    m = Metrics(
-        ic_acc=None, cc_acc=0.8, nsp_acc=0.6, sc_acc=1.0, avg_acc=0.8,
-        mp_successor=0.5, mp_sequence=0.5,
-    )
+    m = Metrics(ic_acc=None, cc_acc=0.8, nsp_acc=0.6, sc_acc=1.0, avg_acc=0.8)
     assert m.avg_acc == pytest.approx((0.8 + 0.6 + 1.0) / 3)
 
 
