@@ -242,27 +242,17 @@ def _components(f: PAnd) -> list[PropFormula]:
     return [g[0] if len(g) == 1 else pand(g) for g in groups.values()]
 
 
-def compile_sddnnf(
-    f: PropFormula,
-    order: Sequence[str] | None = None,
-    max_vars: int = 30,
-) -> Circuit:
+def compile_sddnnf(f: PropFormula, max_vars: int = 30) -> Circuit:
     """Compile to a deterministic, decomposable circuit by Shannon splits.
 
-    Branching follows ``order`` (default: state variables by id, then atoms);
-    sub-results are cached by sub-formula and independent conjuncts are
-    compiled separately.  The result is not smooth — see ``smooth``.
+    Branching follows state variables by id, then atoms; sub-results are
+    cached by sub-formula and independent conjuncts are compiled
+    separately.  The result is not smooth — see ``smooth``.
     """
     names = prop_vars(f)
     if len(names) > max_vars:
         raise ResourceLimitError(f"formula has {len(names)} variables (cap {max_vars})")
-    if order is None:
-        order = _default_order(names)
-    else:
-        missing = names - set(order)
-        if missing:
-            raise DomainError(f"variable order is missing: {sorted(missing)}")
-        order = list(order)
+    order = _default_order(names)
 
     builder = _Builder()
     cache: dict[PropFormula, int] = {}

@@ -41,7 +41,7 @@ from .harness import (
 )
 from .inference import ENGINE_NAMES
 from .props import print_prop
-from .tasks import CompiledTask, SPLIT_NAMES, TaskSpec, builtin_or_file, compile_task
+from .tasks import CompiledTask, SPLIT_NAMES, TaskSpec, builtin_or_file, compile_task, read_input
 
 CACHE_ENV = "LTLSEQ_CACHE_DIR"
 
@@ -72,9 +72,9 @@ def _friendly(fn):
 def _compile_cached(spec: TaskSpec) -> CompiledTask:
     """compile_task with an automaton cache keyed by the spec hash.
 
-    A cache file that is truncated, nested too deep to parse, not a valid
-    automaton, or an automaton over other atoms than the spec's is
-    recompiled and rewritten; writes go through a temporary file and
+    A cache file that ``read_input`` cannot read into a valid automaton, or
+    an automaton over other atoms than the spec's, is a miss: it is
+    recompiled and rewritten.  Writes go through a temporary file and
     ``os.replace``, so readers never see a partial file.
     """
     cache_dir = os.environ.get(CACHE_ENV)
@@ -82,9 +82,9 @@ def _compile_cached(spec: TaskSpec) -> CompiledTask:
         return compile_task(spec)
     path = Path(cache_dir) / f"{spec.spec_hash}.dfa.json"
     try:
-        dfa = Dfa.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (FileNotFoundError, ValueError, RecursionError):
-        pass  # absent, or undecodable: JSON, UTF-8, int-digit and DomainError are ValueErrors
+        dfa = read_input(path, lambda text: Dfa.from_json_dict(json.loads(text)), LtlseqError)
+    except LtlseqError:
+        pass
     else:
         if dfa.atoms == spec.atoms:
             return compile_task(spec, dfa=dfa)

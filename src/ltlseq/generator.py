@@ -9,12 +9,16 @@ label — no rejection sampling.
 All randomness is derived from the master seed through per-(split, sequence)
 hashes, so datasets are reproducible byte for byte and sequences can be
 generated independently in any order.
+
+``deserialize`` decodes ``sequences.csv`` in one pass, each row straight
+into the sequence of its (split, seq_id).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import operator
@@ -26,8 +30,8 @@ import numpy as np
 
 from .automata import Dfa, letter_of
 from .constraints import sample_solution
-from .errors import DatasetFormatError, DomainError, IntegrityError
-from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task
+from .errors import DatasetFormatError, DomainError, IntegrityError, TaskFileError
+from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task, read_input
 
 GENERATOR_VERSION = "0.1.0"
 
@@ -256,24 +260,15 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     """Load a serialized dataset.
 
     Every row must have as many cells as the header, and ``*_truth`` and
-    ``seq_label`` cells must read exactly ``0`` or ``1``.  With
-    ``verify=True`` also recomputes the spec hash and replays every truth
-    vector through the stored DFA, raising IntegrityError on any mismatch
-    with the recorded states or labels.
+    ``seq_label`` cells must read exactly ``0`` or ``1``; errors name the
+    physical line.  With ``verify=True`` also recomputes the spec hash and
+    replays every truth vector through the stored DFA, raising
+    IntegrityError on any mismatch with the recorded states or labels.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / "metadata.json"
     csv_path = in_dir / "sequences.csv"
-    try:
-        metadata = json.loads(meta_path.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise DatasetFormatError(f"{meta_path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise DatasetFormatError(f"{meta_path}: not UTF-8 text ({err})") from err
-    except json.JSONDecodeError as err:
-        raise DatasetFormatError(f"{meta_path}: invalid JSON: {err}") from err
-    except (RecursionError, ValueError) as err:  # nested too deep, or an int past the digit limit
-        raise DatasetFormatError(f"{meta_path}: unreadable JSON ({err})") from err
+    metadata = read_input(meta_path, json.loads, DatasetFormatError)
     if not isinstance(metadata, dict):
         raise DatasetFormatError(f"{meta_path}: expected a JSON object")
     for key in ("spec", "spec_hash", "seed", "atoms", "dfa"):
@@ -282,115 +277,114 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     for key in ("spec", "dfa"):
         if not isinstance(metadata[key], dict):
             raise DatasetFormatError(f"{meta_path}: {key!r} must be an object")
-    atoms = metadata["atoms"]
-    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-        raise DatasetFormatError(f"{meta_path}: 'atoms' must be a list of names")
-    if metadata["dfa"].get("atoms") != atoms:
+    try:
+        spec = TaskSpec.from_dict(metadata["spec"], where=str(meta_path))
+    except TaskFileError as err:
+        raise DatasetFormatError(str(err)) from err
+    atoms, dfa_atoms = metadata["atoms"], metadata["dfa"].get("atoms")
+    if not (atoms == dfa_atoms == list(spec.atoms)):
         raise DatasetFormatError(
-            f"{meta_path}: atoms {atoms} differ from the stored DFA's "
-            f"{metadata['dfa'].get('atoms')!r}"
+            f"{meta_path}: atoms {atoms!r}, the stored DFA's atoms {dfa_atoms!r} and "
+            f"the spec's constraint names {list(spec.atoms)} must be equal"
         )
-    spec = TaskSpec.from_dict(metadata["spec"], where=str(meta_path))
-    if tuple(atoms) != spec.atoms:
-        raise DatasetFormatError(f"{meta_path}: atoms {atoms} are not the spec's constraint names")
-
     if verify and spec.spec_hash != metadata["spec_hash"]:
         raise IntegrityError(
             f"{meta_path}: spec hash {metadata['spec_hash']!r} does not match "
             f"the embedded spec ({spec.spec_hash!r})"
         )
 
-    try:
-        fh = open(csv_path, newline="", encoding="utf-8")
-    except OSError as err:
-        raise DatasetFormatError(f"{csv_path}: {err}") from err
-    try:
-        with fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            with_indices = any(col.endswith("_index") for col in header)
-            needed = _columns(spec, atoms, with_indices)
-            missing = [col for col in needed if col not in header]
-            if missing:
-                raise DatasetFormatError(f"{csv_path}: missing columns {missing}")
-            width = len(header)
-            # a repeated column reads its last occurrence
-            pos = {col: i for i, col in enumerate(header)}
-            i_split, i_seq = pos["split"], pos["seq_id"]
+    splits, letters = read_input(
+        csv_path, lambda text: _decode_sequences(text, spec, csv_path), DatasetFormatError
+    )
+    ds = Dataset(spec=spec, splits=splits, metadata=metadata)
+    if verify:
+        _verify_replay(ds, letters)
+    return ds
 
-            groups: dict[tuple[str, int], list[tuple[int, list[str]]]] = {}
-            line_no = 1
-            for row in reader:
-                if not row:
-                    continue  # blank lines are not records
-                line_no += 1
-                if len(row) != width:
-                    raise DatasetFormatError(
-                        f"{csv_path}:{line_no}: row has {len(row)} cells, "
-                        f"the header has {width}"
-                    )
-                try:
-                    key = (row[i_split], int(row[i_seq]))
-                except ValueError as err:
-                    raise DatasetFormatError(f"{csv_path}:{line_no}: bad seq_id") from err
-                groups.setdefault(key, []).append((line_no, row))
-    except UnicodeDecodeError as err:
-        raise DatasetFormatError(f"{csv_path}: not UTF-8 text ({err})") from err
-    except csv.Error as err:  # a cell over csv.field_size_limit(), or a NUL byte before 3.11
-        raise DatasetFormatError(f"{csv_path}: malformed CSV ({err})") from err
 
+def _decode_sequences(
+    text: str, spec: TaskSpec, csv_path: Path
+) -> tuple[dict[str, list[SequenceSample]], dict[tuple[str, int], list[int]]]:
+    """The samples of ``sequences.csv`` by split, and the letters of each
+    (split, seq_id) for ``_verify_replay``.
+
+    One pass: each row is decoded straight into the accumulator of its
+    (split, seq_id), so no raw row outlives its line.  Errors name the
+    physical line, ``reader.line_num``.
+    """
+    atoms = spec.atoms
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    with_indices = any(col.endswith("_index") for col in header)
+    missing = [col for col in _columns(spec, atoms, with_indices) if col not in header]
+    if missing:
+        raise DatasetFormatError(f"{csv_path}: missing columns {missing}")
+    width = len(header)
+    # a repeated column reads its last occurrence
+    pos = {col: i for i, col in enumerate(header)}
     label_cols = [
         (v.name, pos[f"{v.name}_label"], dict(zip(v.domain.labels, v.domain.values)), v.domain)
         for v in spec.variables
     ]
     truth_cols = [(a, pos[f"{a}_truth"]) for a in atoms]
     index_cols = [(v.name, pos[f"{v.name}_index"]) for v in spec.variables] if with_indices else []
-    i_t, i_state, i_label = pos["t"], pos["state_after"], pos["seq_label"]
+    i_split, i_seq, i_t = pos["split"], pos["seq_id"], pos["t"]
+    i_state, i_label = pos["state_after"], pos["seq_label"]
     bit_cols = [(f"{a}_truth", i) for a, i in truth_cols] + [("seq_label", i_label)]
     # the seq_label and *_truth cells of a row -> (label, truth dict, letter)
     bit_cells = operator.itemgetter(i_label, *(i for _, i in truth_cols))
     bit_codes: dict = {}
 
+    # (split, seq_id) -> (label, values, truths, states, indices, letters)
+    seqs: dict[tuple[str, int], tuple] = {}
+    for row in reader:
+        if not row:
+            continue  # blank lines are not records
+        if len(row) != width:
+            raise DatasetFormatError(
+                f"{csv_path}:{reader.line_num}: row has {len(row)} cells, the header has {width}"
+            )
+        try:
+            key = (row[i_split], int(row[i_seq]))
+            step = int(row[i_t])
+            values = {name: codes[row[i]] for name, i, codes, _ in label_cols}
+            cells = bit_cells(row)
+            bits = bit_codes.get(cells)
+            if bits is None:
+                truth = {a: _TRUTHS[row[i]] for a, i in truth_cols}
+                bits = bit_codes[cells] = (_LABELS[row[i_label]], truth, letter_of(truth, atoms))
+            state = int(row[i_state])
+            indices = {name: int(row[i]) for name, i in index_cols}
+        except KeyError:
+            reason = _undecodable(row, label_cols, bit_cols)
+            raise DatasetFormatError(f"{csv_path}:{reader.line_num}: {reason}") from None
+        except ValueError as err:
+            raise DatasetFormatError(f"{csv_path}:{reader.line_num}: bad cell ({err})") from err
+        label, truth, letter = bits
+        acc = seqs.get(key)
+        if acc is None:
+            if key[0] not in SPLIT_NAMES:
+                raise DatasetFormatError(f"{csv_path}:{reader.line_num}: unknown split {key[0]!r}")
+            acc = seqs[key] = (label, [], [], [], [], [])
+        seq_label, seq_values, seq_truths, seq_states, seq_indices, seq_letters = acc
+        if step != len(seq_values):
+            raise DatasetFormatError(
+                f"{csv_path}:{reader.line_num}: time step {row[i_t]} out of order "
+                f"(expected {len(seq_values)})"
+            )
+        if label != seq_label:
+            raise DatasetFormatError(
+                f"{csv_path}:{reader.line_num}: seq_label changes within sequence {key[1]}"
+            )
+        seq_values.append(values)
+        seq_truths.append(truth.copy())
+        seq_states.append(state)
+        seq_letters.append(letter)
+        if with_indices:
+            seq_indices.append(indices)
+
     splits: dict[str, list[SequenceSample]] = {s: [] for s in SPLIT_NAMES}
-    letters: dict[tuple[str, int], list[int]] = {}
-    for (split, seq_id), rows in groups.items():
-        if split not in splits:
-            raise DatasetFormatError(f"{csv_path}: unknown split {split!r}")
-        values, truths, states, indices = [], [], [], []
-        letters[split, seq_id] = seq_letters = []
-        label = None
-        for t, (line, row) in enumerate(rows):
-            try:
-                step = int(row[i_t])
-                values.append({name: codes[row[i]] for name, i, codes, _ in label_cols})
-                cells = bit_cells(row)
-                bits = bit_codes.get(cells)
-                if bits is None:
-                    truth = {a: _TRUTHS[row[i]] for a, i in truth_cols}
-                    bits = bit_codes[cells] = (
-                        _LABELS[row[i_label]], truth, letter_of(truth, atoms)
-                    )
-                row_label, truth, letter = bits
-                truths.append(truth.copy())
-                seq_letters.append(letter)
-                states.append(int(row[i_state]))
-                if with_indices:
-                    indices.append({name: int(row[i]) for name, i in index_cols})
-            except KeyError:
-                reason = _undecodable(row, label_cols, bit_cols)
-                raise DatasetFormatError(f"{csv_path}:{line}: {reason}") from None
-            except ValueError as err:
-                raise DatasetFormatError(f"{csv_path}:{line}: bad cell ({err})") from err
-            if step != t:
-                raise DatasetFormatError(
-                    f"{csv_path}:{line}: time step {row[i_t]} out of order (expected {t})"
-                )
-            if label is None:
-                label = row_label
-            elif label != row_label:
-                raise DatasetFormatError(
-                    f"{csv_path}:{line}: seq_label changes within sequence {seq_id}"
-                )
+    for (split, seq_id), (label, values, truths, states, indices, _) in seqs.items():
         splits[split].append(
             SequenceSample(
                 seq_id=seq_id,
@@ -401,11 +395,7 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
                 indices=tuple(indices) if with_indices else None,
             )
         )
-
-    ds = Dataset(spec=spec, splits=splits, metadata=metadata)
-    if verify:
-        _verify_replay(ds, letters)
-    return ds
+    return splits, {key: acc[-1] for key, acc in seqs.items()}
 
 
 def _verify_replay(ds: Dataset, letters: Mapping[tuple[str, int], Sequence[int]]) -> None:

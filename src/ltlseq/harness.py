@@ -34,7 +34,7 @@ import numpy as np
 
 from .constraints import tensor_probability
 from .errors import DomainError
-from .generator import Dataset, SequenceSample, _digest_int, generate_dataset
+from .generator import Dataset, SequenceSample, _digest_int
 from .generator import write_summary_json  # noqa: F401  (re-exported; every JSON output uses it)
 from .inference import (
     calibrate_temperature,
@@ -437,7 +437,7 @@ def _fit_temperature(traces: _Traces, acceptance: np.ndarray) -> tuple[float, bo
 
 def oracle_sweep(
     task: CompiledTask,
-    dataset: Dataset | None = None,
+    dataset: Dataset,
     configs: Sequence[OracleConfig] | None = None,
     engines: Sequence[str] = ("exact",),
     seeds: Sequence[int] = (12345,),
@@ -460,8 +460,6 @@ def oracle_sweep(
     acceptance, so calibrating changes no metric.  ``jobs`` is accepted for
     compatibility and starts no threads; the output is the same for any value.
     """
-    if dataset is None:
-        dataset = generate_dataset(task)
     if configs is None:
         configs = default_sweep_configs()
     built = {name: make_engine(name, task.dfa) for name in engines}

@@ -8,11 +8,12 @@ DFA, per-letter solution caches, and exact-length reachability tables.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 import yaml
@@ -30,9 +31,32 @@ from .constraints import (
     partition_solutions,
     variable_map,
 )
-from .errors import DomainError, TaskCompileError, TaskFileError
+from .errors import DomainError, LtlseqError, TaskCompileError, TaskFileError
 
 SPLIT_NAMES = ("train", "val", "test")
+
+_T = TypeVar("_T")
+
+
+def read_input(path: str | Path, parse: Callable[[str], _T], error: type[LtlseqError]) -> _T:
+    """``parse`` applied to the UTF-8 text of ``path``: every input file is read here.
+
+    Any way the file can be unreadable (an OS error, bytes that are not
+    UTF-8, a JSON, YAML or ``csv`` error, nesting too deep for the parser, an
+    int past the digit limit) becomes ``error("<path>: ...")``; an
+    ``LtlseqError`` raised by ``parse`` passes through unchanged.  Newlines
+    reach ``parse`` untranslated, as ``csv`` expects.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        return parse(text)
+    except LtlseqError:
+        raise
+    except OSError as err:
+        raise error(f"{path}: {err}") from err
+    except (ValueError, RecursionError, yaml.YAMLError, csv.Error) as err:
+        raise error(f"{path}: unreadable ({err})") from err
 
 
 @dataclass(frozen=True)
@@ -201,22 +225,14 @@ class TaskSpec:
 
 def load_task_yaml(path: str | Path) -> TaskSpec:
     """Read a task spec from YAML; errors name the file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise TaskFileError(f"{path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise TaskFileError(f"{path}: not UTF-8 text ({err})") from err
-    try:
+
+    def parse(text: str) -> TaskSpec:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as err:
-        raise TaskFileError(f"{path}: invalid YAML: {err}") from err
-    except (RecursionError, ValueError) as err:  # nested too deep, or an int past the digit limit
-        raise TaskFileError(f"{path}: unreadable YAML ({err})") from err
-    if not isinstance(data, dict):
-        raise TaskFileError(f"{path}: top level must be a mapping")
-    return TaskSpec.from_dict(data, where=str(path))
+        if not isinstance(data, dict):
+            raise TaskFileError(f"{path}: top level must be a mapping")
+        return TaskSpec.from_dict(data, where=str(path))
+
+    return read_input(path, parse, TaskFileError)
 
 
 def save_task_yaml(spec: TaskSpec, path: str | Path) -> None:

@@ -58,6 +58,17 @@ def test_compile_writes_artifacts(tmp_path):
     assert guards and all("->" in line for line in guards)
 
 
+def test_compile_guards_print_and_or(tmp_path):
+    # task1's guards are disjunctions of conjunctions over two atoms
+    out = tmp_path / "build"
+    assert run("compile", "task1", "-o", str(out)).exit_code == 0
+    guards = (out / "guards.txt").read_text()
+    assert len(guards.splitlines()) == 19
+    assert "0 -> 1: (!p & !q) | (!p & q)" in guards.splitlines()
+    digest = hashlib.sha256(guards.encode()).hexdigest()
+    assert digest == "e826a18f435ffb38a784670bfe6d6dc06ffad5befe16517df05677d0a740f7a8"
+
+
 def test_compile_malformed_yaml(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("name: task\nformula: 'p &'\n")
@@ -110,6 +121,7 @@ def _sub_once(path, pattern, repl):
         ("task", "inf-seed"),
         ("metadata", "deep"),
         ("metadata", "big-int"),
+        ("metadata", "bad-spec"),
         ("cache", "deep"),
         ("cache", "big-int"),
     ],
@@ -134,6 +146,8 @@ def test_file_boundary_fails_typed(tmp_path, where, content):
         args, want_exit = ("infer", str(path.parent)), 1
         if content == "big-int":
             _sub_once(path, r'"seed": \d+', f'"seed": {_BIG_INT}')
+        elif content == "bad-spec":
+            _rewrite_metadata(path, lambda m: m | {"spec": m["spec"] | {"seed": "x"}})
     else:
         env, path = _seed_cache(tmp_path, "task3")
         good = path.read_text()
@@ -532,6 +546,22 @@ def test_sweep_rejects_repeated_seed(tmp_path):
     )
     assert result.exit_code == 2
     assert "repeats seed 7" in result.output
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--p-list", "0.1,x", "--p-list"),
+        ("--seed-list", "7,x", "--seed-list"),
+        ("--seed-list", ",", "need at least one seed"),
+    ],
+    ids=["p-not-a-number", "seed-not-an-int", "no-seed"],
+)
+def test_sweep_rejects_malformed_list(tmp_path, option, value, message):
+    result = run("sweep", "task5", "-o", str(tmp_path / "s"), option, value)
+    assert result.exit_code == 2
+    assert message in result.output
     assert not (tmp_path / "s").exists()
 
 

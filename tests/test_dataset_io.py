@@ -134,6 +134,16 @@ def _add_cell(rows):
     return 4, f"row has {len(rows[0]) + 1} cells, the header has {len(rows[0])}"
 
 
+def _after_blank_line(change):
+    # a blank line is not a record, but errors still name the physical line
+    def corrupt(rows):
+        line, message = change(rows)
+        rows.insert(line - 1, [])
+        return line + 1, message
+
+    return corrupt
+
+
 CORRUPTIONS = {
     "truth-7": _set_truth("1", "7"),
     "truth-minus-0": _set_truth("0", "-0"),
@@ -142,6 +152,7 @@ CORRUPTIONS = {
     "seq-label-5": _set_positive_label("5"),
     "short-row": _drop_last_cell,
     "long-row": _add_cell,
+    "truth-7-after-blank-line": _after_blank_line(_set_truth("1", "7")),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from ltlseq.automata import Dfa
 from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint
-from ltlseq.errors import DomainError, TaskCompileError, TaskFileError
+from ltlseq.errors import DomainError, IntegrityError, TaskCompileError, TaskFileError
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import (
     CompiledTask,
@@ -18,6 +18,7 @@ from ltlseq.tasks import (
     builtin_or_file,
     compile_task,
     load_task_yaml,
+    read_input,
     save_task_yaml,
 )
 from oracles import feasible_letters_reference
@@ -192,6 +193,22 @@ def test_validate_errors():
         small_spec(splits=(10, -1, 5)).validate()
     with pytest.raises(DomainError):
         small_spec(formula="F q").validate()  # atom without a constraint
+
+
+def test_read_input_passes_package_errors_through(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_text("text")
+    raised = IntegrityError("raised by parse")
+
+    def parse(text):
+        raise raised
+
+    with pytest.raises(IntegrityError) as exc:
+        read_input(path, parse, TaskFileError)
+    assert exc.value is raised
+    with pytest.raises(TaskFileError) as exc:
+        read_input(path, int, TaskFileError)  # a plain ValueError names the file
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_builtin_or_file(tmp_path):
