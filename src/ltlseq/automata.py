@@ -8,9 +8,13 @@ inputs produce identical automata.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import formulas as fm
 from .errors import DomainError, ResourceLimitError
@@ -90,28 +94,74 @@ class Dfa:
         accepting = data["accepting"]
         if not isinstance(entries, list) or not isinstance(accepting, list):
             raise DomainError("DFA transitions and accepting states must be lists")
-        table: dict[tuple[int, int], int] = {}
-        for t in entries:
-            if not isinstance(t, dict) or not {"from", "letter", "to"} <= t.keys():
-                raise DomainError(f"transition {t!r} needs 'from', 'letter' and 'to'")
-            key = (
-                _json_index(t["from"], n, "from"),
-                _json_index(t["letter"], n_letters, "letter"),
-            )
-            if key in table:
-                raise DomainError(f"duplicate transition from {key[0]} on letter {key[1]}")
-            table[key] = _json_index(t["to"], n, "to")
-        if len(table) != n * n_letters:
-            raise DomainError("transition table is not complete")
+        transitions = _bulk_transitions(entries, n, n_letters)
+        if transitions is None:
+            transitions = _checked_transitions(entries, n, n_letters)
         return cls(
             atoms=tuple(atoms),
             n_states=n,
             accepting=frozenset(_json_index(s, n, "accepting") for s in accepting),
-            transitions=tuple(
-                tuple(table[s, letter] for letter in range(n_letters)) for s in range(n)
-            ),
+            transitions=transitions,
             initial=_json_index(data.get("initial", 0), n, "initial"),
         )
+
+
+_TRANSITION_CELLS = operator.itemgetter("from", "letter", "to")
+
+
+def _bulk_transitions(entries: list, n: int, n_letters: int) -> tuple[tuple[int, ...], ...] | None:
+    """The table of a well-formed transition list, checked as arrays; None
+    if any entry is off, so that ``_checked_transitions`` names it.
+
+    Well-formed: exact dicts holding exact ints in range, and one entry per
+    ``(from, letter)`` pair.  An int subclass also falls back, and passes there.
+    """
+    if not entries or len(entries) != n * n_letters or not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        flat = list(itertools.chain.from_iterable(map(_TRANSITION_CELLS, entries)))
+    except KeyError:
+        return None
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        src, letter, dst = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+    except OverflowError:
+        return None
+    if (
+        min(src.min(), letter.min(), dst.min()) < 0
+        or max(src.max(), dst.max()) >= n
+        or letter.max() >= n_letters
+    ):
+        return None
+    pair = src * n_letters + letter
+    seen = np.zeros(n * n_letters, dtype=bool)
+    seen[pair] = True
+    if not seen.all():
+        return None  # a pair repeats, so another is missing
+    table = np.empty(n * n_letters, dtype=np.int64)
+    table[pair] = dst
+    return tuple(map(tuple, table.reshape(n, n_letters).tolist()))
+
+
+def _checked_transitions(entries: list, n: int, n_letters: int) -> tuple[tuple[int, ...], ...]:
+    """The table of a transition list, checked entry by entry: the reference
+    for ``_bulk_transitions``, and the path whose DomainError names the
+    first bad entry."""
+    table: dict[tuple[int, int], int] = {}
+    for t in entries:
+        if not isinstance(t, dict) or not {"from", "letter", "to"} <= t.keys():
+            raise DomainError(f"transition {t!r} needs 'from', 'letter' and 'to'")
+        key = (
+            _json_index(t["from"], n, "from"),
+            _json_index(t["letter"], n_letters, "letter"),
+        )
+        if key in table:
+            raise DomainError(f"duplicate transition from {key[0]} on letter {key[1]}")
+        table[key] = _json_index(t["to"], n, "to")
+    if len(table) != n * n_letters:
+        raise DomainError("transition table is not complete")
+    return tuple(tuple(table[s, letter] for letter in range(n_letters)) for s in range(n))
 
 
 def _json_index(value, bound: int | None, what: str) -> int:

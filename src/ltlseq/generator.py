@@ -17,12 +17,14 @@ into the sequence of its (split, seq_id).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
+from json.encoder import c_make_encoder as _c_make_encoder
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -208,6 +210,9 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
     variables = ds.spec.variables
     label_codes = [(v.name, dict(zip(v.domain.values, v.domain.labels))) for v in variables]
     with_indices = any(s.indices is not None for _, s in ds)
+    # a truth dict's key -> its 0/1 cells, built once per distinct truth vector
+    truth_key = operator.itemgetter(*atoms) if atoms else lambda truth: ()
+    truth_cells: dict = {}
     with open(out_dir / "sequences.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_columns(ds.spec, atoms, with_indices))
@@ -226,7 +231,12 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
                             f"sample {split}/{sample.seq_id} has no image indices"
                         )
                     row += [sample.indices[t][v.name] for v in variables]
-                row += [int(sample.truths[t][a]) for a in atoms]
+                truth = sample.truths[t]
+                key = truth_key(truth)
+                cells = truth_cells.get(key)
+                if cells is None:
+                    cells = truth_cells[key] = [int(truth[a]) for a in atoms]
+                row += cells
                 row += [sample.states[t], sample.label]
                 writer.writerow(row)
     write_summary_json(ds.metadata, out_dir / "metadata.json")
@@ -234,10 +244,83 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
 
 def write_summary_json(summary: Mapping, path) -> None:
     """Write a JSON output file: UTF-8, two-space indent, sorted keys and a
-    trailing newline.  Every JSON file the package writes goes through it."""
+    trailing newline.  Every JSON file the package writes goes through it.
+
+    The bytes, and the exception for a value JSON cannot hold, are those of
+    ``json.dump(summary, fh, indent=2, sort_keys=True)`` plus ``"\\n"``; see
+    ``_render`` for how flat containers reach json's C encoder.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if _c_make_encoder is None:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
+            fh.write(_render(summary, 0, set()) + "\n")
+
+
+# JSON scalars whose C encoding equals the pure-Python one (exact types only)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """json's C encoder, sorted keys, items separated by a newline and the
+    pad of ``depth``: a flat container it writes is indented but for its
+    brackets."""
+    return _c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * depth, True, False, True,
+    )
+
+
+def _flat(value, depth: int) -> str:
+    return "".join(_flat_encoder(depth)(value, 0))
+
+
+def _render(value, depth: int, open_ids: set[int]) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    ``depth`` levels in, without the pad of its first line.
+
+    A flat dict (``str`` keys, scalar values) or list of scalars is one C
+    call whose item separator carries the indent.  A list of flat dicts is
+    one C call at the dicts' entry depth: ``"},\\n<pad>{"`` can only come
+    from the separator between two items (ensure_ascii leaves no raw newline
+    in a string), so one ``replace`` puts the braces on their own lines.
+    Anything else (empty containers, tuples, subclasses, other keys,
+    non-JSON values) goes through ``json.dumps`` itself.
+    """
+    kind = type(value)
+    if kind in _SCALARS:
+        return _flat(value, 0)
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if not value or kind not in (dict, list) or (kind is dict and set(map(type, value)) != {str}):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+    types = set(map(type, value.values() if kind is dict else value))
+    if types <= _SCALARS:
+        text = _flat(value, depth + 1)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if (
+        types == {dict}
+        and kind is list
+        and all(value)
+        and set(map(type, itertools.chain.from_iterable(value))) == {str}
+        and set(map(type, itertools.chain.from_iterable(map(dict.values, value)))) <= _SCALARS
+    ):
+        entry = inner + "  "
+        body = _flat(value, depth + 2)[2:-2]
+        body = body.replace("}," + entry + "{", inner + "}," + inner + "{" + entry)
+        return "[" + inner + "{" + entry + body + inner + "}" + pad + "]"
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(value))
+    if kind is dict:
+        items = sorted(value.items())
+        parts = [_flat(k, 0) + ": " + _render(v, depth + 1, open_ids) for k, v in items]
+    else:
+        parts = [_render(v, depth + 1, open_ids) for v in value]
+    open_ids.discard(id(value))
+    brackets = "{}" if kind is dict else "[]"
+    return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
 
 
 # the only cells the *_truth and seq_label columns accept
@@ -314,7 +397,8 @@ def _decode_sequences(
     """
     atoms = spec.atoms
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, [])
+    rows = _records(reader, csv_path)
+    header = next(rows, [])
     with_indices = any(col.endswith("_index") for col in header)
     missing = [col for col in _columns(spec, atoms, with_indices) if col not in header]
     if missing:
@@ -337,7 +421,7 @@ def _decode_sequences(
 
     # (split, seq_id) -> (label, values, truths, states, indices, letters)
     seqs: dict[tuple[str, int], tuple] = {}
-    for row in reader:
+    for row in rows:
         if not row:
             continue  # blank lines are not records
         if len(row) != width:
@@ -396,6 +480,15 @@ def _decode_sequences(
             )
         )
     return splits, {key: acc[-1] for key, acc in seqs.items()}
+
+
+def _records(reader, csv_path: Path):
+    """The rows of ``reader``; a ``csv.Error`` names its line like any other
+    row error."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise DatasetFormatError(f"{csv_path}:{reader.line_num}: unreadable ({err})") from err
 
 
 def _verify_replay(ds: Dataset, letters: Mapping[tuple[str, int], Sequence[int]]) -> None:

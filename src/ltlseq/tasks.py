@@ -8,7 +8,6 @@ DFA, per-letter solution caches, and exact-length reachability tables.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -42,10 +41,11 @@ def read_input(path: str | Path, parse: Callable[[str], _T], error: type[LtlseqE
     """``parse`` applied to the UTF-8 text of ``path``: every input file is read here.
 
     Any way the file can be unreadable (an OS error, bytes that are not
-    UTF-8, a JSON, YAML or ``csv`` error, nesting too deep for the parser, an
-    int past the digit limit) becomes ``error("<path>: ...")``; an
-    ``LtlseqError`` raised by ``parse`` passes through unchanged.  Newlines
-    reach ``parse`` untranslated, as ``csv`` expects.
+    UTF-8, a JSON or YAML error, nesting too deep for the parser, an int past
+    the digit limit) becomes ``error("<path>: ...")``; an ``LtlseqError``
+    raised by ``parse``, such as a ``sequences.csv`` error naming its line,
+    passes through unchanged.  Newlines reach ``parse`` untranslated, as
+    ``csv`` expects.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -55,7 +55,7 @@ def read_input(path: str | Path, parse: Callable[[str], _T], error: type[LtlseqE
         raise
     except OSError as err:
         raise error(f"{path}: {err}") from err
-    except (ValueError, RecursionError, yaml.YAMLError, csv.Error) as err:
+    except (ValueError, RecursionError, yaml.YAMLError) as err:
         raise error(f"{path}: unreadable ({err})") from err
 
 
@@ -151,6 +151,12 @@ class TaskSpec:
                 raise TaskFileError(f"{where}: missing key {key!r}")
             return data[key]
 
+        def number(key: str, convert: Callable[[object], _T], value: object) -> _T:
+            try:
+                return convert(value)
+            except (TypeError, ValueError, OverflowError) as err:
+                raise TaskFileError(f"{where}: {key}: malformed value ({err})") from err
+
         try:
             domains = {}
             for name, body in dict(need("domains")).items():
@@ -202,11 +208,11 @@ class TaskSpec:
                 variables=tuple(variables),
                 constraints=constraints,
                 formula=str(need("formula")),
-                min_length=int(length["min"]),
-                max_length=int(length["max"]),
-                splits=tuple(int(split_map.get(s, 0)) for s in SPLIT_NAMES),
-                positive_ratio=float(data.get("positive_ratio", 0.5)),
-                seed=int(data.get("seed", 12345)),
+                min_length=number("length.min", int, length["min"]),
+                max_length=number("length.max", int, length["max"]),
+                splits=tuple(number(f"splits.{s}", int, split_map.get(s, 0)) for s in SPLIT_NAMES),
+                positive_ratio=number("positive_ratio", float, data.get("positive_ratio", 0.5)),
+                seed=number("seed", int, data.get("seed", 12345)),
             )
             spec.validate()
         except TaskFileError:

@@ -342,3 +342,127 @@ def test_golden_random_formula_automata():
     assert digest.hexdigest() == (
         "29548cc5c8bd80c9f10723d5cef2beb1cea924f5cd787d5eb3c863a5458bc874"
     )
+
+
+# ---------------------------------------------------------------------------
+# Transition lists checked as arrays: a well-formed list takes the array
+# path; any other falls back to the per-entry check, which names the first
+# bad entry with the message it always gave.
+
+
+class _Int(int):
+    pass
+
+
+def _set_entry(i, **fields):
+    return lambda d: d["transitions"][i].update(fields)
+
+
+# (mutation of the "F p" automaton's JSON, exact DomainError message)
+MALFORMED_TRANSITIONS = {
+    "from-bool": (_set_entry(1, **{"from": True}), "DFA from True is not in 0..1"),
+    "letter-bool": (_set_entry(1, letter=False), "DFA letter False is not in 0..1"),
+    "to-bool": (_set_entry(2, to=True), "DFA to True is not in 0..1"),
+    "from-float": (_set_entry(1, **{"from": 0.0}), "DFA from 0.0 is not in 0..1"),
+    "letter-float": (_set_entry(3, letter=1.0), "DFA letter 1.0 is not in 0..1"),
+    "to-float": (_set_entry(2, to=1.5), "DFA to 1.5 is not in 0..1"),
+    "from-negative": (_set_entry(1, **{"from": -1}), "DFA from -1 is not in 0..1"),
+    "letter-negative": (_set_entry(0, letter=-3), "DFA letter -3 is not in 0..1"),
+    "to-negative": (_set_entry(3, to=-1), "DFA to -1 is not in 0..1"),
+    "from-out-of-range": (_set_entry(2, **{"from": 2}), "DFA from 2 is not in 0..1"),
+    "letter-out-of-range": (_set_entry(1, letter=2), "DFA letter 2 is not in 0..1"),
+    "to-out-of-range": (_set_entry(0, to=7), "DFA to 7 is not in 0..1"),
+    "to-past-int64": (_set_entry(0, to=2**70), f"DFA to {2**70} is not in 0..1"),
+    "to-string": (_set_entry(1, to="1"), "DFA to '1' is not in 0..1"),
+    "to-null": (_set_entry(1, to=None), "DFA to None is not in 0..1"),
+    "missing-from": (
+        lambda d: d["transitions"][2].pop("from"),
+        "transition {'letter': 0, 'to': 1} needs 'from', 'letter' and 'to'",
+    ),
+    "missing-to": (
+        lambda d: d["transitions"][3].pop("to"),
+        "transition {'from': 1, 'letter': 1} needs 'from', 'letter' and 'to'",
+    ),
+    "list-entry": (
+        lambda d: d["transitions"].__setitem__(1, [0, 1, 1]),
+        "transition [0, 1, 1] needs 'from', 'letter' and 'to'",
+    ),
+    "null-entry": (
+        lambda d: d["transitions"].__setitem__(3, None),
+        "transition None needs 'from', 'letter' and 'to'",
+    ),
+    "duplicate-pair": (
+        _set_entry(3, **{"from": 0, "letter": 1}),
+        "duplicate transition from 0 on letter 1",
+    ),
+    "missing-pair": (lambda d: d["transitions"].pop(2), "transition table is not complete"),
+    "extra-pair": (
+        lambda d: d["transitions"].append({"from": 0, "letter": 0, "to": 0}),
+        "duplicate transition from 0 on letter 0",
+    ),
+    "extra-out-of-range-pair": (
+        lambda d: d["transitions"].append({"from": 2, "letter": 0, "to": 0}),
+        "DFA from 2 is not in 0..1",
+    ),
+    "no-entries": (lambda d: d.update(transitions=[]), "transition table is not complete"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_TRANSITIONS))
+def test_malformed_transition_keeps_its_message(name):
+    mutate, message = MALFORMED_TRANSITIONS[name]
+    with pytest.raises(DomainError) as exc:
+        Dfa.from_json_dict(_mutated(mutate))
+    assert str(exc.value) == message
+
+
+def test_int_subclass_transitions_are_accepted():
+    data = _mutated(lambda d: None)
+    data["transitions"] = [{k: _Int(v) for k, v in t.items()} for t in data["transitions"]]
+    assert Dfa.from_json_dict(data) == ltlf_to_dfa(parse("F p"))
+
+
+@pytest.mark.parametrize("name", [*GOLDEN_BUILTIN, "fam6", "fam10"])
+def test_json_round_trip_builtin_and_family(name):
+    if name in GOLDEN_BUILTIN:
+        spec = builtin_task(name)
+        d = ltlf_to_dfa(parse(spec.formula), atoms=sorted(c.name for c in spec.constraints))
+    else:
+        d = ltlf_to_dfa(parse(_FAMILY_6 if name == "fam6" else _FAMILY_10))
+    text = json.dumps(d.to_json_dict(), indent=2, sort_keys=True)
+    assert Dfa.from_json_dict(json.loads(text)) == d
+
+
+def test_array_check_matches_per_entry_check_on_random_lists():
+    """Shuffled, retyped, dropped and repeated entries give the table or the
+    exact error of the per-entry reference."""
+    from ltlseq.automata import _checked_transitions
+
+    base = ltlf_to_dfa(parse("G(p -> F q)")).to_json_dict()  # 2 states, 4 letters
+    values = (0, 1, 2, 3, 4, -1, True, False, 1.0, None, "0", 2**64, _Int(1))
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        entries = [dict(t) for t in base["transitions"]]
+        rng.shuffle(entries)
+        for _ in range(rng.randrange(3)):
+            t = rng.choice(entries)
+            op = rng.randrange(5) if isinstance(t, dict) else 2
+            if op == 0:
+                t[rng.choice(("from", "letter", "to"))] = rng.choice(values)
+            elif op == 1:
+                t.pop(rng.choice(("from", "letter", "to")))
+            elif op == 2:
+                entries.remove(t)
+            elif op == 3:
+                entries.append(dict(t))
+            else:
+                entries[entries.index(t)] = rng.choice(([0, 0, 0], None, "t"))
+        data = base | {"transitions": entries}
+        try:
+            expected = _checked_transitions(entries, base["states"], 4)
+        except DomainError as err:
+            with pytest.raises(DomainError) as exc:
+                Dfa.from_json_dict(data)
+            assert str(exc.value) == str(err)
+        else:
+            assert Dfa.from_json_dict(data).transitions == expected

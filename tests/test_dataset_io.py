@@ -193,3 +193,15 @@ def test_unknown_label_keeps_its_message(tmp_path):
     with pytest.raises(DatasetFormatError) as exc:
         deserialize(tmp_path)
     assert str(exc.value).endswith(where + message)
+
+
+def test_csv_module_error_names_its_line(tmp_path):
+    serialize(generate_dataset(builtin_task("task5", splits=(10, 4, 4))), tmp_path)
+    csv_path = tmp_path / "sequences.csv"
+    data = csv_path.read_bytes()
+    csv_path.write_bytes(data + b"9" * (csv.field_size_limit() + 1) + b"\r\n")
+    line = data.count(b"\n") + 1
+    result = CliRunner().invoke(main, ["infer", str(tmp_path)])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    assert f"sequences.csv:{line}: unreadable (field larger than field limit" in result.output

@@ -184,6 +184,26 @@ def test_from_dict_unknown_split():
         TaskSpec.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, change",
+    [
+        ("seed", lambda d: d.update(seed="x")),
+        ("seed", lambda d: d.update(seed=float("inf"))),
+        ("splits.train", lambda d: d["splits"].update(train="many")),
+        ("splits.test", lambda d: d["splits"].update(test=[4])),
+        ("length.min", lambda d: d["length"].update(min=None)),
+        ("length.max", lambda d: d["length"].update(max="ten")),
+        ("positive_ratio", lambda d: d.update(positive_ratio="half")),
+    ],
+)
+def test_from_dict_malformed_value_names_its_key(key, change):
+    data = json.loads(json.dumps(builtin_task("task5").to_dict()))
+    change(data)
+    with pytest.raises(TaskFileError) as exc:
+        TaskSpec.from_dict(data, where="metadata.json")
+    assert str(exc.value).startswith(f"metadata.json: {key}: malformed value (")
+
+
 def test_validate_errors():
     with pytest.raises(DomainError):
         small_spec(min_length=5, max_length=2).validate()
