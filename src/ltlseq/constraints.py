@@ -6,13 +6,15 @@ Constraints compare integer linear expressions (``X + Y = 2*Z``) or apply
 evaluated once over the whole numpy index grid of its variables' domain
 values (``np.ix_`` axes, whose C order is ``itertools.product`` order), and
 solution buckets and indicator tensors are read off the resulting truth
-arrays.
+arrays.  A solution bucket stays a list of flat grid indices until read:
+an assignment dict is built only for a point that is drawn or listed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -434,7 +436,8 @@ def enumerate_solutions(
     if missing:
         raise DomainError(f"letter does not fix constraints: {missing}")
     key = tuple(letter[c.name] for c in constraints)
-    return partition_solutions(constraints, variables).get(key, ())
+    bucket = solution_buckets(constraints, variables).get(key)
+    return () if bucket is None else bucket.materialize()
 
 
 # One int64 code bit per constraint; the sign bit stays clear.
@@ -468,6 +471,93 @@ def _grid_truths(
         yield np.broadcast_to(c.body.holds(grid), shape)
 
 
+def _group_grid(
+    constraints: Sequence[Constraint],
+    variables: Sequence[VariableSpec],
+) -> dict[tuple[bool, ...], np.ndarray]:
+    """Flat C-order grid indices of each truth vector, ascending.
+
+    Keys are truth tuples aligned with ``constraints``, in the order of their
+    first grid point; only truth vectors that some grid point has appear.
+    """
+    _check_declared(constraints, variables)
+    if len(constraints) > _MAX_PARTITION_CONSTRAINTS:
+        raise ResourceLimitError(
+            f"partition_solutions takes at most {_MAX_PARTITION_CONSTRAINTS} "
+            f"constraints, got {len(constraints)}"
+        )
+    names = [v.name for v in variables]
+    domains = [v.domain for v in variables]
+    codes = np.zeros(tuple(d.size for d in domains), dtype=np.int64)
+    for bit, truth in enumerate(_grid_truths(constraints, names, domains)):
+        codes |= truth.astype(np.int64) << bit
+    codes = codes.ravel()
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    keys = codes[starts].tolist()
+    del codes
+    ends = np.append(starts[1:], len(order))
+    groups = {}
+    for g in np.argsort(order[starts]):  # groups by their first grid point
+        key = tuple(bool(keys[g] >> bit & 1) for bit in range(len(constraints)))
+        groups[key] = order[starts[g] : ends[g]]
+    return groups
+
+
+class SolutionBucket(Sequence[dict[str, int]]):
+    """The assignments of one truth vector, kept as flat grid indices.
+
+    ``bucket[i]`` builds the i-th assignment from its index by integer
+    strides, once: later reads return the same dict, as a tuple of dicts
+    would, so callers that change it copy it first (``sample_solution``
+    does).  ``materialize()`` builds the whole bucket at once.
+    """
+
+    def __init__(self, variables: Sequence[VariableSpec], flat: np.ndarray) -> None:
+        self._flat = flat
+        self._names = [v.name for v in variables]
+        self._values = [v.domain.values for v in variables]
+        self._shape = tuple(len(values) for values in self._values)
+        strides = [math.prod(self._shape[j + 1 :]) for j in range(len(self._shape))]
+        self._axes = list(zip(self._names, self._values, strides, self._shape))
+        self._points: dict[int, dict[str, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __getitem__(self, i: int) -> dict[str, int]:
+        point = self._points.get(i)
+        if point is None:
+            flat = int(self._flat[i])
+            point = self._points[i] = {
+                name: values[flat // stride % size] for name, values, stride, size in self._axes
+            }
+        return point
+
+    def __repr__(self) -> str:
+        return f"SolutionBucket({len(self)} assignments over {self._names})"
+
+    def materialize(self) -> tuple[dict[str, int], ...]:
+        """Every assignment, in ``itertools.product`` order, as fresh dicts."""
+        positions = np.unravel_index(self._flat, self._shape) if self._shape else ()
+        columns = [
+            np.array(values, dtype=object)[i].tolist()
+            for values, i in zip(self._values, positions)
+        ]
+        rows = zip(*columns) if columns else [()] * len(self._flat)
+        return tuple(dict(zip(self._names, row)) for row in rows)
+
+
+def solution_buckets(
+    constraints: Sequence[Constraint],
+    variables: Sequence[VariableSpec],
+) -> dict[tuple[bool, ...], SolutionBucket]:
+    """``partition_solutions`` with each bucket left unbuilt until read."""
+    groups = _group_grid(constraints, variables)
+    return {key: SolutionBucket(variables, flat) for key, flat in groups.items()}
+
+
 def partition_solutions(
     constraints: Sequence[Constraint],
     variables: Sequence[VariableSpec],
@@ -482,42 +572,15 @@ def partition_solutions(
     Raises ResourceLimitError above 63 constraints, the bits of the int64
     code that groups grid points by truth vector.
     """
-    _check_declared(constraints, variables)
-    if len(constraints) > _MAX_PARTITION_CONSTRAINTS:
-        raise ResourceLimitError(
-            f"partition_solutions takes at most {_MAX_PARTITION_CONSTRAINTS} "
-            f"constraints, got {len(constraints)}"
-        )
-    names = [v.name for v in variables]
-    domains = [v.domain for v in variables]
-    shape = tuple(d.size for d in domains)
-    codes = np.zeros(shape, dtype=np.int64)
-    for bit, truth in enumerate(_grid_truths(constraints, names, domains)):
-        codes |= truth.astype(np.int64) << bit
-    codes = codes.ravel()
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    keys = codes[starts].tolist()
-    del codes
-    ends = np.append(starts[1:], len(order))
-    values = [np.array(d.values, dtype=object) for d in domains]
-    buckets = {}
-    for g in np.argsort(order[starts]):  # groups by their first grid point
-        members = order[starts[g] : ends[g]]
-        positions = np.unravel_index(members, shape) if shape else ()
-        columns = [v[i].tolist() for v, i in zip(values, positions)]
-        rows = zip(*columns) if columns else [()] * len(members)
-        key = tuple(bool(keys[g] >> bit & 1) for bit in range(len(constraints)))
-        buckets[key] = tuple(dict(zip(names, row)) for row in rows)
-    return buckets
+    buckets = solution_buckets(constraints, variables)
+    return {key: bucket.materialize() for key, bucket in buckets.items()}
 
 
 def sample_solution(
     solutions: Sequence[Mapping[str, int]],
     rng: np.random.Generator,
 ) -> dict[str, int]:
-    """Uniform draw from a cached solution set."""
+    """Uniform draw from a cached solution set, as a fresh dict."""
     if not solutions:
         raise UnsatisfiableLetterError("letter has no solutions")
     return dict(solutions[int(rng.integers(len(solutions)))])

@@ -96,7 +96,7 @@ def generate_sequence(
     for step in range(length):
         letters = task.feasible_letters(state, length - step, label)
         letter = letters[int(rng.integers(len(letters)))]
-        values.append(sample_solution(task.solutions[letter], rng))
+        values.append(sample_solution(task.solution_bucket(letter), rng))
         truths.append(task.letter_truths(letter))
         state = task.dfa.transitions[state][letter]
         states.append(state)

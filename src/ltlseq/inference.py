@@ -56,6 +56,7 @@ from .props import PropFormula, simplify
 
 _CLAMP = 1e-7
 _LOG_TEMP_TOL = 1e-4  # width at which calibrate_temperature's log-temperature search stops
+_PROB_SLACK = 1e-9
 
 ENGINE_NAMES = ("exact", "fuzzy-p", "fuzzy-lp", "sddnnf-p", "sddnnf-lp")
 
@@ -64,14 +65,26 @@ ENGINE_NAMES = ("exact", "fuzzy-p", "fuzzy-lp", "sddnnf-p", "sddnnf-lp")
 # Temperature scaling
 
 
+def _check_probabilities(prob) -> None:
+    """DomainError unless every entry of ``prob`` lies in [0, 1], up to float
+    rounding: acceptance summed over states can pass 1 by a few ulps."""
+    p = np.asarray(prob, dtype=float)
+    ok = (p >= -_PROB_SLACK) & (p <= 1.0 + _PROB_SLACK)  # NaN fails both
+    if not ok.all():
+        raise DomainError(f"probabilities must lie in [0, 1], got {p[~ok].flat[0]}")
+
+
 def apply_temperature(prob, temp: float):
     """Logit-space temperature rescaling; preserves the argmax.
 
     Scalars go through σ(σ⁻¹(p)/temp); vectors through softmax(log(b)/temp).
-    Inputs are clamped away from {0, 1} by 1e-7 first.
+    Inputs are clamped away from {0, 1} by 1e-7 first.  Raises DomainError
+    for a probability that is NaN or outside [0, 1] and for a temperature
+    that is not positive and finite.
     """
-    if temp <= 0:
-        raise DomainError(f"temperature must be positive, got {temp}")
+    if not (temp > 0 and math.isfinite(temp)):
+        raise DomainError(f"temperature must be positive and finite, got {temp}")
+    _check_probabilities(prob)
     if isinstance(prob, float) or np.ndim(prob) == 0:
         p = min(max(float(prob), _CLAMP), 1.0 - _CLAMP)
         z = math.log(p / (1.0 - p)) / temp
@@ -95,13 +108,15 @@ def calibrate_temperature(pairs: Sequence[tuple[float, int]]) -> tuple[float, bo
     ulp or so of 0.5 can land on exactly 0.5, so the harness reports the
     temperature and scores SC on raw acceptance.  The clamped logits are
     computed once; each probe then rescales them with the scalar steps of
-    ``apply_temperature``.
+    ``apply_temperature``.  A probability that is NaN or outside [0, 1]
+    raises DomainError.
     """
     if not pairs:
         raise DomainError("calibration needs at least one (probability, truth) pair")
     for _, truth in pairs:
         if truth not in (0, 1):
             raise DomainError(f"truth labels must be 0/1, got {truth!r}")
+    _check_probabilities([prob for prob, _ in pairs])
     logits = []
     for prob, truth in pairs:
         p = min(max(float(prob), _CLAMP), 1.0 - _CLAMP)
@@ -147,13 +162,14 @@ def calibrate_temperature(pairs: Sequence[tuple[float, int]]) -> tuple[float, bo
 
 
 def _constraint_beliefs(cb, n_atoms: int, batched: bool = True) -> np.ndarray:
-    """``cb`` as floats, checked to lie in [0, 1] and to have shape
-    (..., atoms), or exactly (atoms,) unless ``batched``."""
+    """``cb`` as floats, checked to lie in [0, 1] (so not NaN) and to have
+    shape (..., atoms), or exactly (atoms,) unless ``batched``."""
     cb = np.asarray(cb, dtype=float)
     if (cb.shape[-1:] if batched else cb.shape) != (n_atoms,):
         raise DomainError(f"expected {n_atoms} constraint beliefs, got shape {cb.shape}")
-    if np.any(cb < 0) or np.any(cb > 1):
-        raise DomainError("constraint beliefs must lie in [0, 1]")
+    ok = (cb >= 0) & (cb <= 1)  # NaN fails both
+    if not ok.all():
+        raise DomainError(f"constraint beliefs must lie in [0, 1], got {cb[~ok].flat[0]}")
     return cb
 
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 import yaml
@@ -21,13 +21,15 @@ from . import formulas as fm
 from .automata import Dfa, assignment_of, letter_of, ltlf_to_dfa
 from .constraints import (
     Constraint,
+    SolutionBucket,
     SymbolicDomain,
     VariableSpec,
     constraint_text,
     constraint_vars,
     indicator_tensor,
     parse_constraint,
-    partition_solutions,
+    partition_solutions,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
+    solution_buckets,
     variable_map,
 )
 from .errors import DomainError, LtlseqError, TaskCompileError, TaskFileError
@@ -245,12 +247,56 @@ def save_task_yaml(spec: TaskSpec, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(spec.to_dict(), sort_keys=False), encoding="utf-8")
 
 
+class SolutionTable(Mapping[int, tuple[dict[str, int], ...]]):
+    """Read-only map from every letter to the tuple of assignments realizing it.
+
+    Iterates the letters ``0 .. n_letters - 1`` in order; a letter that no
+    assignment realizes maps to ``()``.  A letter's tuple is built when it is
+    first read and then kept.  ``bucket(letter)`` gives the same assignments
+    as a ``SolutionBucket``, which builds only the ones it is asked for.
+    """
+
+    def __init__(self, buckets: Mapping[int, SolutionBucket], n_letters: int) -> None:
+        self._buckets = dict(buckets)
+        self._letters = range(n_letters)
+        self._tuples: dict[int, tuple[dict[str, int], ...]] = {}
+
+    def __getitem__(self, letter: int) -> tuple[dict[str, int], ...]:
+        cached = self._tuples.get(letter)
+        if cached is None:
+            if letter not in self._letters:
+                raise KeyError(letter)
+            bucket = self._buckets.get(letter)
+            cached = self._tuples[letter] = () if bucket is None else bucket.materialize()
+        return cached
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._letters)
+
+    def __len__(self) -> int:
+        return len(self._letters)
+
+    def __contains__(self, letter: object) -> bool:
+        return letter in self._letters
+
+    def __repr__(self) -> str:
+        return f"SolutionTable({len(self._buckets)} of {len(self)} letters realizable)"
+
+    def bucket(self, letter: int) -> Sequence[dict[str, int]]:
+        """``letter``'s assignments, each built when first read."""
+        bucket = self._buckets.get(letter)
+        return self[letter] if bucket is None else bucket
+
+
 @dataclass
 class CompiledTask:
     """A task spec plus everything derived from it, ready for generation.
 
     ``solutions`` maps every letter bitmask (bit i = truth of ``atoms[i]``)
-    to the tuple of full variable assignments realizing it; ``reach[r][s]``
+    to the tuple of full variable assignments realizing it.  ``compile_task``
+    stores a ``SolutionTable``, which keeps each letter's assignments as grid
+    indices until read; any mapping with the same items works, and
+    ``solution_bucket`` reads either one lazily when it can.  ``reach[r][s]``
     tells, for each label, whether a walk of exactly ``r`` further steps from
     state ``s`` can end with that label using only usable letters.
 
@@ -263,7 +309,7 @@ class CompiledTask:
 
     spec: TaskSpec
     dfa: Dfa
-    solutions: dict[int, tuple[dict[str, int], ...]]
+    solutions: Mapping[int, tuple[dict[str, int], ...]]
     usable_letters: tuple[int, ...]
     reach: list[list[tuple[bool, bool]]]
     _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(
@@ -298,6 +344,12 @@ class CompiledTask:
         if cached is None:
             cached = self._truths[letter] = assignment_of(letter, self.atoms)
         return cached.copy()
+
+    def solution_bucket(self, letter: int) -> Sequence[dict[str, int]]:
+        """``letter``'s assignments; from a ``SolutionTable``, built one by one as read."""
+        if isinstance(self.solutions, SolutionTable):
+            return self.solutions.bucket(letter)
+        return self.solutions[letter]
 
     def feasible_letters(self, state: int, remaining: int, label: int) -> tuple[int, ...]:
         """Usable letters from ``state`` keeping ``label`` reachable in ``remaining`` steps."""
@@ -361,13 +413,12 @@ def compile_task(
         )
 
     ordered = sorted(spec.constraints, key=lambda c: c.name)
-    buckets = partition_solutions(ordered, spec.variables)
-    solutions: dict[int, tuple[dict[str, int], ...]] = {
-        letter: () for letter in range(dfa.n_letters)
+    buckets = {
+        letter_of(dict(zip(atoms, key)), atoms): bucket
+        for key, bucket in solution_buckets(ordered, spec.variables).items()
     }
-    for key, sols in buckets.items():
-        solutions[letter_of(dict(zip(atoms, key)), atoms)] = sols
-    usable = tuple(letter for letter in range(dfa.n_letters) if solutions[letter])
+    solutions = SolutionTable(buckets, dfa.n_letters)
+    usable = tuple(sorted(buckets))
 
     reach = _reach_table(dfa, usable, spec.max_length)
     task = CompiledTask(

@@ -19,6 +19,7 @@ from ltlseq.inference import (
     exact_step,
     letter_probabilities,
     make_engine,
+    run_batch,
     run_sequence,
 )
 from ltlseq.library import builtin_task
@@ -358,3 +359,60 @@ def test_calibration_equals_per_pair_reference_search():
         cases.append([(float(p), int(y)) for p, y in zip(probs, labels)])
     for pairs in cases:
         assert calibrate_temperature(pairs) == calibrate_temperature_reference(pairs), pairs
+
+
+# ---------------------------------------------------------------------------
+# Values outside [0, 1] and non-finite values are rejected, not propagated
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12, 1.0 + 1e-12])
+@pytest.mark.parametrize(
+    "entry", ["run_batch", "run_sequence", "exact_step", "letter_probabilities"]
+)
+def test_constraint_beliefs_outside_unit_interval_raise(entry, bad):
+    ct = compile_task(builtin_task("task5"))
+    k = len(ct.atoms)
+    cb = np.full((3, k), 0.5)
+    cb[1, k - 1] = bad
+    b0 = one_hot(ct.dfa.n_states, ct.dfa.initial)
+    calls = {
+        "run_batch": lambda engine: run_batch(engine, cb[None]),
+        "run_sequence": lambda engine: run_sequence(engine, list(cb)),
+        "exact_step": lambda engine: exact_step(ct.dfa, b0, cb[1]),
+        "letter_probabilities": lambda engine: letter_probabilities(cb[1], k),
+    }
+    for name in ENGINE_NAMES:
+        with pytest.raises(DomainError, match=r"constraint beliefs must lie in \[0, 1\]"):
+            calls[entry](make_engine(name, ct.dfa))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: calibrate_temperature([(math.nan, 1), (0.2, 0)]), id="fit-nan"),
+        pytest.param(lambda: calibrate_temperature([(0.2, 0), (1.5, 1)]), id="fit-above-1"),
+        pytest.param(lambda: calibrate_temperature([(-0.25, 0)]), id="fit-below-0"),
+        pytest.param(lambda: calibrate_temperature([(math.inf, 1)]), id="fit-inf"),
+        pytest.param(lambda: apply_temperature(math.nan, 1.0), id="scalar-nan"),
+        pytest.param(lambda: apply_temperature(1.5, 1.0), id="scalar-above-1"),
+        pytest.param(lambda: apply_temperature(np.array([0.2, math.nan, 0.8]), 1.0), id="vector-nan"),
+        pytest.param(lambda: apply_temperature(np.array([0.2, -0.1]), 1.0), id="vector-below-0"),
+        pytest.param(lambda: apply_temperature(0.7, math.nan), id="scalar-temp-nan"),
+        pytest.param(lambda: apply_temperature(0.7, math.inf), id="scalar-temp-inf"),
+        pytest.param(lambda: apply_temperature(np.array([0.3, 0.7]), math.inf), id="vector-temp-inf"),
+        pytest.param(lambda: apply_temperature(np.array([0.3, 0.7]), math.nan), id="vector-temp-nan"),
+        pytest.param(lambda: apply_temperature(0.7, -math.inf), id="scalar-temp-minus-inf"),
+    ],
+)
+def test_calibration_rejects_non_finite_and_out_of_range_inputs(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_probabilities_within_rounding_of_the_unit_interval_pass():
+    # acceptance summed in floats can pass 1 by a few ulps
+    over = 1.0 + 4 * np.finfo(float).eps
+    assert calibrate_temperature([(over, 1), (0.2, 0)]) == calibrate_temperature(
+        [(1.0, 1), (0.2, 0)]
+    )
+    assert apply_temperature(over, 2.0) == apply_temperature(1.0, 2.0)

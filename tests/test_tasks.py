@@ -2,14 +2,22 @@
 
 import hashlib
 import json
+import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ltlseq.automata import Dfa
-from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint
-from ltlseq.errors import DomainError, IntegrityError, TaskCompileError, TaskFileError
+from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint, sample_solution
+from ltlseq.errors import (
+    DomainError,
+    IntegrityError,
+    TaskCompileError,
+    TaskFileError,
+    UnsatisfiableLetterError,
+)
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import (
     CompiledTask,
@@ -21,7 +29,8 @@ from ltlseq.tasks import (
     read_input,
     save_task_yaml,
 )
-from oracles import feasible_letters_reference
+from oracles import feasible_letters_reference, partition_reference
+from test_constraints import rand_constraint, rand_domain
 
 EXPECTED_STATES = {
     "task1": 8,
@@ -400,6 +409,93 @@ def test_golden_grounding(name):
     assert set(builtin_task_names()) <= set(GOLDEN_GROUNDING)
     spec = family_spec(int(name[3:])) if name.startswith("fam") else builtin_task(name)
     assert grounding_digests(compile_task(spec)) == GOLDEN_GROUNDING[name]
+
+
+# ---------------------------------------------------------------------------
+# The lazy solution table against per-point enumeration
+
+
+def random_grounding_spec(rng):
+    """Random domains and constraints as ``test_constraints`` draws them,
+    under a formula every walk satisfies; no split, so nothing must be reachable."""
+    names = rng.sample("ABCD", rng.randint(0, 4))
+    variables = tuple(VariableSpec(n, rand_domain(rng, f"d{n}")) for n in names)
+    return TaskSpec(
+        name="grounding",
+        domains=tuple(v.domain for v in variables),
+        variables=variables,
+        constraints=tuple(rand_constraint(rng, f"c{i}", names) for i in range(rng.randint(1, 4))),
+        formula="true",
+        splits=(0, 0, 0),
+    )
+
+
+def as_items(bucket):
+    return [list(a.items()) for a in bucket]
+
+
+def test_solution_table_equals_reference():
+    rng = random.Random(1414)
+    empty_letters = 0
+    for _ in range(200):
+        spec = random_grounding_spec(rng)
+        ct = compile_task(spec)
+        ordered = sorted(spec.constraints, key=lambda c: c.name)
+        want = partition_reference(ordered, spec.variables)
+        n_letters = ct.dfa.n_letters
+        keys = [tuple(bool(x >> i & 1) for i in range(len(ct.atoms))) for x in range(n_letters)]
+        assert list(ct.solutions) == list(range(n_letters)) and len(ct.solutions) == n_letters
+        assert ct.usable_letters == tuple(x for x in range(n_letters) if keys[x] in want)
+        for letter, key in enumerate(keys):
+            expected = as_items(want.get(key, ()))
+            lazy = ct.solution_bucket(letter)
+            assert len(lazy) == len(expected)
+            assert as_items(lazy) == expected  # point by point, before the tuple is built
+            assert as_items(ct.solutions[letter]) == expected
+            assert ct.solutions[letter] is ct.solutions[letter]
+            assert all(type(x) is int for a in ct.solutions[letter] for x in a.values())
+            assert all(type(x) is int for a in lazy for x in a.values())
+            if not expected:
+                empty_letters += 1
+                with pytest.raises(UnsatisfiableLetterError):
+                    sample_solution(lazy, np.random.default_rng(0))
+        assert n_letters not in ct.solutions
+        with pytest.raises(KeyError):
+            ct.solutions[n_letters]
+    assert empty_letters > 0
+
+
+def test_bucket_draws_equal_tuple_draws():
+    rng = random.Random(2828)
+    specs = [family_spec(6)] + [random_grounding_spec(rng) for _ in range(30)]
+    for trial, spec in enumerate(specs):
+        lazy_task, eager_task = compile_task(spec), compile_task(spec)
+        pick = np.random.default_rng(trial)
+        lazy_rng, eager_rng = np.random.default_rng(100 + trial), np.random.default_rng(100 + trial)
+        usable = lazy_task.usable_letters
+        for _ in range(1000):
+            letter = usable[int(pick.integers(len(usable)))]
+            got = sample_solution(lazy_task.solution_bucket(letter), lazy_rng)
+            want = sample_solution(eager_task.solutions[letter], eager_rng)
+            assert list(got.items()) == list(want.items())
+            got.clear()  # a fresh dict: later draws of this point are unaffected
+
+
+def test_compile_task_keeps_the_grid_grouped():
+    spec = family_spec(6)  # 10^5 grid points over five digit variables
+    compile_task(spec)  # first-call caches are not the table's
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        task = compile_task(spec)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(task.usable_letters) == 36
+    assert retained < 4_000_000, retained  # one dict per grid point retained about 18 MB
 
 
 # ---------------------------------------------------------------------------
