@@ -257,37 +257,23 @@ def ltlf_to_dfa(
     return minimize(dfa)
 
 
-def _reachable(d: Dfa) -> list[int]:
-    seen = {d.initial}
-    bfs = deque([d.initial])
-    out = []
-    while bfs:
-        s = bfs.popleft()
-        out.append(s)
-        for letter in range(d.n_letters):
-            t = d.transitions[s][letter]
-            if t not in seen:
-                seen.add(t)
-                bfs.append(t)
-    return out
-
-
 def minimize(d: Dfa) -> Dfa:
     """Hopcroft minimization plus deterministic BFS renumbering.
 
-    Unreachable states are dropped first.  The result's states are numbered
-    by BFS from the initial state, exploring letters in ascending order, so
-    minimization is a pure function of the automaton.
+    Refinement runs over every state; the renumbering BFS from the initial
+    state reaches only reachable blocks, so unreachable states are dropped
+    there.  The result's states are numbered in that BFS order, exploring
+    letters in ascending order, so minimization is a pure function of the
+    automaton.
     """
-    reach = _reachable(d)
-    # inverse[letter][t]: the reachable states that step to t on letter
+    # inverse[letter][t]: the states that step to t on letter
     inverse: list[dict[int, list[int]]] = [{} for _ in range(d.n_letters)]
-    for s in reach:
-        for letter, t in enumerate(d.transitions[s]):
+    for s, row in enumerate(d.transitions):
+        for letter, t in enumerate(row):
             inverse[letter].setdefault(t, []).append(s)
 
-    final = {s for s in reach if s in d.accepting}
-    blocks: list[set[int]] = [b for b in (final, set(reach) - final) if b]
+    final = set(d.accepting)
+    blocks: list[set[int]] = [b for b in (final, set(range(d.n_states)) - final) if b]
     block_of = {s: i for i, block in enumerate(blocks) for s in block}
     # Hopcroft's rule: a split block not awaiting use as a splitter queues
     # only its smaller half, and each split costs time proportional to the

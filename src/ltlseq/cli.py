@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
@@ -25,18 +24,17 @@ import click
 from . import __version__
 from .automata import Dfa, guard_table
 from .errors import DomainError, LtlfSyntaxError, LtlseqError, TaskFileError
-from .generator import deserialize, generate_dataset, serialize, _digest_int
+from .generator import deserialize, generate_dataset, serialize, write_summary_json, _digest_int
 from .harness import (
     METRIC_COLUMNS,
     ORACLE_KINDS,
     ORACLE_TARGETS,
-    SWEEP_COLUMNS,
     OracleConfig,
     default_sweep_configs,
     mp_baselines,
     oracle_sweep,
+    read_sweep_csv,
     summarize_rows,
-    write_summary_json,
     write_sweep_csv,
 )
 from .inference import ENGINE_NAMES
@@ -459,33 +457,6 @@ def cmd_baseline(dataset_dir: str, out: str | None) -> None:
 # report
 
 
-def _read_sweep_csv(path: str) -> list[dict]:
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise click.UsageError(f"{path}: missing columns {missing}")
-            for record in reader:
-                row: dict = {
-                    "task": record["task"],
-                    "engine": record["engine"],
-                    "oracle_target": record["oracle_target"],
-                    "oracle_kind": record["oracle_kind"],
-                    "p": float(record["p"]),
-                    "seed": int(record["seed"]),
-                }
-                for metric in METRIC_COLUMNS:
-                    text = record.get(metric, "")
-                    row[metric] = float(text) if text else None
-                rows.append(row)
-    # a bad number, a short row, bytes not UTF-8, or a cell the csv module rejects
-    except (TypeError, ValueError, csv.Error) as exc:
-        raise click.UsageError(f"{path}: malformed sweep CSV ({exc})") from exc
-    return rows
-
-
 @main.command("report")
 @click.argument("csv_files", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option(
@@ -501,7 +472,7 @@ def cmd_report(csv_files: tuple[str, ...], out: str) -> None:
     """Aggregate sweep CSVs into a mean/std summary across seeds."""
     rows: list[dict] = []
     for path in csv_files:
-        rows.extend(_read_sweep_csv(path))
+        rows.extend(read_sweep_csv(path))
     write_summary_json(summarize_rows(rows), out)
     click.echo(f"{len(rows)} rows -> {out}")
 

@@ -43,7 +43,8 @@ class TaskCompileError(LtlseqError, ValueError):
 
 
 class TaskFileError(LtlseqError, ValueError):
-    """A task spec file is malformed; the message includes its location."""
+    """A task spec file or a sweep CSV is malformed; the message includes
+    its location."""
 
 
 class DatasetFormatError(LtlseqError, ValueError):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import statistics
 from collections import Counter
@@ -33,16 +34,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constraints import tensor_probability
-from .errors import DomainError
+from .errors import DomainError, TaskFileError
 from .generator import Dataset, SequenceSample, _digest_int
-from .generator import write_summary_json  # noqa: F401  (re-exported; every JSON output uses it)
 from .inference import (
     calibrate_temperature,
     make_engine,
     run_batch,
     run_sequence,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
 )
-from .tasks import CompiledTask
+from .tasks import CompiledTask, read_input
 
 ORACLE_TARGETS = ("ic", "ic_cc")
 ORACLE_KINDS = ("perfect", "flip", "confidence")
@@ -269,39 +269,18 @@ def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _T
     return _Traces(data=data, cb=cb, ic_hits=ic_hits, ic_total=true.size)
 
 
-# Cells of run_batch's working arrays (rows × letters × (states + steps))
-# allowed in one call, so stacking many units keeps memory bounded.  2^21
-# float64 cells (16 MB) is about one 40-sequence unit of a 10-atom, 32-state
-# task, the size one call had before units were stacked.
-_BATCH_CELLS = 1 << 21
-
-
 def _run_units(engine, units: Sequence[_Traces]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Predicted states (argmax belief per step) and acceptance of each
-    unit's traces, all of one split.
-
-    The units are stacked into as few ``run_batch`` calls as the cell budget
-    allows.  Kernel rows are independent, so each unit's slice equals a
-    ``run_batch`` call on that unit alone, bit for bit.
+    unit's traces, all of one split, from one ``run_batch`` call over the
+    stacked units.  Kernel rows are independent, so each unit's slice equals
+    a ``run_batch`` call on that unit alone, bit for bit.
     """
     if not units:
         return []
-    data = units[0].data
-    n_seq, steps = data.mask.shape
-    cb = np.concatenate([u.cb for u in units])
-    lengths = np.tile(data.lengths, len(units))
-    dfa = engine.dfa
-    rows = max(1, _BATCH_CELLS // (dfa.n_letters * (dfa.n_states + steps)))
-    predicted, acceptance = [], []
-    for lo in range(0, len(cb), rows):
-        result = run_batch(engine, cb[lo : lo + rows], lengths[lo : lo + rows])
-        predicted.append(result.beliefs.argmax(axis=2))
-        acceptance.append(result.acceptance)
-    predicted, acceptance = np.concatenate(predicted), np.concatenate(acceptance)
-    return [
-        (predicted[u * n_seq : (u + 1) * n_seq], acceptance[u * n_seq : (u + 1) * n_seq])
-        for u in range(len(units))
-    ]
+    lengths = np.tile(units[0].data.lengths, len(units))
+    result = run_batch(engine, np.concatenate([u.cb for u in units]), lengths)
+    predicted = result.beliefs.argmax(axis=2)
+    return list(zip(np.split(predicted, len(units)), np.split(result.acceptance, len(units))))
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +430,14 @@ def oracle_sweep(
     of each combination, plus ``sc_temp`` when calibrating.  Each (config,
     seed) unit corrupts its splits once, and every engine runs on those same
     traces: the units of one split are stacked into one ``run_batch`` batch
-    per engine (chunked to bound memory), then scored one by one.  Oracle
-    draws depend only on (seed, split, seq_id), so the metrics equal
-    separate ``evaluate`` calls.  Calibration (optional) fits a scalar
-    acceptance temperature on the val split per combination, once per
-    distinct acceptance vector (engines and configs often agree).  It is
-    reported as the ``sc_temp`` column only: SC is always scored on raw
-    acceptance, so calibrating changes no metric.  ``jobs`` is accepted for
-    compatibility and starts no threads; the output is the same for any value.
+    per engine, then scored one by one.  Oracle draws depend only on (seed,
+    split, seq_id), so the metrics equal separate ``evaluate`` calls.
+    Calibration (optional) fits a scalar acceptance temperature on the val
+    split per combination, once per distinct acceptance vector (engines and
+    configs often agree).  It is reported as the ``sc_temp`` column only: SC
+    is always scored on raw acceptance, so calibrating changes no metric.
+    ``jobs`` is accepted for compatibility and starts no threads; the output
+    is the same for any value.
     """
     if configs is None:
         configs = default_sweep_configs()
@@ -508,6 +487,40 @@ def write_sweep_csv(rows: Sequence[Mapping], path) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow(["" if row.get(c) is None else str(row.get(c)) for c in columns])
+
+
+def read_sweep_csv(path) -> list[dict]:
+    """The ``SWEEP_COLUMNS`` of each row a ``write_sweep_csv`` file holds:
+    ``p`` a float, ``seed`` an int, each metric a float or None for an empty
+    cell.  Missing columns, a row whose cell count differs from the header's,
+    a bad number or a cell the csv module rejects raise ``TaskFileError``
+    naming the file and line, as does an unreadable file (``read_input``).
+    """
+
+    def parse(text: str) -> list[dict]:
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        try:
+            missing = [c for c in SWEEP_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"missing columns {missing}")
+            return [_sweep_row(record) for record in reader]
+        # since Python 3.11 a NUL byte gets past the csv module and fails in float()
+        except (ValueError, csv.Error) as err:
+            raise TaskFileError(f"{path}:{reader.line_num}: malformed sweep CSV ({err})") from err
+
+    return read_input(path, parse, TaskFileError)
+
+
+def _sweep_row(record: Mapping[str | None, str | None]) -> dict:
+    # DictReader fills a short row with None and files a long row's extra
+    # cells under the key None
+    if None in record or None in record.values():
+        raise ValueError("the row and the header differ in cell count")
+    row: dict = {c: record[c] for c in SWEEP_COLUMNS[:4]}
+    row["p"], row["seed"] = float(record["p"]), int(record["seed"])
+    for metric in METRIC_COLUMNS:
+        row[metric] = float(record[metric]) if record[metric] else None
+    return row
 
 
 def summarize_rows(rows: Sequence[Mapping]) -> dict:

@@ -57,6 +57,10 @@ from .props import PropFormula, simplify
 _CLAMP = 1e-7
 _LOG_TEMP_TOL = 1e-4  # width at which calibrate_temperature's log-temperature search stops
 _PROB_SLACK = 1e-9
+# Cells of run_batch's working arrays (rows × letters × (states + steps))
+# allowed in one chunk of rows, so a large batch keeps memory bounded.  2^21
+# float64 cells (16 MB) is about 40 sequences of a 10-atom, 32-state task.
+_BATCH_CELLS = 1 << 21
 
 ENGINE_NAMES = ("exact", "fuzzy-p", "fuzzy-lp", "sddnnf-p", "sddnnf-lp")
 
@@ -440,8 +444,10 @@ def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> B
     ``lengths`` gives each sequence's own length when the batch is padded
     (default: every sequence fills every step); padding steps are run but
     masked out, and acceptance is read at each sequence's last step.
-    Engines from ``make_engine`` step the whole batch at once; any other
-    object with ``dfa`` and ``step`` is run sequence by sequence.
+    Engines from ``make_engine`` step a chunk of rows at once, as many as
+    ``_BATCH_CELLS`` allows; rows are independent, so the chunking does not
+    change a bit of the output.  Any other object with ``dfa`` and ``step``
+    is run sequence by sequence.
     """
     cb = np.asarray(cb, dtype=float)
     if cb.ndim != 3 or cb.shape[1] == 0:
@@ -450,18 +456,20 @@ def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> B
     lengths = np.full(n_seq, length) if lengths is None else np.asarray(lengths)
     if lengths.shape != (n_seq,) or np.any(lengths < 1) or np.any(lengths > length):
         raise DomainError(f"sequence lengths must lie in [1, {length}], one per sequence")
-    if isinstance(engine, _TableEngine):
-        weights, step = engine.letter_weights(cb), engine.advance
-    else:
-        weights, step = cb, functools.partial(_step_each, engine)
+    table = isinstance(engine, _TableEngine)
+    step = engine.advance if table else functools.partial(_step_each, engine)
     dfa = engine.dfa
-    b = np.zeros((n_seq, dfa.n_states))
-    b[:, dfa.initial] = 1.0
     beliefs = np.empty((n_seq, length, dfa.n_states))
     masses = np.empty((n_seq, length))
-    for t in range(length):
-        b, masses[:, t] = step(b, weights[:, t])
-        beliefs[:, t] = b
+    rows = max(1, _BATCH_CELLS // (dfa.n_letters * (dfa.n_states + length)))
+    for lo in range(0, n_seq, rows):
+        chunk = slice(lo, lo + rows)
+        weights = engine.letter_weights(cb[chunk]) if table else cb[chunk]
+        b = np.zeros((len(weights), dfa.n_states))
+        b[:, dfa.initial] = 1.0
+        for t in range(length):
+            b, masses[chunk, t] = step(b, weights[:, t])
+            beliefs[chunk, t] = b
     final = beliefs[np.arange(n_seq), lengths - 1]
     acceptance = np.zeros(n_seq)
     for s in dfa.accepting:  # the set's order, as the per-sequence sum had it

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from ltlseq.errors import DomainError
-from ltlseq.generator import generate_dataset
+from ltlseq.errors import DomainError, TaskFileError
+from ltlseq.generator import generate_dataset, write_summary_json
 from ltlseq.harness import (
     METRIC_COLUMNS,
     ORACLE_KINDS,
@@ -26,10 +26,10 @@ from ltlseq.harness import (
     flip_oracle,
     mp_baselines,
     oracle_sweep,
+    read_sweep_csv,
     semantic_loss,
     soft_xor,
     summarize_rows,
-    write_summary_json,
     write_sweep_csv,
 )
 from ltlseq.library import builtin_task
@@ -462,6 +462,63 @@ def test_sweep_csv_round_trip(tmp_path):
     flip_row = next(r for r in loaded if r["oracle_kind"] == "flip")
     assert flip_row["ic_acc"] == ""
     assert float(flip_row["p"]) == 0.2
+
+
+def test_read_sweep_csv_reads_what_write_sweep_csv_wrote(tmp_path):
+    ct, ds = small_dataset()
+    configs = [OracleConfig(), OracleConfig(kind="flip", p=0.2, target="ic_cc")]
+    rows = oracle_sweep(ct, ds, configs, engines=("exact", "sddnnf-p"), calibrate=True)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    loaded = read_sweep_csv(path)
+    assert loaded == [{c: row[c] for c in SWEEP_COLUMNS} for row in rows]
+    assert [type(row["p"]) for row in loaded] == [float] * len(rows)
+    assert [type(row["seed"]) for row in loaded] == [int] * len(rows)
+    # one row per engine; ic_acc is blank for the combined-target oracle
+    assert [row["ic_acc"] is None for row in loaded] == [False, False, True, True]
+    assert summarize_rows(loaded) == summarize_rows(rows)
+
+
+_HEADER = ",".join(SWEEP_COLUMNS).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"a,b\n1,2\n",
+        _HEADER + b"task5,exact,ic,flip,zero,7,,1,1,1,1\n",
+        _HEADER + b"task5,exact,ic,flip,0.1\n",
+        _HEADER + b"task5,exact,ic,flip,0.1,7,,1,1\n",
+        _HEADER + b"task5,exact,ic,flip,0.1,7,,1,1,1,1,1\n",
+        _HEADER + b"task5,exact,ic,flip,0.1,7,,0\x00,1,1,1\n",
+        _HEADER + b"task5,exact,ic,flip,0.1,7,," + b"9" * (csv.field_size_limit() + 1) + b",1,1,1\n",
+    ],
+    ids=[
+        "missing-columns",
+        "p-not-a-number",
+        "short-row",
+        "short-metrics",
+        "long-row",
+        "nul-cell",
+        "oversized-cell",
+    ],
+)
+def test_read_sweep_csv_rejects_malformed_files(tmp_path, content):
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(content)
+    with pytest.raises(TaskFileError, match="malformed sweep CSV") as err:
+        read_sweep_csv(path)
+    assert str(err.value).startswith(f"{path}:")
+
+
+@pytest.mark.parametrize("content", [None, b"task,\xff\n"], ids=["missing-file", "not-utf8"])
+def test_read_sweep_csv_names_an_unreadable_file(tmp_path, content):
+    path = tmp_path / "sweep.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(TaskFileError) as err:
+        read_sweep_csv(path)
+    assert str(err.value).startswith(f"{path}:")
 
 
 def test_summarize_rows_groups_and_stats(tmp_path):

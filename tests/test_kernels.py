@@ -8,6 +8,7 @@ per-step engines always applied.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ltlseq.inference import (
 )
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import compile_task
+from test_tasks import family_spec
 
 TOL = 1e-12
 FAM6 = "G(a0 -> F b0) & G(a1 -> F b1) & G(a2 -> F b2)"
@@ -199,7 +201,7 @@ def test_reference_circuits_and_formulas_are_built_lazily():
 
 @pytest.mark.parametrize("case", CASES, ids=[name for name, _ in CASES])
 def test_stacked_batches_equal_separate_runs(case, monkeypatch):
-    from ltlseq import harness
+    from ltlseq import inference
     from ltlseq.harness import _run_units, _Split, _Traces
 
     _, dfa = case
@@ -215,7 +217,7 @@ def test_stacked_batches_equal_separate_runs(case, monkeypatch):
         cb[::2] = np.round(cb[::2])
         units.append(_Traces(split, np.where(mask[..., None], cb, 0.0), 0, 0))
     # three rows per run_batch call over 4-row units: chunks 2 and 3 straddle units
-    monkeypatch.setattr(harness, "_BATCH_CELLS", 3 * dfa.n_letters * (dfa.n_states + steps))
+    monkeypatch.setattr(inference, "_BATCH_CELLS", 3 * dfa.n_letters * (dfa.n_states + steps))
     for name in ENGINE_NAMES:
         engine = make_engine(name, dfa)
         parts = [run_batch(engine, u.cb, lengths) for u in units]
@@ -228,3 +230,45 @@ def test_stacked_batches_equal_separate_runs(case, monkeypatch):
             assert np.array_equal(whole.acceptance[rows], part.acceptance), name
             assert np.array_equal(chunked[i][0], part.beliefs.argmax(axis=2)), name
             assert np.array_equal(chunked[i][1], part.acceptance), name
+
+
+@pytest.mark.parametrize("case", CASES, ids=[name for name, _ in CASES])
+def test_row_chunks_equal_one_call(case, monkeypatch):
+    from ltlseq import inference
+
+    _, dfa = case
+    rng = np.random.default_rng(dfa.n_states * 131 + dfa.n_letters)
+    steps, n_seq = 5, 7
+    lengths = rng.integers(1, steps + 1, size=n_seq)
+    cb = rng.random((n_seq, steps, len(dfa.atoms)))
+    cb[::2] = np.round(cb[::2])
+    for name in ENGINE_NAMES:
+        engine = make_engine(name, dfa)
+        whole = run_batch(engine, cb, lengths)
+        for rows in (1, 3):
+            with monkeypatch.context() as patch:
+                cells = rows * dfa.n_letters * (dfa.n_states + steps)
+                patch.setattr(inference, "_BATCH_CELLS", cells)
+                chunked = run_batch(engine, cb, lengths)
+            assert np.array_equal(chunked.beliefs, whole.beliefs, equal_nan=True), (name, rows)
+            assert np.array_equal(chunked.masses, whole.masses, equal_nan=True), (name, rows)
+            assert np.array_equal(chunked.acceptance, whole.acceptance), (name, rows)
+
+
+def test_run_batch_bounds_its_working_set():
+    dfa = compile_task(family_spec(10)).dfa  # 32 states over 1,024 letters
+    engine = make_engine("exact", dfa)
+    cb = np.random.default_rng(10).random((200, 20, len(dfa.atoms)))
+    run_batch(engine, cb[:1])  # first-call caches are not the batch's
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = run_batch(engine, cb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert result.beliefs.shape == (200, 20, 32)
+    assert peak < 48_000_000, peak  # one unchunked call peaked at about 140 MB
