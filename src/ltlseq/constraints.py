@@ -646,8 +646,8 @@ def tensor_probability(indicator: np.ndarray, dists: Sequence[np.ndarray]) -> fl
     once and returns one probability per step; each equals the vector
     contraction of that step's rows.
     """
-    letters = "abcdefghijklmnop"
-    axes = letters[: indicator.ndim]
-    if all(np.ndim(d) == 1 for d in dists):
-        return float(np.einsum(f"{axes},{','.join(axes)}->", indicator, *dists))
-    return np.einsum(f"{axes},{','.join('z' + a for a in axes)}->z", indicator, *dists)
+    # integer sublists (axis i, then step axis ndim): no subscript alphabet to run out of
+    step = [] if all(np.ndim(d) == 1 for d in dists) else [indicator.ndim]
+    operands = [x for i, d in enumerate(dists) for x in (d, step + [i])]
+    out = np.einsum(indicator, list(range(indicator.ndim)), *operands, step)
+    return out if step else float(out)

@@ -12,7 +12,8 @@ that steps a whole batch of sequences at once:
   it coincides with the linear rule on one-hot beliefs.
 
 The ``-lp`` engines sum over letters with logsumexp in log space, so letter
-probabilities that underflow in float64 still give the log-semiring answer.
+probabilities that underflow in float64 still give the log-semiring answer;
+the sum reuses the rule's own array, so ``_BATCH_CELLS`` bounds all five engines.
 
 The per-step semantics the kernels implement stay as checked references:
 
@@ -61,8 +62,6 @@ _PROB_SLACK = 1e-9
 # allowed in one chunk of rows, so a large batch keeps memory bounded.  2^21
 # float64 cells (16 MB) is about 40 sequences of a 10-atom, 32-state task.
 _BATCH_CELLS = 1 << 21
-
-ENGINE_NAMES = ("exact", "fuzzy-p", "fuzzy-lp", "sddnnf-p", "sddnnf-lp")
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +283,10 @@ class _Preimages:
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     top = np.max(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf slice stays -inf
+    a -= shift  # in place: the caller's array is overwritten
+    np.exp(a, out=a)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
+        out = np.log(a.sum(axis=axis, keepdims=True)) + shift
     return np.squeeze(out, axis=axis)
 
 
@@ -300,16 +301,19 @@ class _TableEngine:
     multi-hot rule is ``b'[t] = Σ_ℓ P(ℓ)·(1 − Π_{s: δ(s,ℓ)=t}(1 − b[s]))``.
     In LOGPROB the sum over letters is a logsumexp.  ``exact`` returns its
     raw update; every other engine renormalizes each step and reports the
-    pre-normalization mass.
+    pre-normalization mass.  ``_ENGINES``, the one table of engines, names
+    each (class, semiring) pair; a pair not in it is a DomainError.
     """
 
-    name: str
-    semiring: Semiring = PROB
     multihot = False
     renormalize = True
 
-    def __init__(self, dfa: Dfa):
-        self.dfa = dfa
+    def __init__(self, dfa: Dfa, semiring: Semiring = PROB):
+        names = [n for n, (c, s) in _ENGINES.items() if c is type(self) and s is semiring]
+        if not names:
+            pair = f"{type(self).__name__} in {getattr(semiring, 'name', semiring)!r}"
+            raise DomainError(f"no engine is {pair}; valid: {', '.join(ENGINE_NAMES)}")
+        self.name, self.dfa, self.semiring = names[0], dfa, semiring
         self._preimages = _Preimages(dfa)
 
     def letter_weights(self, cb: np.ndarray) -> np.ndarray:
@@ -329,8 +333,10 @@ class _TableEngine:
             mass = self._preimages(b)
         if self.semiring is not LOGPROB:
             return np.matmul(weights[:, None, :], mass)[:, 0, :]
-        with np.errstate(divide="ignore"):
-            return _logsumexp(weights[:, :, None] + np.log(mass), axis=1)
+        with np.errstate(divide="ignore"):  # in place: mass is this call's own array
+            np.log(mass, out=mass)
+        mass += weights[:, :, None]
+        return _logsumexp(mass, axis=1)
 
     def advance(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Beliefs (sequences × states) and masses (sequences) after one step."""
@@ -360,18 +366,12 @@ class _TableEngine:
 
 
 class ExactEngine(_TableEngine):
-    name = "exact"
     renormalize = False
 
 
 class FuzzyEngine(_TableEngine):
     """The linear rule.  The simplified next-state formulas are disjoint
     minterm DNFs, so their structural evaluation is that same update."""
-
-    def __init__(self, dfa: Dfa, semiring: Semiring = PROB):
-        super().__init__(dfa)
-        self.semiring = semiring
-        self.name = "fuzzy-lp" if semiring is LOGPROB else "fuzzy-p"
 
     @functools.cached_property
     def formulas(self) -> list[PropFormula]:
@@ -385,30 +385,28 @@ class SddnnfEngine(_TableEngine):
 
     multihot = True
 
-    def __init__(self, dfa: Dfa, semiring: Semiring = PROB):
-        super().__init__(dfa)
-        self.semiring = semiring
-        self.name = "sddnnf-lp" if semiring is LOGPROB else "sddnnf-p"
-
     @functools.cached_property
     def circuits(self) -> list[Circuit]:
         """Reference circuits for ``sddnnf_step``, compiled on first read."""
         return [smooth(compile_sddnnf(f)) for f in next_state_formulas(self.dfa)]
 
 
+_ENGINES = {
+    "exact": (ExactEngine, PROB),
+    "fuzzy-p": (FuzzyEngine, PROB),
+    "fuzzy-lp": (FuzzyEngine, LOGPROB),
+    "sddnnf-p": (SddnnfEngine, PROB),
+    "sddnnf-lp": (SddnnfEngine, LOGPROB),
+}
+ENGINE_NAMES = tuple(_ENGINES)
+
+
 def make_engine(name: str, dfa: Dfa):
-    """Engine registry: exact, fuzzy-p, fuzzy-lp, sddnnf-p, sddnnf-lp."""
-    if name == "exact":
-        return ExactEngine(dfa)
-    if name == "fuzzy-p":
-        return FuzzyEngine(dfa, PROB)
-    if name == "fuzzy-lp":
-        return FuzzyEngine(dfa, LOGPROB)
-    if name == "sddnnf-p":
-        return SddnnfEngine(dfa, PROB)
-    if name == "sddnnf-lp":
-        return SddnnfEngine(dfa, LOGPROB)
-    raise DomainError(f"unknown engine {name!r}; valid: {', '.join(ENGINE_NAMES)}")
+    """The engine ``name`` (one of ``ENGINE_NAMES``) over ``dfa``."""
+    if name not in ENGINE_NAMES:
+        raise DomainError(f"unknown engine {name!r}; valid: {', '.join(ENGINE_NAMES)}")
+    cls, semiring = _ENGINES[name]
+    return cls(dfa, semiring)
 
 
 @dataclass

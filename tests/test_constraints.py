@@ -390,6 +390,47 @@ def test_tensor_route_matches_enumeration_route():
             assert by_tensor == pytest.approx(by_enum, abs=1e-10)
 
 
+def test_batched_tensor_route_matches_enumeration_route():
+    # each step of the batched contraction against full enumeration, over
+    # range and explicit-value domains
+    rng = random.Random(6420)
+    np_rng = np.random.default_rng(6420)
+    checked = 0
+    while checked < 80:
+        names = rng.sample("ABCDE", rng.randint(2, 5))
+        domains = {n: rand_domain(rng, f"d{n}") for n in names}
+        c = rand_constraint(rng, "c", names)
+        own, tensor = indicator_tensor(c, domains)
+        if len(own) < 2:
+            continue
+        steps = rng.randint(1, 6)
+        dists = [np_rng.random((steps, domains[n].size)) for n in own]
+        dists = [d / d.sum(axis=1, keepdims=True) for d in dists]
+        got = tensor_probability(tensor, dists)
+        assert got.shape == (steps,)
+        for t in range(steps):
+            want = constraint_probability(
+                c, {n: dict(zip(domains[n].values, d[t].tolist())) for n, d in zip(own, dists)}
+            )
+            assert abs(got[t] - want) <= 1e-12, (constraint_text(c), t)
+        checked += 1
+
+
+def test_tensor_probability_past_sixteen_axes():
+    # one axis per variable: 17 axes outrun a 16-letter subscript alphabet
+    names = [f"V{i}" for i in range(17)]
+    two = SymbolicDomain.from_range("two", 0, 1)
+    c = parse_constraint("eq", f"all_equal({', '.join(names)})")
+    _, tensor = indicator_tensor(c, dict.fromkeys(names, two))
+    assert tensor.ndim == 17
+    on = np.random.default_rng(17).random((3, 17))  # P(V = 1) per step and axis
+    dists = [np.stack([1.0 - on[:, i], on[:, i]], axis=1) for i in range(17)]
+    want = np.prod(on, axis=1) + np.prod(1.0 - on, axis=1)
+    got = tensor_probability(tensor, dists)
+    assert got.shape == (3,) and np.max(np.abs(got - want)) <= 1e-12
+    assert abs(tensor_probability(tensor, [d[0] for d in dists]) - want[0]) <= 1e-12
+
+
 def test_indicator_tensor_contents():
     c = parse_constraint("lt", "A < B")
     three = SymbolicDomain.from_range("three", 0, 2)

@@ -1,5 +1,6 @@
 """Temperature scaling, belief updates, and the three inference engines."""
 
+import dataclasses
 import math
 import random
 
@@ -14,6 +15,7 @@ from ltlseq.inference import (
     ExactEngine,
     FuzzyEngine,
     SddnnfEngine,
+    _ENGINES,
     apply_temperature,
     calibrate_temperature,
     exact_step,
@@ -220,6 +222,31 @@ def test_engine_classes_match_registry():
     assert isinstance(make_engine("sddnnf-lp", ct.dfa), SddnnfEngine)
     assert make_engine("fuzzy-lp", ct.dfa).semiring is LOGPROB
     assert make_engine("sddnnf-p", ct.dfa).semiring is PROB
+
+
+def test_make_engine_round_trips_the_table():
+    ct = compile_task(builtin_task("task5"))
+    assert ENGINE_NAMES == tuple(_ENGINES)
+    for name, (cls, semiring) in _ENGINES.items():
+        engine = make_engine(name, ct.dfa)
+        assert type(engine) is cls and engine.semiring is semiring and engine.name == name
+        assert cls(ct.dfa, semiring).name == name
+
+
+def test_engine_pairs_outside_the_table_are_rejected():
+    ct = compile_task(builtin_task("task5"))
+    other = dataclasses.replace(PROB, name="other")
+    for cls, semiring in [
+        (ExactEngine, LOGPROB),
+        (ExactEngine, other),
+        (FuzzyEngine, other),
+        (SddnnfEngine, other),
+        (FuzzyEngine, dataclasses.replace(LOGPROB)),  # equal to LOGPROB, not LOGPROB
+    ]:
+        with pytest.raises(DomainError) as exc:
+            cls(ct.dfa, semiring)
+        assert cls.__name__ in str(exc.value)
+        assert all(name in str(exc.value) for name in ENGINE_NAMES)
 
 
 def test_all_engines_agree_on_boolean_beliefs():

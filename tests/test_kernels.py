@@ -255,9 +255,10 @@ def test_row_chunks_equal_one_call(case, monkeypatch):
             assert np.array_equal(chunked.acceptance, whole.acceptance), (name, rows)
 
 
-def test_run_batch_bounds_its_working_set():
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_run_batch_bounds_its_working_set(name):
     dfa = compile_task(family_spec(10)).dfa  # 32 states over 1,024 letters
-    engine = make_engine("exact", dfa)
+    engine = make_engine(name, dfa)
     cb = np.random.default_rng(10).random((200, 20, len(dfa.atoms)))
     run_batch(engine, cb[:1])  # first-call caches are not the batch's
     started = not tracemalloc.is_tracing()
