@@ -76,6 +76,7 @@ from .inference import (
     RunResult,
     apply_temperature,
     calibrate_temperature,
+    calibrate_temperatures,
     exact_step,
     fuzzy_step,
     make_engine,
@@ -155,6 +156,7 @@ __all__ = [
     "run_batch",
     "apply_temperature",
     "calibrate_temperature",
+    "calibrate_temperatures",
     # harness
     "OracleConfig",
     "Metrics",

@@ -395,6 +395,9 @@ def cmd_sweep(
         seed_values = _seed_list(seeds)
     if not seed_values:
         raise click.UsageError("need at least one seed")
+    repeated = sorted({e for e in engines if engines.count(e) > 1})
+    if repeated:
+        raise click.UsageError(f"--engines repeats engine {', '.join(repeated)}")
 
     spec = replace(builtin_or_file(task_ref), seed=gen_seed)
     task = _compile_cached(spec)

@@ -643,11 +643,55 @@ def tensor_probability(indicator: np.ndarray, dists: Sequence[np.ndarray]) -> fl
     """Contract an indicator tensor with per-axis probability vectors.
 
     Given (steps × axis) matrices instead of vectors, contracts every step at
-    once and returns one probability per step; each equals the vector
-    contraction of that step's rows.
+    once and returns one probability per step.  The last axis goes first, as
+    one matrix-vector product per step; each remaining axis, last to first,
+    is then one ``einsum`` over the steps, so no intermediate is larger than
+    steps × the product of all but the last axis.  A vector call is a batch
+    of one step, and each step's arithmetic does not depend on how many steps
+    share the call: a batched row equals the vector contraction of that
+    step's rows bit for bit.
+
+    Raises DomainError unless there is one distribution per axis, each as
+    long as its axis, all vectors or all matrices with one step count.
     """
+    indicator = np.asarray(indicator, dtype=float)
+    rows = [np.asarray(d, dtype=float) for d in dists]
+    _check_axis_dists(indicator.shape, rows)
+    vector = rows[0].ndim == 1
+    # contiguous (steps × values) operands: BLAS and einsum then take one
+    # path whatever the caller's strides
+    rows = [np.ascontiguousarray(d[None] if vector else d) for d in rows]
+    shape, steps = indicator.shape, len(rows[0])
+    # a stacked (step row @ last-axis-first matrix) product is one gemv per
+    # step; one batch-wide gemm would sum each row in an order that can
+    # depend on the step count
+    by_last = np.ascontiguousarray(np.moveaxis(indicator, -1, 0)).reshape(shape[-1], -1)
+    out = (rows[-1][:, None, :] @ by_last).reshape(steps, *shape[:-1])
     # integer sublists (axis i, then step axis ndim): no subscript alphabet to run out of
-    step = [] if all(np.ndim(d) == 1 for d in dists) else [indicator.ndim]
-    operands = [x for i, d in enumerate(dists) for x in (d, step + [i])]
-    out = np.einsum(indicator, list(range(indicator.ndim)), *operands, step)
-    return out if step else float(out)
+    n = indicator.ndim
+    for i in range(n - 2, -1, -1):
+        out = np.einsum(out, [n, *range(i + 1)], rows[i], [n, i], [n, *range(i)])
+    return float(out[0]) if vector else out
+
+
+def _check_axis_dists(shape: tuple[int, ...], dists: Sequence[np.ndarray]) -> None:
+    if not shape:
+        raise DomainError("indicator tensor has no axes to contract")
+    counts = f"the tensor has {len(shape)} axes, got {len(dists)} distributions"
+    if len(dists) < len(shape):
+        raise DomainError(f"axis {len(dists)} has no distribution: {counts}")
+    if len(dists) > len(shape):
+        raise DomainError(f"distribution {len(shape)} has no axis: {counts}")
+    ndim = dists[0].ndim
+    for i, (size, d) in enumerate(zip(shape, dists)):
+        if d.ndim != ndim or ndim not in (1, 2):
+            raise DomainError(
+                f"axis {i}: distribution has {d.ndim} dimensions; give every axis a vector"
+                " or every axis a (steps × values) matrix"
+            )
+        if d.shape[-1] != size:
+            raise DomainError(f"axis {i}: distribution over {d.shape[-1]} values, axis has {size}")
+        if ndim == 2 and d.shape[0] != dists[0].shape[0]:
+            raise DomainError(
+                f"axis {i}: distribution has {d.shape[0]} steps, axis 0's has {dists[0].shape[0]}"
+            )

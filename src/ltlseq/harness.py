@@ -13,9 +13,14 @@ indicator, so each oracle kind is written once.
 Oracle randomness is derived per sequence from ``(seed, split, seq_id)``, so
 results do not depend on evaluation order.  Corruption is array code over a
 whole split: flip oracles keep their scalar draw loop but emit label indices,
-and confidence oracles draw each sequence's masses in one call.  A sweep then
-runs every (config, seed) unit of a split through each engine in one batched
-pass and scores the units one by one; no threads are started.  SC is always
+and confidence oracles draw each sequence's masses in one call and contract
+each indicator tensor over all steps at once (``tensor_probability``: the
+last axis as one matrix-vector product per step, then one ``einsum`` per
+remaining axis).  A sweep then runs every (config, seed) unit of a split
+through each engine in one batched pass and scores the units one by one; no
+threads are started.  With calibration, each distinct val acceptance is
+fitted once, and all of them in one lockstep search
+(``calibrate_temperatures``) after every engine has run.  SC is always
 scored on raw acceptance: a fitted calibration temperature is reported as
 the ``sc_temp`` column and read by no metric.
 """
@@ -38,6 +43,7 @@ from .errors import DomainError, TaskFileError
 from .generator import Dataset, SequenceSample, _digest_int
 from .inference import (
     calibrate_temperature,
+    calibrate_temperatures,
     make_engine,
     run_batch,
     run_sequence,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
@@ -406,12 +412,8 @@ def fit_sc_temperature(
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    return _fit_temperature(traces, _run_units(engine, [traces])[0][1])
-
-
-def _fit_temperature(traces: _Traces, acceptance: np.ndarray) -> tuple[float, bool]:
-    samples = traces.data.samples
-    return calibrate_temperature([(a, s.label) for a, s in zip(acceptance.tolist(), samples)])
+    acceptance = _run_units(engine, [traces])[0][1].tolist()
+    return calibrate_temperature([(a, s.label) for a, s in zip(acceptance, traces.data.samples)])
 
 
 def oracle_sweep(
@@ -434,8 +436,10 @@ def oracle_sweep(
     split, seq_id), so the metrics equal separate ``evaluate`` calls.
     Calibration (optional) fits a scalar acceptance temperature on the val
     split per combination, once per distinct acceptance vector (engines and
-    configs often agree).  It is reported as the ``sc_temp`` column only: SC
-    is always scored on raw acceptance, so calibrating changes no metric.
+    configs often agree), all in one ``calibrate_temperatures`` call; each
+    equals ``fit_sc_temperature`` of its combination.  It is reported as the
+    ``sc_temp`` column only: SC is always scored on raw acceptance, so
+    calibrating changes no metric.
     ``jobs`` is accepted for compatibility and starts no threads; the output
     is the same for any value.
     """
@@ -449,8 +453,9 @@ def oracle_sweep(
     traces = {name: [_oracle_traces(task, d, u) for u in units] for name, d in data.items()}
 
     rows: dict[str, list[dict]] = {}
-    # every unit scores the same val samples, so equal acceptances fit equal temperatures
-    temps: dict[bytes, float] = {}
+    # every unit scores the same val samples, so equal acceptances fit equal
+    # temperatures: each distinct acceptance, with the rows that share it
+    shared: dict[bytes, tuple[np.ndarray, list[dict]]] = {}
     for name, engine in built.items():
         runs = {s: _run_units(engine, unit_traces) for s, unit_traces in traces.items()}
         rows[name] = []
@@ -466,11 +471,14 @@ def oracle_sweep(
             }
             if calibrate:
                 acceptance = runs["val"][u][1]
-                key = acceptance.tobytes()
-                if key not in temps:
-                    temps[key] = _fit_temperature(traces["val"][u], acceptance)[0]
-                row["sc_temp"] = temps[key]
+                shared.setdefault(acceptance.tobytes(), (acceptance, []))[1].append(row)
             rows[name].append(row)
+    if shared:
+        labels = [s.label for s in data["val"].samples]
+        fits = calibrate_temperatures([acceptance for acceptance, _ in shared.values()], labels)
+        for (_, members), (temp, _) in zip(shared.values(), fits):
+            for row in members:
+                row["sc_temp"] = temp
     n = len(seeds)
     return [
         rows[name][c * n + s] for c in range(len(configs)) for name in engines for s in range(n)

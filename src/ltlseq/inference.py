@@ -56,7 +56,7 @@ from .errors import DegenerateBeliefError, DomainError
 from .props import PropFormula, simplify
 
 _CLAMP = 1e-7
-_LOG_TEMP_TOL = 1e-4  # width at which calibrate_temperature's log-temperature search stops
+_LOG_TEMP_TOL = 1e-4  # width at which each log-temperature search of calibrate_temperatures stops
 _PROB_SLACK = 1e-9
 # Cells of run_batch's working arrays (rows × letters × (states + steps))
 # allowed in one chunk of rows, so a large batch keeps memory bounded.  2^21
@@ -109,55 +109,82 @@ def calibrate_temperature(pairs: Sequence[tuple[float, int]]) -> tuple[float, bo
     prediction exactly 0.5 — cannot be calibrated; then (1.0, True) comes
     back.  The rescaling is monotone, but in floats a prediction within an
     ulp or so of 0.5 can land on exactly 0.5, so the harness reports the
-    temperature and scores SC on raw acceptance.  The clamped logits are
-    computed once; each probe then rescales them with the scalar steps of
-    ``apply_temperature``.  A probability that is NaN or outside [0, 1]
-    raises DomainError.
+    temperature and scores SC on raw acceptance.  This is the one-row call
+    of ``calibrate_temperatures``.  An empty list, a truth label other than
+    0/1 and a probability that is NaN or outside [0, 1] raise DomainError.
     """
-    if not pairs:
-        raise DomainError("calibration needs at least one (probability, truth) pair")
-    for _, truth in pairs:
+    return calibrate_temperatures([[prob for prob, _ in pairs]], [truth for _, truth in pairs])[0]
+
+
+def calibrate_temperatures(acceptance, labels: Sequence[int]) -> list[tuple[float, bool]]:
+    """``calibrate_temperature`` of every row of a (fits × pairs) matrix of
+    probabilities, each row paired with the same truth ``labels``.
+
+    All searches run in lockstep: each golden-section iteration scores the
+    probe of every still-active row in one (fits × pairs) pass, so the
+    numpy calls span the fits rather than the pairs of one fit.  Per row the
+    arithmetic is the scalar search's: the clamped logits are rescaled by
+    ``math.exp`` of the row's probe point with the steps of
+    ``apply_temperature``, and the terms are summed with ``np.cumsum`` in
+    pair order.  A row's result therefore does not depend on the rows beside
+    it.  Input with no pairs, rows and labels of unequal length, a label
+    other than 0/1 and a probability that is NaN or outside [0, 1] raise
+    DomainError.
+    """
+    for truth in labels:
         if truth not in (0, 1):
             raise DomainError(f"truth labels must be 0/1, got {truth!r}")
-    _check_probabilities([prob for prob, _ in pairs])
-    logits = []
-    for prob, truth in pairs:
-        p = min(max(float(prob), _CLAMP), 1.0 - _CLAMP)
-        logits.append((math.log(p / (1.0 - p)), truth))
+    try:
+        probs = np.asarray(acceptance, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or a non-number
+        raise DomainError(f"calibration needs a (fits × pairs) matrix: {exc}") from exc
+    if probs.ndim != 2 or probs.shape[1] != len(labels):
+        raise DomainError(
+            f"calibration needs a (fits × {len(labels)} pairs) matrix, got shape {probs.shape}"
+        )
+    if not len(labels):
+        raise DomainError("calibration needs at least one (probability, truth) pair")
+    _check_probabilities(probs)
+    clamped = np.clip(probs, _CLAMP, 1.0 - _CLAMP)
+    logits = np.log(clamped / (1.0 - clamped))
+    truth = np.array(labels, dtype=bool)
 
-    def nll(temp: float) -> float:
-        total = 0.0
-        for logit, truth in logits:
-            z = logit / temp
-            if z >= 0:
-                p = 1.0 / (1.0 + math.exp(-z))
-            else:
-                e = math.exp(z)
-                p = e / (1.0 + e)
-            p = min(max(p, _CLAMP), 1.0 - _CLAMP)
-            total -= math.log(p) if truth else math.log(1.0 - p)
-        return total
+    def nll(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The objective of each row at its log-temperature point."""
+        temps = np.array([math.exp(x) for x in points.tolist()])
+        z = logits[rows] / temps[:, None]
+        e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) below
+        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        p = np.clip(p, _CLAMP, 1.0 - _CLAMP)
+        return -np.cumsum(np.log(np.where(truth, p, 1.0 - p)), axis=1)[:, -1]
 
+    fits = len(probs)
+    every = np.arange(fits)
     lo, hi = -5.0, 5.0
-    probe = [nll(math.exp(x)) for x in np.linspace(lo, hi, 9)]
-    if max(probe) - min(probe) < 1e-12:
-        return 1.0, True
+    probe = np.stack([nll(every, np.full(fits, x)) for x in np.linspace(lo, hi, 9)], axis=1)
+    flat = probe.max(axis=1) - probe.min(axis=1) < 1e-12
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.full(fits, lo), np.full(fits, hi)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = nll(math.exp(c)), nll(math.exp(d))
-    while b - a > _LOG_TEMP_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = nll(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = nll(math.exp(d))
-    return math.exp((a + b) / 2.0), False
+    fc, fd = nll(every, c), nll(every, d)
+    active = ~flat
+    while active.any():
+        rows = np.flatnonzero(active)
+        left = fc[rows] < fd[rows]
+        lrows, rrows = rows[left], rows[~left]
+        # left: the minimum lies below d, so [a, d] is kept and c is new
+        b[lrows], d[lrows], fd[lrows] = d[lrows], c[lrows], fc[lrows]
+        c[lrows] = b[lrows] - inv_phi * (b[lrows] - a[lrows])
+        # right: [c, b] is kept and d is new
+        a[rrows], c[rrows], fc[rrows] = c[rrows], d[rrows], fd[rrows]
+        d[rrows] = a[rrows] + inv_phi * (b[rrows] - a[rrows])
+        f = nll(rows, np.where(left, c[rows], d[rows]))
+        fc[lrows], fd[rrows] = f[left], f[~left]
+        active[rows] = b[rows] - a[rows] > _LOG_TEMP_TOL
+    mid = ((a + b) / 2.0).tolist()
+    return [(1.0, True) if flat[i] else (math.exp(mid[i]), False) for i in range(fits)]
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,16 @@ def test_sweep_rejects_repeated_seed(tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_sweep_rejects_repeated_engine(tmp_path):
+    result = run(
+        "sweep", "task5", "-o", str(tmp_path / "s"), "--engines", "exact", "-e", "sddnnf-p",
+        "--engines", "exact", "--p-list", "0.0", "--seeds", "1",
+    )
+    assert result.exit_code == 2
+    assert "--engines repeats engine exact" in result.output
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

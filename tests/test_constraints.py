@@ -431,6 +431,44 @@ def test_tensor_probability_past_sixteen_axes():
     assert abs(tensor_probability(tensor, [d[0] for d in dists]) - want[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("axes", [1, 2, 3, 4, 5, 17])
+def test_tensor_probability_rows_do_not_depend_on_the_batch(axes):
+    # each batched row is the vector contraction of its step, bit for bit,
+    # and a batch of one step gives the same row as a batch of many
+    np_rng = np.random.default_rng(100 + axes)
+    for _ in range(3 if axes == 17 else 20):
+        shape = (2,) * axes if axes == 17 else tuple(np_rng.integers(1, 7, size=axes).tolist())
+        steps = int(np_rng.integers(2, 30))
+        tensor = (np_rng.random(shape) < 0.5).astype(float)
+        dists = [np_rng.random((steps, k)) for k in shape]
+        dists = [d / d.sum(axis=1, keepdims=True) for d in dists]
+        got = tensor_probability(tensor, dists)
+        assert got.shape == (steps,)
+        for t in range(steps):
+            assert tensor_probability(tensor, [d[t] for d in dists]) == got[t], (shape, t)
+            assert tensor_probability(tensor, [d[t : t + 1] for d in dists])[0] == got[t]
+
+
+@pytest.mark.parametrize(
+    "shape, dists, axis",
+    [
+        ((3, 4), [np.full(3, 1 / 3)], "axis 1 has no distribution"),
+        ((3,), [np.full(3, 1 / 3)] * 2, "distribution 1 has no axis"),
+        ((3, 4), [np.full(3, 1 / 3), np.full(3, 1 / 3)], "axis 1: distribution over 3 values"),
+        ((3, 4), [np.full(4, 1 / 4), np.full(4, 1 / 4)], "axis 0: distribution over 4 values"),
+        ((3, 4), [np.full((2, 3), 1 / 3), np.full(4, 1 / 4)], "axis 1: distribution has 1 dim"),
+        ((3, 4), [np.full((2, 3), 1 / 3), np.full((5, 4), 1 / 4)], "axis 1: distribution has 5 steps"),
+        ((3,), [np.full((1, 2, 3), 1 / 3)], "axis 0: distribution has 3 dim"),
+        ((3,), [np.array(1.0)], "axis 0: distribution has 0 dim"),
+        ((), [], "no axes"),
+    ],
+    ids=["missing", "extra", "short", "long", "mixed", "steps", "3-d", "scalar", "no-axes"],
+)
+def test_tensor_probability_rejects_distributions_that_miss_their_axes(shape, dists, axis):
+    with pytest.raises(DomainError, match=axis):
+        tensor_probability(np.ones(shape), dists)
+
+
 def test_indicator_tensor_contents():
     c = parse_constraint("lt", "A < B")
     three = SymbolicDomain.from_range("three", 0, 2)

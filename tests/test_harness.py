@@ -606,13 +606,13 @@ def test_oracle_sweep_calibrates_each_distinct_acceptance_once(monkeypatch):
 
     ct, ds = small_dataset("task3", splits=(20, 10, 10))
     calls = []
-    fit = harness.calibrate_temperature
+    fit = harness.calibrate_temperatures
 
-    def counting(pairs, *args, **kwargs):
-        calls.append(pairs)
-        return fit(pairs, *args, **kwargs)
+    def counting(acceptance, *args, **kwargs):
+        calls.extend(acceptance)  # one pair list per row
+        return fit(acceptance, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "calibrate_temperature", counting)
+    monkeypatch.setattr(harness, "calibrate_temperatures", counting)
     seeds = (1, 2)
     rows = oracle_sweep(ct, dataset=ds, engines=ENGINE_NAMES, seeds=seeds, calibrate=True)
     units = len(default_sweep_configs()) * len(seeds)

@@ -18,6 +18,7 @@ from ltlseq.inference import (
     _ENGINES,
     apply_temperature,
     calibrate_temperature,
+    calibrate_temperatures,
     exact_step,
     letter_probabilities,
     make_engine,
@@ -386,6 +387,59 @@ def test_calibration_equals_per_pair_reference_search():
         cases.append([(float(p), int(y)) for p, y in zip(probs, labels)])
     for pairs in cases:
         assert calibrate_temperature(pairs) == calibrate_temperature_reference(pairs), pairs
+
+
+def _calibration_rows(rng, fits, n):
+    """Flat rows (all 0.5), Boolean rows, rows at and past the clamps, and
+    rows of uniform draws, in random order."""
+    at_clamps = [0.0, 1e-9, 1e-7, 0.5, 1 - 1e-7, 1 - 1e-9, 1.0]
+    kinds = [
+        lambda: np.full(n, 0.5),
+        lambda: rng.integers(0, 2, size=n).astype(float),
+        lambda: rng.choice(at_clamps, size=n),
+        lambda: rng.random(n),
+    ]
+    return np.array([kinds[int(rng.integers(len(kinds)))]() for _ in range(fits)])
+
+
+def test_batched_calibration_equals_one_row_calls_and_reference_search():
+    # a lockstep row is the scalar search of that row alone, bit for bit;
+    # flat rows stop before the search while the rest of their batch goes on
+    from oracles import calibrate_temperature_reference
+
+    rng = np.random.default_rng(1618)
+    mixed = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        labels = rng.integers(0, 2, size=n).tolist()
+        acceptance = _calibration_rows(rng, int(rng.integers(1, 10)), n)
+        fits = calibrate_temperatures(acceptance, labels)
+        assert len(fits) == len(acceptance)
+        for row, fit in zip(acceptance, fits):
+            pairs = list(zip(row.tolist(), labels))
+            assert fit == calibrate_temperature(pairs) == calibrate_temperature_reference(pairs)
+        mixed += len({degenerate for _, degenerate in fits}) == 2
+    assert mixed >= 5
+    assert calibrate_temperatures(np.empty((0, 3)), [0, 1, 1]) == []
+
+
+@pytest.mark.parametrize(
+    "acceptance, labels, message",
+    [
+        (np.empty((2, 0)), [], "at least one"),
+        ([], [], "matrix"),
+        ([[0.2, 0.3]], [1], "matrix"),
+        ([[0.2], [0.3, 0.4]], [1], "matrix"),
+        ([0.2, 0.3], [1, 0], "matrix"),
+        ([[0.2, 0.3]], [1, 2], "0/1"),
+        ([[0.2, 0.3]], [1, None], "0/1"),
+        ([[0.2, math.nan]], [1, 0], r"\[0, 1\]"),
+    ],
+    ids=["no-pairs", "empty", "short-labels", "ragged", "vector", "label-2", "label-none", "nan"],
+)
+def test_batched_calibration_rejects_bad_input(acceptance, labels, message):
+    with pytest.raises(DomainError, match=message):
+        calibrate_temperatures(acceptance, labels)
 
 
 # ---------------------------------------------------------------------------
