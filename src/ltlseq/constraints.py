@@ -581,9 +581,10 @@ def sample_solution(
     rng: np.random.Generator,
 ) -> dict[str, int]:
     """Uniform draw from a cached solution set, as a fresh dict."""
-    if not solutions:
+    n = len(solutions)
+    if not n:
         raise UnsatisfiableLetterError("letter has no solutions")
-    return dict(solutions[int(rng.integers(len(solutions)))])
+    return dict(solutions[int(rng.integers(n))])
 
 
 def _check_distribution(name: str, dist: Mapping[int, float]) -> None:

@@ -8,7 +8,14 @@ label — no rejection sampling.
 
 All randomness is derived from the master seed through per-(split, sequence)
 hashes, so datasets are reproducible byte for byte and sequences can be
-generated independently in any order.
+generated independently in any order.  Each sequence's stream is
+``np.random.default_rng(hash)``; ``generate_dataset`` reads it through
+``_Draws``, which fetches the stream's PCG64 words in blocks and draws each
+``integers(n)`` from them exactly as numpy would, without numpy's per-call
+cost.  The bytes therefore rest on the ``SeedSequence`` and PCG64 raw
+streams, which NEP 19 keeps stable across numpy versions, and on Lemire's
+bounded draw as numpy >= 1.17 implements it, which
+``tests/test_generator.py`` pins against ``Generator.integers``.
 
 ``deserialize`` decodes ``sequences.csv`` in one pass, each row straight
 into the sequence of its (split, seq_id).
@@ -22,6 +29,7 @@ import hashlib
 import io
 import itertools
 import json
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from json.encoder import c_make_encoder as _c_make_encoder
@@ -45,8 +53,67 @@ def _digest_int(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _sequence_seed(seed: int, split: str, index: int) -> int:
+    return _digest_int(f"{seed}:{split}:{index}")
+
+
 def _sequence_rng(seed: int, split: str, index: int) -> np.random.Generator:
-    return np.random.default_rng(_digest_int(f"{seed}:{split}:{index}"))
+    return np.random.default_rng(_sequence_seed(seed, split, index))
+
+
+_LOW32 = (1 << 32) - 1
+_LOW64 = (1 << 64) - 1
+
+
+class _Draws:
+    """``np.random.default_rng(seed).integers(n)`` for scalar ``n``, the same
+    draw for draw, from PCG64 words fetched ``block`` at a time.
+
+    numpy's scalar path: a bound of 1 consumes nothing; a bound up to 2^32
+    is 32-bit Lemire on PCG64's buffered ``next_uint32`` (a fresh word's low
+    half, then its pending high half); a larger bound is 64-bit Lemire on
+    whole words and leaves a pending half alone.  Lemire draws again while
+    the product's low bits are below ``2^bits mod n``.
+    """
+
+    __slots__ = ("_bitgen", "_block", "_words", "_half")
+
+    def __init__(self, seed: int, block: int) -> None:
+        self._bitgen = np.random.PCG64(seed)
+        self._block = block
+        self._words = iter(())
+        self._half: int | None = None
+
+    def _word(self) -> int:
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._bitgen.random_raw(self._block).tolist())
+            word = next(self._words)
+        return word
+
+    def _next(self, bits: int) -> int:
+        if bits == 64:
+            return self._word()
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _LOW32
+        self._half = None
+        return half
+
+    def integers(self, n: int) -> int:
+        if n < 1:
+            raise ValueError(f"bound must be >= 1, got {n}")
+        if n == 1:
+            return 0
+        bits, mask = (32, _LOW32) if n <= 1 << 32 else (64, _LOW64)
+        m = self._next(bits) * n
+        if m & mask < n:
+            threshold = (mask + 1) % n
+            while m & mask < threshold:
+                m = self._next(bits) * n
+        return m >> bits
 
 
 @dataclass
@@ -77,6 +144,14 @@ class Dataset:
                 yield split, sample
 
 
+def _integer(name: str, value, low: int, high: int) -> int:
+    """``value`` as an int in ``[low, high]``, else DomainError (a bool is no integer here)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and low <= value <= high):
+        raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 def generate_sequence(
     task: CompiledTask,
     label: int,
@@ -84,21 +159,28 @@ def generate_sequence(
     rng: np.random.Generator,
     seq_id: int = 0,
 ) -> SequenceSample:
-    """One walk of ``length`` steps ending with the requested label."""
-    if label not in (0, 1):
-        raise DomainError(f"label must be 0 or 1, got {label!r}")
+    """One walk of ``length`` steps ending with the requested label.
+
+    ``rng`` is any source with numpy's ``integers(n)``; each step draws the
+    letter, then (in ``sample_solution``) its assignment.
+    """
+    label = _integer("label", label, 0, 1)
+    length = _integer("length", length, 1, len(task.reach) - 1)
     if not task.reach[length][task.dfa.initial][label]:
         raise DomainError(
             f"task {task.spec.name!r}: label {label} unreachable at length {length}"
         )
+    # looked up once per walk; the calls stay one per step (the benchmark's tracer counts them)
+    feasible, bucket = task.feasible_letters, task.solution_bucket
+    letter_truths, transitions, draw = task.letter_truths, task.dfa.transitions, rng.integers
     state = task.dfa.initial
     values, truths, states = [], [], []
     for step in range(length):
-        letters = task.feasible_letters(state, length - step, label)
-        letter = letters[int(rng.integers(len(letters)))]
-        values.append(sample_solution(task.solution_bucket(letter), rng))
-        truths.append(task.letter_truths(letter))
-        state = task.dfa.transitions[state][letter]
+        letters = feasible(state, length - step, label)
+        letter = letters[int(draw(len(letters)))]
+        values.append(sample_solution(bucket(letter), rng))
+        truths.append(letter_truths(letter))
+        state = transitions[state][letter]
         states.append(state)
     assert (states[-1] in task.dfa.accepting) == bool(label)
     return SequenceSample(
@@ -124,18 +206,21 @@ def _split_plan(spec: TaskSpec, split: str) -> list[tuple[int, int]]:
 def generate_dataset(source: TaskSpec | CompiledTask, jobs: int = 1) -> Dataset:
     """Full train/val/test dataset for a task, deterministic in its seed.
 
-    Each sequence draws from its own ``(seed, split, index)`` stream.
-    ``jobs`` is accepted for compatibility and starts no threads: the walks
-    are pure Python, so worker threads never ran them faster.
+    Each sequence draws from its own ``(seed, split, index)`` stream, read
+    through ``_Draws`` with one block of ``length + 1`` PCG64 words (about
+    one word per step); the sequence equals ``generate_sequence`` on
+    ``_sequence_rng(seed, split, index)``.  ``jobs`` is accepted for
+    compatibility and starts no threads: the walks hold the GIL, so worker
+    threads never ran them faster.
     """
     task = source if isinstance(source, CompiledTask) else compile_task(source)
     spec = task.spec
     splits: dict[str, list[SequenceSample]] = {}
     for split in SPLIT_NAMES:
-        splits[split] = [
-            generate_sequence(task, label, length, _sequence_rng(spec.seed, split, i), seq_id=i)
-            for i, (label, length) in enumerate(_split_plan(spec, split))
-        ]
+        samples = splits[split] = []
+        for i, (label, length) in enumerate(_split_plan(spec, split)):
+            draws = _Draws(_sequence_seed(spec.seed, split, i), length + 1)
+            samples.append(generate_sequence(task, label, length, draws, seq_id=i))
     metadata = {
         "spec": spec.to_dict(),
         "spec_hash": spec.spec_hash,

@@ -16,10 +16,11 @@ whole split: flip oracles keep their scalar draw loop but emit label indices,
 and confidence oracles draw each sequence's masses in one call and contract
 each indicator tensor over all steps at once (``tensor_probability``: the
 last axis as one matrix-vector product per step, then one ``einsum`` per
-remaining axis).  A sweep then runs every (config, seed) unit of a split
-through each engine in one batched pass and scores the units one by one; no
-threads are started.  With calibration, each distinct val acceptance is
-fitted once, and all of them in one lockstep search
+remaining axis); the ``ic_cc`` identity needs no contraction, each atom's
+belief being its distribution's column 1.  A sweep then runs every (config,
+seed) unit of a split through each engine in one batched pass and scores the
+units one by one; no threads are started.  With calibration, each distinct
+val acceptance is fitted once, and all of them in one lockstep search
 (``calibrate_temperatures``) after every engine has run.  SC is always
 scored on raw acceptance: a fitted calibration temperature is reported as
 the ``sc_temp`` column and read by no metric.
@@ -237,7 +238,8 @@ def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _T
     whose indicator is the identity.  A perfect or flip oracle's label
     distributions are one-hot, so each atom's belief is its indicator tensor
     read at the drawn labels; a confidence oracle's distributions are
-    contracted with each indicator over all steps at once.
+    contracted with each indicator over all steps at once, except that the
+    identity's contraction is column 1 of its distribution, read directly.
     """
     if oracle.target == "ic":
         true = data.labels[data.mask]  # steps of every sequence × variables
@@ -262,7 +264,10 @@ def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _T
             ic_hits += int(np.count_nonzero(dist.argmax(axis=1) == true[:, j]))
             dists.append(dist)
         for i, (columns, tensor) in enumerate(reads):
-            flat[:, i] = tensor_probability(tensor, [dists[j] for j in columns])
+            if tensor is _IDENTITY:  # 0·d0 + 1·d1 is d1, bit for bit
+                flat[:, i] = dists[columns[0]][:, 1]
+            else:
+                flat[:, i] = tensor_probability(tensor, [dists[j] for j in columns])
     else:
         drawn = true if rngs is None else _flip_labels(true, sizes, oracle.p, rngs, data.lengths)
         ic_hits = int(np.count_nonzero(drawn == true))
@@ -441,8 +446,13 @@ def oracle_sweep(
     ``sc_temp`` column only: SC is always scored on raw acceptance, so
     calibrating changes no metric.
     ``jobs`` is accepted for compatibility and starts no threads; the output
-    is the same for any value.
+    is the same for any value.  A repeated engine or seed would only copy
+    rows, so it raises DomainError.
     """
+    for what, values in (("engine", engines), ("seed", seeds)):
+        repeated = sorted(v for v, n in Counter(values).items() if n > 1)
+        if repeated:
+            raise DomainError(f"oracle_sweep repeats {what} {', '.join(map(str, repeated))}")
     if configs is None:
         configs = default_sweep_configs()
     built = {name: make_engine(name, task.dfa) for name in engines}

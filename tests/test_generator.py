@@ -3,21 +3,31 @@
 import csv
 import hashlib
 import json
+import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ltlseq.constraints import eval_constraint
+from ltlseq import generator
+from ltlseq.constraints import SymbolicDomain, VariableSpec, eval_constraint
 from ltlseq.errors import DatasetFormatError, DomainError, IntegrityError
 from ltlseq.generator import (
+    _Draws,
+    _sequence_rng,
+    _sequence_seed,
+    _split_plan,
     attach_image_indices,
     deserialize,
     generate_dataset,
+    generate_sequence,
     serialize,
 )
-from ltlseq.library import builtin_task
-from ltlseq.tasks import compile_task
+from ltlseq.library import builtin_task, builtin_task_names
+from ltlseq.tasks import SPLIT_NAMES, CompiledTask, compile_task
+from test_tasks import family_spec
 
 
 def small_task(**overrides):
@@ -110,6 +120,122 @@ def test_values_lie_in_domains():
         for values in sample.values:
             for name, value in values.items():
                 assert value in ct.variables_by_name[name].domain
+
+
+# ---------------------------------------------------------------------------
+# The draw source against numpy, and generation against its reference loop
+
+# Lemire's 32-bit path, its 2^32 edge, heavy rejection just past 2^31, and
+# the 64-bit path that leaves a pending 32-bit half untouched
+_BOUNDS = (
+    1, 2, 3, 2**31 - 5, 2**31, 2**31 + 1, 2**31 + 5, 2**32 - 1, 2**32, 2**32 + 1,
+    3 * 2**40 + 7, 2**63 - 1,
+)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_draws_equal_generator_integers(block):
+    rnd = random.Random(block)
+    for _ in range(300):
+        seed = rnd.getrandbits(64)
+        bounds = [
+            rnd.choice(_BOUNDS) if rnd.random() < 0.5 else rnd.randint(1, 40)
+            for _ in range(rnd.randint(1, 40))
+        ]
+        reference = np.random.default_rng(seed)
+        draws = _Draws(seed, block)
+        assert [draws.integers(n) for n in bounds] == [int(reference.integers(n)) for n in bounds]
+
+
+def test_draws_reject_an_empty_range():
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        _Draws(0, 4).integers(0)
+
+
+def from_values_task():
+    """task6 over a value-coded domain whose ``p & q`` letter has one assignment."""
+    sparse = SymbolicDomain.from_values("sparse", ("a", "b", "c", "d"), (0, 1, 2, 2**40))
+    spec = builtin_task("task6", splits=(40, 10, 10))
+    variables = tuple(VariableSpec(v.name, sparse, v.source) for v in spec.variables)
+    return compile_task(replace(spec, name="sparse", domains=(sparse,), variables=variables))
+
+
+def reference_splits(task):
+    """``generate_dataset``'s walks, each on its own numpy Generator."""
+    seed = task.spec.seed
+    return {
+        split: [
+            generate_sequence(task, label, length, _sequence_rng(seed, split, i), seq_id=i)
+            for i, (label, length) in enumerate(_split_plan(task.spec, split))
+        ]
+        for split in SPLIT_NAMES
+    }
+
+
+@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "from_values"])
+def test_dataset_equals_reference_loop(name):
+    if name == "fam6":
+        task = compile_task(replace(family_spec(6), splits=(40, 10, 10)))
+    elif name == "from_values":
+        task = from_values_task()
+        assert min(len(task.solution_bucket(letter)) for letter in task.usable_letters) == 1
+    else:
+        task = compile_task(builtin_task(name))
+    assert generate_dataset(task).splits == reference_splits(task)
+
+
+def test_walk_refills_a_one_word_block():
+    task = small_task()
+    for i in range(20):
+        draws = _Draws(_sequence_seed(1, "train", i), 1)
+        expected = generate_sequence(task, i % 2, 20, _sequence_rng(1, "train", i))
+        assert generate_sequence(task, i % 2, 20, draws) == expected
+
+
+def test_walk_calls_letters_and_solutions_once_per_step(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        generator, "sample_solution", counted("sample_solution", generator.sample_solution)
+    )
+    monkeypatch.setattr(
+        CompiledTask, "feasible_letters", counted("feasible_letters", CompiledTask.feasible_letters)
+    )
+    ds = generate_dataset(small_task())
+    steps = sum(sample.length for _, sample in ds)
+    assert calls == {"sample_solution": steps, "feasible_letters": steps}
+
+
+@pytest.mark.parametrize(
+    "label, length",
+    [
+        (1, 0),  # task5's initial state accepts: an empty walk has no last state
+        (0, 0),
+        (0, 21),  # past the reach table
+        (0, -1),
+        (0, 2.0),
+        (True, 10),  # would be written as a "True" cell that deserialize rejects
+        (2, 10),
+        ("1", 10),
+        (0, None),
+    ],
+)
+def test_generate_sequence_rejects_edge_inputs(label, length):
+    task = compile_task(builtin_task("task5"))
+    with pytest.raises(DomainError, match="must be an integer in"):
+        generate_sequence(task, label, length, np.random.default_rng(0))
+
+
+def test_generate_sequence_stores_a_plain_int_label():
+    sample = generate_sequence(small_task(), np.int64(1), 12, np.random.default_rng(0))
+    assert type(sample.label) is int and sample.label == 1
 
 
 # ---------------------------------------------------------------------------

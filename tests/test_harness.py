@@ -578,6 +578,20 @@ def test_array_traces_equal_reference_loop(name):
             assert (got.ic_hits, got.ic_total) == (hits, total), cfg
 
 
+@pytest.mark.parametrize(
+    "engines, seeds, repeated",
+    [
+        (("exact", "exact"), (7, 7), "engine exact"),
+        (("exact",), (7, 3, 7), "seed 7"),
+        (("exact", "fuzzy-p", "exact"), (1,), "engine exact"),
+    ],
+)
+def test_oracle_sweep_rejects_repeated_engines_and_seeds(engines, seeds, repeated):
+    ct, ds = small_dataset()
+    with pytest.raises(DomainError, match=f"oracle_sweep repeats {repeated}$"):
+        oracle_sweep(ct, ds, [OracleConfig()], engines=engines, seeds=seeds)
+
+
 @pytest.mark.parametrize("kind", ["flip", "confidence"])
 def test_one_label_domain_is_rejected_by_noisy_ic_oracles(kind):
     from dataclasses import replace
