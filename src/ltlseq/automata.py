@@ -4,20 +4,24 @@ A letter is an integer whose bit ``i`` gives the truth value of ``atoms[i]``.
 Automata are always complete; state 0 is initial.  ``ltlf_to_dfa`` yields the
 minimized automaton of a formula with a deterministic BFS numbering, so equal
 inputs produce identical automata.
+
+``Dfa.to_json_dict`` is the stored form every ``dfa.json``, cache file and
+``metadata.json`` holds: the table as one JSON row of successor states per
+state, and a sha256 digest of the document that ``Dfa.from_json_dict``
+checks.  The per-entry form written before it still loads.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-import operator
+import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import formulas as fm
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, IntegrityError, ResourceLimitError
 from .props import PropFormula, PFALSE, PTRUE, PVar, pand, pnot, por
 
 MAX_DFA_STATES = 10_000
@@ -59,24 +63,31 @@ class Dfa:
         return self.run(trace)[-1] in self.accepting
 
     def to_json_dict(self) -> dict:
-        return {
+        """The stored form: ``transitions`` holds one row per state, row ``s``
+        listing ``δ(s, letter)`` for letters ``0 … 2^k − 1``, and ``sha256``
+        is the digest of the rest of the document (see ``_sha256``)."""
+        doc = {
             "atoms": list(self.atoms),
             "states": self.n_states,
             "initial": self.initial,
             "accepting": sorted(self.accepting),
-            "transitions": [
-                {"from": s, "letter": letter, "to": self.transitions[s][letter]}
-                for s in range(self.n_states)
-                for letter in range(self.n_letters)
-            ],
+            "transitions": list(map(list, self.transitions)),
         }
+        doc["sha256"] = _sha256(doc)
+        return doc
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dfa":
         """Inverse of :meth:`to_json_dict`; any malformed field is a DomainError.
 
-        The table must list each ``(from, letter)`` pair exactly once, and
-        every state and letter must be in range.
+        The table is either the row form (a list of ``states`` rows of
+        ``2^k`` ints in range) or the per-entry form written before it (a
+        list of ``{"from", "letter", "to"}`` objects, one per pair); a list
+        that is empty or holds an object is read as the per-entry form.  The
+        row form must carry ``sha256``: once shape, types and bounds hold, it
+        is checked against the digest of the parsed automaton, and a
+        mismatch is an IntegrityError.  A per-entry document needs none, but
+        one it carries is checked the same way.
         """
         if not isinstance(data, dict):
             raise DomainError("DFA JSON must be an object")
@@ -90,64 +101,62 @@ class Dfa:
             raise DomainError(f"DFA atoms repeat: {atoms}")
         n = _json_index(data["states"], None, "states")
         n_letters = 1 << len(atoms)
-        entries = data["transitions"]
+        table = data["transitions"]
         accepting = data["accepting"]
-        if not isinstance(entries, list) or not isinstance(accepting, list):
+        if not isinstance(table, list) or not isinstance(accepting, list):
             raise DomainError("DFA transitions and accepting states must be lists")
-        transitions = _bulk_transitions(entries, n, n_letters)
-        if transitions is None:
-            transitions = _checked_transitions(entries, n, n_letters)
-        return cls(
+        per_entry = not table or any(isinstance(t, dict) for t in table)
+        dfa = cls(
             atoms=tuple(atoms),
             n_states=n,
             accepting=frozenset(_json_index(s, n, "accepting") for s in accepting),
-            transitions=transitions,
+            transitions=(
+                _checked_transitions(table, n, n_letters)
+                if per_entry
+                else _row_transitions(table, n, n_letters)
+            ),
             initial=_json_index(data.get("initial", 0), n, "initial"),
         )
+        if "sha256" not in data:
+            if per_entry:
+                return dfa
+            raise DomainError("DFA JSON is missing ['sha256']")
+        digest = data["sha256"]
+        if not isinstance(digest, str):
+            raise DomainError(f"DFA sha256 {digest!r} is not a hex digest string")
+        actual = dfa.to_json_dict()["sha256"]
+        if digest != actual:
+            raise IntegrityError(f"DFA sha256 {digest!r} does not match its automaton ({actual})")
+        return dfa
 
 
-_TRANSITION_CELLS = operator.itemgetter("from", "letter", "to")
+def _sha256(doc: dict) -> str:
+    """sha256 of the compact, sorted-key JSON of ``doc``."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _bulk_transitions(entries: list, n: int, n_letters: int) -> tuple[tuple[int, ...], ...] | None:
-    """The table of a well-formed transition list, checked as arrays; None
-    if any entry is off, so that ``_checked_transitions`` names it.
-
-    Well-formed: exact dicts holding exact ints in range, and one entry per
-    ``(from, letter)`` pair.  An int subclass also falls back, and passes there.
-    """
-    if not entries or len(entries) != n * n_letters or not set(map(type, entries)) <= {dict}:
-        return None
-    try:
-        flat = list(itertools.chain.from_iterable(map(_TRANSITION_CELLS, entries)))
-    except KeyError:
-        return None
-    if not set(map(type, flat)) <= {int}:
-        return None
-    try:
-        src, letter, dst = np.array(flat, dtype=np.int64).reshape(-1, 3).T
-    except OverflowError:
-        return None
-    if (
-        min(src.min(), letter.min(), dst.min()) < 0
-        or max(src.max(), dst.max()) >= n
-        or letter.max() >= n_letters
-    ):
-        return None
-    pair = src * n_letters + letter
-    seen = np.zeros(n * n_letters, dtype=bool)
-    seen[pair] = True
-    if not seen.all():
-        return None  # a pair repeats, so another is missing
-    table = np.empty(n * n_letters, dtype=np.int64)
-    table[pair] = dst
-    return tuple(map(tuple, table.reshape(n, n_letters).tolist()))
+def _row_transitions(rows: list, n: int, n_letters: int) -> tuple[tuple[int, ...], ...]:
+    """The table of the row form: ``n`` lists of ``n_letters`` ints (not
+    bools) in ``0..n-1``; ``rows`` is not empty.  The cells are checked as
+    one flat list; only if that fails are they walked to name the first bad
+    one."""
+    if len(rows) != n:
+        raise DomainError(f"DFA transitions has {len(rows)} rows, not {n}")
+    for s, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n_letters:
+            raise DomainError(f"DFA transitions[{s}] is not a list of {n_letters} states")
+    cells = list(itertools.chain.from_iterable(rows))
+    if not (set(map(type, cells)) == {int} and min(cells) >= 0 and max(cells) < n):
+        for s, row in enumerate(rows):
+            for letter, t in enumerate(row):
+                _json_index(t, n, f"transitions[{s}][{letter}]")
+    return tuple(map(tuple, rows))
 
 
 def _checked_transitions(entries: list, n: int, n_letters: int) -> tuple[tuple[int, ...], ...]:
-    """The table of a transition list, checked entry by entry: the reference
-    for ``_bulk_transitions``, and the path whose DomainError names the
-    first bad entry."""
+    """The table of the per-entry form, checked entry by entry; a
+    DomainError names the first bad entry."""
     table: dict[tuple[int, int], int] = {}
     for t in entries:
         if not isinstance(t, dict) or not {"from", "letter", "to"} <= t.keys():

@@ -70,22 +70,23 @@ def _friendly(fn):
 def _compile_cached(spec: TaskSpec) -> CompiledTask:
     """compile_task with an automaton cache keyed by the spec hash.
 
-    A cache file that ``read_input`` cannot read into a valid automaton, or
-    an automaton over other atoms than the spec's, is a miss: it is
-    recompiled and rewritten.  Writes go through a temporary file and
-    ``os.replace``, so readers never see a partial file.
+    A cache file that ``read_input`` cannot read into a valid automaton
+    (its digest included), one without a digest (the per-entry form written
+    before the row form), or an automaton over other atoms than the spec's,
+    is a miss: it is recompiled and rewritten.  Writes go through a
+    temporary file and ``os.replace``, so readers never see a partial file.
     """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return compile_task(spec)
     path = Path(cache_dir) / f"{spec.spec_hash}.dfa.json"
     try:
-        dfa = read_input(path, lambda text: Dfa.from_json_dict(json.loads(text)), LtlseqError)
+        data = read_input(path, json.loads, LtlseqError)
+        dfa = Dfa.from_json_dict(data) if isinstance(data, dict) and "sha256" in data else None
     except LtlseqError:
-        pass
-    else:
-        if dfa.atoms == spec.atoms:
-            return compile_task(spec, dfa=dfa)
+        dfa = None
+    if dfa is not None and dfa.atoms == spec.atoms:
+        return compile_task(spec, dfa=dfa)
     task = compile_task(spec)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -52,7 +52,8 @@ class DatasetFormatError(LtlseqError, ValueError):
 
 
 class IntegrityError(LtlseqError, ValueError):
-    """Stored spec hash does not match the embedded task spec."""
+    """Stored data contradicts itself: a spec hash or a DFA digest that does
+    not match what it covers, or a replay that disagrees with the dataset."""
 
 
 class DegenerateBeliefError(LtlseqError, ValueError):

@@ -367,10 +367,8 @@ def _render(value, depth: int, open_ids: set[int]) -> str:
     ``depth`` levels in, without the pad of its first line.
 
     A flat dict (``str`` keys, scalar values) or list of scalars is one C
-    call whose item separator carries the indent.  A list of flat dicts is
-    one C call at the dicts' entry depth: ``"},\\n<pad>{"`` can only come
-    from the separator between two items (ensure_ascii leaves no raw newline
-    in a string), so one ``replace`` puts the braces on their own lines.
+    call whose item separator carries the indent; other dicts and lists
+    recurse, so a list of int lists is one C call per inner list.
     Anything else (empty containers, tuples, subclasses, other keys,
     non-JSON values) goes through ``json.dumps`` itself.
     """
@@ -384,17 +382,6 @@ def _render(value, depth: int, open_ids: set[int]) -> str:
     if types <= _SCALARS:
         text = _flat(value, depth + 1)
         return text[0] + inner + text[1:-1] + pad + text[-1]
-    if (
-        types == {dict}
-        and kind is list
-        and all(value)
-        and set(map(type, itertools.chain.from_iterable(value))) == {str}
-        and set(map(type, itertools.chain.from_iterable(map(dict.values, value)))) <= _SCALARS
-    ):
-        entry = inner + "  "
-        body = _flat(value, depth + 2)[2:-2]
-        body = body.replace("}," + entry + "{", inner + "}," + inner + "{" + entry)
-        return "[" + inner + "{" + entry + body + inner + "}" + pad + "]"
     if id(value) in open_ids:
         raise ValueError("Circular reference detected")
     open_ids.add(id(value))

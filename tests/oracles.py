@@ -4,7 +4,8 @@ Everything here is written independently of the package internals: direct
 finite-trace semantics by recursion over formula structure, a random
 formula generator for property-style checks, per-point enumeration of
 constraint solutions, the per-sample, per-draw oracle corruption loop,
-the per-pair temperature search and the feasible letters of a walk step.
+the per-pair temperature search, the feasible letters of a walk step and
+the per-entry JSON form a stored automaton had before the row form.
 """
 
 import itertools
@@ -152,6 +153,22 @@ def minimize_reference(d):
             tuple(number[cls[t]] for t in d.transitions[members[c]]) for c in order
         ),
     )
+
+
+def old_form_json(d):
+    """``d`` as the per-entry JSON document written before the row form: one
+    ``{"from", "letter", "to"}`` object per (state, letter) and no digest."""
+    return {
+        "atoms": list(d.atoms),
+        "states": d.n_states,
+        "initial": d.initial,
+        "accepting": sorted(d.accepting),
+        "transitions": [
+            {"from": s, "letter": letter, "to": t}
+            for s, row in enumerate(d.transitions)
+            for letter, t in enumerate(row)
+        ],
+    }
 
 
 def _linear_value(expr, assignment):

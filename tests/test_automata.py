@@ -15,12 +15,12 @@ from ltlseq.automata import (
     minimize,
     transition_guard,
 )
-from ltlseq.errors import DomainError, ResourceLimitError
+from ltlseq.errors import DomainError, IntegrityError, LtlseqError, ResourceLimitError
 from ltlseq.formulas import parse
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.props import PFALSE, PTRUE, all_assignments, eval_prop
 
-from oracles import holds, minimize_reference, rand_formula
+from oracles import holds, minimize_reference, old_form_json, rand_formula
 
 TASK_FORMULAS = [
     "G(p <-> X X q)",
@@ -231,7 +231,7 @@ def test_json_incomplete_table_rejected():
 
 
 def _mutated(mutate):
-    data = ltlf_to_dfa(parse("F p")).to_json_dict()  # 2 states, 2 letters
+    data = old_form_json(ltlf_to_dfa(parse("F p")))  # 2 states, 2 letters
     mutate(data)
     return data
 
@@ -292,9 +292,10 @@ def test_json_non_object_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Golden automata: sha256 of the sorted-key JSON of each automaton as the
-# translation produced it before formulas were interned.  Any change to the
-# states, their BFS numbering or the acceptance set shows up here.
+# Golden automata: sha256 of the sorted-key per-entry JSON (``old_form_json``)
+# of each automaton as the translation produced it before formulas were
+# interned.  Any change to the states, their BFS numbering or the acceptance
+# set shows up here.
 
 _FAMILY_6 = "G(a0 -> F b0) & G(a1 -> F b1) & G(a2 -> F b2)"
 _FAMILY_10 = _FAMILY_6 + " & G(a3 -> F b3) & G(a4 -> F b4)"
@@ -315,7 +316,7 @@ GOLDEN_FAMILY = {
 
 
 def _digest(d):
-    return hashlib.sha256(json.dumps(d.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(old_form_json(d), sort_keys=True).encode()).hexdigest()
 
 
 def test_golden_builtin_automata():
@@ -338,16 +339,15 @@ def test_golden_random_formula_automata():
     digest = hashlib.sha256()
     for _ in range(300):
         d = ltlf_to_dfa(rand_formula(rng, 3), atoms=("p", "q", "r"))
-        digest.update(json.dumps(d.to_json_dict(), sort_keys=True).encode())
+        digest.update(json.dumps(old_form_json(d), sort_keys=True).encode())
     assert digest.hexdigest() == (
         "29548cc5c8bd80c9f10723d5cef2beb1cea924f5cd787d5eb3c863a5458bc874"
     )
 
 
 # ---------------------------------------------------------------------------
-# Transition lists checked as arrays: a well-formed list takes the array
-# path; any other falls back to the per-entry check, which names the first
-# bad entry with the message it always gave.
+# The per-entry form written before the row form still loads, and its
+# per-entry check names the first bad entry with the message it always gave.
 
 
 class _Int(int):
@@ -434,11 +434,11 @@ def test_json_round_trip_builtin_and_family(name):
 
 
 def test_array_check_matches_per_entry_check_on_random_lists():
-    """Shuffled, retyped, dropped and repeated entries give the table or the
-    exact error of the per-entry reference."""
+    """Shuffled, retyped, dropped and repeated per-entry lists give the table
+    or the exact error of the per-entry check."""
     from ltlseq.automata import _checked_transitions
 
-    base = ltlf_to_dfa(parse("G(p -> F q)")).to_json_dict()  # 2 states, 4 letters
+    base = old_form_json(ltlf_to_dfa(parse("G(p -> F q)")))  # 2 states, 4 letters
     values = (0, 1, 2, 3, 4, -1, True, False, 1.0, None, "0", 2**64, _Int(1))
     rng = random.Random(20261018)
     for _ in range(1000):
@@ -466,3 +466,154 @@ def test_array_check_matches_per_entry_check_on_random_lists():
             assert str(exc.value) == str(err)
         else:
             assert Dfa.from_json_dict(data).transitions == expected
+
+
+# ---------------------------------------------------------------------------
+# The row form: one list of successor states per state, and a digest
+
+
+def _golden_dfas():
+    for name in GOLDEN_BUILTIN:
+        spec = builtin_task(name)
+        yield ltlf_to_dfa(parse(spec.formula), atoms=sorted(c.name for c in spec.constraints))
+    for text in GOLDEN_FAMILY:
+        yield ltlf_to_dfa(parse(text))
+    rng = random.Random(20261019)
+    for _ in range(50):
+        yield ltlf_to_dfa(rand_formula(rng, 3), atoms=("p", "q", "r"))
+
+
+def _compact_sha256(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_row_form_and_old_form_load_to_the_same_dfa():
+    for d in _golden_dfas():
+        data = d.to_json_dict()
+        assert data["transitions"] == [list(row) for row in d.transitions]
+        assert data["sha256"] == _compact_sha256({k: v for k, v in data.items() if k != "sha256"})
+        assert Dfa.from_json_dict(json.loads(json.dumps(data))) == d
+        assert Dfa.from_json_dict(json.loads(json.dumps(old_form_json(d)))) == d
+
+
+def _set_cell(s, letter, value):
+    return lambda d: d["transitions"][s].__setitem__(letter, value)
+
+
+# (mutation of the "F p" automaton's row-form JSON, exact DomainError message)
+MALFORMED_ROWS = {
+    "transitions-string": (
+        lambda d: d.update(transitions="1 1 1 1"),
+        "DFA transitions and accepting states must be lists",
+    ),
+    "transitions-object": (
+        lambda d: d.update(transitions={"0": [1, 1]}),
+        "DFA transitions and accepting states must be lists",
+    ),
+    "missing-row": (lambda d: d["transitions"].pop(), "DFA transitions has 1 rows, not 2"),
+    "extra-row": (lambda d: d["transitions"].append([0, 0]), "DFA transitions has 3 rows, not 2"),
+    "row-string": (
+        lambda d: d["transitions"].__setitem__(1, "1 1"),
+        "DFA transitions[1] is not a list of 2 states",
+    ),
+    "row-null": (
+        lambda d: d["transitions"].__setitem__(0, None),
+        "DFA transitions[0] is not a list of 2 states",
+    ),
+    "row-short": (
+        lambda d: d["transitions"][1].pop(),
+        "DFA transitions[1] is not a list of 2 states",
+    ),
+    "row-long": (
+        lambda d: d["transitions"][0].append(0),
+        "DFA transitions[0] is not a list of 2 states",
+    ),
+    "cell-bool": (_set_cell(0, 1, True), "DFA transitions[0][1] True is not in 0..1"),
+    "cell-float": (_set_cell(1, 0, 1.0), "DFA transitions[1][0] 1.0 is not in 0..1"),
+    "cell-negative": (_set_cell(1, 1, -1), "DFA transitions[1][1] -1 is not in 0..1"),
+    "cell-out-of-range": (_set_cell(0, 0, 2), "DFA transitions[0][0] 2 is not in 0..1"),
+    "cell-2**64": (_set_cell(1, 0, 2**64), f"DFA transitions[1][0] {2**64} is not in 0..1"),
+    "cell-string": (_set_cell(0, 1, "1"), "DFA transitions[0][1] '1' is not in 0..1"),
+    "cell-null": (_set_cell(1, 1, None), "DFA transitions[1][1] None is not in 0..1"),
+    "sha256-missing": (lambda d: d.pop("sha256"), "DFA JSON is missing ['sha256']"),
+    "sha256-int": (lambda d: d.update(sha256=5), "DFA sha256 5 is not a hex digest string"),
+    "sha256-null": (lambda d: d.update(sha256=None), "DFA sha256 None is not a hex digest string"),
+}
+
+# well-formed edits that change the automaton, or only its digest
+MISMATCHED_ROWS = {
+    "cell-in-range": _set_cell(0, 0, 1),
+    "accepting": lambda d: d.update(accepting=[0]),
+    "initial": lambda d: d.update(initial=1),
+    "atoms": lambda d: d.update(atoms=["q"]),
+    "digest": lambda d: d.update(sha256="0" * 64),
+    "digest-upper-case": lambda d: d.update(sha256=d["sha256"].upper()),
+}
+
+
+def _row_form(mutate):
+    data = ltlf_to_dfa(parse("F p")).to_json_dict()  # 2 states, 2 letters
+    mutate(data)
+    return data
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ROWS))
+def test_malformed_row_form_message(name):
+    mutate, message = MALFORMED_ROWS[name]
+    with pytest.raises(DomainError) as exc:
+        Dfa.from_json_dict(_row_form(mutate))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", list(MISMATCHED_ROWS))
+def test_row_form_digest_mismatch(name):
+    data = _row_form(MISMATCHED_ROWS[name])
+    actual = _compact_sha256({k: v for k, v in data.items() if k != "sha256"})
+    assert actual != data["sha256"]
+    with pytest.raises(IntegrityError) as exc:
+        Dfa.from_json_dict(data)
+    assert str(exc.value) == f"DFA sha256 {data['sha256']!r} does not match its automaton ({actual})"
+
+
+def test_old_form_digest_is_checked_when_present():
+    d = ltlf_to_dfa(parse("F p"))
+    data = old_form_json(d)
+    assert Dfa.from_json_dict(data | {"sha256": d.to_json_dict()["sha256"]}) == d
+    with pytest.raises(IntegrityError):
+        Dfa.from_json_dict(data | {"sha256": "0" * 64})
+
+
+def test_random_row_form_edits_load_the_same_dfa_or_raise_typed():
+    """Retyped cells, replaced, dropped and repeated rows and other digests
+    either raise an LtlseqError or load the unedited automaton."""
+    d = ltlf_to_dfa(parse("G(p -> F q)"))  # 2 states, 4 letters
+    base = d.to_json_dict()
+    values = (0, 1, 2, -1, True, False, 1.0, None, "0", 2**64, _Int(1), [0], {}, "0" * 64)
+    rng = random.Random(20261020)
+    outcomes = set()
+    for _ in range(1000):
+        data = json.loads(json.dumps(base))
+        for _ in range(rng.randrange(1, 3)):
+            rows = data["transitions"]
+            op = rng.randrange(6)
+            row = rng.choice(rows) if rows else None
+            if op == 0 and isinstance(row, list) and row:
+                row[rng.randrange(len(row))] = rng.choice(values)
+            elif op == 1 and rows:
+                rows[rng.randrange(len(rows))] = rng.choice(values)
+            elif op == 2 and rows:
+                rows.pop(rng.randrange(len(rows)))
+            elif op == 3 and rows:
+                rows.append(rng.choice(rows))
+            elif op == 4:
+                data["sha256"] = rng.choice(values)
+            else:
+                data[rng.choice(("accepting", "initial", "states"))] = rng.choice(values)
+        try:
+            loaded = Dfa.from_json_dict(data)
+        except LtlseqError as err:
+            outcomes.add(type(err))
+        else:
+            assert loaded == d
+            outcomes.add(Dfa)
+    assert outcomes == {DomainError, IntegrityError, Dfa}

@@ -203,7 +203,7 @@ def test_compile_recovers_invalid_cache(tmp_path):
     env, entry = _seed_cache(tmp_path, "task3")
     good = entry.read_text()
     data = json.loads(good)
-    data["transitions"][0]["to"] = 99
+    data["transitions"][0][0] = 99
     entry.write_text(json.dumps(data))
     result = run("compile", "task3", env=env)
     assert result.exit_code == 0, result.output
@@ -221,6 +221,43 @@ def test_compile_recovers_cache_over_other_atoms(tmp_path):
         assert result.exit_code == 0, result.output
         assert "atoms: p, q" in result.output
         assert entry.read_text() == good
+
+
+def _edit_in_range(data, edit):
+    """Edit a stored automaton so that it stays well-formed but changes."""
+    n = data["states"]
+    if edit == "transitions":
+        for row in data["transitions"][:6]:
+            row[0] = (row[0] + 1) % n
+    else:
+        data["accepting"] = sorted(set(data["accepting"]) ^ {0})
+
+
+@pytest.mark.parametrize("edit", ["transitions", "accepting"])
+def test_cache_edited_in_range_is_recompiled(tmp_path, edit):
+    """A cache file edited in range fails its digest: a sweep recompiles it
+    and rewrites it to the bytes of an uncached ``compile -o``."""
+    env, entry = _seed_cache(tmp_path, "task1")
+    data = json.loads(entry.read_text())
+    _edit_in_range(data, edit)
+    entry.write_text(json.dumps(data))
+    sweep = run("sweep", "task1", "-o", str(tmp_path / "s"), "--p-list", "0.0", "--seeds", "1", env=env)
+    assert sweep.exit_code == 0, sweep.output
+    assert run("compile", "task1", "-o", str(tmp_path / "uncached")).exit_code == 0
+    assert entry.read_bytes() == (tmp_path / "uncached" / "dfa.json").read_bytes()
+
+
+def test_old_form_cache_is_rewritten(tmp_path):
+    """A cache file in the per-entry form, which has no digest, is a miss."""
+    from ltlseq.automata import Dfa
+    from oracles import old_form_json
+
+    env, entry = _seed_cache(tmp_path, "task3")
+    good = entry.read_text()
+    entry.write_text(json.dumps(old_form_json(Dfa.from_json_dict(json.loads(good)))))
+    result = run("compile", "task3", env=env)
+    assert result.exit_code == 0, result.output
+    assert entry.read_text() == good
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +488,16 @@ def test_infer_rejects_metadata_of_wrong_type(tmp_path, change):
     assert result.exit_code == 1
     assert "metadata.json" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("edit", ["transitions", "accepting"])
+def test_infer_rejects_a_stored_dfa_edited_in_range(tmp_path, edit):
+    path = generate(tmp_path) / "metadata.json"
+    _rewrite_metadata(path, lambda m: _edit_in_range(m["dfa"], edit) or m)
+    result = CliRunner().invoke(main, ["infer", str(path.parent)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "does not match its automaton" in result.output
 
 
 def test_infer_rejects_atoms_that_differ_from_the_dfa(tmp_path):
@@ -742,11 +789,11 @@ GOLDEN_CLI = {
     "stdout 7": "88d72ce7385d67740a43d1b783b550ef63dd4f747e848d2c658f1b39ce8b5e76",
     "stdout 8": "55486b675beaca5536a4d31d6d09d1802f23ca119a812aa57af4d9c64d44831c",
     "bl/baseline.json": "fa90f9026946edfcf936bd73b7f37e13e326f09b57e2d05ff7dc8abd066e4bd5",
-    "build/dfa.json": "edb07fb1790bde98fdf8c2c15a63ed5abb3c107f79f12e1487303ac8b99d544d",
+    "build/dfa.json": "886d9d1e3570f300ddbb9021a5952b53df0893a28bcbe377a85ba27994c5c337",
     "build/guards.txt": "148b7a82ca13bb7854d72418bdd76ab5226c9a259f935ac43cceb33f16104b9f",
-    "cache/8cac525ac078e0e9883e0da9d3c66c4b151a0b099066a26cfe87b11a641cc792.dfa.json": "edb07fb1790bde98fdf8c2c15a63ed5abb3c107f79f12e1487303ac8b99d544d",
-    "cache/ec151e79a8deca99042a77b9ed47d14223ed7a698acc8a2d8fb090076375dc1f.dfa.json": "edb07fb1790bde98fdf8c2c15a63ed5abb3c107f79f12e1487303ac8b99d544d",
-    "ds/metadata.json": "5fa3fcf880e43b823168141b4918b4a489b25ef17d649dbee62b5fc2c2f9d022",
+    "cache/8cac525ac078e0e9883e0da9d3c66c4b151a0b099066a26cfe87b11a641cc792.dfa.json": "886d9d1e3570f300ddbb9021a5952b53df0893a28bcbe377a85ba27994c5c337",
+    "cache/ec151e79a8deca99042a77b9ed47d14223ed7a698acc8a2d8fb090076375dc1f.dfa.json": "886d9d1e3570f300ddbb9021a5952b53df0893a28bcbe377a85ba27994c5c337",
+    "ds/metadata.json": "a5162b2030768b9f74cfe4d9cad7d202a56f74e849d058b1077f7f8c0e31cd70",
     "ds/metrics.csv": "c65a636ab28b988a47af0ea15d6bff0c6d09e5953cebcbb233fab9b5ac02c480",
     "ds/metrics.json": "5fc352e55e991ce6f69c8b1e3d3ebde8d20e21db3e2afeeb8fdcff8a9c042fe5",
     "ds/sequences.csv": "4b9bd98afd9772977374b80aeb4c28d866e9dc764ed2dcc8169c2f2708763164",

@@ -3,14 +3,17 @@
 import csv
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from ltlseq.automata import Dfa
 from ltlseq.cli import main
 from ltlseq.errors import DatasetFormatError
 from ltlseq.generator import attach_image_indices, deserialize, generate_dataset, serialize
 from ltlseq.library import builtin_task, builtin_task_names
+from ltlseq.tasks import compile_task
 from test_tasks import family_spec
 
 # sha256 of (sequences.csv, metadata.json); "task5+images" attaches image
@@ -18,43 +21,43 @@ from test_tasks import family_spec
 GOLDEN_DATASETS = {
     "task1": (
         "8854f1079447002bc68bc062ee9ba02bff1501d5522329d706f4ba7735a8e310",
-        "66dbedaf6525e86d60069d2d0d40eb24f4a7dd675f20649c8e15758c9e547f13",
+        "6878f96d54c0ba03f8882923ff5f52408e1f7a20a5ad0772d33044ef061a2923",
     ),
     "task2": (
         "7690d8337c97b7d50f399ba4d82a0a6a874b0a361b0afce4a8f4c7fccb106fd1",
-        "dcab292698a0aebfee0a44754c2fc300f939a3969c7c86c6271772040f4b9166",
+        "5e26bf306688c03d8ef3f77b70ceb9f706ab94b83884eda369d32bb017d8e7c0",
     ),
     "task3": (
         "e9509f74cef6524d21331d9d870652166b7011ed2002e1332b0afa94d87ca5f9",
-        "3210cb4ffc58fd00454a4a2cf2b9fadfba013ea5f6efc16409bb1ad38bb4a4c9",
+        "4ac0f8a2b660cddfabedd67443ec8a4d603fef8472a8dcdfacb453c802c144a8",
     ),
     "task4": (
         "149a1fbe5cfcc70363f8c8b190203914c8ab37409d69d395d0cb100bcacf3add",
-        "03079d2b074f65efdc8714eaeba74a693332328944d63fa72cdd7cfef4361727",
+        "4ad25505e0f361fbadd007941f317b499012490b4409daac0d0f6673da32d025",
     ),
     "task5": (
         "d3ab66abf2b2b97872d4626f0d2158c852cca8081d7cba870801dfb75e463a9e",
-        "1636e43428c67f0a4b6cd58257efe0670784a8bd7a1142716b28a0209ab95062",
+        "1410d4abf2fe51bbfb1e461b47ae3175057311589531462c86f97b2a4a85c092",
     ),
     "task6": (
         "00a8913f1f319fce6cbec0a452e8d4b4dbbee570948f3a916c2306366b5f589b",
-        "f1118ab111b1d74fbb2ae7fa833e2508b555f54bcef228df7c4f72382d76235a",
+        "f8efbd82ef90adcabce4c261194718298274100f267c777ce6b2b54c18f10f61",
     ),
     "example": (
         "cfa14a573fac7ba293c759488fb1e6e8d9e64f8f6faf1b80cde716583b5be101",
-        "49b0aebb209d7eaba0a5ad3d39d03a42b290d8cadaee99f0f5a6f11cb6f6ee4f",
+        "32115698f8688cfade6b31c3a9be47a3d2d4a6e1331305846e27a0ad70b8ee85",
     ),
     "fam6": (
         "684e441664b1e434b8e8723bf90cf6afb6a9128a863567235f299578f6f3a68a",
-        "56ff69da46244be973df48e5d81ac9bc5a681078d299f84a769325a73aaaf5b3",
+        "e48c6bba48e8c0de8d76941d2b8a1d0a81ba6048dfe1e154799c4fc46c7ece47",
     ),
     "fam10": (
         "0381a55f71ceeac92863bd04df15ae67889d214aeb29750a88e0eb7df58ce779",
-        "835ffdfa2164099f6f85911500ebf724698d2ad24ee4b746cfccaaf49b1711eb",
+        "fb59cd937357409cb47c632d07326bdb6fb60126feda85f03fc6dc4deca58d44",
     ),
     "task5+images": (
         "97473b7eb0c39e9e4b27ad52a1efada387c001467153ae5e3e881d9588f30784",
-        "08597a634919739d355b5df791f9b0bf9d1a52359ac0db60fb5524910c328a5f",
+        "325bd8f0bd189d8ee34afbb01c884fba084714d1d187502244194c2b7b24a765",
     ),
 }
 
@@ -90,6 +93,21 @@ def test_golden_dataset_bytes(name, tmp_path):
     serialize(ds, tmp_path)
     assert file_digests(tmp_path) == GOLDEN_DATASETS[name]
     assert deserialize(tmp_path, verify=True).splits == ds.splits
+
+
+# ``ltlseq generate task5 --splits 10 4 4`` as written before the row form:
+# its metadata.json stores the DFA as one {"from", "letter", "to"} object per
+# transition, with no digest
+OLD_FORM_DATASET = Path(__file__).parent / "data" / "task5-old-form"
+
+
+def test_old_form_dataset_loads():
+    ds = deserialize(OLD_FORM_DATASET, verify=True)
+    assert isinstance(ds.metadata["dfa"]["transitions"][0], dict)
+    spec = builtin_task("task5", splits=(10, 4, 4))
+    assert ds.spec == spec
+    assert ds.splits == generate_dataset(spec).splits
+    assert Dfa.from_json_dict(ds.metadata["dfa"]) == compile_task(spec).dfa
 
 
 # ---------------------------------------------------------------------------

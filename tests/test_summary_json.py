@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from ltlseq import generator
+from ltlseq.automata import ltlf_to_dfa
+from ltlseq.formulas import parse
 from ltlseq.generator import write_summary_json
 
 # strings that could fool a writer splicing text: the brace-line separator
@@ -146,10 +148,19 @@ def test_circular_reference_raises_what_json_dump_raises(tmp_path):
 
 
 def test_transition_list_depths(tmp_path):
-    """Lists of flat dicts, alone and nested up to four levels deep."""
+    """Lists of flat dicts, alone and nested up to four levels deep, and a
+    stored DFA's rows of ints, alone and inside a dataset's metadata."""
     entries = [{"from": s, "letter": t, "to": (s + t) % 3} for s in range(3) for t in range(4)]
+    rows = ltlf_to_dfa(parse("G(a0 -> F b0) & G(a1 -> F b1)")).to_json_dict()
     write = _written(tmp_path)
-    for doc in (entries, {"dfa": {"transitions": entries}}, [[{"x": entries}]], [{"a": 1}, {}]):
+    for doc in (
+        entries,
+        {"dfa": {"transitions": entries}},
+        [[{"x": entries}]],
+        [{"a": 1}, {}],
+        rows,
+        {"atoms": rows["atoms"], "dfa": rows},
+    ):
         assert write(doc) == _expected(doc)
 
 
