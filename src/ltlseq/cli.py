@@ -1,12 +1,12 @@
 """Command-line front end: compile, generate, infer, sweep, baseline, report.
 
-Every subcommand is deterministic given its flags; --jobs is accepted for
-compatibility, starts no threads and never changes output bytes.  Compiled
-automata are cached under $LTLSEQ_CACHE_DIR (keyed by the task-spec hash)
-when that variable is set.  ``infer`` scores one (engine, oracle, seed)
-combination as a one-row ``oracle_sweep`` and appends the dataset's
-baselines; ``sweep`` runs distinct oracle seeds only.  --split names one of
-train, val or test.
+Every subcommand is deterministic given its flags.  ``compile``,
+``generate`` and ``sweep`` cache automata under $LTLSEQ_CACHE_DIR (keyed by
+the task-spec hash) when it is set; ``infer`` and ``baseline`` compile
+nothing and read the automaton a dataset stores, ``Dataset.dfa``.
+``infer`` scores one (engine, oracle, seed) combination as a one-row
+``oracle_sweep`` and appends the dataset's baselines; ``sweep`` runs
+distinct oracle seeds only.  --split names one of train, val or test.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -187,13 +187,6 @@ def cmd_compile(task_ref: str, out: str | None, max_states: int | None) -> None:
     default=None,
     help="Train, val, and test sequence counts.",
 )
-@click.option(
-    "--jobs",
-    type=int,
-    default=1,
-    show_default=True,
-    help="Accepted for compatibility; starts no threads, outputs are identical for any value.",
-)
 @_friendly
 def cmd_generate(
     task_ref: str,
@@ -203,7 +196,6 @@ def cmd_generate(
     min_length: int | None,
     max_length: int | None,
     splits: tuple[int, int, int] | None,
-    jobs: int,
 ) -> None:
     """Generate a labeled train/val/test dataset for TASK_REF."""
     spec = builtin_or_file(task_ref)
@@ -218,7 +210,7 @@ def cmd_generate(
         overrides["splits"] = splits
     spec = replace(spec, **overrides)
     task = _compile_cached(spec)
-    ds = generate_dataset(task, jobs=jobs)
+    ds = generate_dataset(task)
     out_dir = Path(out)
     serialize(ds, out_dir)
     for split in SPLIT_NAMES:
@@ -292,7 +284,7 @@ def cmd_infer(
     if kind == "perfect" and noise != 0.0:
         raise click.UsageError("perfect oracle requires --noise 0")
     ds = deserialize(dataset_dir, verify=True)
-    task = _compile_cached(ds.spec)
+    task = compile_task(ds.spec, dfa=ds.dfa)
     cfg = OracleConfig(target=target, kind=kind, p=noise)
     (row,) = oracle_sweep(task, ds, [cfg], (engine,), (oracle_seed,), split, calibrate)
     try:
@@ -357,13 +349,6 @@ def cmd_infer(
     default=False,
     help="Fit SC temperatures on the val split (adds an sc_temp column).",
 )
-@click.option(
-    "--jobs",
-    type=int,
-    default=1,
-    show_default=True,
-    help="Accepted for compatibility; starts no threads, outputs are identical for any value.",
-)
 @_friendly
 def cmd_sweep(
     task_ref: str,
@@ -375,7 +360,6 @@ def cmd_sweep(
     gen_seed: int,
     split: str,
     calibrate: bool,
-    jobs: int,
 ) -> None:
     """Run the oracle-noise grid: {flip, confidence} x {ic, ic_cc} x p."""
     try:
@@ -402,7 +386,7 @@ def cmd_sweep(
 
     spec = replace(builtin_or_file(task_ref), seed=gen_seed)
     task = _compile_cached(spec)
-    ds = generate_dataset(task, jobs=jobs)
+    ds = generate_dataset(task)
     configs = default_sweep_configs([p for p in p_values if p > 0.0])
     if 0.0 not in p_values:
         configs = configs[1:]  # drop the leading perfect config
@@ -414,7 +398,6 @@ def cmd_sweep(
         seeds=seed_values,
         split=split,
         calibrate=calibrate,
-        jobs=jobs,
     )
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

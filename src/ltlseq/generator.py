@@ -138,6 +138,12 @@ class Dataset:
     splits: dict[str, list[SequenceSample]]
     metadata: dict
 
+    @functools.cached_property
+    def dfa(self) -> Dfa:
+        """The automaton ``metadata["dfa"]`` stores, in whose numbering the
+        ``state_after`` column was written; parsed on first read, then kept."""
+        return Dfa.from_json_dict(self.metadata["dfa"])
+
     def __iter__(self):
         for split in SPLIT_NAMES:
             for sample in self.splits.get(split, []):
@@ -417,8 +423,9 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     Every row must have as many cells as the header, and ``*_truth`` and
     ``seq_label`` cells must read exactly ``0`` or ``1``; errors name the
     physical line.  With ``verify=True`` also recomputes the spec hash and
-    replays every truth vector through the stored DFA, raising
+    replays every truth vector through ``Dataset.dfa``, raising
     IntegrityError on any mismatch with the recorded states or labels.
+    Errors of the stored DFA name ``metadata.json``.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / "metadata.json"
@@ -453,6 +460,12 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     )
     ds = Dataset(spec=spec, splits=splits, metadata=metadata)
     if verify:
+        try:
+            ds.dfa
+        except IntegrityError as err:
+            raise IntegrityError(f"{meta_path}: {err}") from err
+        except DomainError as err:
+            raise DatasetFormatError(f"{meta_path}: {err}") from err
         _verify_replay(ds, letters)
     return ds
 
@@ -564,8 +577,8 @@ def _records(reader, csv_path: Path):
 
 
 def _verify_replay(ds: Dataset, letters: Mapping[tuple[str, int], Sequence[int]]) -> None:
-    """Replay each sample's ``letters[split, seq_id]`` through the stored DFA."""
-    dfa = Dfa.from_json_dict(ds.metadata["dfa"])
+    """Replay each sample's ``letters[split, seq_id]`` through ``ds.dfa``."""
+    dfa = ds.dfa
     transitions = dfa.transitions
     for split, sample in ds:
         state = dfa.initial

@@ -466,9 +466,10 @@ def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> B
     """Iterate an engine from the one-hot initial belief over a batch of cb
     traces, given as one array of shape sequences × steps × atoms.
 
-    ``lengths`` gives each sequence's own length when the batch is padded
-    (default: every sequence fills every step); padding steps are run but
-    masked out, and acceptance is read at each sequence's last step.
+    ``lengths`` gives each sequence's own length, as ints that numpy reads
+    to an integer array, when the batch is padded (default: every sequence
+    fills every step); padding steps are run but masked out, and acceptance
+    is read at each sequence's last step.
     Engines from ``make_engine`` step a chunk of rows at once, as many as
     ``_BATCH_CELLS`` allows; rows are independent, so the chunking does not
     change a bit of the output.  Any other object with ``dfa`` and ``step``
@@ -479,7 +480,8 @@ def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> B
         raise DomainError(f"expected traces of shape (sequences, steps > 0, atoms), got {cb.shape}")
     n_seq, length = cb.shape[:2]
     lengths = np.full(n_seq, length) if lengths is None else np.asarray(lengths)
-    if lengths.shape != (n_seq,) or np.any(lengths < 1) or np.any(lengths > length):
+    integral = lengths.dtype.kind in "iu"  # not float, str, bool or object
+    if not integral or lengths.shape != (n_seq,) or np.any(lengths < 1) or np.any(lengths > length):
         raise DomainError(f"sequence lengths must lie in [1, {length}], one per sequence")
     table = isinstance(engine, _TableEngine)
     step = engine.advance if table else functools.partial(_step_each, engine)

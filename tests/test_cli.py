@@ -8,6 +8,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from ltlseq.automata import Dfa
 from ltlseq.cli import main
 
 
@@ -288,16 +289,12 @@ def test_generate_positive_ratio(tmp_path):
     assert "train: 40 sequences, 36 positive" in result.output
 
 
-def test_generate_jobs_deterministic(tmp_path):
-    digests = []
-    for sub, jobs in (("a", "1"), ("b", "4")):
-        out = tmp_path / sub
-        result = run("generate", "task5", "-o", str(out), "--jobs", jobs)
-        assert result.exit_code == 0
-        digests.append(
-            hashlib.sha256((out / "sequences.csv").read_bytes()).hexdigest()
-        )
-    assert digests[0] == digests[1]
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_jobs_option_is_gone(tmp_path, command):
+    result = run(command, "task5", "-o", str(tmp_path / "out"), "--jobs", "2")
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_infeasible_task(tmp_path):
@@ -410,6 +407,116 @@ def test_infer_rejects_malformed_dataset(tmp_path, name, corrupt):
     result = run("infer", str(out))
     assert result.exit_code == 1
     assert name in result.output
+
+
+def _renumbered(dfa, perm):
+    """``dfa`` with each state ``s`` renamed ``perm[s]``."""
+    rows = [None] * dfa.n_states
+    for s, row in enumerate(dfa.transitions):
+        rows[perm[s]] = tuple(perm[t] for t in row)
+    return Dfa(
+        atoms=dfa.atoms,
+        n_states=dfa.n_states,
+        accepting=frozenset(perm[s] for s in dfa.accepting),
+        transitions=tuple(rows),
+        initial=perm[dfa.initial],
+    )
+
+
+def _reversed_states(n):
+    """State 0 kept, states 1 … n−1 in reverse order."""
+    return [0, *range(n - 1, 0, -1)]
+
+
+def _metrics(directory):
+    return [(directory / name).read_bytes() for name in ("metrics.csv", "metrics.json")]
+
+
+def test_infer_ignores_a_renumbered_cache(tmp_path):
+    """A cache file holding the task's automaton numbered another way, with
+    a valid digest, does not change what infer scores."""
+    cache, empty = tmp_path / "cache", tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "ds"
+    result = run("generate", "task3", "-o", str(out), env={"LTLSEQ_CACHE_DIR": str(cache)})
+    assert result.exit_code == 0, result.output
+    (entry,) = cache.glob("*.dfa.json")
+    dfa = Dfa.from_json_dict(json.loads(entry.read_text()))
+    renumbered = _renumbered(dfa, _reversed_states(dfa.n_states))
+    assert renumbered != dfa
+    entry.write_text(json.dumps(renumbered.to_json_dict()))
+    for name, cache_dir in (("cached", cache), ("uncached", empty)):
+        env = {"LTLSEQ_CACHE_DIR": str(cache_dir)}
+        result = run("infer", str(out), "-o", str(tmp_path / name), env=env)
+        assert result.exit_code == 0, result.output
+        assert "nsp_acc: 1.0" in result.output
+    assert _metrics(tmp_path / "cached") == _metrics(tmp_path / "uncached")
+    assert list(empty.iterdir()) == []
+
+
+def test_infer_writes_no_cache(tmp_path):
+    out = generate(tmp_path)
+    fresh = tmp_path / "fresh"
+    result = run("infer", str(out), env={"LTLSEQ_CACHE_DIR": str(fresh)})
+    assert result.exit_code == 0, result.output
+    assert not fresh.exists()
+
+
+def test_infer_scores_a_dataset_in_its_own_numbering(tmp_path):
+    """A dataset whose stored automaton and state_after column are renumbered
+    together, digest recomputed, still verifies and scores the same."""
+    from ltlseq.generator import deserialize
+
+    out = generate(tmp_path, task="task3")
+    assert run("infer", str(out), "-o", str(tmp_path / "before")).exit_code == 0
+    path = out / "metadata.json"
+    metadata = json.loads(path.read_text())
+    dfa = Dfa.from_json_dict(metadata["dfa"])
+    perm = _reversed_states(dfa.n_states)
+    metadata["dfa"] = _renumbered(dfa, perm).to_json_dict()
+    path.write_text(json.dumps(metadata))
+    csv_path = out / "sequences.csv"
+    rows = list(csv.reader(csv_path.open(newline="")))
+    col = rows[0].index("state_after")
+    for row in rows[1:]:
+        row[col] = str(perm[int(row[col])])
+    with csv_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    deserialize(out, verify=True)  # the replay agrees with the renumbered automaton
+    result = run("infer", str(out), "-o", str(tmp_path / "after"))
+    assert result.exit_code == 0, result.output
+    assert "nsp_acc: 1.0" in result.output
+    assert _metrics(tmp_path / "after") == _metrics(tmp_path / "before")
+
+
+def test_infer_scores_with_the_automaton_its_load_verified(tmp_path, monkeypatch):
+    """infer translates nothing, parses the stored automaton once, and the
+    sweep it runs holds that same object."""
+    from ltlseq import cli
+
+    out = generate(tmp_path)
+    parsed, scored = [], []
+    from_json_dict, oracle_sweep = Dfa.from_json_dict, cli.oracle_sweep
+
+    def parse(cls, data):
+        parsed.append(from_json_dict(data))
+        return parsed[-1]
+
+    def sweep(task, ds, *args):
+        scored.append(task.dfa)
+        return oracle_sweep(task, ds, *args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("infer compiled the task")
+
+    monkeypatch.setattr(Dfa, "from_json_dict", classmethod(parse))
+    monkeypatch.setattr(cli, "oracle_sweep", sweep)
+    monkeypatch.setattr(cli, "_compile_cached", forbidden)
+    monkeypatch.setattr("ltlseq.tasks.ltlf_to_dfa", forbidden)
+    result = run("infer", str(out))
+    assert result.exit_code == 0, result.output
+    assert len(parsed) == len(scored) == 1
+    assert scored[0] is parsed[0]
 
 
 def test_infer_calibrate_writes_temperature(tmp_path):

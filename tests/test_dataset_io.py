@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from click.testing import CliRunner
 
 from ltlseq.automata import Dfa
 from ltlseq.cli import main
-from ltlseq.errors import DatasetFormatError
+from ltlseq.errors import DatasetFormatError, IntegrityError, LtlseqError
 from ltlseq.generator import attach_image_indices, deserialize, generate_dataset, serialize
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import compile_task
@@ -223,3 +225,119 @@ def test_csv_module_error_names_its_line(tmp_path):
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     assert f"sequences.csv:{line}: unreadable (field larger than field limit" in result.output
+
+
+# ---------------------------------------------------------------------------
+# The stored automaton: a verified load names metadata.json in every error
+
+
+def _stored_dfa_dataset(tmp_path):
+    serialize(generate_dataset(builtin_task("task5", splits=(10, 4, 4))), tmp_path)
+    path = tmp_path / "metadata.json"
+    return path, json.loads(path.read_text())
+
+
+def _set_cell(value):
+    def edit(d):
+        d["transitions"][0][1] = value
+        return DatasetFormatError, f"DFA transitions[0][1] {value!r} is not in 0..3"
+
+    return edit
+
+
+def _drop_row(d):
+    d["transitions"].pop()
+    return DatasetFormatError, "DFA transitions has 3 rows, not 4"
+
+
+def _drop_digest(d):
+    del d["sha256"]
+    return DatasetFormatError, "DFA JSON is missing ['sha256']"
+
+
+def _move_target(d):
+    d["transitions"][0][1] = (d["transitions"][0][1] + 1) % d["states"]
+    edited = Dfa(
+        atoms=tuple(d["atoms"]),
+        n_states=d["states"],
+        accepting=frozenset(d["accepting"]),
+        transitions=tuple(map(tuple, d["transitions"])),
+        initial=d["initial"],
+    )
+    digest = edited.to_json_dict()["sha256"]
+    return IntegrityError, f"DFA sha256 {d['sha256']!r} does not match its automaton ({digest})"
+
+
+# task5's automaton: 4 states over 1 atom
+STORED_DFA_EDITS = {
+    "bool-cell": _set_cell(True),
+    "out-of-range-cell": _set_cell(4),
+    "row-count": _drop_row,
+    "no-sha256": _drop_digest,
+    "digest-mismatch": _move_target,
+}
+
+
+@pytest.mark.parametrize("name", list(STORED_DFA_EDITS))
+def test_stored_dfa_error_names_metadata_json(tmp_path, name):
+    path, metadata = _stored_dfa_dataset(tmp_path)
+    kind, message = STORED_DFA_EDITS[name](metadata["dfa"])
+    path.write_text(json.dumps(metadata))
+    with pytest.raises(kind) as exc:
+        deserialize(tmp_path, verify=True)
+    assert type(exc.value) is kind
+    assert str(exc.value) == f"{path}: {message}"
+    deserialize(tmp_path)  # an unverified load does not parse the automaton
+    result = CliRunner().invoke(main, ["infer", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {path}: {message}" in result.output
+
+
+def test_mutated_stored_dfa_loads_unchanged_or_fails_typed(tmp_path):
+    """Seeded edits of the stored automaton: dropped keys, retyped fields,
+    truncated and extended rows, retyped and out-of-range cells, swapped
+    rows and cells moved in range.  A verified load raises an LtlseqError
+    that names metadata.json, or loads the unedited automaton."""
+    path, base = _stored_dfa_dataset(tmp_path)
+    base_dfa = Dfa.from_json_dict(base["dfa"])
+    n = base_dfa.n_states
+    retyped = ("0", 1.5, None, True, -1, [], {}, [[0, 1]], 2**64)
+    cells = (True, False, 1.0, -1, "1", 2**64, None, [1])
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(300):
+        metadata = json.loads(json.dumps(base))
+        d = metadata["dfa"]
+        for _ in range(rng.randrange(1, 3)):
+            rows = d.get("transitions")
+            op = rng.randrange(7)
+            if op == 0 and d:
+                del d[rng.choice(sorted(d))]
+            elif op == 1 and d:
+                d[rng.choice(sorted(d))] = rng.choice(retyped)
+            elif not (isinstance(rows, list) and len(rows) > 1):
+                continue
+            elif op == 5:
+                i, j = rng.sample(range(len(rows)), 2)
+                rows[i], rows[j] = rows[j], rows[i]
+            elif not (isinstance(row := rng.choice(rows), list) and row):
+                continue
+            elif op == 2:
+                row.pop()
+            elif op == 3:
+                row.append(rng.randrange(n))
+            elif op == 4:
+                row[rng.randrange(len(row))] = rng.choice(cells)
+            elif isinstance(row[cell := rng.randrange(len(row))], int):
+                row[cell] = (row[cell] + rng.randrange(1, n)) % n
+        path.write_text(json.dumps(metadata))
+        try:
+            ds = deserialize(tmp_path, verify=True)
+        except LtlseqError as err:
+            assert "metadata.json" in str(err), err
+            outcomes.add(type(err))
+        else:
+            assert ds.dfa == base_dfa
+            outcomes.add(Dfa)
+    assert outcomes == {DatasetFormatError, IntegrityError, Dfa}

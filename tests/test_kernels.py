@@ -15,7 +15,7 @@ import pytest
 
 from ltlseq.automata import Dfa, ltlf_to_dfa
 from ltlseq.circuits import LOGPROB, PROB
-from ltlseq.errors import DegenerateBeliefError
+from ltlseq.errors import DegenerateBeliefError, DomainError
 from ltlseq.formulas import parse
 from ltlseq.inference import (
     ENGINE_NAMES,
@@ -157,6 +157,33 @@ def test_batched_runs_of_mixed_lengths_match_references(case):
             assert np.array_equal(single.beliefs, out.beliefs[i, :length])
             assert single.masses == out.masses[i, :length].tolist()
             assert single.acceptance == out.acceptance[i]
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [2.0, 3.0], [2.5, 3], ["2", "3"], [True, True], np.array([True, True]),
+        np.array([2, 3], dtype=object), [0, 3], [2, 4], [2**64, 3], [2], [[2], [3]], 3,
+    ],
+    ids=[
+        "floats", "fraction", "strings", "bools", "bool-array", "objects",
+        "zero", "too-long", "2**64", "too-few", "column", "scalar",
+    ],
+)
+def test_run_batch_rejects_lengths_that_are_not_integers_in_range(lengths):
+    engine = make_engine("exact", compile_task(builtin_task("task5")).dfa)
+    with pytest.raises(DomainError, match=r"sequence lengths must lie in \[1, 3\], one per sequence"):
+        run_batch(engine, np.full((2, 3, 1), 0.5), lengths)
+
+
+def test_run_batch_takes_integer_lengths_of_any_integer_type():
+    engine = make_engine("exact", compile_task(builtin_task("task5")).dfa)
+    cb = np.full((2, 3, 1), 0.5)
+    want = run_batch(engine, cb, [2, 3])
+    for lengths in (np.array([2, 3], dtype=np.uint8), [np.int64(2), 3], (2, 3)):
+        got = run_batch(engine, cb, lengths)
+        assert np.array_equal(got.acceptance, want.acceptance)
+        assert np.array_equal(got.beliefs, want.beliefs, equal_nan=True)
 
 
 @pytest.mark.parametrize("name", ["fuzzy-lp", "sddnnf-lp"])
