@@ -128,10 +128,19 @@ def variable_map(variables: Iterable[VariableSpec]) -> dict[str, VariableSpec]:
 
 @dataclass(frozen=True)
 class LinearExpr:
-    """Integer-coefficient combination of variables plus a constant."""
+    """Integer-coefficient combination of variables plus a constant.  The
+    terms are kept canonical, one per variable, sorted, with no zero
+    coefficient, so equal sums are equal and print alike however built."""
 
     terms: tuple[tuple[str, int], ...]
     constant: int = 0
+
+    def __post_init__(self) -> None:
+        coeffs: dict[str, int] = {}
+        for var, coeff in self.terms:
+            coeffs[var] = coeffs.get(var, 0) + coeff
+        terms = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         return self.constant + sum(coeff * assignment[var] for var, coeff in self.terms)
@@ -139,11 +148,6 @@ class LinearExpr:
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(var for var, _ in self.terms)
-
-
-def _linear(coeffs: Mapping[str, int], constant: int) -> LinearExpr:
-    terms = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-    return LinearExpr(terms=terms, constant=constant)
 
 
 _OPS = {
@@ -320,7 +324,7 @@ class _BodyParser:
                 break
             sign = -1 if tok[1] == "-" else 1
             self.take()
-        return _linear(coeffs, constant)
+        return LinearExpr(terms=tuple(coeffs.items()), constant=constant)
 
     def parse_term(self) -> tuple[int, str | None]:
         """One product: INT, VAR, INT*VAR, VAR*INT, or INT VAR juxtaposed."""

@@ -466,15 +466,15 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
             raise IntegrityError(f"{meta_path}: {err}") from err
         except DomainError as err:
             raise DatasetFormatError(f"{meta_path}: {err}") from err
-        _verify_replay(ds, letters)
+        _verify_replay(ds, letters, csv_path)
     return ds
 
 
 def _decode_sequences(
     text: str, spec: TaskSpec, csv_path: Path
-) -> tuple[dict[str, list[SequenceSample]], dict[tuple[str, int], list[int]]]:
+) -> tuple[dict[str, list[SequenceSample]], dict[tuple[str, int], tuple[list[int], list[int]]]]:
     """The samples of ``sequences.csv`` by split, and the letters of each
-    (split, seq_id) for ``_verify_replay``.
+    (split, seq_id) next to the lines of their rows, for ``_verify_replay``.
 
     One pass: each row is decoded straight into the accumulator of its
     (split, seq_id), so no raw row outlives its line.  Errors name the
@@ -504,7 +504,7 @@ def _decode_sequences(
     bit_cells = operator.itemgetter(i_label, *(i for _, i in truth_cols))
     bit_codes: dict = {}
 
-    # (split, seq_id) -> (label, values, truths, states, indices, letters)
+    # (split, seq_id) -> (label, values, truths, states, indices, letters, lines)
     seqs: dict[tuple[str, int], tuple] = {}
     for row in rows:
         if not row:
@@ -534,8 +534,8 @@ def _decode_sequences(
         if acc is None:
             if key[0] not in SPLIT_NAMES:
                 raise DatasetFormatError(f"{csv_path}:{reader.line_num}: unknown split {key[0]!r}")
-            acc = seqs[key] = (label, [], [], [], [], [])
-        seq_label, seq_values, seq_truths, seq_states, seq_indices, seq_letters = acc
+            acc = seqs[key] = (label, [], [], [], [], [], [])
+        seq_label, seq_values, seq_truths, seq_states, seq_indices, seq_letters, seq_lines = acc
         if step != len(seq_values):
             raise DatasetFormatError(
                 f"{csv_path}:{reader.line_num}: time step {row[i_t]} out of order "
@@ -549,11 +549,12 @@ def _decode_sequences(
         seq_truths.append(truth.copy())
         seq_states.append(state)
         seq_letters.append(letter)
+        seq_lines.append(reader.line_num)
         if with_indices:
             seq_indices.append(indices)
 
     splits: dict[str, list[SequenceSample]] = {s: [] for s in SPLIT_NAMES}
-    for (split, seq_id), (label, values, truths, states, indices, _) in seqs.items():
+    for (split, seq_id), (label, values, truths, states, indices, *_) in seqs.items():
         splits[split].append(
             SequenceSample(
                 seq_id=seq_id,
@@ -564,7 +565,7 @@ def _decode_sequences(
                 indices=tuple(indices) if with_indices else None,
             )
         )
-    return splits, {key: acc[-1] for key, acc in seqs.items()}
+    return splits, {key: acc[-2:] for key, acc in seqs.items()}
 
 
 def _records(reader, csv_path: Path):
@@ -576,19 +577,25 @@ def _records(reader, csv_path: Path):
         raise DatasetFormatError(f"{csv_path}:{reader.line_num}: unreadable ({err})") from err
 
 
-def _verify_replay(ds: Dataset, letters: Mapping[tuple[str, int], Sequence[int]]) -> None:
-    """Replay each sample's ``letters[split, seq_id]`` through ``ds.dfa``."""
+def _verify_replay(
+    ds: Dataset,
+    letters: Mapping[tuple[str, int], tuple[Sequence[int], Sequence[int]]],
+    csv_path: Path,
+) -> None:
+    """Replay each sample's letters, ``letters[split, seq_id][0]``, through
+    ``ds.dfa``.  A mismatch names the line of its row in ``csv_path``, read
+    from ``letters[split, seq_id][1]``; a label that disagrees with
+    acceptance names the sequence's last row."""
     dfa = ds.dfa
     transitions = dfa.transitions
     for split, sample in ds:
         state = dfa.initial
-        for t, letter in enumerate(letters[split, sample.seq_id]):
+        seq_letters, lines = letters[split, sample.seq_id]
+        for t, letter in enumerate(seq_letters):
             state = transitions[state][letter]
             if state != sample.states[t]:
-                raise IntegrityError(
-                    f"sequence {split}/{sample.seq_id}: replay diverges at step {t}"
-                )
+                where = f"{csv_path}:{lines[t]}: sequence {split}/{sample.seq_id}"
+                raise IntegrityError(f"{where}: replay diverges at step {t}")
         if (state in dfa.accepting) != bool(sample.label):
-            raise IntegrityError(
-                f"sequence {split}/{sample.seq_id}: label does not match acceptance"
-            )
+            where = f"{csv_path}:{lines[-1]}: sequence {split}/{sample.seq_id}"
+            raise IntegrityError(f"{where}: label does not match acceptance")

@@ -511,8 +511,9 @@ def read_sweep_csv(path) -> list[dict]:
     """The ``SWEEP_COLUMNS`` of each row a ``write_sweep_csv`` file holds:
     ``p`` a float, ``seed`` an int, each metric a float or None for an empty
     cell.  Missing columns, a row whose cell count differs from the header's,
-    a bad number or a cell the csv module rejects raise ``TaskFileError``
-    naming the file and line, as does an unreadable file (``read_input``).
+    a bad number, a ``p`` or metric outside [0, 1] (so not NaN or infinite)
+    or a cell the csv module rejects raise ``TaskFileError`` naming the file
+    and line, as does an unreadable file (``read_input``).
     """
 
     def parse(text: str) -> list[dict]:
@@ -535,10 +536,17 @@ def _sweep_row(record: Mapping[str | None, str | None]) -> dict:
     if None in record or None in record.values():
         raise ValueError("the row and the header differ in cell count")
     row: dict = {c: record[c] for c in SWEEP_COLUMNS[:4]}
-    row["p"], row["seed"] = float(record["p"]), int(record["seed"])
+    row["p"], row["seed"] = _unit_cell(record, "p"), int(record["seed"])
     for metric in METRIC_COLUMNS:
-        row[metric] = float(record[metric]) if record[metric] else None
+        row[metric] = _unit_cell(record, metric) if record[metric] else None
     return row
+
+
+def _unit_cell(record: Mapping[str | None, str | None], column: str) -> float:
+    value = float(record[column])
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise ValueError(f"{column} {record[column]!r} is not a number in [0, 1]")
+    return value
 
 
 def summarize_rows(rows: Sequence[Mapping]) -> dict:

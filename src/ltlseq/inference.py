@@ -15,23 +15,24 @@ The ``-lp`` engines sum over letters with logsumexp in log space, so letter
 probabilities that underflow in float64 still give the log-semiring answer;
 the sum reuses the rule's own array, so ``_BATCH_CELLS`` bounds all five engines.
 
-The per-step semantics the kernels implement stay as checked references:
+Each engine is one row of ``_ENGINES`` (rule, renormalization, semiring),
+built by ``make_engine``.  The per-step semantics the kernels implement stay
+as checked references:
 
 * ``exact_step``: enumerate letters;
 * ``sddnnf_step``: algebraic model counting on the compiled next-state
-  circuits (``SddnnfEngine.circuits``);
+  circuits of ``reference_circuits``;
 * ``fuzzy_step``: structural semiring evaluation of the simplified next-state
-  formulas (``FuzzyEngine.formulas``).
+  formulas of ``reference_formulas``.
 
-Circuits and formulas are built only when something reads them.  Raw step
-outputs keep whatever mass the semantics produced; every engine but
-``exact`` renormalizes each step and records the pre-normalization mass as a
+No engine builds or holds circuits or formulas.  Raw step outputs keep
+whatever mass the semantics produced; every engine but ``exact``
+renormalizes each step and records the pre-normalization mass as a
 diagnostic.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -234,6 +235,16 @@ def _weights(dfa: Dfa, b: np.ndarray, cb: np.ndarray, s: Semiring) -> WeightMap:
     return w
 
 
+def reference_circuits(dfa: Dfa) -> list[Circuit]:
+    """The smooth next-state circuits that ``sddnnf_step`` counts on."""
+    return [smooth(compile_sddnnf(f)) for f in next_state_formulas(dfa)]
+
+
+def reference_formulas(dfa: Dfa) -> list[PropFormula]:
+    """The simplified next-state formulas that ``fuzzy_step`` evaluates."""
+    return [simplify(f) for f in next_state_formulas(dfa)]
+
+
 def sddnnf_step(
     circuits: Sequence[Circuit],
     dfa: Dfa,
@@ -321,26 +332,31 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 # Engines
 
 
-class _TableEngine:
-    """One update rule in one semiring, stepping a batch of beliefs at once.
+# The one table of engines: name -> (multi-hot rule, renormalize, semiring).
+_ENGINES = {
+    "exact": (False, False, PROB),
+    "fuzzy-p": (False, True, PROB),
+    "fuzzy-lp": (False, True, LOGPROB),
+    "sddnnf-p": (True, True, PROB),
+    "sddnnf-lp": (True, True, LOGPROB),
+}
+ENGINE_NAMES = tuple(_ENGINES)
+
+
+class _Engine:
+    """One row of ``_ENGINES``: an update rule in a semiring, stepping a batch
+    of beliefs at once.  Built by ``make_engine``.
 
     The linear rule is ``b'[t] = Σ_ℓ P(ℓ)·Σ_{s: δ(s,ℓ)=t} b[s]``; the
     multi-hot rule is ``b'[t] = Σ_ℓ P(ℓ)·(1 − Π_{s: δ(s,ℓ)=t}(1 − b[s]))``.
     In LOGPROB the sum over letters is a logsumexp.  ``exact`` returns its
     raw update; every other engine renormalizes each step and reports the
-    pre-normalization mass.  ``_ENGINES``, the one table of engines, names
-    each (class, semiring) pair; a pair not in it is a DomainError.
+    pre-normalization mass.
     """
 
-    multihot = False
-    renormalize = True
-
-    def __init__(self, dfa: Dfa, semiring: Semiring = PROB):
-        names = [n for n, (c, s) in _ENGINES.items() if c is type(self) and s is semiring]
-        if not names:
-            pair = f"{type(self).__name__} in {getattr(semiring, 'name', semiring)!r}"
-            raise DomainError(f"no engine is {pair}; valid: {', '.join(ENGINE_NAMES)}")
-        self.name, self.dfa, self.semiring = names[0], dfa, semiring
+    def __init__(self, name: str, dfa: Dfa):
+        self.multihot, self.renormalize, self.semiring = _ENGINES[name]
+        self.name, self.dfa = name, dfa
         self._preimages = _Preimages(dfa)
 
     def letter_weights(self, cb: np.ndarray) -> np.ndarray:
@@ -392,48 +408,11 @@ class _TableEngine:
         return beliefs[0], float(masses[0])
 
 
-class ExactEngine(_TableEngine):
-    renormalize = False
-
-
-class FuzzyEngine(_TableEngine):
-    """The linear rule.  The simplified next-state formulas are disjoint
-    minterm DNFs, so their structural evaluation is that same update."""
-
-    @functools.cached_property
-    def formulas(self) -> list[PropFormula]:
-        """Reference formulas for ``fuzzy_step``, built on first read."""
-        return [simplify(f) for f in next_state_formulas(self.dfa)]
-
-
-class SddnnfEngine(_TableEngine):
-    """The multi-hot rule: the closed form of model counting on the
-    next-state circuits when state atoms are independent."""
-
-    multihot = True
-
-    @functools.cached_property
-    def circuits(self) -> list[Circuit]:
-        """Reference circuits for ``sddnnf_step``, compiled on first read."""
-        return [smooth(compile_sddnnf(f)) for f in next_state_formulas(self.dfa)]
-
-
-_ENGINES = {
-    "exact": (ExactEngine, PROB),
-    "fuzzy-p": (FuzzyEngine, PROB),
-    "fuzzy-lp": (FuzzyEngine, LOGPROB),
-    "sddnnf-p": (SddnnfEngine, PROB),
-    "sddnnf-lp": (SddnnfEngine, LOGPROB),
-}
-ENGINE_NAMES = tuple(_ENGINES)
-
-
 def make_engine(name: str, dfa: Dfa):
     """The engine ``name`` (one of ``ENGINE_NAMES``) over ``dfa``."""
     if name not in ENGINE_NAMES:
         raise DomainError(f"unknown engine {name!r}; valid: {', '.join(ENGINE_NAMES)}")
-    cls, semiring = _ENGINES[name]
-    return cls(dfa, semiring)
+    return _Engine(name, dfa)
 
 
 @dataclass
@@ -456,12 +435,6 @@ class BatchResult:
     masses: np.ndarray
 
 
-def _step_each(engine, b: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch step for an engine that only has the per-sequence ``step``."""
-    pairs = [engine.step(bi, ci) for bi, ci in zip(b, cb)]
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-
 def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> BatchResult:
     """Iterate an engine from the one-hot initial belief over a batch of cb
     traces, given as one array of shape sequences × steps × atoms.
@@ -470,10 +443,9 @@ def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> B
     to an integer array, when the batch is padded (default: every sequence
     fills every step); padding steps are run but masked out, and acceptance
     is read at each sequence's last step.
-    Engines from ``make_engine`` step a chunk of rows at once, as many as
-    ``_BATCH_CELLS`` allows; rows are independent, so the chunking does not
-    change a bit of the output.  Any other object with ``dfa`` and ``step``
-    is run sequence by sequence.
+    The engine steps a chunk of rows at once, as many as ``_BATCH_CELLS``
+    allows; rows are independent, so the chunking does not change a bit of
+    the output.
     """
     cb = np.asarray(cb, dtype=float)
     if cb.ndim != 3 or cb.shape[1] == 0:
@@ -483,19 +455,17 @@ def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> B
     integral = lengths.dtype.kind in "iu"  # not float, str, bool or object
     if not integral or lengths.shape != (n_seq,) or np.any(lengths < 1) or np.any(lengths > length):
         raise DomainError(f"sequence lengths must lie in [1, {length}], one per sequence")
-    table = isinstance(engine, _TableEngine)
-    step = engine.advance if table else functools.partial(_step_each, engine)
     dfa = engine.dfa
     beliefs = np.empty((n_seq, length, dfa.n_states))
     masses = np.empty((n_seq, length))
     rows = max(1, _BATCH_CELLS // (dfa.n_letters * (dfa.n_states + length)))
     for lo in range(0, n_seq, rows):
         chunk = slice(lo, lo + rows)
-        weights = engine.letter_weights(cb[chunk]) if table else cb[chunk]
+        weights = engine.letter_weights(cb[chunk])
         b = np.zeros((len(weights), dfa.n_states))
         b[:, dfa.initial] = 1.0
         for t in range(length):
-            b, masses[chunk, t] = step(b, weights[:, t])
+            b, masses[chunk, t] = engine.advance(b, weights[:, t])
             beliefs[chunk, t] = b
     final = beliefs[np.arange(n_seq), lengths - 1]
     acceptance = np.zeros(n_seq)

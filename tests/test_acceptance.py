@@ -29,7 +29,8 @@ from ltlseq.inference import (
     apply_temperature,
     exact_step,
     fuzzy_step,
-    make_engine,
+    reference_circuits,
+    reference_formulas,
     sddnnf_step,
 )
 from ltlseq.library import builtin_task
@@ -191,7 +192,7 @@ def test_criterion_05_circuit_step_exactness():
     worst = 0.0
     for name in TASKS:
         dfa = task_for(name).dfa
-        circuits = make_engine("sddnnf-p", dfa).circuits
+        circuits = reference_circuits(dfa)
         for _ in range(1000):
             b = np.zeros(dfa.n_states)
             b[rng.integers(dfa.n_states)] = 1.0
@@ -212,7 +213,7 @@ def test_criterion_06_fuzzy_boolean_boundary():
     transitions = 0
     for name in TASKS:
         dfa = task_for(name).dfa
-        formulas = make_engine("fuzzy-p", dfa).formulas
+        formulas = reference_formulas(dfa)
         for s in range(dfa.n_states):
             b = np.zeros(dfa.n_states)
             b[s] = 1.0

@@ -794,6 +794,21 @@ def test_report_rejects_malformed_csv(tmp_path, row):
     assert "sweep.csv" in result.output
 
 
+@pytest.mark.parametrize("sc_acc", ["inf", "-inf", "nan", "1e400", "7"])
+def test_report_rejects_a_metric_outside_the_unit_interval(tmp_path, sc_acc):
+    from ltlseq.harness import SWEEP_COLUMNS
+
+    path = tmp_path / "sweep.csv"
+    row = f"task5,exact,ic,flip,0.1,7,,1,1,{sc_acc},1".encode()
+    path.write_bytes(",".join(SWEEP_COLUMNS).encode() + b"\n" + row + b"\n")
+    result = run("report", str(path), "-o", str(tmp_path / "summary.json"))
+    assert result.exit_code == 2
+    message = f"{path}:2: malformed sweep CSV (sc_acc '{sc_acc}' is not a number in [0, 1])"
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("cell", _CSV_MODULE_ERRORS.values(), ids=_CSV_MODULE_ERRORS.keys())
 def test_report_rejects_cell_the_csv_module_rejects(tmp_path, cell):
     from ltlseq.harness import SWEEP_COLUMNS

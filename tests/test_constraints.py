@@ -107,6 +107,15 @@ def test_parse_round_trip():
         assert constraint_text(again) == body
 
 
+def test_linear_terms_are_canonical_however_built():
+    # repeated, unsorted and cancelling terms: the parsed form, printed alike,
+    # so a spec built in Python keeps its hash through a dataset round trip
+    lhs = LinearExpr(terms=(("B", 1), ("A", 2), ("B", -1), ("A", -4)), constant=7)
+    assert lhs == LinearExpr(terms=(("A", -2),), constant=7)
+    c = Constraint("c", Comparison(lhs=lhs, op="<", rhs=LinearExpr(terms=())))
+    assert c == parse_constraint("c", constraint_text(c)) == parse_constraint("c", "7 - 2*A < 0")
+
+
 def test_parse_errors():
     for bad in ["", "A +", "all_different(A)", "A = B = C", "foo(A, B)", "A ** B"]:
         with pytest.raises(DomainError):

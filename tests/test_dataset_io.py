@@ -294,6 +294,39 @@ def test_stored_dfa_error_names_metadata_json(tmp_path, name):
     assert f"Error: {path}: {message}" in result.output
 
 
+def _move_second_state(rows, first_len):
+    col = rows[0].index("state_after")
+    rows[2][col] = str((int(rows[2][col]) + 1) % 4)
+    return "3: sequence train/0: replay diverges at step 1"
+
+
+def _flip_first_label(rows, first_len):
+    col = rows[0].index("seq_label")
+    for row in rows[1 : 1 + first_len]:
+        row[col] = "1" if row[col] == "0" else "0"
+    return f"{1 + first_len}: sequence train/0: label does not match acceptance"
+
+
+@pytest.mark.parametrize("edit", [_move_second_state, _flip_first_label], ids=["state", "label"])
+def test_replay_error_names_the_line_of_sequences_csv(tmp_path, edit):
+    serialize(generate_dataset(compile_task(builtin_task("task5", splits=(4, 2, 2)))), tmp_path)
+    path = tmp_path / "sequences.csv"
+    rows = list(csv.reader(path.open(newline="")))
+    first_len = sum(1 for row in rows[1:] if row[:2] == ["train", "0"])
+    assert rows[1][:2] == rows[2][:2] == ["train", "0"]
+    message = f"{path}:{edit(rows, first_len)}"
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    deserialize(tmp_path)  # structurally fine without verification
+    with pytest.raises(IntegrityError) as exc:
+        deserialize(tmp_path, verify=True)
+    assert str(exc.value) == message
+    result = CliRunner().invoke(main, ["infer", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {message}" in result.output
+
+
 def test_mutated_stored_dfa_loads_unchanged_or_fails_typed(tmp_path):
     """Seeded edits of the stored automaton: dropped keys, retyped fields,
     truncated and extended rows, retyped and out-of-range cells, swapped

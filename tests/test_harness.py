@@ -32,6 +32,7 @@ from ltlseq.harness import (
     summarize_rows,
     write_sweep_csv,
 )
+from ltlseq.inference import make_engine
 from ltlseq.library import builtin_task
 from ltlseq.tasks import compile_task
 
@@ -216,29 +217,27 @@ def test_evaluate_split_selection():
         evaluate(ct, ds, "exact", OracleConfig(), split="nope")
 
 
-def test_sc_tie_counts_as_positive():
-    class ConstantEngine:
-        name = "constant"
-
-        def __init__(self, dfa):
-            self.dfa = dfa
-            n = dfa.n_states
-            n_acc = len(dfa.accepting)
-            value = 0.5 / n_acc
-            rest = 0.5 / (n - n_acc) if n > n_acc else 0.0
-            self.belief = np.array(
-                [value if s in dfa.accepting else rest for s in range(n)]
-            )
-
-        def step(self, b, cb):
-            return self.belief.copy(), 1.0
-
+def test_sc_tie_counts_as_positive(monkeypatch):
     ct, ds = small_dataset()
-    engine = ConstantEngine(ct.dfa)
+    dfa = ct.dfa
+    n = dfa.n_states
+    n_acc = len(dfa.accepting)
+    value = 0.5 / n_acc
+    rest = 0.5 / (n - n_acc) if n > n_acc else 0.0
+    belief = np.array([value if s in dfa.accepting else rest for s in range(n)])
+    engine = make_engine("exact", dfa)
+    # every step of every sequence lands on that constant belief
+    monkeypatch.setattr(
+        engine, "advance", lambda b, weights: (np.tile(belief, (len(b), 1)), np.ones(len(b)))
+    )
     m = evaluate(ct, ds, engine, OracleConfig())
     # acceptance is exactly 0.5 for every sequence: ties go to positive
     positives = sum(s.label for s in ds.splits["test"]) / len(ds.splits["test"])
     assert m.sc_acc == pytest.approx(positives)
+    # the split is balanced, so ties going negative would score the same;
+    # on its positive sequences alone only ties going positive score 1
+    positive = dataclasses.replace(ds, splits={"test": [s for s in ds.splits["test"] if s.label]})
+    assert evaluate(ct, positive, engine, OracleConfig()).sc_acc == 1.0
 
 
 def test_metrics_average_only_present_metrics():
@@ -509,6 +508,33 @@ def test_read_sweep_csv_rejects_malformed_files(tmp_path, content):
     with pytest.raises(TaskFileError, match="malformed sweep CSV") as err:
         read_sweep_csv(path)
     assert str(err.value).startswith(f"{path}:")
+
+
+_OUT_OF_RANGE = {
+    "sc-inf": ("sc_acc", "inf"),
+    "sc-minus-inf": ("sc_acc", "-inf"),
+    "sc-nan": ("sc_acc", "nan"),
+    "sc-overflow": ("sc_acc", "1e400"),
+    "sc-seven": ("sc_acc", "7"),
+    "p-nan": ("p", "nan"),
+    "p-minus-three": ("p", "-3"),
+    "ic-inf": ("ic_acc", "inf"),
+    "avg-negative": ("avg_acc", "-0.5"),
+}
+
+
+@pytest.mark.parametrize("column, cell", _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE.keys())
+def test_read_sweep_csv_rejects_cells_outside_the_unit_interval(tmp_path, column, cell):
+    record = dict(zip(SWEEP_COLUMNS, "task5 exact ic flip 0.1 7 1 1 1 1 1".split()))
+    good = _HEADER + ",".join(record.values()).encode() + b"\n"
+    record[column] = cell
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(good + ",".join(record.values()).encode() + b"\n")
+    with pytest.raises(TaskFileError) as err:
+        read_sweep_csv(path)
+    assert str(err.value) == (
+        f"{path}:3: malformed sweep CSV ({column} {cell!r} is not a number in [0, 1])"
+    )
 
 
 @pytest.mark.parametrize("content", [None, b"task,\xff\n"], ids=["missing-file", "not-utf8"])

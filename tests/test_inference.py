@@ -1,6 +1,5 @@
 """Temperature scaling, belief updates, and the three inference engines."""
 
-import dataclasses
 import math
 import random
 
@@ -12,9 +11,6 @@ from ltlseq.errors import DegenerateBeliefError, DomainError
 from ltlseq.generator import generate_dataset
 from ltlseq.inference import (
     ENGINE_NAMES,
-    ExactEngine,
-    FuzzyEngine,
-    SddnnfEngine,
     _ENGINES,
     apply_temperature,
     calibrate_temperature,
@@ -218,9 +214,9 @@ def test_make_engine_names():
 
 def test_engine_classes_match_registry():
     ct = compile_task(builtin_task("task5"))
-    assert isinstance(make_engine("exact", ct.dfa), ExactEngine)
-    assert isinstance(make_engine("fuzzy-p", ct.dfa), FuzzyEngine)
-    assert isinstance(make_engine("sddnnf-lp", ct.dfa), SddnnfEngine)
+    assert _ENGINES["exact"] == (False, False, PROB)
+    assert _ENGINES["fuzzy-p"][:2] == _ENGINES["fuzzy-lp"][:2] == (False, True)
+    assert _ENGINES["sddnnf-p"][:2] == _ENGINES["sddnnf-lp"][:2] == (True, True)
     assert make_engine("fuzzy-lp", ct.dfa).semiring is LOGPROB
     assert make_engine("sddnnf-p", ct.dfa).semiring is PROB
 
@@ -228,26 +224,12 @@ def test_engine_classes_match_registry():
 def test_make_engine_round_trips_the_table():
     ct = compile_task(builtin_task("task5"))
     assert ENGINE_NAMES == tuple(_ENGINES)
-    for name, (cls, semiring) in _ENGINES.items():
-        engine = make_engine(name, ct.dfa)
-        assert type(engine) is cls and engine.semiring is semiring and engine.name == name
-        assert cls(ct.dfa, semiring).name == name
-
-
-def test_engine_pairs_outside_the_table_are_rejected():
-    ct = compile_task(builtin_task("task5"))
-    other = dataclasses.replace(PROB, name="other")
-    for cls, semiring in [
-        (ExactEngine, LOGPROB),
-        (ExactEngine, other),
-        (FuzzyEngine, other),
-        (SddnnfEngine, other),
-        (FuzzyEngine, dataclasses.replace(LOGPROB)),  # equal to LOGPROB, not LOGPROB
-    ]:
-        with pytest.raises(DomainError) as exc:
-            cls(ct.dfa, semiring)
-        assert cls.__name__ in str(exc.value)
-        assert all(name in str(exc.value) for name in ENGINE_NAMES)
+    engines = [make_engine(name, ct.dfa) for name in ENGINE_NAMES]
+    assert len({type(engine) for engine in engines}) == 1
+    for engine, (name, (multihot, renormalize, semiring)) in zip(engines, _ENGINES.items()):
+        assert engine.name == name and engine.dfa is ct.dfa
+        assert engine.multihot is multihot and engine.renormalize is renormalize
+        assert engine.semiring is semiring
 
 
 def test_all_engines_agree_on_boolean_beliefs():
@@ -272,9 +254,9 @@ def test_sddnnf_matches_exact_on_one_hot_beliefs():
     rng = np.random.default_rng(42)
     for name in ("task3", "task5"):
         ct = compile_task(builtin_task(name))
-        exact = ExactEngine(ct.dfa)
-        for semiring in (PROB, LOGPROB):
-            circuit_engine = SddnnfEngine(ct.dfa, semiring)
+        exact = make_engine("exact", ct.dfa)
+        for semiring, engine_name in ((PROB, "sddnnf-p"), (LOGPROB, "sddnnf-lp")):
+            circuit_engine = make_engine(engine_name, ct.dfa)
             for _ in range(250):
                 b = one_hot(ct.dfa.n_states, int(rng.integers(ct.dfa.n_states)))
                 cb = rng.random(len(ct.atoms))
@@ -290,8 +272,8 @@ def test_fuzzy_matches_exact_on_task_formulas():
     rng = np.random.default_rng(43)
     for name in ("task1", "task6"):
         ct = compile_task(builtin_task(name))
-        exact = ExactEngine(ct.dfa)
-        fuzzy = FuzzyEngine(ct.dfa)
+        exact = make_engine("exact", ct.dfa)
+        fuzzy = make_engine("fuzzy-p", ct.dfa)
         for _ in range(250):
             b = rng.dirichlet(np.ones(ct.dfa.n_states))
             cb = rng.random(len(ct.atoms))
@@ -306,8 +288,8 @@ def test_sddnnf_deviates_from_exact_on_soft_beliefs():
     # belief is spread out; the engines are only guaranteed to agree on
     # one-hot state beliefs
     ct = compile_task(builtin_task("task5"))
-    exact = ExactEngine(ct.dfa)
-    sddnnf = SddnnfEngine(ct.dfa)
+    exact = make_engine("exact", ct.dfa)
+    sddnnf = make_engine("sddnnf-p", ct.dfa)
     b = np.full(ct.dfa.n_states, 1.0 / ct.dfa.n_states)
     cb = np.array([0.7])
     _, mass_exact = exact.step(b, cb)

@@ -2,11 +2,12 @@
 
 Every engine runs one of two numpy kernels over the transition table.  The
 references are ``exact_step`` (letter enumeration), ``fuzzy_step`` on the
-engine's simplified next-state formulas and ``sddnnf_step`` (algebraic model
-counting on its compiled circuits), each followed by the renormalization the
-per-step engines always applied.
+simplified next-state formulas of ``reference_formulas`` and ``sddnnf_step``
+(algebraic model counting on the compiled circuits of ``reference_circuits``),
+each followed by the renormalization the per-step engines always applied.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -22,6 +23,8 @@ from ltlseq.inference import (
     exact_step,
     fuzzy_step,
     make_engine,
+    reference_circuits,
+    reference_formulas,
     run_batch,
     run_sequence,
     sddnnf_step,
@@ -64,15 +67,14 @@ _references = {}
 
 def reference_raw(dfa, name, b, cb, semiring):
     """The raw per-step reference value of engine ``name``'s semantics."""
-    key = (id(dfa), name.split("-")[0])
-    if key not in _references:
-        _references[key] = make_engine(name, dfa)  # compiles on first read below
-    engine = _references[key]
     if name == "exact":
         return exact_step(dfa, b, cb)
-    if name.startswith("fuzzy"):
-        return fuzzy_step(engine.formulas, dfa, b, cb, semiring)
-    return sddnnf_step(engine.circuits, dfa, b, cb, semiring)
+    key = (id(dfa), name.split("-")[0])
+    fuzzy = name.startswith("fuzzy")
+    if key not in _references:
+        _references[key] = (reference_formulas if fuzzy else reference_circuits)(dfa)
+    step = fuzzy_step if fuzzy else sddnnf_step
+    return step(_references[key], dfa, b, cb, semiring)
 
 
 def reference_step(dfa, name, b, cb):
@@ -217,13 +219,28 @@ def test_zero_belief_in_a_batch_raises(name):
         engine.advance(b, weights)
 
 
-def test_reference_circuits_and_formulas_are_built_lazily():
+def test_reference_circuits_and_formulas_are_built_lazily(monkeypatch):
+    from ltlseq import inference
+
     dfa = ltlf_to_dfa(parse(FAM6))
-    fuzzy, sddnnf = make_engine("fuzzy-p", dfa), make_engine("sddnnf-p", dfa)
-    sddnnf.step(np.eye(dfa.n_states)[0], np.full(len(dfa.atoms), 0.5))
-    assert "formulas" not in vars(fuzzy) and "circuits" not in vars(sddnnf)
-    assert len(fuzzy.formulas) == dfa.n_states
-    assert fuzzy.formulas is fuzzy.formulas
+    calls = []
+
+    def counted(builder):
+        real = getattr(inference, builder)
+
+        def build(*args):
+            calls.append(builder)
+            return real(*args)
+
+        return build
+
+    for builder in ("reference_formulas", "reference_circuits", "next_state_formulas"):
+        monkeypatch.setattr(inference, builder, counted(builder))
+    for name in ENGINE_NAMES:
+        make_engine(name, dfa).step(np.eye(dfa.n_states)[0], np.full(len(dfa.atoms), 0.5))
+    assert calls == []
+    assert len(inference.reference_formulas(dfa)) == dfa.n_states
+    assert calls == ["reference_formulas", "next_state_formulas"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[name for name, _ in CASES])
@@ -300,3 +317,31 @@ def test_run_batch_bounds_its_working_set(name):
             tracemalloc.stop()
     assert result.beliefs.shape == (200, 20, 32)
     assert peak < 48_000_000, peak  # one unchunked call peaked at about 140 MB
+
+
+# sha256 over run_batch's beliefs, masses and acceptance bytes of every engine
+# on the fixed padded soft-belief batches of ``digest_batches``.
+GOLDEN_RUN_BATCH = "7c86e1caaddd1a38abba66b4d0c0b67ad63ca32ee38ca4085647812a0683e2e7"
+
+
+def digest_batches():
+    """(dfa, cb, lengths): each built-in and fam6 at 6 × 7, fam10 at 40 × 15."""
+    dfas = [compile_task(builtin_task(name)).dfa for name in builtin_task_names()]
+    dfas.append(ltlf_to_dfa(parse(FAM6)))
+    dfas.append(compile_task(family_spec(10)).dfa)
+    rng = np.random.default_rng(20261019)
+    for dfa in dfas:
+        n_seq, steps = (40, 15) if len(dfa.atoms) == 10 else (6, 7)
+        lengths = rng.integers(1, steps + 1, size=n_seq)
+        lengths[0] = steps
+        yield dfa, rng.random((n_seq, steps, len(dfa.atoms))), lengths
+
+
+def test_run_batch_output_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for dfa, cb, lengths in digest_batches():
+        for name in ENGINE_NAMES:
+            out = run_batch(make_engine(name, dfa), cb, lengths)
+            for array in (out.beliefs, out.masses, out.acceptance):
+                digest.update(array.tobytes())
+    assert digest.hexdigest() == GOLDEN_RUN_BATCH
