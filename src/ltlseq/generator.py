@@ -17,6 +17,11 @@ streams, which NEP 19 keeps stable across numpy versions, and on Lemire's
 bounded draw as numpy >= 1.17 implements it, which
 ``tests/test_generator.py`` pins against ``Generator.integers``.
 
+A sample stores each step's letter, bit i the truth of constraint
+``atoms[i]``: the walk draws it, ``serialize`` writes the ``*_truth`` cells
+from it, ``deserialize`` decodes them into it and the verified load replays
+it.  ``SequenceSample.truths`` reads ``{atom: truth}`` dicts off it.
+
 ``deserialize`` decodes ``sequences.csv`` in one pass, each row straight
 into the sequence of its (split, seq_id).
 """
@@ -38,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .automata import Dfa, letter_of
+from .automata import Dfa, assignment_of
 from .constraints import sample_solution
 from .errors import DatasetFormatError, DomainError, IntegrityError, TaskFileError
 from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task, read_input
@@ -118,18 +123,26 @@ class _Draws:
 
 @dataclass
 class SequenceSample:
-    """One annotated sequence: assignments, truths, and the state trace."""
+    """One annotated sequence: each step's assignment, its letter over
+    ``atoms`` (bit i = truth of constraint ``atoms[i]``) and the state after
+    it, plus image indices once attached."""
 
     seq_id: int
     label: int
     values: tuple[dict[str, int], ...]
-    truths: tuple[dict[str, bool], ...]
+    letters: tuple[int, ...]
+    atoms: tuple[str, ...]
     states: tuple[int, ...]
     indices: tuple[dict[str, int], ...] | None = None
 
     @property
     def length(self) -> int:
         return len(self.values)
+
+    @property
+    def truths(self) -> tuple[dict[str, bool], ...]:
+        """Each step's ``{atom: truth}``, read off its letter; fresh dicts on every read."""
+        return tuple(assignment_of(letter, self.atoms) for letter in self.letters)
 
 
 @dataclass
@@ -178,24 +191,18 @@ def generate_sequence(
         )
     # looked up once per walk; the calls stay one per step (the benchmark's tracer counts them)
     feasible, bucket = task.feasible_letters, task.solution_bucket
-    letter_truths, transitions, draw = task.letter_truths, task.dfa.transitions, rng.integers
+    transitions, draw = task.dfa.transitions, rng.integers
     state = task.dfa.initial
-    values, truths, states = [], [], []
+    values, letters, states = [], [], []
     for step in range(length):
-        letters = feasible(state, length - step, label)
-        letter = letters[int(draw(len(letters)))]
+        choices = feasible(state, length - step, label)
+        letter = choices[int(draw(len(choices)))]
         values.append(sample_solution(bucket(letter), rng))
-        truths.append(letter_truths(letter))
+        letters.append(letter)
         state = transitions[state][letter]
         states.append(state)
     assert (states[-1] in task.dfa.accepting) == bool(label)
-    return SequenceSample(
-        seq_id=seq_id,
-        label=label,
-        values=tuple(values),
-        truths=tuple(truths),
-        states=tuple(states),
-    )
+    return SequenceSample(seq_id, label, tuple(values), tuple(letters), task.atoms, tuple(states))
 
 
 def _split_plan(spec: TaskSpec, split: str) -> list[tuple[int, int]]:
@@ -297,18 +304,22 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
     ``write_summary_json``); output is byte-stable."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    atoms = ds.metadata["atoms"]
+    atoms = list(ds.metadata["atoms"])
     variables = ds.spec.variables
     label_codes = [(v.name, dict(zip(v.domain.values, v.domain.labels))) for v in variables]
     with_indices = any(s.indices is not None for _, s in ds)
-    # a truth dict's key -> its 0/1 cells, built once per distinct truth vector
-    truth_key = operator.itemgetter(*atoms) if atoms else lambda truth: ()
-    truth_cells: dict = {}
+    # a letter -> its 0/1 *_truth cells, built once per distinct letter
+    truth_cells: dict[int, list[int]] = {}
     with open(out_dir / "sequences.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_columns(ds.spec, atoms, with_indices))
         for split, sample in ds:
-            for t in range(sample.length):
+            if list(sample.atoms) != atoms:
+                raise DomainError(
+                    f"sample {split}/{sample.seq_id} is over atoms {list(sample.atoms)}, "
+                    f"the dataset over {atoms}"
+                )
+            for t, letter in enumerate(sample.letters):
                 row: list = [split, sample.seq_id, t]
                 values = sample.values[t]
                 try:
@@ -322,11 +333,9 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
                             f"sample {split}/{sample.seq_id} has no image indices"
                         )
                     row += [sample.indices[t][v.name] for v in variables]
-                truth = sample.truths[t]
-                key = truth_key(truth)
-                cells = truth_cells.get(key)
+                cells = truth_cells.get(letter)
                 if cells is None:
-                    cells = truth_cells[key] = [int(truth[a]) for a in atoms]
+                    cells = truth_cells[letter] = [letter >> i & 1 for i in range(len(atoms))]
                 row += cells
                 row += [sample.states[t], sample.label]
                 writer.writerow(row)
@@ -402,8 +411,7 @@ def _render(value, depth: int, open_ids: set[int]) -> str:
 
 
 # the only cells the *_truth and seq_label columns accept
-_TRUTHS = {"0": False, "1": True}
-_LABELS = {"0": 0, "1": 1}
+_BITS = {"0": 0, "1": 1}
 
 
 def _undecodable(row: list[str], label_cols, bit_cols) -> str:
@@ -413,7 +421,7 @@ def _undecodable(row: list[str], label_cols, bit_cols) -> str:
         for _, i, codes, domain in label_cols
         if row[i] not in codes
     )
-    bits = (f"{col} cell {row[i]!r} is not 0 or 1" for col, i in bit_cols if row[i] not in _LABELS)
+    bits = (f"{col} cell {row[i]!r} is not 0 or 1" for col, i in bit_cols if row[i] not in _BITS)
     return next(itertools.chain(labels, bits))
 
 
@@ -422,10 +430,11 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
 
     Every row must have as many cells as the header, and ``*_truth`` and
     ``seq_label`` cells must read exactly ``0`` or ``1``; errors name the
-    physical line.  With ``verify=True`` also recomputes the spec hash and
-    replays every truth vector through ``Dataset.dfa``, raising
-    IntegrityError on any mismatch with the recorded states or labels.
-    Errors of the stored DFA name ``metadata.json``.
+    physical line; a row's ``*_truth`` cells become its step's letter.  With
+    ``verify=True`` also recomputes the spec hash and replays every
+    sample's letters through ``Dataset.dfa``, raising IntegrityError on any
+    mismatch with the recorded states or labels.  Errors of the stored DFA
+    name ``metadata.json``.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / "metadata.json"
@@ -455,7 +464,7 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
             f"the embedded spec ({spec.spec_hash!r})"
         )
 
-    splits, letters = read_input(
+    splits, lines = read_input(
         csv_path, lambda text: _decode_sequences(text, spec, csv_path), DatasetFormatError
     )
     ds = Dataset(spec=spec, splits=splits, metadata=metadata)
@@ -466,15 +475,15 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
             raise IntegrityError(f"{meta_path}: {err}") from err
         except DomainError as err:
             raise DatasetFormatError(f"{meta_path}: {err}") from err
-        _verify_replay(ds, letters, csv_path)
+        _verify_replay(ds, lines, csv_path)
     return ds
 
 
 def _decode_sequences(
     text: str, spec: TaskSpec, csv_path: Path
-) -> tuple[dict[str, list[SequenceSample]], dict[tuple[str, int], tuple[list[int], list[int]]]]:
-    """The samples of ``sequences.csv`` by split, and the letters of each
-    (split, seq_id) next to the lines of their rows, for ``_verify_replay``.
+) -> tuple[dict[str, list[SequenceSample]], dict[tuple[str, int], list[int]]]:
+    """The samples of ``sequences.csv`` by split, and the lines of each
+    (split, seq_id)'s rows, for ``_verify_replay``.
 
     One pass: each row is decoded straight into the accumulator of its
     (split, seq_id), so no raw row outlives its line.  Errors name the
@@ -495,16 +504,16 @@ def _decode_sequences(
         (v.name, pos[f"{v.name}_label"], dict(zip(v.domain.labels, v.domain.values)), v.domain)
         for v in spec.variables
     ]
-    truth_cols = [(a, pos[f"{a}_truth"]) for a in atoms]
     index_cols = [(v.name, pos[f"{v.name}_index"]) for v in spec.variables] if with_indices else []
     i_split, i_seq, i_t = pos["split"], pos["seq_id"], pos["t"]
     i_state, i_label = pos["state_after"], pos["seq_label"]
-    bit_cols = [(f"{a}_truth", i) for a, i in truth_cols] + [("seq_label", i_label)]
-    # the seq_label and *_truth cells of a row -> (label, truth dict, letter)
-    bit_cells = operator.itemgetter(i_label, *(i for _, i in truth_cols))
+    truth_cols = [pos[f"{a}_truth"] for a in atoms]
+    bit_cols = [(f"{a}_truth", i) for a, i in zip(atoms, truth_cols)] + [("seq_label", i_label)]
+    # the seq_label and *_truth cells of a row -> (letter, label)
+    bit_cells = operator.itemgetter(i_label, *truth_cols)
     bit_codes: dict = {}
 
-    # (split, seq_id) -> (label, values, truths, states, indices, letters, lines)
+    # (split, seq_id) -> (label, values, letters, states, indices, lines)
     seqs: dict[tuple[str, int], tuple] = {}
     for row in rows:
         if not row:
@@ -520,8 +529,8 @@ def _decode_sequences(
             cells = bit_cells(row)
             bits = bit_codes.get(cells)
             if bits is None:
-                truth = {a: _TRUTHS[row[i]] for a, i in truth_cols}
-                bits = bit_codes[cells] = (_LABELS[row[i_label]], truth, letter_of(truth, atoms))
+                letter = sum(_BITS[row[i]] << bit for bit, i in enumerate(truth_cols))
+                bits = bit_codes[cells] = (letter, _BITS[row[i_label]])
             state = int(row[i_state])
             indices = {name: int(row[i]) for name, i in index_cols}
         except KeyError:
@@ -529,13 +538,13 @@ def _decode_sequences(
             raise DatasetFormatError(f"{csv_path}:{reader.line_num}: {reason}") from None
         except ValueError as err:
             raise DatasetFormatError(f"{csv_path}:{reader.line_num}: bad cell ({err})") from err
-        label, truth, letter = bits
+        letter, label = bits
         acc = seqs.get(key)
         if acc is None:
             if key[0] not in SPLIT_NAMES:
                 raise DatasetFormatError(f"{csv_path}:{reader.line_num}: unknown split {key[0]!r}")
-            acc = seqs[key] = (label, [], [], [], [], [], [])
-        seq_label, seq_values, seq_truths, seq_states, seq_indices, seq_letters, seq_lines = acc
+            acc = seqs[key] = (label, [], [], [], [], [])
+        seq_label, seq_values, seq_letters, seq_states, seq_indices, seq_lines = acc
         if step != len(seq_values):
             raise DatasetFormatError(
                 f"{csv_path}:{reader.line_num}: time step {row[i_t]} out of order "
@@ -546,26 +555,21 @@ def _decode_sequences(
                 f"{csv_path}:{reader.line_num}: seq_label changes within sequence {key[1]}"
             )
         seq_values.append(values)
-        seq_truths.append(truth.copy())
-        seq_states.append(state)
         seq_letters.append(letter)
+        seq_states.append(state)
         seq_lines.append(reader.line_num)
         if with_indices:
             seq_indices.append(indices)
 
     splits: dict[str, list[SequenceSample]] = {s: [] for s in SPLIT_NAMES}
-    for (split, seq_id), (label, values, truths, states, indices, *_) in seqs.items():
+    for (split, seq_id), (label, values, letters, states, indices, _) in seqs.items():
         splits[split].append(
             SequenceSample(
-                seq_id=seq_id,
-                label=label,
-                values=tuple(values),
-                truths=tuple(truths),
-                states=tuple(states),
-                indices=tuple(indices) if with_indices else None,
+                seq_id, label, tuple(values), tuple(letters), atoms, tuple(states),
+                tuple(indices) if with_indices else None,
             )
         )
-    return splits, {key: acc[-2:] for key, acc in seqs.items()}
+    return splits, {key: acc[-1] for key, acc in seqs.items()}
 
 
 def _records(reader, csv_path: Path):
@@ -578,24 +582,21 @@ def _records(reader, csv_path: Path):
 
 
 def _verify_replay(
-    ds: Dataset,
-    letters: Mapping[tuple[str, int], tuple[Sequence[int], Sequence[int]]],
-    csv_path: Path,
+    ds: Dataset, lines: Mapping[tuple[str, int], Sequence[int]], csv_path: Path
 ) -> None:
-    """Replay each sample's letters, ``letters[split, seq_id][0]``, through
-    ``ds.dfa``.  A mismatch names the line of its row in ``csv_path``, read
-    from ``letters[split, seq_id][1]``; a label that disagrees with
-    acceptance names the sequence's last row."""
+    """Replay each sample's letters through ``ds.dfa``.  A mismatch names
+    the line of its row in ``csv_path``, read from ``lines[split, seq_id]``;
+    a label that disagrees with acceptance names the sequence's last row."""
     dfa = ds.dfa
     transitions = dfa.transitions
     for split, sample in ds:
         state = dfa.initial
-        seq_letters, lines = letters[split, sample.seq_id]
-        for t, letter in enumerate(seq_letters):
+        seq_lines = lines[split, sample.seq_id]
+        for t, letter in enumerate(sample.letters):
             state = transitions[state][letter]
             if state != sample.states[t]:
-                where = f"{csv_path}:{lines[t]}: sequence {split}/{sample.seq_id}"
+                where = f"{csv_path}:{seq_lines[t]}: sequence {split}/{sample.seq_id}"
                 raise IntegrityError(f"{where}: replay diverges at step {t}")
         if (state in dfa.accepting) != bool(sample.label):
-            where = f"{csv_path}:{lines[-1]}: sequence {split}/{sample.seq_id}"
+            where = f"{csv_path}:{seq_lines[-1]}: sequence {split}/{sample.seq_id}"
             raise IntegrityError(f"{where}: label does not match acceptance")

@@ -198,18 +198,21 @@ def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
     samples = dataset.splits.get(split, [])
     if not samples:
         raise DomainError(f"split {split!r} is empty")
+    if any(tuple(s.atoms) != task.atoms for s in samples):
+        raise DomainError(f"split {split!r} is not over the task's atoms {list(task.atoms)}")
     variables = task.spec.variables
     lengths = np.array([s.length for s in samples])
     mask = np.arange(lengths.max()) < lengths[:, None]
-    truths = np.zeros(mask.shape + (len(task.atoms),), dtype=bool)
+    letters = np.zeros(mask.shape, dtype=np.int64)
     labels = np.zeros(mask.shape + (len(variables),), dtype=np.intp)
     states = np.full(mask.shape, -1)
     for i, sample in enumerate(samples):
-        truths[i, : sample.length] = [[t[a] for a in task.atoms] for t in sample.truths]
+        letters[i, : sample.length] = sample.letters
         labels[i, : sample.length] = [
             [v.domain.index_of(values[v.name]) for v in variables] for values in sample.values
         ]
         states[i, : sample.length] = sample.states
+    truths = (letters[..., None] >> np.arange(len(task.atoms)) & 1).astype(bool)
     return _Split(split, samples, lengths, mask, truths, labels, states)
 
 
@@ -266,8 +269,10 @@ def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _T
         for i, (columns, tensor) in enumerate(reads):
             if tensor is _IDENTITY:  # 0·d0 + 1·d1 is d1, bit for bit
                 flat[:, i] = dists[columns[0]][:, 1]
-            else:
-                flat[:, i] = tensor_probability(tensor, [dists[j] for j in columns])
+            elif not columns:  # a constraint over no variable: its constant truth
+                flat[:, i] = tensor
+            else:  # rows summing to 1 + ulps can contract past 1
+                flat[:, i] = np.minimum(tensor_probability(tensor, [dists[j] for j in columns]), 1)
     else:
         drawn = true if rngs is None else _flip_labels(true, sizes, oracle.p, rngs, data.lengths)
         ic_hits = int(np.count_nonzero(drawn == true))

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import formulas as fm
-from .automata import Dfa, assignment_of, letter_of, ltlf_to_dfa
+from .automata import Dfa, letter_of, ltlf_to_dfa
 from .constraints import (
     Constraint,
     SolutionBucket,
@@ -303,8 +303,7 @@ class CompiledTask:
     ``feasible_letters`` memoizes its answer per ``(state, remaining, label)``
     on the instance, one shared tuple per distinct letter set, so a dataset's
     walks filter ``usable_letters`` at most once per key instead of once per
-    step; ``letter_truths`` likewise builds each letter's truth dict once and
-    hands out copies.
+    step.
     """
 
     spec: TaskSpec
@@ -321,7 +320,6 @@ class CompiledTask:
     _letter_sets: dict[tuple[int, ...], tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _truths: dict[int, dict[str, bool]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -337,13 +335,6 @@ class CompiledTask:
 
     def truth_letter(self, truths: Mapping[str, bool]) -> int:
         return letter_of(truths, self.atoms)
-
-    def letter_truths(self, letter: int) -> dict[str, bool]:
-        """A fresh ``{atom: truth}`` dict for ``letter`` (bit i = ``atoms[i]``)."""
-        cached = self._truths.get(letter)
-        if cached is None:
-            cached = self._truths[letter] = assignment_of(letter, self.atoms)
-        return cached.copy()
 
     def solution_bucket(self, letter: int) -> Sequence[dict[str, int]]:
         """``letter``'s assignments; from a ``SolutionTable``, built one by one as read."""

@@ -39,15 +39,15 @@ from ltlseq.formulas import (
 ATOMS = ["p", "q", "r"]
 
 
-def rand_formula(rng, depth):
+def rand_formula(rng, depth, atoms=ATOMS):
     if depth == 0:
-        return rng.choice([TRUE, FALSE] + [Atom(a) for a in ATOMS])
+        return rng.choice([TRUE, FALSE] + [Atom(a) for a in atoms])
     k = rng.randrange(12)
-    sub = lambda: rand_formula(rng, depth - 1)
+    sub = lambda: rand_formula(rng, depth - 1, atoms)
     if k == 0:
         return TRUE
     if k == 1:
-        return Atom(rng.choice(ATOMS))
+        return Atom(rng.choice(atoms))
     if k == 2:
         return Not(sub())
     if k == 3:

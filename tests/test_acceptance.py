@@ -372,7 +372,7 @@ def test_criterion_11_mp_baselines():
             label=label,
             states=tuple(states),
             values=template.values[:1] * n,
-            truths=template.truths[:1] * n,
+            letters=template.letters[:1] * n,
         )
 
     split = [fake(i, [0] * 7 + [1] * 3, 1) for i in range(10)]

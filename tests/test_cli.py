@@ -103,6 +103,26 @@ def test_compile_state_cap():
     assert "cap" in result.output
 
 
+@pytest.mark.parametrize("grid", ["five-axis", "wide-range"])
+def test_compile_grid_cap_exits_without_traceback(tmp_path, grid):
+    from test_tasks import HUGE_GRID_ERROR, HUGE_GRID_YAML
+
+    path = tmp_path / "huge.yaml"
+    if grid == "five-axis":
+        path.write_text(HUGE_GRID_YAML)
+        message = HUGE_GRID_ERROR
+    else:
+        path.write_text(HUGE_GRID_YAML.replace("[0, 99]", "[0, 100000000]"))
+        message = (
+            "domain 'd': range [0, 100000000] has 100000001 points, over the cap of "
+            "16777216 grid points (_MAX_GRID_POINTS)"
+        )
+    result = CliRunner().invoke(main, ["compile", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output == f"Error: {message}\n"
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000  # past any parser's recursion limit
 _BIG_INT = "9" * 5_000  # past the int digit limit of str -> int conversion
 

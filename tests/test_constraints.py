@@ -27,7 +27,12 @@ from ltlseq.constraints import (
     tensor_probability,
     variable_map,
 )
-from ltlseq.errors import DomainError, ResourceLimitError, UnsatisfiableLetterError
+from ltlseq.errors import (
+    DomainError,
+    LtlseqError,
+    ResourceLimitError,
+    UnsatisfiableLetterError,
+)
 
 from oracles import partition_reference
 
@@ -324,6 +329,60 @@ def test_partition_constraint_cap():
     with pytest.raises(ResourceLimitError) as exc:
         partition_solutions(constraints, variables)
     assert "63" in str(exc.value)
+
+
+_GRID_CAP = "over the cap of 16777216 grid points (_MAX_GRID_POINTS)"
+HUNDRED = SymbolicDomain.from_range("hundred", 0, 99)
+
+
+def _raises_exactly(cls, message, fn, *args):
+    with pytest.raises(LtlseqError) as exc:
+        fn(*args)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+
+
+def test_range_domain_cap():
+    _raises_exactly(
+        ResourceLimitError,
+        f"domain 'wide': range [0, 100000000] has 100000001 points, {_GRID_CAP}",
+        SymbolicDomain.from_range, "wide", 0, 100_000_000,
+    )
+    _raises_exactly(
+        ResourceLimitError,
+        f"domain 'wide': range [5, 16777221] has 16777217 points, {_GRID_CAP}",
+        SymbolicDomain.from_range, "wide", 5, 16777221,
+    )
+
+
+def test_grid_cap_on_partition_and_indicator():
+    names = ["A", "B", "C", "D", "E"]
+    message = (
+        f"the grid of {names} over [100, 100, 100, 100, 100] values has 10000000000 points, "
+        + _GRID_CAP
+    )
+    variables = vars_over(HUNDRED, *names)
+    constraints = [parse_constraint("s", "A + B = C"), parse_constraint("l", "D < E")]
+    _raises_exactly(ResourceLimitError, message, partition_solutions, constraints, variables)
+    wide = parse_constraint("w", "A + B + C = D + E")
+    domains = {n: HUNDRED for n in names}
+    _raises_exactly(ResourceLimitError, message, indicator_tensor, wide, domains)
+
+
+def test_grid_cap_boundary(monkeypatch):
+    from ltlseq import constraints as cmod
+
+    monkeypatch.setattr(cmod, "_MAX_GRID_POINTS", 12)
+    three, four = SymbolicDomain.from_range("three", 0, 2), SymbolicDomain.from_range("four", 0, 3)
+    c = parse_constraint("lt", "A < B")
+    names, tensor = indicator_tensor(c, {"A": three, "B": four})  # 12 points: at the cap
+    assert tensor.shape == (3, 4)
+    assert len(partition_solutions([c], vars_over(three, "A") + vars_over(four, "B"))) == 2
+    with pytest.raises(ResourceLimitError, match="has 16 points, over the cap of 12 grid"):
+        indicator_tensor(c, {"A": four, "B": four})
+    SymbolicDomain.from_range("twelve", 1, 12)
+    with pytest.raises(ResourceLimitError, match=r"range \[0, 12\] has 13 points"):
+        SymbolicDomain.from_range("thirteen", 0, 12)
 
 
 def test_sample_solution_uniform():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ltlseq import generator
+from ltlseq.automata import letter_of
 from ltlseq.constraints import SymbolicDomain, VariableSpec, eval_constraint
 from ltlseq.errors import DatasetFormatError, DomainError, IntegrityError
 from ltlseq.generator import (
@@ -25,6 +26,7 @@ from ltlseq.generator import (
     generate_sequence,
     serialize,
 )
+from ltlseq.harness import _split_arrays
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import SPLIT_NAMES, CompiledTask, compile_task
 from test_tasks import family_spec
@@ -182,6 +184,53 @@ def test_dataset_equals_reference_loop(name):
     else:
         task = compile_task(builtin_task(name))
     assert generate_dataset(task).splits == reference_splits(task)
+
+
+@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "fam10"])
+def test_letters_are_the_truths_letters(tmp_path, name):
+    if name.startswith("fam"):
+        task = compile_task(replace(family_spec(int(name[3:])), splits=(40, 10, 10)))
+    else:
+        task = compile_task(builtin_task(name))
+    ds = generate_dataset(task)
+    serialize(ds, tmp_path)
+    for dataset in (ds, deserialize(tmp_path, verify=True)):
+        for split, sample in dataset:
+            assert sample.atoms == task.atoms
+            assert len(sample.letters) == len(sample.truths) == sample.length
+            for letter, truths in zip(sample.letters, sample.truths):
+                assert letter == letter_of(truths, sample.atoms)
+        for split in SPLIT_NAMES:
+            data = _split_arrays(task, dataset, split)
+            rows = np.zeros(data.mask.shape + (len(task.atoms),), dtype=bool)
+            for i, sample in enumerate(dataset.splits[split]):
+                for t, truths in enumerate(sample.truths):
+                    rows[i, t] = [truths[a] for a in task.atoms]
+            assert data.truths.dtype == bool
+            np.testing.assert_array_equal(data.truths, rows)
+
+
+def test_sample_truths_are_fresh_dicts():
+    ct = small_task()
+    samples = generate_dataset(ct).splits["train"]
+    before = [(s.letters, s.truths) for s in samples]
+    # sample 0 shares its first letter with later samples; no dict is shared with them
+    first = samples[0].truths
+    assert first is not samples[0].truths
+    assert any(s.letters[0] == samples[0].letters[0] for s in samples[1:])
+    first[0][ct.atoms[0]] = None
+    first[0]["extra"] = True
+    assert [(s.letters, s.truths) for s in samples] == before
+    letter = samples[0].letters[0]
+    assert samples[0].truths[0] == {a: bool(letter >> i & 1) for i, a in enumerate(ct.atoms)}
+
+
+def test_serialize_rejects_a_sample_over_other_atoms(tmp_path):
+    ds = generate_dataset(small_task())
+    sample = ds.splits["val"][1]
+    ds.splits["val"][1] = replace(sample, atoms=("x",) * len(sample.atoms))
+    with pytest.raises(DomainError, match=r"sample val/1 is over atoms \['x'\]"):
+        serialize(ds, tmp_path)
 
 
 def test_walk_refills_a_one_word_block():

@@ -272,6 +272,14 @@ def test_mp_baselines_hand_counts():
     assert mp_seq == pytest.approx(expected_seq)
 
 
+def test_split_over_other_atoms_is_rejected():
+    ct, ds = small_dataset()
+    sample = ds.splits["test"][0]
+    ds.splits["test"][0] = dataclasses.replace(sample, atoms=("x",) * len(sample.atoms))
+    with pytest.raises(DomainError, match="split 'test' is not over the task's atoms"):
+        oracle_sweep(ct, ds, [OracleConfig()], engines=("exact",), seeds=(1,))
+
+
 def test_mp_successor_constructed_fixture():
     # hand-built dataset: state 0 fills 70% of steps in train and test
     from dataclasses import replace
@@ -287,7 +295,7 @@ def test_mp_successor_constructed_fixture():
             label=label,
             states=tuple(states),
             values=template.values[:1] * n,
-            truths=template.truths[:1] * n,
+            letters=template.letters[:1] * n,
         )
 
     from ltlseq.generator import Dataset

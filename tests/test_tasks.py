@@ -14,6 +14,8 @@ from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint, s
 from ltlseq.errors import (
     DomainError,
     IntegrityError,
+    LtlseqError,
+    ResourceLimitError,
     TaskCompileError,
     TaskFileError,
     UnsatisfiableLetterError,
@@ -296,6 +298,30 @@ def test_compile_rejects_unsatisfiable_negative():
     assert "label 0" in str(exc.value)
 
 
+HUGE_GRID_YAML = """\
+name: huge
+domains: {d: {range: [0, 99]}}
+variables: {A: {domain: d}, B: {domain: d}, C: {domain: d}, D: {domain: d}, E: {domain: d}}
+constraints: {s: 'A + B = C', l: 'D < E'}
+formula: F s & F l
+length: {min: 2, max: 4}
+splits: {train: 4, val: 2, test: 2}
+"""
+HUGE_GRID_ERROR = (
+    "the grid of ['A', 'B', 'C', 'D', 'E'] over [100, 100, 100, 100, 100] values has "
+    "10000000000 points, over the cap of 16777216 grid points (_MAX_GRID_POINTS)"
+)
+
+
+def test_compile_rejects_a_grid_over_the_cap(tmp_path):
+    path = tmp_path / "huge.yaml"
+    path.write_text(HUGE_GRID_YAML)
+    with pytest.raises(LtlseqError) as exc:
+        compile_task(load_task_yaml(path))
+    assert type(exc.value) is ResourceLimitError
+    assert str(exc.value) == HUGE_GRID_ERROR
+
+
 def test_compile_allows_one_sided_ratio():
     # a tautology is fine when only positive sequences are requested
     ct = compile_task(small_spec(formula="p | !p", positive_ratio=1.0))
@@ -552,14 +578,6 @@ def test_feasible_letters_equal_reference(name):
         for remaining in (0, -1):
             with pytest.raises(DomainError):
                 ct.feasible_letters(state, remaining, 1)
-
-
-def test_letter_truths_are_fresh_copies():
-    ct = compile_task(builtin_task("task3"))
-    first = ct.letter_truths(5)
-    assert first == {a: bool(5 >> i & 1) for i, a in enumerate(ct.atoms)}
-    first[ct.atoms[0]] = None
-    assert ct.letter_truths(5) == {a: bool(5 >> i & 1) for i, a in enumerate(ct.atoms)}
 
 
 def test_compiled_tasks_compare_after_indicator():
