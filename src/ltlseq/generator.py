@@ -68,33 +68,67 @@ def _sequence_rng(seed: int, split: str, index: int) -> np.random.Generator:
 
 _LOW32 = (1 << 32) - 1
 _LOW64 = (1 << 64) - 1
+_DOUBLE_UNIT = 2.0**-53  # next_double's scale: 53 random bits to [0, 1)
+
+
+def _next_doubles(words: Sequence[int]) -> np.ndarray:
+    """numpy's ``next_double`` of each PCG64 word: its top 53 bits times
+    2^-53, what ``_Draws.random`` draws from one word."""
+    return (np.array(words, dtype=np.uint64) >> 11) * _DOUBLE_UNIT
 
 
 class _Draws:
-    """``np.random.default_rng(seed).integers(n)`` for scalar ``n``, the same
-    draw for draw, from PCG64 words fetched ``block`` at a time.
+    """``np.random.default_rng(seed)``'s scalar ``random()`` and
+    ``integers(n)``, the same draw for draw, from PCG64 words fetched
+    ``block`` at a time.
 
-    numpy's scalar path: a bound of 1 consumes nothing; a bound up to 2^32
-    is 32-bit Lemire on PCG64's buffered ``next_uint32`` (a fresh word's low
+    numpy's scalar paths: ``random()`` is ``next_double``, a whole word's top
+    53 bits times 2^-53, and leaves a pending 32-bit half alone.  For
+    ``integers(n)`` a bound of 1 consumes nothing; a bound up to 2^32 is
+    32-bit Lemire on PCG64's buffered ``next_uint32`` (a fresh word's low
     half, then its pending high half); a larger bound is 64-bit Lemire on
     whole words and leaves a pending half alone.  Lemire draws again while
     the product's low bits are below ``2^bits mod n``.
+
+    The fetched words are kept in one list that ``replay`` shares: a replay
+    reads the same stream from word 0, and a reader that runs past the end
+    appends the next block from the one bit generator, so every reader sees
+    one stream and each word is fetched once.
     """
 
-    __slots__ = ("_bitgen", "_block", "_words", "_half")
+    __slots__ = ("_bitgen", "_block", "_words", "_pos", "_half")
 
     def __init__(self, seed: int, block: int) -> None:
         self._bitgen = np.random.PCG64(seed)
         self._block = block
-        self._words = iter(())
+        self._words: list[int] = []
+        self._pos = 0
         self._half: int | None = None
 
+    def replay(self) -> _Draws:
+        """A new reader of this stream from word 0, sharing its words."""
+        draws = _Draws.__new__(_Draws)
+        draws._bitgen, draws._block, draws._words = self._bitgen, self._block, self._words
+        draws._pos, draws._half = 0, None
+        return draws
+
+    def head(self, n: int) -> list[int]:
+        """The stream's first ``n`` words, whatever this reader has read."""
+        while len(self._words) < n:
+            self._fetch()
+        return self._words[:n]
+
+    def _fetch(self) -> None:
+        self._words.extend(self._bitgen.random_raw(self._block).tolist())
+
     def _word(self) -> int:
-        word = next(self._words, None)
-        if word is None:
-            self._words = iter(self._bitgen.random_raw(self._block).tolist())
-            word = next(self._words)
-        return word
+        pos = self._pos
+        self._pos = pos + 1
+        try:
+            return self._words[pos]
+        except IndexError:
+            self._fetch()
+            return self._words[pos]
 
     def _next(self, bits: int) -> int:
         if bits == 64:
@@ -106,6 +140,17 @@ class _Draws:
             return word & _LOW32
         self._half = None
         return half
+
+    def random(self) -> float:
+        # _word inlined: this is a flip oracle's draw for every entry
+        pos = self._pos
+        self._pos = pos + 1
+        try:
+            word = self._words[pos]
+        except IndexError:
+            self._fetch()
+            word = self._words[pos]
+        return (word >> 11) * _DOUBLE_UNIT
 
     def integers(self, n: int) -> int:
         if n < 1:

@@ -11,19 +11,23 @@ variables: each atom's truth bit is its true class, read through the identity
 indicator, so each oracle kind is written once.
 
 Oracle randomness is derived per sequence from ``(seed, split, seq_id)``, so
-results do not depend on evaluation order.  Corruption is array code over a
-whole split: flip oracles keep their scalar draw loop but emit label indices,
-and confidence oracles draw each sequence's masses in one call and contract
-each indicator tensor over all steps at once (``tensor_probability``: the
-last axis as one matrix-vector product per step, then one ``einsum`` per
-remaining axis); the ``ic_cc`` identity needs no contraction, each atom's
-belief being its distribution's column 1.  A sweep then runs every (config,
-seed) unit of a split through each engine in one batched pass and scores the
-units one by one; no threads are started.  With calibration, each distinct
-val acceptance is fitted once, and all of them in one lockstep search
-(``calibrate_temperatures``) after every engine has run.  SC is always
-scored on raw acceptance: a fitted calibration temperature is reported as
-the ``sc_temp`` column and read by no metric.
+results do not depend on evaluation order.  A split seeds each sequence's
+stream once per oracle seed and keeps its PCG64 words (``generator._Draws``);
+every noisy config of that seed reads them from word 0 and draws exactly
+what a fresh ``np.random.default_rng`` per sequence would.  Corruption is
+array code over a whole split: flip oracles read numpy's scalar ``random()``
+and ``integers(k)`` off the words in one loop and emit label indices, and
+confidence oracles compute every mass from the words in one array
+expression and contract each indicator tensor over all steps at once
+(``tensor_probability``: the last axis as one matrix-vector product per
+step, then one ``einsum`` per remaining axis); the ``ic_cc`` identity needs
+no contraction, each atom's belief being its distribution's column 1.  A
+sweep then runs every (config, seed) unit of a split through each engine in
+one batched pass and scores the units one by one; no threads are started.
+With calibration, each distinct val acceptance is fitted once, and all of
+them in one lockstep search (``calibrate_temperatures``) after every engine
+has run.  SC is always scored on raw acceptance: a fitted calibration
+temperature is reported as the ``sc_temp`` column and read by no metric.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .constraints import tensor_probability
 from .errors import DomainError, TaskFileError
-from .generator import Dataset, SequenceSample, _digest_int
+from .generator import Dataset, SequenceSample, _digest_int, _Draws, _next_doubles
 from .inference import (
     calibrate_temperature,
     calibrate_temperatures,
@@ -140,7 +144,7 @@ def _flip_labels(
     true: np.ndarray,
     sizes: Sequence[int],
     p: float,
-    rngs: Sequence[np.random.Generator],
+    draws: Sequence[_Draws],
     lengths: np.ndarray,
 ) -> np.ndarray:
     """Labels after the flip oracle's scalar draws: per sequence, steps outer
@@ -149,22 +153,26 @@ def _flip_labels(
     n = len(sizes)
     flat = true.ravel().tolist()
     lo = 0
-    for rng, length in zip(rngs, lengths):
-        random, integers = rng.random, rng.integers
+    for stream, length in zip(draws, lengths):
+        random, integers = stream.random, stream.integers
         for i in range(lo, lo + int(length) * n):
             if random() < p:
-                flat[i] = int(integers(sizes[i % n]))
+                flat[i] = integers(sizes[i % n])
         lo += int(length) * n
     return np.array(flat, dtype=np.intp).reshape(true.shape)
 
 
 def _confidence_masses(
-    p: float, n: int, rngs: Sequence[np.random.Generator], lengths: np.ndarray
+    p: float, n: int, draws: Sequence[_Draws], lengths: np.ndarray
 ) -> np.ndarray:
-    """True-label masses m ~ U[1−p, 1] (steps × ``n`` columns), one bulk
-    draw per sequence; equal to ``confidence_oracle``'s scalar draws."""
-    draws = [rng.uniform(1.0 - p, 1.0, size=int(length) * n) for rng, length in zip(rngs, lengths)]
-    return np.concatenate(draws).reshape(-1, n)
+    """True-label masses m ~ U[1−p, 1] (steps × ``n`` columns), one word per
+    entry; equal to ``confidence_oracle``'s scalar draws: numpy's ``uniform``
+    is ``low + (high − low) · next_double``, the subtraction in floats."""
+    u = _next_doubles(
+        [w for stream, length in zip(draws, lengths) for w in stream.head(int(length) * n)]
+    )
+    low = 1.0 - p
+    return (low + (1.0 - low) * u).reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -181,17 +189,22 @@ class _Split:
     truths: np.ndarray
     labels: np.ndarray
     states: np.ndarray
-    _rng_seeds: dict = field(default_factory=dict, compare=False, repr=False)
+    _streams: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def oracle_rngs(self, seed: int) -> list[np.random.Generator]:
-        """Fresh oracle generators, one per sequence, seeded from
-        ``(seed, split, seq_id)``; the digests are hashed once per seed."""
-        digests = self._rng_seeds.get(seed)
-        if digests is None:
-            digests = self._rng_seeds[seed] = [
-                _digest_int(f"{seed}:{self.name}:{s.seq_id}:oracle") for s in self.samples
+    def oracle_draws(self, seed: int) -> list[_Draws]:
+        """One reader per sequence of its ``(seed, split, seq_id)`` oracle
+        stream, from word 0.  Each stream is seeded once per seed and keeps
+        its words, so every config of that seed reads words fetched once.
+        The first block holds two words per entry of the wider target: one
+        for the flip test, and more than enough for a re-draw's half word."""
+        streams = self._streams.get(seed)
+        if streams is None:
+            width = max(self.labels.shape[2], self.truths.shape[2])
+            streams = self._streams[seed] = [
+                _Draws(_digest_int(f"{seed}:{self.name}:{s.seq_id}:oracle"), 2 * s.length * width)
+                for s in self.samples
             ]
-        return [np.random.default_rng(d) for d in digests]
+        return [stream.replay() for stream in streams]
 
 
 def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
@@ -233,10 +246,12 @@ _IDENTITY = np.array([0.0, 1.0])  # an atom's indicator over its own truth bit
 def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _Traces:
     """Corrupt every sequence of a split under one config.
 
-    Each sequence draws from its own ``(seed, split, seq_id)`` stream in a
-    fixed order — steps outer; declared variables (``ic``) or sorted atoms
-    (``ic_cc``) inner — so a config always yields the same corruption
-    whatever the engine or caller.  ``ic_cc`` is ``ic`` over two-class
+    Each sequence draws from its own ``(seed, split, seq_id)`` stream, from
+    its first word, in a fixed order — steps outer; declared variables
+    (``ic``) or sorted atoms (``ic_cc``) inner — so a config always yields
+    the same corruption whatever the engine, caller or other configs read
+    before it: the streams are ``data.oracle_draws``, whose words every
+    config of the seed shares.  ``ic_cc`` is ``ic`` over two-class
     variables, one per atom, whose true class is the atom's truth bit and
     whose indicator is the identity.  A perfect or flip oracle's label
     distributions are one-hot, so each atom's belief is its indicator tensor
@@ -254,12 +269,12 @@ def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _T
         true = data.truths[data.mask].astype(np.intp)  # steps × atoms
         sizes = [2] * len(task.atoms)
         reads = [([i], _IDENTITY) for i in range(len(task.atoms))]
-    rngs = None if oracle.kind == "perfect" else data.oracle_rngs(oracle.seed)
-    if rngs is not None and min(sizes, default=2) < 2:
+    draws = None if oracle.kind == "perfect" else data.oracle_draws(oracle.seed)
+    if draws is not None and min(sizes, default=2) < 2:
         raise DomainError(f"class count must be >= 2, got {min(sizes)}")
     flat = np.empty((len(true), len(task.atoms)))
     if oracle.kind == "confidence":
-        m = _confidence_masses(oracle.p, len(sizes), rngs, data.lengths)
+        m = _confidence_masses(oracle.p, len(sizes), draws, data.lengths)
         dists, ic_hits = [], 0
         for j, k in enumerate(sizes):
             dist = np.repeat(((1.0 - m[:, j]) / (k - 1))[:, None], k, axis=1)
@@ -274,7 +289,7 @@ def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _T
             else:  # rows summing to 1 + ulps can contract past 1
                 flat[:, i] = np.minimum(tensor_probability(tensor, [dists[j] for j in columns]), 1)
     else:
-        drawn = true if rngs is None else _flip_labels(true, sizes, oracle.p, rngs, data.lengths)
+        drawn = true if draws is None else _flip_labels(true, sizes, oracle.p, draws, data.lengths)
         ic_hits = int(np.count_nonzero(drawn == true))
         for i, (columns, tensor) in enumerate(reads):
             flat[:, i] = tensor[tuple(drawn[:, j] for j in columns)]

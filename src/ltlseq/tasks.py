@@ -36,6 +36,10 @@ from .errors import DomainError, LtlseqError, TaskCompileError, TaskFileError
 
 SPLIT_NAMES = ("train", "val", "test")
 
+# compile_task builds one reach row per step up to max_length: task1 took
+# 0.22 s at 10^4 steps and 2.5 s with 97 MB at 10^5 (2-core Xeon)
+_MAX_LENGTH = 10_000
+
 _T = TypeVar("_T")
 
 
@@ -93,6 +97,11 @@ class TaskSpec:
             raise DomainError(
                 f"task {self.name!r}: bad length range "
                 f"[{self.min_length}, {self.max_length}]"
+            )
+        if self.max_length > _MAX_LENGTH:
+            raise DomainError(
+                f"task {self.name!r}: max_length {self.max_length} is over the cap of "
+                f"{_MAX_LENGTH} steps (_MAX_LENGTH)"
             )
         if any(n < 0 for n in self.splits):
             raise DomainError(f"task {self.name!r}: negative split count")

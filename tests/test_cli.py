@@ -123,6 +123,17 @@ def test_compile_grid_cap_exits_without_traceback(tmp_path, grid):
     assert result.output == f"Error: {message}\n"
 
 
+def test_compile_length_cap_exits_without_traceback(tmp_path):
+    from test_tasks import LONG_TASK_ERROR, LONG_TASK_YAML
+
+    path = tmp_path / "long.yaml"
+    path.write_text(LONG_TASK_YAML)
+    result = CliRunner().invoke(main, ["compile", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"{path}: {LONG_TASK_ERROR}" in result.output
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000  # past any parser's recursion limit
 _BIG_INT = "9" * 5_000  # past the int digit limit of str -> int conversion
 

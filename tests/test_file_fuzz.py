@@ -147,8 +147,8 @@ def test_mutated_metadata_fields(dataset_dir, tmp_path):
 
 def _compile_yaml(path):
     spec = load_task_yaml(path)
-    # compile time grows with max_length, which no cap bounds: a retyped
-    # length.max of 9 * 20 digits would not finish
+    # compile time grows with max_length: a compile near the 10,000-step cap
+    # (_MAX_LENGTH) takes about 0.2 s, too long for every mutation
     if spec.max_length <= 1000:
         compile_task(spec)
 

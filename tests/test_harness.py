@@ -450,6 +450,54 @@ def test_golden_sweep_bytes(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SWEEPS[name]
 
 
+# sha256 of write_sweep_csv output of the noise sweep at oracle seeds 1 and 2:
+# every built-in task and fam6 at splits (2, 6, 6) and lengths 10-20, the
+# default configs, all five engines, calibration on.  The last entry is the
+# sweep.csv of `ltlseq sweep task3 --calibrate` at its defaults, which CI
+# also checks on the installed console script.  Captured while each noisy
+# config still seeded its own numpy Generator per sequence; the cached-word
+# oracle draws must match them byte for byte.
+GOLDEN_NOISY_SWEEPS = {
+    "task1": "5f1fc657ee6e15afdcec8fee8d8c238220dedc8b54687e733a5956cb2c378c70",
+    "task2": "182be0ceb80ae676077045c736139a75fc7b4c9f815181010fa80bfdde2fd3d3",
+    "task3": "166e0fb6488a012e2a6c101d73efdeb368a0002640f8e8a3b5beb9165a733d09",
+    "task4": "80148083db8b6eec9ef471f373d2e44b657c94031737dc32626552cbb8df6be3",
+    "task5": "a0f0ec54fabf98f1ce5a224ffec280dd22b92b9bd129d1b23d34d276c23764f7",
+    "task6": "7e85ec8a27ba1f08db9090c63eac2e399ec0e983b538ef9a402ac43481cf0d27",
+    "example": "107b4735f1af1b36940f98dd3d1ee5d9ff0300dcf021896d4682be085a0e202f",
+    "fam6": "a063256f923cd56cac621b6e3b5616934a97fe8e63d813b9bd5adca60d46d87c",
+    "ltlseq sweep task3 --calibrate": "37211c20453454d8607f0a6225ac8feea6dd75ea8430a7867e25c788905dd9b7",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_NOISY_SWEEPS))
+def test_golden_noisy_sweep_bytes(tmp_path, name):
+    from click.testing import CliRunner
+
+    from ltlseq.cli import main
+    from ltlseq.inference import ENGINE_NAMES
+    from test_tasks import family_spec
+
+    path = tmp_path / "sweep.csv"
+    if name.startswith("ltlseq "):
+        args = [*name.split()[1:], "-o", str(tmp_path)]
+        result = CliRunner().invoke(main, args, env={"LTLSEQ_CACHE_DIR": ""})
+        assert result.exit_code == 0, result.output
+    else:
+        spec = family_spec(6) if name == "fam6" else builtin_task(name)
+        ct = compile_task(dataclasses.replace(spec, splits=(2, 6, 6)))
+        rows = oracle_sweep(
+            ct,
+            generate_dataset(ct),
+            default_sweep_configs(),
+            engines=ENGINE_NAMES,
+            seeds=(1, 2),
+            calibrate=True,
+        )
+        write_sweep_csv(rows, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NOISY_SWEEPS[name]
+
+
 def test_sweep_csv_round_trip(tmp_path):
     ct, ds = small_dataset()
     rows = oracle_sweep(
@@ -610,6 +658,111 @@ def test_array_traces_equal_reference_loop(name):
                 assert np.array_equal(got.cb[i, : len(trace)], trace), (cfg, i)
                 assert not got.cb[i, len(trace):].any()
             assert (got.ic_hits, got.ic_total) == (hits, total), cfg
+
+
+# ---------------------------------------------------------------------------
+# Oracle draws from cached PCG64 words against fresh numpy Generators
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_draws_random_interleaved_with_integers_equal_generator(block):
+    import random
+
+    from ltlseq.generator import _Draws
+
+    rnd = random.Random(block)
+    for _ in range(200):
+        seed = rnd.getrandbits(64)
+        # None is a random() draw; a bound past 2^32 takes the 64-bit path
+        ops = [rnd.choice([None, None, 2, 7, 10, 2**32 + 1]) for _ in range(rnd.randint(1, 60))]
+        reference = np.random.default_rng(seed)
+        want = [reference.random() if k is None else int(reference.integers(k)) for k in ops]
+        draws = _Draws(seed, block)
+        assert [draws.random() if k is None else draws.integers(k) for k in ops] == want
+
+
+def _reference_oracle(oracle, seed, true, sizes, p):
+    """One sequence's labels (flip) or true-label masses (confidence) from
+    the scalar oracle on a fresh Generator, steps outer, columns inner."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for step in true:
+        for label, k in zip(step, sizes):
+            dist = oracle(int(label), k, p, rng)
+            out.append(int(dist.argmax()) if oracle is flip_oracle else dist[label])
+    return out
+
+
+def test_cached_oracle_draws_equal_scalar_oracles():
+    import random
+
+    from ltlseq.generator import _Draws
+    from ltlseq.harness import _confidence_masses, _flip_labels
+
+    rnd = random.Random(23)
+    for trial in range(120):
+        # 1 - (1 - p) is not p for many p below 1/2, and numpy's uniform spans the former
+        p = rnd.choice([0.0, 1.0, 0.05, 0.1, 0.2, rnd.random(), 10 ** -rnd.uniform(0, 4)])
+        sizes = [rnd.randint(2, 10) for _ in range(rnd.randint(1, 4))]
+        lengths = np.array([rnd.randint(1, 30) for _ in range(rnd.randint(1, 4))])
+        seeds = [rnd.getrandbits(64) for _ in lengths]
+        true = [np.array([[rnd.randrange(k) for k in sizes] for _ in range(n)]) for n in lengths]
+        # a block of 1 or 5 words refills mid-sequence; 2·entries is the oracle's own
+        block = rnd.choice([1, 5, 2 * int(lengths.max()) * len(sizes)])
+        flips = _flip_labels(
+            np.concatenate(true), sizes, p, [_Draws(s, block) for s in seeds], lengths
+        )
+        masses = _confidence_masses(p, len(sizes), [_Draws(s, block) for s in seeds], lengths)
+        want_flips, want_masses = [], []
+        for seed, t in zip(seeds, true):
+            want_flips += _reference_oracle(flip_oracle, seed, t, sizes, p)
+            want_masses += _reference_oracle(confidence_oracle, seed, t, sizes, p)
+        assert flips.ravel().tolist() == want_flips, trial
+        assert masses.ravel().tolist() == want_masses, trial
+
+
+def test_a_replayed_stream_reads_the_words_another_config_grew():
+    from ltlseq.generator import _Draws, _digest_int
+    from ltlseq.harness import _split_arrays
+
+    ops = [None if i % 3 else 7 for i in range(40)] + [None] * 10
+
+    def read(draws, count):
+        return [draws.random() if k is None else draws.integers(k) for k in ops[:count]]
+
+    stream = _Draws(99, 2)
+    grown = read(stream.replay(), 40)
+    assert len(stream._words) > 2  # the first reader fetched past the first block
+    second = stream.replay()
+    assert read(second, 40) == grown
+    reference = np.random.default_rng(99)
+    assert grown + [second.random() for _ in range(10)] == read(reference, 50)
+    # through a split: each config of a seed re-reads its streams from word 0
+    ct, ds = small_dataset(splits=(2, 4, 4))
+    data = _split_arrays(ct, ds, "test")
+    once = [[d.random() for _ in range(200)] for d in data.oracle_draws(5)]
+    again = [[d.random() for _ in range(200)] for d in data.oracle_draws(5)]
+    assert once == again
+    for sample, values in zip(data.samples, once):
+        fresh = np.random.default_rng(_digest_int(f"5:test:{sample.seq_id}:oracle"))
+        assert values == [fresh.random() for _ in range(200)]
+
+
+def test_each_oracle_stream_is_seeded_once_per_sweep(monkeypatch):
+    from ltlseq import generator
+
+    seeded = []
+    pcg64 = np.random.PCG64
+
+    def counting(seed):
+        seeded.append(seed)
+        return pcg64(seed)
+
+    ct, ds = small_dataset("task3", splits=(2, 3, 5))
+    monkeypatch.setattr(generator.np.random, "PCG64", counting)
+    oracle_sweep(ct, ds, default_sweep_configs(), engines=("exact",), seeds=(1, 2), calibrate=True)
+    # 12 noisy configs read the streams of 2 seeds × (3 val + 5 test) sequences
+    assert len(seeded) == len(set(seeded)) == 2 * (3 + 5)
 
 
 @pytest.mark.parametrize(

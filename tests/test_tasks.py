@@ -322,6 +322,34 @@ def test_compile_rejects_a_grid_over_the_cap(tmp_path):
     assert str(exc.value) == HUGE_GRID_ERROR
 
 
+LONG_TASK_YAML = """\
+name: long
+domains: {d: {range: [0, 3]}}
+variables: {A: {domain: d}, B: {domain: d}}
+constraints: {p: 'A < B'}
+formula: G F p
+length: {min: 2, max: 99999999999999999999}
+splits: {train: 4, val: 2, test: 2}
+"""
+LONG_TASK_ERROR = (
+    "task 'long': max_length 99999999999999999999 is over the cap of 10000 steps (_MAX_LENGTH)"
+)
+
+
+def test_a_length_over_the_cap_is_rejected_before_compiling(tmp_path):
+    from ltlseq.tasks import _MAX_LENGTH
+
+    path = tmp_path / "long.yaml"
+    path.write_text(LONG_TASK_YAML)
+    with pytest.raises(TaskFileError) as exc:
+        load_task_yaml(path)
+    assert str(exc.value) == f"{path}: {LONG_TASK_ERROR}"
+    spec = builtin_task("task5", max_length=_MAX_LENGTH + 1)
+    with pytest.raises(DomainError, match=r"over the cap of 10000 steps \(_MAX_LENGTH\)$"):
+        compile_task(spec)
+    compile_task(replace(spec, max_length=_MAX_LENGTH))  # the cap itself compiles
+
+
 def test_compile_allows_one_sided_ratio():
     # a tautology is fine when only positive sequences are requested
     ct = compile_task(small_spec(formula="p | !p", positive_ratio=1.0))
