@@ -5,9 +5,12 @@ Constraints compare integer linear expressions (``X + Y = 2*Z``) or apply
 (tens of values), so grounding needs no CSP solver: each constraint body is
 evaluated once over the whole numpy index grid of its variables' domain
 values (``np.ix_`` axes, whose C order is ``itertools.product`` order), and
-solution buckets and indicator tensors are read off the resulting truth
-arrays.  A solution bucket stays a list of flat grid indices until read:
-an assignment dict is built only for a point that is drawn or listed.
+indicator tensors and the ``SolutionTable`` are read off the resulting truth
+arrays.  The table is keyed by truth codes, bit i the truth of the i-th
+constraint; over constraints sorted by name these codes are the automaton's
+letters.  Each code's ``SolutionBucket`` stays a list of flat grid indices
+until read: an assignment dict is built only for a point that is drawn or
+listed.
 """
 
 from __future__ import annotations
@@ -70,10 +73,14 @@ class SymbolicDomain:
     @classmethod
     def from_range(cls, name: str, lo: int, hi: int) -> "SymbolicDomain":
         """Integer range domain [lo, hi], labels zero-padded digits; at most
-        ``_MAX_GRID_POINTS`` values, else ResourceLimitError."""
+        ``_MAX_DOMAIN_VALUES`` values, else ResourceLimitError."""
         if lo < 0 or hi < lo:
             raise DomainError(f"domain {name!r}: bad range [{lo}, {hi}]")
-        _check_grid_points(f"domain {name!r}: range [{lo}, {hi}]", hi - lo + 1)
+        if hi - lo + 1 > _MAX_DOMAIN_VALUES:
+            raise ResourceLimitError(
+                f"domain {name!r}: range [{lo}, {hi}] has {hi - lo + 1} values, over the cap "
+                f"of {_MAX_DOMAIN_VALUES} values of one range domain (_MAX_DOMAIN_VALUES)"
+            )
         width = len(str(hi))
         values = tuple(range(lo, hi + 1))
         return cls(name=name, labels=tuple(str(v).zfill(width) for v in values), values=values)
@@ -85,14 +92,9 @@ class SymbolicDomain:
     def __contains__(self, value: int) -> bool:
         return value in self._value_index
 
-    @property
+    @functools.cached_property
     def _value_index(self) -> dict[int, int]:
-        # cached lazily on the instance despite frozen=True
-        idx = self.__dict__.get("_value_index_cache")
-        if idx is None:
-            idx = {v: i for i, v in enumerate(self.values)}
-            object.__setattr__(self, "_value_index_cache", idx)
-        return idx
+        return {v: i for i, v in enumerate(self.values)}
 
     def index_of(self, value: int) -> int:
         try:
@@ -441,25 +443,20 @@ def enumerate_solutions(
     missing = [c.name for c in constraints if c.name not in letter]
     if missing:
         raise DomainError(f"letter does not fix constraints: {missing}")
-    key = tuple(letter[c.name] for c in constraints)
-    bucket = solution_buckets(constraints, variables).get(key)
-    return () if bucket is None else bucket.materialize()
+    code = sum(1 << bit for bit, c in enumerate(constraints) if letter[c.name])
+    return SolutionTable(constraints, variables)[code]
 
 
 # One int64 code bit per constraint; the sign bit stays clear.
 _MAX_PARTITION_CONSTRAINTS = 63
-# Points of one grounding grid (the product of its domain sizes), and values
-# of one range domain.  A task over a 64^4 grid, at the cap, compiles in about
-# 1.1 s with a 420 MB peak (2-core Xeon, Python 3.11, numpy 2.4).
+# Points of one grounding grid (the product of its domain sizes).  A task over
+# a 64^4 grid, at the cap, compiles in about 1.1 s with a 420 MB peak (2-core
+# Xeon, Python 3.11, numpy 2.4).
 _MAX_GRID_POINTS = 1 << 24
-
-
-def _check_grid_points(what: str, points: int) -> None:
-    if points > _MAX_GRID_POINTS:
-        raise ResourceLimitError(
-            f"{what} has {points} points, over the cap of {_MAX_GRID_POINTS} "
-            "grid points (_MAX_GRID_POINTS)"
-        )
+# Values of one range domain.  Its values, labels and checks cost far more per
+# value than a grid point: at the cap a range builds in about 0.04 s with a
+# 9 MB peak, at 2^20 values in 0.7 s (same machine).
+_MAX_DOMAIN_VALUES = 1 << 16
 
 
 def _grid_truths(
@@ -476,7 +473,12 @@ def _grid_truths(
     ``_MAX_GRID_POINTS`` on the call, before any array is built.
     """
     shape = tuple(d.size for d in domains)
-    _check_grid_points(f"the grid of {list(names)} over {list(shape)} values", math.prod(shape))
+    points = math.prod(shape)
+    if points > _MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"the grid of {list(names)} over {list(shape)} values has {points} points, "
+            f"over the cap of {_MAX_GRID_POINTS} grid points (_MAX_GRID_POINTS)"
+        )
     widest = max([1] + [abs(x) for d in domains for x in d.values])
     sums = [
         abs(e.constant) + widest * sum(abs(k) for _, k in e.terms)
@@ -493,11 +495,12 @@ def _grid_truths(
 def _group_grid(
     constraints: Sequence[Constraint],
     variables: Sequence[VariableSpec],
-) -> dict[tuple[bool, ...], np.ndarray]:
-    """Flat C-order grid indices of each truth vector, ascending.
+) -> dict[int, np.ndarray]:
+    """Flat C-order grid indices of each truth code, ascending.
 
-    Keys are truth tuples aligned with ``constraints``, in the order of their
-    first grid point; only truth vectors that some grid point has appear.
+    Bit i of a code is the truth of ``constraints[i]``.  Codes appear in the
+    order of their first grid point; only codes that some grid point has
+    appear.
     """
     _check_declared(constraints, variables)
     if len(constraints) > _MAX_PARTITION_CONSTRAINTS:
@@ -517,11 +520,7 @@ def _group_grid(
     keys = codes[starts].tolist()
     del codes
     ends = np.append(starts[1:], len(order))
-    groups = {}
-    for g in np.argsort(order[starts]):  # groups by their first grid point
-        key = tuple(bool(keys[g] >> bit & 1) for bit in range(len(constraints)))
-        groups[key] = order[starts[g] : ends[g]]
-    return groups
+    return {keys[g]: order[starts[g] : ends[g]] for g in np.argsort(order[starts])}
 
 
 class SolutionBucket(Sequence[dict[str, int]]):
@@ -568,13 +567,51 @@ class SolutionBucket(Sequence[dict[str, int]]):
         return tuple(dict(zip(self._names, row)) for row in rows)
 
 
-def solution_buckets(
-    constraints: Sequence[Constraint],
-    variables: Sequence[VariableSpec],
-) -> dict[tuple[bool, ...], SolutionBucket]:
-    """``partition_solutions`` with each bucket left unbuilt until read."""
-    groups = _group_grid(constraints, variables)
-    return {key: SolutionBucket(variables, flat) for key, flat in groups.items()}
+class SolutionTable(Mapping[int, tuple[dict[str, int], ...]]):
+    """Read-only map from every truth code to the tuple of assignments realizing it.
+
+    Bit i of a code is the truth of ``constraints[i]``: over constraints sorted
+    by name, the codes are the automaton's letters.  Codes ``0 .. 2^n - 1``
+    iterate in order; an unrealizable one maps to ``()``.  A code's tuple is
+    built on first read and kept.  ``buckets`` maps each realizable code, in
+    first-grid-point order, to its ``SolutionBucket``; ``bucket(code)`` reads
+    through it, building only the assignments asked for.
+    """
+
+    def __init__(
+        self, constraints: Sequence[Constraint], variables: Sequence[VariableSpec]
+    ) -> None:
+        groups = _group_grid(constraints, variables)
+        self.buckets = {code: SolutionBucket(variables, flat) for code, flat in groups.items()}
+        self._codes = range(1 << len(constraints))
+        self._tuples: dict[int, tuple[dict[str, int], ...]] = {}
+
+    def __getitem__(self, code: int) -> tuple[dict[str, int], ...]:
+        cached = self._tuples.get(code)
+        if cached is None:
+            if code not in self._codes:
+                raise KeyError(code)
+            bucket = self.buckets.get(code)
+            cached = self._tuples[code] = () if bucket is None else bucket.materialize()
+        return cached
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._codes)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __contains__(self, code: object) -> bool:
+        return code in self._codes
+
+    def __repr__(self) -> str:
+        # range.stop, not len(): 63 constraints give 2^63 codes, past what len() can return
+        return f"SolutionTable({len(self.buckets)} of {self._codes.stop} codes realizable)"
+
+    def bucket(self, code: int) -> Sequence[dict[str, int]]:
+        """``code``'s assignments, each built when first read."""
+        bucket = self.buckets.get(code)
+        return self[code] if bucket is None else bucket
 
 
 def partition_solutions(
@@ -583,17 +620,21 @@ def partition_solutions(
 ) -> dict[tuple[bool, ...], tuple[dict[str, int], ...]]:
     """Bucket the full Cartesian product by constraint-truth vector.
 
-    Keys are truth tuples aligned with ``constraints``; every assignment lands
-    in exactly one bucket, so the buckets partition the product.  Buckets
-    appear in the order of their first assignment, and each lists its
-    assignments in ``itertools.product`` order.
+    Keys are truth tuples aligned with ``constraints``, read off the
+    ``SolutionTable`` codes; every assignment lands in exactly one bucket,
+    so the buckets partition the product.  Buckets appear in the order of
+    their first assignment, and each lists its assignments in
+    ``itertools.product`` order.
 
     Raises ResourceLimitError above 63 constraints, the bits of the int64
     code that groups grid points by truth vector, or over a grid of more
     than ``_MAX_GRID_POINTS`` points.
     """
-    buckets = solution_buckets(constraints, variables)
-    return {key: bucket.materialize() for key, bucket in buckets.items()}
+    bits = range(len(constraints))
+    return {
+        tuple(bool(code >> bit & 1) for bit in bits): bucket.materialize()
+        for code, bucket in SolutionTable(constraints, variables).buckets.items()
+    }
 
 
 def sample_solution(

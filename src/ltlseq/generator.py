@@ -235,14 +235,14 @@ def generate_sequence(
             f"task {task.spec.name!r}: label {label} unreachable at length {length}"
         )
     # looked up once per walk; the calls stay one per step (the benchmark's tracer counts them)
-    feasible, bucket = task.feasible_letters, task.solution_bucket
+    feasible, buckets = task.feasible_letters, task.solutions.buckets
     transitions, draw = task.dfa.transitions, rng.integers
     state = task.dfa.initial
     values, letters, states = [], [], []
     for step in range(length):
         choices = feasible(state, length - step, label)
         letter = choices[int(draw(len(choices)))]
-        values.append(sample_solution(bucket(letter), rng))
+        values.append(sample_solution(buckets[letter], rng))
         letters.append(letter)
         state = transitions[state][letter]
         states.append(state)

@@ -3,7 +3,8 @@
 A task couples an LTLf formula with the constraints grounding its atoms and
 the variables/domains the constraints range over.  ``compile_task`` turns a
 spec into everything sequence generation and inference need: the minimized
-DFA, per-letter solution caches, and exact-length reachability tables.
+DFA, the ``constraints.SolutionTable`` of the constraints sorted by name (whose
+truth codes are the letters), and exact-length reachability tables.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 import numpy as np
 import yaml
@@ -21,7 +22,7 @@ from . import formulas as fm
 from .automata import Dfa, letter_of, ltlf_to_dfa
 from .constraints import (
     Constraint,
-    SolutionBucket,
+    SolutionTable,
     SymbolicDomain,
     VariableSpec,
     constraint_text,
@@ -29,7 +30,6 @@ from .constraints import (
     indicator_tensor,
     parse_constraint,
     partition_solutions,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
-    solution_buckets,
     variable_map,
 )
 from .errors import DomainError, LtlseqError, TaskCompileError, TaskFileError
@@ -119,6 +119,9 @@ class TaskSpec:
                     f"{v.domain.name!r}"
                 )
         atom_names = [c.name for c in self.constraints]
+        if not atom_names:
+            # no atom: nothing to perceive, and no sweep stage could be scored
+            raise DomainError(f"task {self.name!r}: no constraints; a task needs at least one")
         if len(set(atom_names)) != len(atom_names):
             raise DomainError(f"task {self.name!r}: duplicate constraint names")
         for c in self.constraints:
@@ -256,56 +259,15 @@ def save_task_yaml(spec: TaskSpec, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(spec.to_dict(), sort_keys=False), encoding="utf-8")
 
 
-class SolutionTable(Mapping[int, tuple[dict[str, int], ...]]):
-    """Read-only map from every letter to the tuple of assignments realizing it.
-
-    Iterates the letters ``0 .. n_letters - 1`` in order; a letter that no
-    assignment realizes maps to ``()``.  A letter's tuple is built when it is
-    first read and then kept.  ``bucket(letter)`` gives the same assignments
-    as a ``SolutionBucket``, which builds only the ones it is asked for.
-    """
-
-    def __init__(self, buckets: Mapping[int, SolutionBucket], n_letters: int) -> None:
-        self._buckets = dict(buckets)
-        self._letters = range(n_letters)
-        self._tuples: dict[int, tuple[dict[str, int], ...]] = {}
-
-    def __getitem__(self, letter: int) -> tuple[dict[str, int], ...]:
-        cached = self._tuples.get(letter)
-        if cached is None:
-            if letter not in self._letters:
-                raise KeyError(letter)
-            bucket = self._buckets.get(letter)
-            cached = self._tuples[letter] = () if bucket is None else bucket.materialize()
-        return cached
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._letters)
-
-    def __len__(self) -> int:
-        return len(self._letters)
-
-    def __contains__(self, letter: object) -> bool:
-        return letter in self._letters
-
-    def __repr__(self) -> str:
-        return f"SolutionTable({len(self._buckets)} of {len(self)} letters realizable)"
-
-    def bucket(self, letter: int) -> Sequence[dict[str, int]]:
-        """``letter``'s assignments, each built when first read."""
-        bucket = self._buckets.get(letter)
-        return self[letter] if bucket is None else bucket
-
-
 @dataclass
 class CompiledTask:
     """A task spec plus everything derived from it, ready for generation.
 
-    ``solutions`` maps every letter bitmask (bit i = truth of ``atoms[i]``)
-    to the tuple of full variable assignments realizing it.  ``compile_task``
-    stores a ``SolutionTable``, which keeps each letter's assignments as grid
-    indices until read; any mapping with the same items works, and
-    ``solution_bucket`` reads either one lazily when it can.  ``reach[r][s]``
+    ``solutions`` is the ``SolutionTable`` of the constraints sorted by name,
+    so its truth codes are the letter bitmasks (bit i = truth of
+    ``atoms[i]``): ``solutions[letter]`` is the tuple of full variable
+    assignments realizing the letter, and ``solutions.buckets[letter]`` the
+    same assignments kept as grid indices until read.  ``reach[r][s]``
     tells, for each label, whether a walk of exactly ``r`` further steps from
     state ``s`` can end with that label using only usable letters.
 
@@ -317,7 +279,7 @@ class CompiledTask:
 
     spec: TaskSpec
     dfa: Dfa
-    solutions: Mapping[int, tuple[dict[str, int], ...]]
+    solutions: SolutionTable
     usable_letters: tuple[int, ...]
     reach: list[list[tuple[bool, bool]]]
     _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(
@@ -344,12 +306,6 @@ class CompiledTask:
 
     def truth_letter(self, truths: Mapping[str, bool]) -> int:
         return letter_of(truths, self.atoms)
-
-    def solution_bucket(self, letter: int) -> Sequence[dict[str, int]]:
-        """``letter``'s assignments; from a ``SolutionTable``, built one by one as read."""
-        if isinstance(self.solutions, SolutionTable):
-            return self.solutions.bucket(letter)
-        return self.solutions[letter]
 
     def feasible_letters(self, state: int, remaining: int, label: int) -> tuple[int, ...]:
         """Usable letters from ``state`` keeping ``label`` reachable in ``remaining`` steps."""
@@ -394,7 +350,7 @@ def _reach_table(dfa: Dfa, usable: tuple[int, ...], max_steps: int) -> list[list
 def compile_task(
     spec: TaskSpec, max_states: int | None = None, dfa: Dfa | None = None
 ) -> CompiledTask:
-    """Build the DFA, solution caches, and reachability tables for a spec.
+    """Build the DFA, solution table, and reachability tables for a spec.
 
     A precompiled ``dfa`` (e.g. from a cache keyed by the spec hash) skips
     the formula translation; it must match the spec's sorted atoms.
@@ -412,13 +368,8 @@ def compile_task(
             f"precompiled automaton atoms {dfa.atoms} do not match spec atoms {atoms}"
         )
 
-    ordered = sorted(spec.constraints, key=lambda c: c.name)
-    buckets = {
-        letter_of(dict(zip(atoms, key)), atoms): bucket
-        for key, bucket in solution_buckets(ordered, spec.variables).items()
-    }
-    solutions = SolutionTable(buckets, dfa.n_letters)
-    usable = tuple(sorted(buckets))
+    solutions = SolutionTable(sorted(spec.constraints, key=lambda c: c.name), spec.variables)
+    usable = tuple(sorted(solutions.buckets))
 
     reach = _reach_table(dfa, usable, spec.max_length)
     task = CompiledTask(

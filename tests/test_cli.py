@@ -114,8 +114,8 @@ def test_compile_grid_cap_exits_without_traceback(tmp_path, grid):
     else:
         path.write_text(HUGE_GRID_YAML.replace("[0, 99]", "[0, 100000000]"))
         message = (
-            "domain 'd': range [0, 100000000] has 100000001 points, over the cap of "
-            "16777216 grid points (_MAX_GRID_POINTS)"
+            "domain 'd': range [0, 100000000] has 100000001 values, over the cap of "
+            "65536 values of one range domain (_MAX_DOMAIN_VALUES)"
         )
     result = CliRunner().invoke(main, ["compile", str(path)])
     assert result.exit_code == 1
@@ -132,6 +132,20 @@ def test_compile_length_cap_exits_without_traceback(tmp_path):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"{path}: {LONG_TASK_ERROR}" in result.output
+
+
+@pytest.mark.parametrize("command", ["compile", "generate", "sweep"])
+def test_task_without_constraints_exits_without_traceback(tmp_path, command):
+    from test_tasks import NO_CONSTRAINTS_ERROR, NO_CONSTRAINTS_YAML
+
+    path = tmp_path / "bare.yaml"
+    path.write_text(NO_CONSTRAINTS_YAML)
+    args = [command, str(path)] + ([] if command == "compile" else ["-o", str(tmp_path / "out")])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"{path}: {NO_CONSTRAINTS_ERROR}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 _DEEP = "[" * 100_000 + "]" * 100_000  # past any parser's recursion limit

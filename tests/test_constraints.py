@@ -13,6 +13,7 @@ from ltlseq.constraints import (
     Comparison,
     Constraint,
     LinearExpr,
+    SolutionTable,
     SymbolicDomain,
     VariableSpec,
     constraint_probability,
@@ -83,6 +84,16 @@ def test_domain_validation_errors():
         DIGITS.index_of(11)
     with pytest.raises(DomainError):
         DIGITS.value_of("x")
+
+
+def test_indexed_domain_equals_a_fresh_one():
+    indexed, fresh = (SymbolicDomain.from_range("digits", 0, 9) for _ in range(2))
+    assert 7 in indexed and indexed.index_of(7) == 7 and indexed.label_of(3) == "3"
+    assert "_value_index" in vars(indexed) and "_value_index" not in vars(fresh)
+    assert indexed == fresh and hash(indexed) == hash(fresh)
+    assert len({indexed, fresh}) == 1
+    assert indexed._value_index is indexed._value_index  # built once, then kept
+    assert "_value_index" not in repr(indexed)
 
 
 def test_variable_map_rejects_duplicates():
@@ -296,6 +307,44 @@ def test_grid_grounding_matches_reference():
         check_grounding(constraints, variables)
 
 
+def test_solution_table_codes_follow_constraint_positions():
+    rng = random.Random(5505)
+    unsorted = unrealizable = 0
+    for _ in range(200):
+        names = rng.sample("ABCD", rng.randint(0, 4))
+        variables = [VariableSpec(n, rand_domain(rng, f"d{n}")) for n in names]
+        n = rng.randint(1, 4)
+        # names drawn in a shuffled order: bit i is constraints[i], whatever its name
+        constraints = [rand_constraint(rng, f"c{i}", names) for i in rng.sample(range(n), n)]
+        unsorted += [c.name for c in constraints] != sorted(c.name for c in constraints)
+        table = SolutionTable(constraints, variables)
+        want = partition_reference(constraints, variables)
+        keys = [tuple(bool(code >> bit & 1) for bit in range(n)) for code in range(1 << n)]
+        assert len(table) == 1 << n and list(table) == list(range(1 << n))
+        assert [keys[code] for code in table.buckets] == list(want)  # first-grid-point order
+        for code, key in enumerate(keys):
+            expected = [list(a.items()) for a in want.get(key, ())]
+            assert [list(a.items()) for a in table[code]] == expected
+            assert [list(a.items()) for a in table.bucket(code)] == expected
+            assert (code in table.buckets) == bool(expected)
+            unrealizable += not expected
+            letter = {c.name: t for c, t in zip(constraints, key)}
+            assert enumerate_solutions(letter, constraints, variables) == table[code]
+        assert partition_solutions(constraints, variables) == {
+            keys[code]: table[code] for code in table.buckets
+        }
+        for outside in (-1, 1 << n):
+            assert outside not in table
+            with pytest.raises(KeyError):
+                table[outside]
+    assert unsorted > 50 and unrealizable > 0
+    bit = vars_over(SymbolicDomain.from_range("bit", 0, 1), "A")
+    wide = [parse_constraint(f"c{i}", f"A + {i} >= {i + 1}") for i in range(63)]
+    table = SolutionTable(wide, bit)  # 2^63 codes: more than len() can count
+    assert list(table.buckets) == [0, (1 << 63) - 1] and (1 << 63) - 1 in table
+    assert repr(table) == "SolutionTable(2 of 9223372036854775808 codes realizable)"
+
+
 def test_grounding_without_variables():
     true, false = parse_constraint("t", "1 < 2"), parse_constraint("f", "0 = 1")
     assert partition_solutions([true], []) == {(True,): ({},)}
@@ -342,15 +391,18 @@ def _raises_exactly(cls, message, fn, *args):
     assert str(exc.value) == message
 
 
+_RANGE_CAP = "over the cap of 65536 values of one range domain (_MAX_DOMAIN_VALUES)"
+
+
 def test_range_domain_cap():
     _raises_exactly(
         ResourceLimitError,
-        f"domain 'wide': range [0, 100000000] has 100000001 points, {_GRID_CAP}",
+        f"domain 'wide': range [0, 100000000] has 100000001 values, {_RANGE_CAP}",
         SymbolicDomain.from_range, "wide", 0, 100_000_000,
     )
     _raises_exactly(
         ResourceLimitError,
-        f"domain 'wide': range [5, 16777221] has 16777217 points, {_GRID_CAP}",
+        f"domain 'wide': range [5, 16777221] has 16777217 values, {_RANGE_CAP}",
         SymbolicDomain.from_range, "wide", 5, 16777221,
     )
 
@@ -380,9 +432,26 @@ def test_grid_cap_boundary(monkeypatch):
     assert len(partition_solutions([c], vars_over(three, "A") + vars_over(four, "B"))) == 2
     with pytest.raises(ResourceLimitError, match="has 16 points, over the cap of 12 grid"):
         indicator_tensor(c, {"A": four, "B": four})
+    monkeypatch.setattr(cmod, "_MAX_DOMAIN_VALUES", 12)
     SymbolicDomain.from_range("twelve", 1, 12)
-    with pytest.raises(ResourceLimitError, match=r"range \[0, 12\] has 13 points"):
+    with pytest.raises(
+        ResourceLimitError, match=r"range \[0, 12\] has 13 values, over the cap of 12"
+    ):
         SymbolicDomain.from_range("thirteen", 0, 12)
+
+
+def test_range_domain_cap_boundary():
+    from ltlseq.constraints import _MAX_DOMAIN_VALUES
+
+    assert SymbolicDomain.from_range("cap", 3, 2 + _MAX_DOMAIN_VALUES).size == _MAX_DOMAIN_VALUES
+    _raises_exactly(
+        ResourceLimitError,
+        f"domain 'over': range [3, 65539] has 65537 values, {_RANGE_CAP}",
+        SymbolicDomain.from_range, "over", 3, 3 + _MAX_DOMAIN_VALUES,
+    )
+    # checked before any value is built: a range of 10^30 values fails at once
+    with pytest.raises(ResourceLimitError, match="has 1000000000000000000000000000001 values"):
+        SymbolicDomain.from_range("vast", 0, 10**30)
 
 
 def test_sample_solution_uniform():

@@ -237,6 +237,17 @@ def _stored_dfa_dataset(tmp_path):
     return path, json.loads(path.read_text())
 
 
+def test_stored_spec_without_constraints_fails_its_load(tmp_path):
+    path, metadata = _stored_dfa_dataset(tmp_path)
+    metadata["spec"] |= {"constraints": {}, "formula": "true"}
+    path.write_text(json.dumps(metadata))
+    for verify in (False, True):
+        with pytest.raises(LtlseqError) as exc:
+            deserialize(tmp_path, verify=verify)
+        assert type(exc.value) is DatasetFormatError
+        assert str(exc.value) == f"{path}: task 'task5': no constraints; a task needs at least one"
+
+
 def _set_cell(value):
     def edit(d):
         d["transitions"][0][1] = value

@@ -350,6 +350,35 @@ def test_a_length_over_the_cap_is_rejected_before_compiling(tmp_path):
     compile_task(replace(spec, max_length=_MAX_LENGTH))  # the cap itself compiles
 
 
+NO_CONSTRAINTS_YAML = """\
+name: bare
+domains: {d: {range: [0, 3]}}
+variables: {A: {domain: d}}
+constraints: {}
+formula: 'true'
+length: {min: 2, max: 4}
+splits: {train: 4, val: 2, test: 2}
+positive_ratio: 1.0
+"""
+NO_CONSTRAINTS_ERROR = "task 'bare': no constraints; a task needs at least one"
+
+
+def test_a_task_without_constraints_is_rejected(tmp_path):
+    from ltlseq.generator import generate_dataset
+
+    spec = replace(small_spec(formula="true", positive_ratio=1.0), name="bare", constraints=())
+    for build in (spec.validate, lambda: compile_task(spec), lambda: generate_dataset(spec)):
+        with pytest.raises(LtlseqError) as exc:
+            build()
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == NO_CONSTRAINTS_ERROR
+    path = tmp_path / "bare.yaml"
+    path.write_text(NO_CONSTRAINTS_YAML)
+    with pytest.raises(TaskFileError) as exc:
+        load_task_yaml(path)
+    assert str(exc.value) == f"{path}: {NO_CONSTRAINTS_ERROR}"
+
+
 def test_compile_allows_one_sided_ratio():
     # a tautology is fine when only positive sequences are requested
     ct = compile_task(small_spec(formula="p | !p", positive_ratio=1.0))
@@ -502,7 +531,7 @@ def test_solution_table_equals_reference():
         assert ct.usable_letters == tuple(x for x in range(n_letters) if keys[x] in want)
         for letter, key in enumerate(keys):
             expected = as_items(want.get(key, ()))
-            lazy = ct.solution_bucket(letter)
+            lazy = ct.solutions.bucket(letter)
             assert len(lazy) == len(expected)
             assert as_items(lazy) == expected  # point by point, before the tuple is built
             assert as_items(ct.solutions[letter]) == expected
@@ -529,7 +558,7 @@ def test_bucket_draws_equal_tuple_draws():
         usable = lazy_task.usable_letters
         for _ in range(1000):
             letter = usable[int(pick.integers(len(usable)))]
-            got = sample_solution(lazy_task.solution_bucket(letter), lazy_rng)
+            got = sample_solution(lazy_task.solutions.bucket(letter), lazy_rng)
             want = sample_solution(eager_task.solutions[letter], eager_rng)
             assert list(got.items()) == list(want.items())
             got.clear()  # a fresh dict: later draws of this point are unaffected
