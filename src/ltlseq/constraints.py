@@ -5,12 +5,12 @@ Constraints compare integer linear expressions (``X + Y = 2*Z``) or apply
 (tens of values), so grounding needs no CSP solver: each constraint body is
 evaluated once over the whole numpy index grid of its variables' domain
 values (``np.ix_`` axes, whose C order is ``itertools.product`` order), and
-indicator tensors and the ``SolutionTable`` are read off the resulting truth
-arrays.  The table is keyed by truth codes, bit i the truth of the i-th
-constraint; over constraints sorted by name these codes are the automaton's
-letters.  Each code's ``SolutionBucket`` stays a list of flat grid indices
-until read: an assignment dict is built only for a point that is drawn or
-listed.
+indicator tensors and the solution buckets are read off the resulting truth
+arrays.  ``solution_buckets`` maps each realizable truth code, bit i the truth
+of the i-th constraint, to its ``SolutionBucket``; over constraints sorted by
+name these codes are the automaton's letters.  A bucket stays a list of flat
+grid indices until read: an assignment dict is built only for a point that is
+drawn or listed.
 """
 
 from __future__ import annotations
@@ -444,7 +444,8 @@ def enumerate_solutions(
     if missing:
         raise DomainError(f"letter does not fix constraints: {missing}")
     code = sum(1 << bit for bit, c in enumerate(constraints) if letter[c.name])
-    return SolutionTable(constraints, variables)[code]
+    bucket = solution_buckets(constraints, variables).get(code)
+    return () if bucket is None else bucket.materialize()
 
 
 # One int64 code bit per constraint; the sign bit stays clear.
@@ -492,15 +493,15 @@ def _grid_truths(
     return (np.broadcast_to(c.body.holds(grid), shape) for c in constraints)
 
 
-def _group_grid(
+def solution_buckets(
     constraints: Sequence[Constraint],
     variables: Sequence[VariableSpec],
-) -> dict[int, np.ndarray]:
-    """Flat C-order grid indices of each truth code, ascending.
+) -> dict[int, SolutionBucket]:
+    """The ``SolutionBucket`` of each truth code that some grid point has.
 
-    Bit i of a code is the truth of ``constraints[i]``.  Codes appear in the
-    order of their first grid point; only codes that some grid point has
-    appear.
+    Bit i of a code is the truth of ``constraints[i]``: over constraints
+    sorted by name, the codes are the automaton's letters.  Codes appear in
+    the order of their first grid point; an unrealizable code has no entry.
     """
     _check_declared(constraints, variables)
     if len(constraints) > _MAX_PARTITION_CONSTRAINTS:
@@ -520,16 +521,20 @@ def _group_grid(
     keys = codes[starts].tolist()
     del codes
     ends = np.append(starts[1:], len(order))
-    return {keys[g]: order[starts[g] : ends[g]] for g in np.argsort(order[starts])}
+    return {
+        keys[g]: SolutionBucket(variables, order[starts[g] : ends[g]])
+        for g in np.argsort(order[starts])
+    }
 
 
 class SolutionBucket(Sequence[dict[str, int]]):
     """The assignments of one truth vector, kept as flat grid indices.
 
     ``bucket[i]`` builds the i-th assignment from its index by integer
-    strides, once: later reads return the same dict, as a tuple of dicts
-    would, so callers that change it copy it first (``sample_solution``
-    does).  ``materialize()`` builds the whole bucket at once.
+    strides, once: later reads, ``bucket[i - len(bucket)]`` among them,
+    return the same dict, as a tuple of dicts would, so callers that change
+    it copy it first (``sample_solution`` does).  ``materialize()`` builds
+    the whole bucket at once.
     """
 
     def __init__(self, variables: Sequence[VariableSpec], flat: np.ndarray) -> None:
@@ -547,11 +552,26 @@ class SolutionBucket(Sequence[dict[str, int]]):
     def __getitem__(self, i: int) -> dict[str, int]:
         point = self._points.get(i)
         if point is None:
+            n = len(self._flat)
+            if not -n <= i < n:
+                raise IndexError(f"index {i} outside a bucket of {n} assignments")
+            if i < 0:
+                return self[i + n]
             flat = int(self._flat[i])
             point = self._points[i] = {
                 name: values[flat // stride % size] for name, values, stride, size in self._axes
             }
         return point
+
+    def __eq__(self, other: object) -> bool:
+        """Same variables, domain values and grid points; builds no assignment."""
+        if not isinstance(other, SolutionBucket):
+            return NotImplemented
+        return (
+            self._names == other._names
+            and self._values == other._values
+            and np.array_equal(self._flat, other._flat)
+        )
 
     def __repr__(self) -> str:
         return f"SolutionBucket({len(self)} assignments over {self._names})"
@@ -567,53 +587,6 @@ class SolutionBucket(Sequence[dict[str, int]]):
         return tuple(dict(zip(self._names, row)) for row in rows)
 
 
-class SolutionTable(Mapping[int, tuple[dict[str, int], ...]]):
-    """Read-only map from every truth code to the tuple of assignments realizing it.
-
-    Bit i of a code is the truth of ``constraints[i]``: over constraints sorted
-    by name, the codes are the automaton's letters.  Codes ``0 .. 2^n - 1``
-    iterate in order; an unrealizable one maps to ``()``.  A code's tuple is
-    built on first read and kept.  ``buckets`` maps each realizable code, in
-    first-grid-point order, to its ``SolutionBucket``; ``bucket(code)`` reads
-    through it, building only the assignments asked for.
-    """
-
-    def __init__(
-        self, constraints: Sequence[Constraint], variables: Sequence[VariableSpec]
-    ) -> None:
-        groups = _group_grid(constraints, variables)
-        self.buckets = {code: SolutionBucket(variables, flat) for code, flat in groups.items()}
-        self._codes = range(1 << len(constraints))
-        self._tuples: dict[int, tuple[dict[str, int], ...]] = {}
-
-    def __getitem__(self, code: int) -> tuple[dict[str, int], ...]:
-        cached = self._tuples.get(code)
-        if cached is None:
-            if code not in self._codes:
-                raise KeyError(code)
-            bucket = self.buckets.get(code)
-            cached = self._tuples[code] = () if bucket is None else bucket.materialize()
-        return cached
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._codes)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __contains__(self, code: object) -> bool:
-        return code in self._codes
-
-    def __repr__(self) -> str:
-        # range.stop, not len(): 63 constraints give 2^63 codes, past what len() can return
-        return f"SolutionTable({len(self.buckets)} of {self._codes.stop} codes realizable)"
-
-    def bucket(self, code: int) -> Sequence[dict[str, int]]:
-        """``code``'s assignments, each built when first read."""
-        bucket = self.buckets.get(code)
-        return self[code] if bucket is None else bucket
-
-
 def partition_solutions(
     constraints: Sequence[Constraint],
     variables: Sequence[VariableSpec],
@@ -621,7 +594,7 @@ def partition_solutions(
     """Bucket the full Cartesian product by constraint-truth vector.
 
     Keys are truth tuples aligned with ``constraints``, read off the
-    ``SolutionTable`` codes; every assignment lands in exactly one bucket,
+    ``solution_buckets`` codes; every assignment lands in exactly one bucket,
     so the buckets partition the product.  Buckets appear in the order of
     their first assignment, and each lists its assignments in
     ``itertools.product`` order.
@@ -633,7 +606,7 @@ def partition_solutions(
     bits = range(len(constraints))
     return {
         tuple(bool(code >> bit & 1) for bit in bits): bucket.materialize()
-        for code, bucket in SolutionTable(constraints, variables).buckets.items()
+        for code, bucket in solution_buckets(constraints, variables).items()
     }
 
 

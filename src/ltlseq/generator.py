@@ -235,7 +235,7 @@ def generate_sequence(
             f"task {task.spec.name!r}: label {label} unreachable at length {length}"
         )
     # looked up once per walk; the calls stay one per step (the benchmark's tracer counts them)
-    feasible, buckets = task.feasible_letters, task.solutions.buckets
+    feasible, buckets = task.feasible_letters, task.solutions
     transitions, draw = task.dfa.transitions, rng.integers
     state = task.dfa.initial
     values, letters, states = [], [], []

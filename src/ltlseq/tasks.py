@@ -3,8 +3,8 @@
 A task couples an LTLf formula with the constraints grounding its atoms and
 the variables/domains the constraints range over.  ``compile_task`` turns a
 spec into everything sequence generation and inference need: the minimized
-DFA, the ``constraints.SolutionTable`` of the constraints sorted by name (whose
-truth codes are the letters), and exact-length reachability tables.
+DFA, the ``constraints.solution_buckets`` of the constraints sorted by name
+(whose truth codes are the letters), and exact-length reachability tables.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import formulas as fm
 from .automata import Dfa, letter_of, ltlf_to_dfa
 from .constraints import (
     Constraint,
-    SolutionTable,
+    SolutionBucket,
     SymbolicDomain,
     VariableSpec,
     constraint_text,
@@ -30,6 +30,7 @@ from .constraints import (
     indicator_tensor,
     parse_constraint,
     partition_solutions,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
+    solution_buckets,
     variable_map,
 )
 from .errors import DomainError, LtlseqError, TaskCompileError, TaskFileError
@@ -263,11 +264,10 @@ def save_task_yaml(spec: TaskSpec, path: str | Path) -> None:
 class CompiledTask:
     """A task spec plus everything derived from it, ready for generation.
 
-    ``solutions`` is the ``SolutionTable`` of the constraints sorted by name,
-    so its truth codes are the letter bitmasks (bit i = truth of
-    ``atoms[i]``): ``solutions[letter]`` is the tuple of full variable
-    assignments realizing the letter, and ``solutions.buckets[letter]`` the
-    same assignments kept as grid indices until read.  ``reach[r][s]``
+    ``solutions`` maps each usable letter (bit i = truth of ``atoms[i]``) to
+    the ``SolutionBucket`` of full variable assignments realizing it, kept as
+    grid indices until read; an unrealizable letter has no entry, and
+    ``usable_letters`` are its keys in ascending order.  ``reach[r][s]``
     tells, for each label, whether a walk of exactly ``r`` further steps from
     state ``s`` can end with that label using only usable letters.
 
@@ -279,7 +279,7 @@ class CompiledTask:
 
     spec: TaskSpec
     dfa: Dfa
-    solutions: SolutionTable
+    solutions: dict[int, SolutionBucket]
     usable_letters: tuple[int, ...]
     reach: list[list[tuple[bool, bool]]]
     _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(
@@ -309,11 +309,15 @@ class CompiledTask:
 
     def feasible_letters(self, state: int, remaining: int, label: int) -> tuple[int, ...]:
         """Usable letters from ``state`` keeping ``label`` reachable in ``remaining`` steps."""
-        if remaining < 1:
-            raise DomainError("remaining steps must be >= 1")
         key = (state, remaining, label)
         cached = self._feasible.get(key)
         if cached is None:
+            if not 0 <= state < self.dfa.n_states:
+                raise DomainError(f"state {state} outside [0, {self.dfa.n_states})")
+            if label not in (0, 1):
+                raise DomainError(f"label {label} is neither 0 nor 1")
+            if not 1 <= remaining <= len(self.reach):
+                raise DomainError(f"remaining steps {remaining} outside [1, {len(self.reach)}]")
             row = self.reach[remaining - 1]
             successors = self.dfa.transitions[state]
             letters = tuple(
@@ -350,7 +354,7 @@ def _reach_table(dfa: Dfa, usable: tuple[int, ...], max_steps: int) -> list[list
 def compile_task(
     spec: TaskSpec, max_states: int | None = None, dfa: Dfa | None = None
 ) -> CompiledTask:
-    """Build the DFA, solution table, and reachability tables for a spec.
+    """Build the DFA, solution buckets, and reachability tables for a spec.
 
     A precompiled ``dfa`` (e.g. from a cache keyed by the spec hash) skips
     the formula translation; it must match the spec's sorted atoms.
@@ -368,8 +372,8 @@ def compile_task(
             f"precompiled automaton atoms {dfa.atoms} do not match spec atoms {atoms}"
         )
 
-    solutions = SolutionTable(sorted(spec.constraints, key=lambda c: c.name), spec.variables)
-    usable = tuple(sorted(solutions.buckets))
+    solutions = solution_buckets(sorted(spec.constraints, key=lambda c: c.name), spec.variables)
+    usable = tuple(sorted(solutions))
 
     reach = _reach_table(dfa, usable, spec.max_length)
     task = CompiledTask(

@@ -13,7 +13,6 @@ from ltlseq.constraints import (
     Comparison,
     Constraint,
     LinearExpr,
-    SolutionTable,
     SymbolicDomain,
     VariableSpec,
     constraint_probability,
@@ -25,6 +24,7 @@ from ltlseq.constraints import (
     parse_constraint,
     partition_solutions,
     sample_solution,
+    solution_buckets,
     tensor_probability,
     variable_map,
 )
@@ -307,7 +307,7 @@ def test_grid_grounding_matches_reference():
         check_grounding(constraints, variables)
 
 
-def test_solution_table_codes_follow_constraint_positions():
+def test_solution_bucket_codes_follow_constraint_positions():
     rng = random.Random(5505)
     unsorted = unrealizable = 0
     for _ in range(200):
@@ -317,32 +317,40 @@ def test_solution_table_codes_follow_constraint_positions():
         # names drawn in a shuffled order: bit i is constraints[i], whatever its name
         constraints = [rand_constraint(rng, f"c{i}", names) for i in rng.sample(range(n), n)]
         unsorted += [c.name for c in constraints] != sorted(c.name for c in constraints)
-        table = SolutionTable(constraints, variables)
+        buckets = solution_buckets(constraints, variables)
         want = partition_reference(constraints, variables)
         keys = [tuple(bool(code >> bit & 1) for bit in range(n)) for code in range(1 << n)]
-        assert len(table) == 1 << n and list(table) == list(range(1 << n))
-        assert [keys[code] for code in table.buckets] == list(want)  # first-grid-point order
+        assert [keys[code] for code in buckets] == list(want)  # first-grid-point order
         for code, key in enumerate(keys):
             expected = [list(a.items()) for a in want.get(key, ())]
-            assert [list(a.items()) for a in table[code]] == expected
-            assert [list(a.items()) for a in table.bucket(code)] == expected
-            assert (code in table.buckets) == bool(expected)
+            assert (code in buckets) == bool(expected)
+            got = buckets[code].materialize() if code in buckets else ()
+            assert [list(a.items()) for a in got] == expected
+            assert [list(a.items()) for a in buckets.get(code, ())] == expected
             unrealizable += not expected
             letter = {c.name: t for c, t in zip(constraints, key)}
-            assert enumerate_solutions(letter, constraints, variables) == table[code]
+            assert enumerate_solutions(letter, constraints, variables) == got
         assert partition_solutions(constraints, variables) == {
-            keys[code]: table[code] for code in table.buckets
+            keys[code]: bucket.materialize() for code, bucket in buckets.items()
         }
-        for outside in (-1, 1 << n):
-            assert outside not in table
-            with pytest.raises(KeyError):
-                table[outside]
     assert unsorted > 50 and unrealizable > 0
     bit = vars_over(SymbolicDomain.from_range("bit", 0, 1), "A")
     wide = [parse_constraint(f"c{i}", f"A + {i} >= {i + 1}") for i in range(63)]
-    table = SolutionTable(wide, bit)  # 2^63 codes: more than len() can count
-    assert list(table.buckets) == [0, (1 << 63) - 1] and (1 << 63) - 1 in table
-    assert repr(table) == "SolutionTable(2 of 9223372036854775808 codes realizable)"
+    buckets = solution_buckets(wide, bit)  # 2^63 codes, two of them realizable
+    assert list(buckets) == [0, (1 << 63) - 1]
+    assert buckets[(1 << 63) - 1].materialize() == ({"A": 1},)
+    assert enumerate_solutions({c.name: True for c in wide}, wide, bit) == ({"A": 1},)
+
+
+def test_bucket_indices_count_from_either_end():
+    bucket = solution_buckets([parse_constraint("lt", "A < B")], vars_over(DIGITS, "A", "B"))[1]
+    n = len(bucket)
+    assert n == 45 and bucket[-1] == {"A": 8, "B": 9}
+    assert bucket[-1] is bucket[n - 1] and bucket[-n] is bucket[0]
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            bucket[outside]
+    assert list(bucket) == list(bucket.materialize())  # iteration stops at the last point
 
 
 def test_grounding_without_variables():

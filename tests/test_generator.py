@@ -180,7 +180,7 @@ def test_dataset_equals_reference_loop(name):
         task = compile_task(replace(family_spec(6), splits=(40, 10, 10)))
     elif name == "from_values":
         task = from_values_task()
-        assert min(len(task.solutions.bucket(letter)) for letter in task.usable_letters) == 1
+        assert min(len(task.solutions[letter]) for letter in task.usable_letters) == 1
     else:
         task = compile_task(builtin_task(name))
     assert generate_dataset(task).splits == reference_splits(task)

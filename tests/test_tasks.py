@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from ltlseq.automata import Dfa
-from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint, sample_solution
+from ltlseq.constraints import (
+    SolutionBucket,
+    SymbolicDomain,
+    VariableSpec,
+    parse_constraint,
+    sample_solution,
+)
 from ltlseq.errors import (
     DomainError,
     IntegrityError,
@@ -478,7 +484,9 @@ GOLDEN_GROUNDING = {
 
 def grounding_digests(ct):
     # json.dumps rejects numpy integers, so this also pins Python int values
-    solutions = hashlib.sha256(json.dumps(list(ct.solutions.items())).encode())
+    s = ct.solutions
+    listed = [(x, s[x].materialize() if x in s else ()) for x in range(ct.dfa.n_letters)]
+    solutions = hashlib.sha256(json.dumps(listed).encode())
     indicators = hashlib.sha256()
     for atom in ct.atoms:
         names, arr = ct.indicator(atom)
@@ -517,7 +525,7 @@ def as_items(bucket):
     return [list(a.items()) for a in bucket]
 
 
-def test_solution_table_equals_reference():
+def test_solution_buckets_equal_reference():
     rng = random.Random(1414)
     empty_letters = 0
     for _ in range(200):
@@ -527,24 +535,23 @@ def test_solution_table_equals_reference():
         want = partition_reference(ordered, spec.variables)
         n_letters = ct.dfa.n_letters
         keys = [tuple(bool(x >> i & 1) for i in range(len(ct.atoms))) for x in range(n_letters)]
-        assert list(ct.solutions) == list(range(n_letters)) and len(ct.solutions) == n_letters
+        assert type(ct.solutions) is dict
         assert ct.usable_letters == tuple(x for x in range(n_letters) if keys[x] in want)
+        assert ct.usable_letters == tuple(sorted(ct.solutions))
         for letter, key in enumerate(keys):
             expected = as_items(want.get(key, ()))
-            lazy = ct.solutions.bucket(letter)
+            assert (letter in ct.solutions) == bool(expected)
+            lazy = ct.solutions.get(letter, ())
             assert len(lazy) == len(expected)
             assert as_items(lazy) == expected  # point by point, before the tuple is built
-            assert as_items(ct.solutions[letter]) == expected
-            assert ct.solutions[letter] is ct.solutions[letter]
-            assert all(type(x) is int for a in ct.solutions[letter] for x in a.values())
+            eager = lazy.materialize() if expected else ()
+            assert as_items(eager) == expected
+            assert all(type(x) is int for a in eager for x in a.values())
             assert all(type(x) is int for a in lazy for x in a.values())
             if not expected:
                 empty_letters += 1
                 with pytest.raises(UnsatisfiableLetterError):
                     sample_solution(lazy, np.random.default_rng(0))
-        assert n_letters not in ct.solutions
-        with pytest.raises(KeyError):
-            ct.solutions[n_letters]
     assert empty_letters > 0
 
 
@@ -558,8 +565,8 @@ def test_bucket_draws_equal_tuple_draws():
         usable = lazy_task.usable_letters
         for _ in range(1000):
             letter = usable[int(pick.integers(len(usable)))]
-            got = sample_solution(lazy_task.solutions.bucket(letter), lazy_rng)
-            want = sample_solution(eager_task.solutions[letter], eager_rng)
+            got = sample_solution(lazy_task.solutions[letter], lazy_rng)
+            want = sample_solution(eager_task.solutions[letter].materialize(), eager_rng)
             assert list(got.items()) == list(want.items())
             got.clear()  # a fresh dict: later draws of this point are unaffected
 
@@ -606,7 +613,7 @@ def random_walk_task(rng):
     return CompiledTask(
         spec=spec,
         dfa=dfa,
-        solutions={x: ({},) if x in usable else () for x in range(n_letters)},
+        solutions={x: ({},) for x in usable},
         usable_letters=usable,
         reach=_reach_table(dfa, usable, spec.max_length),
     )
@@ -631,13 +638,16 @@ def test_feasible_letters_equal_reference(name):
     for i in np.random.default_rng(20261018).permutation(len(keys)):
         key = keys[i]
         assert ct.feasible_letters(*key) == feasible_letters_reference(ct, *key, ends=ends), key
-    for state in range(ct.dfa.n_states):
-        for remaining in (0, -1):
-            with pytest.raises(DomainError):
-                ct.feasible_letters(state, remaining, 1)
+    bad = [(state, remaining, 1) for state in range(ct.dfa.n_states) for remaining in (0, -1)]
+    bad += [(state, 1, 1) for state in (-1, ct.dfa.n_states)]
+    bad += [(ct.dfa.initial, 1, label) for label in (-1, 2)]
+    bad += [(ct.dfa.initial, len(ct.reach) + 1, 1)]
+    for key in bad * 2:  # a bad key is never answered, so never remembered
+        with pytest.raises(DomainError):
+            ct.feasible_letters(*key)
 
 
-def test_compiled_tasks_compare_after_indicator():
+def test_compiled_tasks_compare_after_indicator(monkeypatch):
     a, b, fresh = (compile_task(builtin_task("task3")) for _ in range(3))
     for atom in a.atoms:
         a.indicator(atom)
@@ -645,3 +655,19 @@ def test_compiled_tasks_compare_after_indicator():
     assert a == b
     assert a == fresh
     assert "array" not in repr(a)
+
+    def refuse(*args):
+        raise AssertionError("comparing tasks built an assignment")
+
+    # buckets compare by their grid indices: equality builds no assignment
+    c, d = compile_task(family_spec(10)), compile_task(family_spec(10))
+    monkeypatch.setattr(SolutionBucket, "materialize", refuse)
+    monkeypatch.setattr(SolutionBucket, "__getitem__", refuse)
+    assert c == d
+    first, second = c.usable_letters[:2]
+    swapped = replace(c, solutions={**c.solutions, first: c.solutions[second]})
+    assert swapped != c and c.solutions[first] != c.solutions[second]
+    renamed = [replace(v, name=v.name.lower()) for v in c.spec.variables]
+    flat = np.arange(10 ** len(renamed))  # the whole digit grid
+    assert SolutionBucket(c.spec.variables, flat) == SolutionBucket(c.spec.variables, flat)
+    assert SolutionBucket(renamed, flat) != SolutionBucket(c.spec.variables, flat)
