@@ -201,7 +201,7 @@ def assignment_of(letter: int, atoms: Sequence[str]) -> dict[str, bool]:
 def ltlf_to_dfa(
     f: fm.Formula,
     atoms: Sequence[str] | None = None,
-    max_states: int = MAX_DFA_STATES,
+    max_states: int | None = None,
 ) -> Dfa:
     """Complete, minimized DFA accepting exactly the traces satisfying ``f``.
 
@@ -215,6 +215,10 @@ def ltlf_to_dfa(
     own atoms, and each distinct raw progression is brought to state form
     once: on ``&_i G(a_i -> F b_i)`` over 10 atoms, 32 states times 1024
     letters need 33 state forms.
+
+    Raises ResourceLimitError naming the cap past ``_MAX_ATOMS`` atoms, or
+    when exploration reaches more than ``max_states`` states before
+    minimization (by default ``MAX_DFA_STATES``).
     """
     f_atoms = f.atoms()
     if atoms is None:
@@ -224,7 +228,12 @@ def ltlf_to_dfa(
     if missing:
         raise DomainError(f"alphabet is missing atoms: {sorted(missing)}")
     if len(atoms) > _MAX_ATOMS:
-        raise ResourceLimitError(f"too many atoms ({len(atoms)} > {_MAX_ATOMS})")
+        raise ResourceLimitError(
+            f"the alphabet has {len(atoms)} atoms, over the cap of {_MAX_ATOMS} atoms (_MAX_ATOMS)"
+        )
+    cap, cap_name = (
+        (MAX_DFA_STATES, "MAX_DFA_STATES") if max_states is None else (max_states, "max_states")
+    )
 
     initial = fm.state_form(fm.to_nnf(f))
     letters = [assignment_of(letter, atoms) for letter in range(1 << len(atoms))]
@@ -247,9 +256,10 @@ def ltlf_to_dfa(
             dst = index.get(nxt)
             if dst is None:
                 dst = len(order)
-                if dst >= max_states:
+                if dst >= cap:
                     raise ResourceLimitError(
-                        f"state cap {max_states} exceeded while translating {f}"
+                        f"translating {f} reached {dst + 1} states, over the cap of {cap} "
+                        f"states before minimization ({cap_name})"
                     )
                 index[nxt] = dst
                 order.append(nxt)

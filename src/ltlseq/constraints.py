@@ -8,9 +8,13 @@ values (``np.ix_`` axes, whose C order is ``itertools.product`` order), and
 indicator tensors and the solution buckets are read off the resulting truth
 arrays.  ``solution_buckets`` maps each realizable truth code, bit i the truth
 of the i-th constraint, to its ``SolutionBucket``; over constraints sorted by
-name these codes are the automaton's letters.  A bucket stays a list of flat
-grid indices until read: an assignment dict is built only for a point that is
-drawn or listed.
+name these codes are the automaton's letters.
+
+A full assignment is stored as one int, its grid point: the C-order flat
+index over the variables' domain sizes, axis i a position in variable i's
+domain.  A bucket holds the points of its code; ``grid_positions`` and
+``grid_points`` are the one encoding between points and domain positions, and
+``grid_assignments`` reads ``{name: value}`` dicts off points.
 """
 
 from __future__ import annotations
@@ -506,8 +510,8 @@ def solution_buckets(
     _check_declared(constraints, variables)
     if len(constraints) > _MAX_PARTITION_CONSTRAINTS:
         raise ResourceLimitError(
-            f"partition_solutions takes at most {_MAX_PARTITION_CONSTRAINTS} "
-            f"constraints, got {len(constraints)}"
+            f"grounding {len(constraints)} constraints, over the cap of {_MAX_PARTITION_CONSTRAINTS}"
+            " constraints of one grounding (_MAX_PARTITION_CONSTRAINTS)"
         )
     domains = [v.domain for v in variables]
     truths = _grid_truths(constraints, [v.name for v in variables], domains)
@@ -527,64 +531,78 @@ def solution_buckets(
     }
 
 
-class SolutionBucket(Sequence[dict[str, int]]):
-    """The assignments of one truth vector, kept as flat grid indices.
+class SolutionBucket(Sequence[int]):
+    """The assignments of one truth vector, as grid points in
+    ``itertools.product`` order.
 
-    ``bucket[i]`` builds the i-th assignment from its index by integer
-    strides, once: later reads, ``bucket[i - len(bucket)]`` among them,
-    return the same dict, as a tuple of dicts would, so callers that change
-    it copy it first (``sample_solution`` does).  ``materialize()`` builds
-    the whole bucket at once.
+    ``bucket[i]`` is the i-th point, an int; ``materialize()`` reads every
+    assignment off the points as fresh dicts.
     """
 
     def __init__(self, variables: Sequence[VariableSpec], flat: np.ndarray) -> None:
         self._flat = flat
-        self._names = [v.name for v in variables]
-        self._values = [v.domain.values for v in variables]
-        self._shape = tuple(len(values) for values in self._values)
-        strides = [math.prod(self._shape[j + 1 :]) for j in range(len(self._shape))]
-        self._axes = list(zip(self._names, self._values, strides, self._shape))
-        self._points: dict[int, dict[str, int]] = {}
+        self._variables = tuple(variables)
 
     def __len__(self) -> int:
         return len(self._flat)
 
-    def __getitem__(self, i: int) -> dict[str, int]:
-        point = self._points.get(i)
-        if point is None:
-            n = len(self._flat)
-            if not -n <= i < n:
-                raise IndexError(f"index {i} outside a bucket of {n} assignments")
-            if i < 0:
-                return self[i + n]
-            flat = int(self._flat[i])
-            point = self._points[i] = {
-                name: values[flat // stride % size] for name, values, stride, size in self._axes
-            }
-        return point
+    def __getitem__(self, i: int) -> int:
+        return int(self._flat[i])
 
     def __eq__(self, other: object) -> bool:
-        """Same variables, domain values and grid points; builds no assignment."""
+        """Same variables and grid points; builds no assignment."""
         if not isinstance(other, SolutionBucket):
             return NotImplemented
-        return (
-            self._names == other._names
-            and self._values == other._values
-            and np.array_equal(self._flat, other._flat)
-        )
+        return self._variables == other._variables and np.array_equal(self._flat, other._flat)
 
     def __repr__(self) -> str:
-        return f"SolutionBucket({len(self)} assignments over {self._names})"
+        return f"SolutionBucket({len(self)} assignments over {[v.name for v in self._variables]})"
 
     def materialize(self) -> tuple[dict[str, int], ...]:
         """Every assignment, in ``itertools.product`` order, as fresh dicts."""
-        positions = np.unravel_index(self._flat, self._shape) if self._shape else ()
-        columns = [
-            np.array(values, dtype=object)[i].tolist()
-            for values, i in zip(self._values, positions)
-        ]
-        rows = zip(*columns) if columns else [()] * len(self._flat)
-        return tuple(dict(zip(self._names, row)) for row in rows)
+        return grid_assignments(self._flat, self._variables)
+
+
+def grid_positions(points, variables: Sequence[VariableSpec]) -> np.ndarray:
+    """The domain positions of grid points: ``out[..., i]`` is each point's
+    position in ``variables[i]``'s domain.
+
+    A grid point is the C-order flat index over the variables' domain sizes,
+    the index ``solution_buckets`` groups; ``grid_points`` is the inverse.
+    Raises DomainError for a point outside the grid; a grid over no
+    variable has one point, and any point reads as it.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    shape = tuple(v.domain.size for v in variables)
+    if not shape:
+        return np.zeros(points.shape + (0,), dtype=np.intp)
+    try:
+        return np.stack(np.unravel_index(points, shape), axis=-1)
+    except ValueError as err:  # a point outside the grid
+        raise DomainError(f"grid points over {[v.name for v in variables]}: {err}") from None
+
+
+def grid_points(positions, variables: Sequence[VariableSpec]) -> np.ndarray:
+    """The grid point of domain positions, one per variable along the last
+    axis: the inverse of ``grid_positions``."""
+    positions = np.asarray(positions, dtype=np.intp)
+    shape = tuple(v.domain.size for v in variables)
+    if not shape:
+        return np.zeros(positions.shape[:-1], dtype=np.intp)
+    return np.ravel_multi_index(tuple(np.moveaxis(positions, -1, 0)), shape)
+
+
+def grid_assignments(points, variables: Sequence[VariableSpec]) -> tuple[dict[str, int], ...]:
+    """The ``{name: value}`` assignment of each of a sequence of grid points,
+    as fresh dicts."""
+    positions = grid_positions(points, variables)
+    columns = [
+        np.array(v.domain.values, dtype=object)[positions[:, i]].tolist()
+        for i, v in enumerate(variables)
+    ]
+    names = [v.name for v in variables]
+    rows = zip(*columns) if columns else [()] * len(positions)
+    return tuple(dict(zip(names, row)) for row in rows)
 
 
 def partition_solutions(
@@ -611,14 +629,15 @@ def partition_solutions(
 
 
 def sample_solution(
-    solutions: Sequence[Mapping[str, int]],
+    solutions: Sequence[int] | Sequence[dict[str, int]],
     rng: np.random.Generator,
-) -> dict[str, int]:
-    """Uniform draw from a cached solution set, as a fresh dict."""
+) -> int | dict[str, int]:
+    """Uniform draw from a solution set: a grid point from a
+    ``SolutionBucket``, an element itself from a tuple of dicts."""
     n = len(solutions)
     if not n:
         raise UnsatisfiableLetterError("letter has no solutions")
-    return dict(solutions[int(rng.integers(n))])
+    return solutions[int(rng.integers(n))]
 
 
 def _check_distribution(name: str, dist: Mapping[int, float]) -> None:

@@ -494,7 +494,8 @@ def _antichain(models: Iterable[frozenset[Formula]]) -> list[frozenset[Formula]]
     models = set(models)
     if len(models) > _MAX_STATE_MODELS:
         raise ResourceLimitError(
-            f"state form exceeded {_MAX_STATE_MODELS} minimal models"
+            f"a state form has {len(models)} candidate models, over the cap of "
+            f"{_MAX_STATE_MODELS} models of one state form (_MAX_STATE_MODELS)"
         )
     return [m for m in models if not any(other < m for other in models)]
 

@@ -17,10 +17,12 @@ streams, which NEP 19 keeps stable across numpy versions, and on Lemire's
 bounded draw as numpy >= 1.17 implements it, which
 ``tests/test_generator.py`` pins against ``Generator.integers``.
 
-A sample stores each step's letter, bit i the truth of constraint
-``atoms[i]``: the walk draws it, ``serialize`` writes the ``*_truth`` cells
-from it, ``deserialize`` decodes them into it and the verified load replays
-it.  ``SequenceSample.truths`` reads ``{atom: truth}`` dicts off it.
+A sample stores two ints per step: the grid point of its assignment over
+``variables`` (``constraints.grid_positions``) and its letter, bit i the
+truth of constraint ``atoms[i]``.  The walk draws both, ``serialize`` writes
+the ``*_label`` and ``*_truth`` cells from them, ``deserialize`` decodes the
+cells into them and the verified load replays the letters.
+``SequenceSample.values`` and ``.truths`` read dicts off them.
 
 ``deserialize`` decodes ``sequences.csv`` in one pass, each row straight
 into the sequence of its (split, seq_id).
@@ -44,7 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .automata import Dfa, assignment_of
-from .constraints import sample_solution
+from .constraints import VariableSpec, grid_assignments, grid_points, grid_positions, sample_solution
 from .errors import DatasetFormatError, DomainError, IntegrityError, TaskFileError
 from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task, read_input
 
@@ -168,13 +170,14 @@ class _Draws:
 
 @dataclass
 class SequenceSample:
-    """One annotated sequence: each step's assignment, its letter over
-    ``atoms`` (bit i = truth of constraint ``atoms[i]``) and the state after
-    it, plus image indices once attached."""
+    """One annotated sequence: each step's grid point over ``variables``
+    (its assignment), its letter over ``atoms`` (bit i = truth of constraint
+    ``atoms[i]``) and the state after it, plus image indices once attached."""
 
     seq_id: int
     label: int
-    values: tuple[dict[str, int], ...]
+    points: tuple[int, ...]
+    variables: tuple[VariableSpec, ...]
     letters: tuple[int, ...]
     atoms: tuple[str, ...]
     states: tuple[int, ...]
@@ -182,7 +185,12 @@ class SequenceSample:
 
     @property
     def length(self) -> int:
-        return len(self.values)
+        return len(self.letters)
+
+    @property
+    def values(self) -> tuple[dict[str, int], ...]:
+        """Each step's ``{variable: value}``, read off its grid point; fresh dicts on every read."""
+        return grid_assignments(self.points, self.variables)
 
     @property
     def truths(self) -> tuple[dict[str, bool], ...]:
@@ -226,7 +234,7 @@ def generate_sequence(
     """One walk of ``length`` steps ending with the requested label.
 
     ``rng`` is any source with numpy's ``integers(n)``; each step draws the
-    letter, then (in ``sample_solution``) its assignment.
+    letter, then (in ``sample_solution``) its grid point.
     """
     label = _integer("label", label, 0, 1)
     length = _integer("length", length, 1, len(task.reach) - 1)
@@ -238,16 +246,18 @@ def generate_sequence(
     feasible, buckets = task.feasible_letters, task.solutions
     transitions, draw = task.dfa.transitions, rng.integers
     state = task.dfa.initial
-    values, letters, states = [], [], []
+    points, letters, states = [], [], []
     for step in range(length):
         choices = feasible(state, length - step, label)
         letter = choices[int(draw(len(choices)))]
-        values.append(sample_solution(buckets[letter], rng))
+        points.append(sample_solution(buckets[letter], rng))
         letters.append(letter)
         state = transitions[state][letter]
         states.append(state)
     assert (states[-1] in task.dfa.accepting) == bool(label)
-    return SequenceSample(seq_id, label, tuple(values), tuple(letters), task.atoms, tuple(states))
+    return SequenceSample(
+        seq_id, label, tuple(points), task.spec.variables, tuple(letters), task.atoms, tuple(states)
+    )
 
 
 def _split_plan(spec: TaskSpec, split: str) -> list[tuple[int, int]]:
@@ -302,18 +312,16 @@ def attach_image_indices(ds: Dataset, pools: ImagePools, resample_epoch: int = 0
     new epoch resamples images while class labels stay fixed.
     """
     seed = ds.metadata["seed"]
-    vmap = {v.name: v for v in ds.spec.variables}
     new_splits: dict[str, list[SequenceSample]] = {}
     for split, samples in ds.splits.items():
         pool_split = _POOL_SPLIT.get(split, split)
         out = []
         for sample in samples:
             per_step = []
-            for step, assignment in enumerate(sample.values):
+            for step, row in enumerate(grid_positions(sample.points, sample.variables).tolist()):
                 chosen = {}
-                for var, value in assignment.items():
-                    v = vmap[var]
-                    label = v.domain.label_of(value)
+                for v, i in zip(sample.variables, row):
+                    label = v.domain.labels[i]
                     pool = pools.get(pool_split, {}).get(v.source, {}).get(label)
                     if not pool:
                         raise DomainError(
@@ -321,9 +329,9 @@ def attach_image_indices(ds: Dataset, pools: ImagePools, resample_epoch: int = 0
                             f"(source {v.source!r}, split {pool_split!r})"
                         )
                     h = _digest_int(
-                        f"{seed}:{split}:{sample.seq_id}:{step}:{var}:{resample_epoch}"
+                        f"{seed}:{split}:{sample.seq_id}:{step}:{v.name}:{resample_epoch}"
                     )
-                    chosen[var] = int(pool[h % len(pool)])
+                    chosen[v.name] = int(pool[h % len(pool)])
                 per_step.append(chosen)
             out.append(replace(sample, indices=tuple(per_step)))
         new_splits[split] = out
@@ -351,27 +359,35 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     atoms = list(ds.metadata["atoms"])
     variables = ds.spec.variables
-    label_codes = [(v.name, dict(zip(v.domain.values, v.domain.labels))) for v in variables]
+    for split, sample in ds:
+        if list(sample.atoms) != atoms:
+            raise DomainError(
+                f"sample {split}/{sample.seq_id} is over atoms {list(sample.atoms)}, "
+                f"the dataset over {atoms}"
+            )
+        if sample.variables != variables:
+            raise DomainError(
+                f"sample {split}/{sample.seq_id} is not over the dataset's variables "
+                f"{[v.name for v in variables]}"
+            )
     with_indices = any(s.indices is not None for _, s in ds)
+    # a grid point -> its *_label cells, for the dataset's distinct points at once
+    steps = itertools.chain.from_iterable(s.points for _, s in ds)
+    points = np.unique(np.fromiter(steps, np.int64))
+    positions = grid_positions(points, variables)
+    columns = [
+        np.array(v.domain.labels, dtype=object)[positions[:, i]].tolist()
+        for i, v in enumerate(variables)
+    ]
+    label_cells = dict(zip(points.tolist(), zip(*columns) if columns else [()] * len(points)))
     # a letter -> its 0/1 *_truth cells, built once per distinct letter
     truth_cells: dict[int, list[int]] = {}
     with open(out_dir / "sequences.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_columns(ds.spec, atoms, with_indices))
         for split, sample in ds:
-            if list(sample.atoms) != atoms:
-                raise DomainError(
-                    f"sample {split}/{sample.seq_id} is over atoms {list(sample.atoms)}, "
-                    f"the dataset over {atoms}"
-                )
-            for t, letter in enumerate(sample.letters):
-                row: list = [split, sample.seq_id, t]
-                values = sample.values[t]
-                try:
-                    row += [codes[values[name]] for name, codes in label_codes]
-                except KeyError:
-                    # raises what a per-cell label_of raised: DomainError or KeyError
-                    row += [v.domain.label_of(values[v.name]) for v in variables]
+            for t, (point, letter) in enumerate(zip(sample.points, sample.letters)):
+                row: list = [split, sample.seq_id, t, *label_cells[point]]
                 if with_indices:
                     if sample.indices is None:
                         raise DomainError(
@@ -463,7 +479,7 @@ def _undecodable(row: list[str], label_cols, bit_cols) -> str:
     """Why a label or 0/1 cell of ``row`` does not decode (first in column order)."""
     labels = (
         f"label {row[i]!r} not in domain {domain.name!r}"
-        for _, i, codes, domain in label_cols
+        for i, codes, domain in label_cols
         if row[i] not in codes
     )
     bits = (f"{col} cell {row[i]!r} is not 0 or 1" for col, i in bit_cols if row[i] not in _BITS)
@@ -475,7 +491,8 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
 
     Every row must have as many cells as the header, and ``*_truth`` and
     ``seq_label`` cells must read exactly ``0`` or ``1``; errors name the
-    physical line; a row's ``*_truth`` cells become its step's letter.  With
+    physical line; a row's ``*_label`` cells become its step's grid point and
+    its ``*_truth`` cells its letter.  With
     ``verify=True`` also recomputes the spec hash and replays every
     sample's letters through ``Dataset.dfa``, raising IntegrityError on any
     mismatch with the recorded states or labels.  Errors of the stored DFA
@@ -532,7 +549,9 @@ def _decode_sequences(
 
     One pass: each row is decoded straight into the accumulator of its
     (split, seq_id), so no raw row outlives its line.  Errors name the
-    physical line, ``reader.line_num``.
+    physical line, ``reader.line_num``.  Each distinct combination of label
+    cells is decoded to domain positions once; one ``grid_points`` call then
+    encodes them all.
     """
     atoms = spec.atoms
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -546,9 +565,14 @@ def _decode_sequences(
     # a repeated column reads its last occurrence
     pos = {col: i for i, col in enumerate(header)}
     label_cols = [
-        (v.name, pos[f"{v.name}_label"], dict(zip(v.domain.labels, v.domain.values)), v.domain)
+        (pos[f"{v.name}_label"], {label: i for i, label in enumerate(v.domain.labels)}, v.domain)
         for v in spec.variables
     ]
+    # the *_label cells of a row -> the index of their domain positions in `positions`
+    label_idx = [i for i, _, _ in label_cols]
+    label_cells = operator.itemgetter(*label_idx) if label_idx else lambda row: ()
+    combos: dict = {}
+    positions: list[list[int]] = []
     index_cols = [(v.name, pos[f"{v.name}_index"]) for v in spec.variables] if with_indices else []
     i_split, i_seq, i_t = pos["split"], pos["seq_id"], pos["t"]
     i_state, i_label = pos["state_after"], pos["seq_label"]
@@ -558,7 +582,7 @@ def _decode_sequences(
     bit_cells = operator.itemgetter(i_label, *truth_cols)
     bit_codes: dict = {}
 
-    # (split, seq_id) -> (label, values, letters, states, indices, lines)
+    # (split, seq_id) -> (label, combos, letters, states, indices, lines)
     seqs: dict[tuple[str, int], tuple] = {}
     for row in rows:
         if not row:
@@ -570,7 +594,11 @@ def _decode_sequences(
         try:
             key = (row[i_split], int(row[i_seq]))
             step = int(row[i_t])
-            values = {name: codes[row[i]] for name, i, codes, _ in label_cols}
+            labels = label_cells(row)
+            combo = combos.get(labels)
+            if combo is None:
+                combo = combos[labels] = len(combos)
+                positions.append([codes[row[i]] for i, codes, _ in label_cols])
             cells = bit_cells(row)
             bits = bit_codes.get(cells)
             if bits is None:
@@ -589,29 +617,32 @@ def _decode_sequences(
             if key[0] not in SPLIT_NAMES:
                 raise DatasetFormatError(f"{csv_path}:{reader.line_num}: unknown split {key[0]!r}")
             acc = seqs[key] = (label, [], [], [], [], [])
-        seq_label, seq_values, seq_letters, seq_states, seq_indices, seq_lines = acc
-        if step != len(seq_values):
+        seq_label, seq_combos, seq_letters, seq_states, seq_indices, seq_lines = acc
+        if step != len(seq_combos):
             raise DatasetFormatError(
                 f"{csv_path}:{reader.line_num}: time step {row[i_t]} out of order "
-                f"(expected {len(seq_values)})"
+                f"(expected {len(seq_combos)})"
             )
         if label != seq_label:
             raise DatasetFormatError(
                 f"{csv_path}:{reader.line_num}: seq_label changes within sequence {key[1]}"
             )
-        seq_values.append(values)
+        seq_combos.append(combo)
         seq_letters.append(letter)
         seq_states.append(state)
         seq_lines.append(reader.line_num)
         if with_indices:
             seq_indices.append(indices)
 
+    variables = spec.variables
+    shape = (len(positions), len(variables))
+    points = grid_points(np.array(positions, dtype=np.intp).reshape(shape), variables).tolist()
     splits: dict[str, list[SequenceSample]] = {s: [] for s in SPLIT_NAMES}
-    for (split, seq_id), (label, values, letters, states, indices, _) in seqs.items():
+    for (split, seq_id), (label, seq_combos, letters, states, indices, _) in seqs.items():
         splits[split].append(
             SequenceSample(
-                seq_id, label, tuple(values), tuple(letters), atoms, tuple(states),
-                tuple(indices) if with_indices else None,
+                seq_id, label, tuple(map(points.__getitem__, seq_combos)), variables,
+                tuple(letters), atoms, tuple(states), tuple(indices) if with_indices else None,
             )
         )
     return splits, {key: acc[-1] for key, acc in seqs.items()}

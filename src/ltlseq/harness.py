@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .constraints import tensor_probability
+from .constraints import grid_positions, tensor_probability
 from .errors import DomainError, TaskFileError
 from .generator import Dataset, SequenceSample, _digest_int, _Draws, _next_doubles
 from .inference import (
@@ -214,17 +214,20 @@ def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
     if any(tuple(s.atoms) != task.atoms for s in samples):
         raise DomainError(f"split {split!r} is not over the task's atoms {list(task.atoms)}")
     variables = task.spec.variables
+    if any(s.variables != variables for s in samples):
+        raise DomainError(
+            f"split {split!r} is not over the task's variables {[v.name for v in variables]}"
+        )
     lengths = np.array([s.length for s in samples])
     mask = np.arange(lengths.max()) < lengths[:, None]
     letters = np.zeros(mask.shape, dtype=np.int64)
-    labels = np.zeros(mask.shape + (len(variables),), dtype=np.intp)
+    points = np.zeros(mask.shape, dtype=np.int64)
     states = np.full(mask.shape, -1)
     for i, sample in enumerate(samples):
         letters[i, : sample.length] = sample.letters
-        labels[i, : sample.length] = [
-            [v.domain.index_of(values[v.name]) for v in variables] for values in sample.values
-        ]
+        points[i, : sample.length] = sample.points
         states[i, : sample.length] = sample.states
+    labels = grid_positions(points, variables)
     truths = (letters[..., None] >> np.arange(len(task.atoms)) & 1).astype(bool)
     return _Split(split, samples, lengths, mask, truths, labels, states)
 

@@ -166,10 +166,14 @@ class TaskSpec:
                 raise TaskFileError(f"{where}: missing key {key!r}")
             return data[key]
 
-        def number(key: str, convert: Callable[[object], _T], value: object) -> _T:
+        def number(key: str, value: object, kind: type[int] | type[float] = int) -> int | float:
+            """``value`` as a ``kind``: an int, or for a float any int or float; never a bool."""
             try:
-                return convert(value)
-            except (TypeError, ValueError, OverflowError) as err:
+                if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                    kind_name = "an integer" if kind is int else "a number"
+                    raise TypeError(f"{value!r} is not {kind_name}")
+                return kind(value)
+            except (TypeError, OverflowError) as err:
                 raise TaskFileError(f"{where}: {key}: malformed value ({err})") from err
 
         try:
@@ -178,11 +182,12 @@ class TaskSpec:
                 if not isinstance(body, Mapping):
                     raise TaskFileError(f"{where}: domain {name!r} must be a mapping")
                 if "range" in body:
-                    lo, hi = body["range"]
-                    domains[name] = SymbolicDomain.from_range(name, int(lo), int(hi))
+                    lo, hi = (number(f"domains.{name}.range", x) for x in body["range"])
+                    domains[name] = SymbolicDomain.from_range(name, lo, hi)
                 elif "values" in body:
+                    values = [number(f"domains.{name}.values", v) for v in body["values"]]
                     domains[name] = SymbolicDomain.from_values(
-                        name, [str(l) for l in body["labels"]], [int(v) for v in body["values"]]
+                        name, [str(l) for l in body["labels"]], values
                     )
                 elif "labels" in body:
                     domains[name] = SymbolicDomain.from_labels(
@@ -223,11 +228,11 @@ class TaskSpec:
                 variables=tuple(variables),
                 constraints=constraints,
                 formula=str(need("formula")),
-                min_length=number("length.min", int, length["min"]),
-                max_length=number("length.max", int, length["max"]),
-                splits=tuple(number(f"splits.{s}", int, split_map.get(s, 0)) for s in SPLIT_NAMES),
-                positive_ratio=number("positive_ratio", float, data.get("positive_ratio", 0.5)),
-                seed=number("seed", int, data.get("seed", 12345)),
+                min_length=number("length.min", length["min"]),
+                max_length=number("length.max", length["max"]),
+                splits=tuple(number(f"splits.{s}", split_map.get(s, 0)) for s in SPLIT_NAMES),
+                positive_ratio=number("positive_ratio", data.get("positive_ratio", 0.5), float),
+                seed=number("seed", data.get("seed", 12345)),
             )
             spec.validate()
         except TaskFileError:
@@ -266,7 +271,7 @@ class CompiledTask:
 
     ``solutions`` maps each usable letter (bit i = truth of ``atoms[i]``) to
     the ``SolutionBucket`` of full variable assignments realizing it, kept as
-    grid indices until read; an unrealizable letter has no entry, and
+    grid points; an unrealizable letter has no entry, and
     ``usable_letters`` are its keys in ascending order.  ``reach[r][s]``
     tells, for each label, whether a walk of exactly ``r`` further steps from
     state ``s`` can end with that label using only usable letters.
@@ -365,8 +370,7 @@ def compile_task(
     spec.validate()
     atoms = spec.atoms
     if dfa is None:
-        kwargs = {} if max_states is None else {"max_states": max_states}
-        dfa = ltlf_to_dfa(fm.parse(spec.formula), atoms=atoms, **kwargs)
+        dfa = ltlf_to_dfa(fm.parse(spec.formula), atoms=atoms, max_states=max_states)
     elif dfa.atoms != atoms:
         raise TaskCompileError(
             f"precompiled automaton atoms {dfa.atoms} do not match spec atoms {atoms}"

@@ -4,8 +4,9 @@ Everything here is written independently of the package internals: direct
 finite-trace semantics by recursion over formula structure, a random
 formula generator for property-style checks, per-point enumeration of
 constraint solutions, the per-sample, per-draw oracle corruption loop,
-the per-pair temperature search, the feasible letters of a walk step and
-the per-entry JSON form a stored automaton had before the row form.
+the per-pair temperature search, the feasible letters of a walk step, the
+per-variable, per-step domain positions of a split and the per-entry JSON
+form a stored automaton had before the row form.
 """
 
 import itertools
@@ -209,6 +210,19 @@ def partition_reference(constraints, variables):
         key = tuple(constraint_holds(c, a) for c in constraints)
         buckets.setdefault(key, []).append(a)
     return {key: tuple(sols) for key, sols in buckets.items()}
+
+
+def split_labels_reference(task, samples):
+    """Each step's position in each variable's domain, (samples x steps x
+    variables) and zero past a sample's end: one ``index_of`` per variable
+    per step of the samples' ``values``."""
+    variables = task.spec.variables
+    width = max(sample.length for sample in samples)
+    labels = np.zeros((len(samples), width, len(variables)), dtype=np.intp)
+    for i, sample in enumerate(samples):
+        for t, values in enumerate(sample.values):
+            labels[i, t] = [v.domain.index_of(values[v.name]) for v in variables]
+    return labels
 
 
 def oracle_rng(seed, split, seq_id):

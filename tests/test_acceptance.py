@@ -371,7 +371,7 @@ def test_criterion_11_mp_baselines():
             seq_id=seq_id,
             label=label,
             states=tuple(states),
-            values=template.values[:1] * n,
+            points=template.points[:1] * n,
             letters=template.letters[:1] * n,
         )
 

@@ -132,10 +132,26 @@ def test_alphabet_must_cover_formula_atoms():
         ltlf_to_dfa(parse("F p"), atoms=["q"])
 
 
-def test_state_cap_raises():
+def test_state_cap_raises(monkeypatch):
+    from ltlseq import automata
+
     f = parse("G((p & X p & X X p) -> X X X q)")
-    with pytest.raises(ResourceLimitError):
+    reached = f"translating {f} reached 4 states, over the cap of 3 states before minimization"
+    with pytest.raises(ResourceLimitError) as exc:
         ltlf_to_dfa(f, max_states=3)
+    assert str(exc.value) == f"{reached} (max_states)"
+    monkeypatch.setattr(automata, "MAX_DFA_STATES", 3)
+    with pytest.raises(ResourceLimitError) as exc:
+        ltlf_to_dfa(f)
+    assert str(exc.value) == f"{reached} (MAX_DFA_STATES)"
+
+
+def test_atom_cap_names_itself():
+    atoms = [f"a{i}" for i in range(17)]
+    ltlf_to_dfa(parse("F a0"), atoms=atoms[:16])
+    with pytest.raises(ResourceLimitError) as exc:
+        ltlf_to_dfa(parse("F a0"), atoms=atoms)
+    assert str(exc.value) == "the alphabet has 17 atoms, over the cap of 16 atoms (_MAX_ATOMS)"
 
 
 def test_empty_trace_rejected():

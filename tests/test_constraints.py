@@ -20,6 +20,9 @@ from ltlseq.constraints import (
     constraint_vars,
     enumerate_solutions,
     eval_constraint,
+    grid_assignments,
+    grid_points,
+    grid_positions,
     indicator_tensor,
     parse_constraint,
     partition_solutions,
@@ -326,7 +329,8 @@ def test_solution_bucket_codes_follow_constraint_positions():
             assert (code in buckets) == bool(expected)
             got = buckets[code].materialize() if code in buckets else ()
             assert [list(a.items()) for a in got] == expected
-            assert [list(a.items()) for a in buckets.get(code, ())] == expected
+            points = list(buckets.get(code, ()))
+            assert [list(a.items()) for a in grid_assignments(points, variables)] == expected
             unrealizable += not expected
             letter = {c.name: t for c, t in zip(constraints, key)}
             assert enumerate_solutions(letter, constraints, variables) == got
@@ -342,15 +346,38 @@ def test_solution_bucket_codes_follow_constraint_positions():
     assert enumerate_solutions({c.name: True for c in wide}, wide, bit) == ({"A": 1},)
 
 
+def test_grid_points_follow_product_order():
+    rng = random.Random(6606)
+    for _ in range(100):
+        names = rng.sample("ABCD", rng.randint(0, 4))
+        variables = [VariableSpec(n, rand_domain(rng, f"d{n}")) for n in names]
+        product = list(itertools.product(*(range(v.domain.size) for v in variables)))
+        points = np.arange(len(product))
+        positions = grid_positions(points, variables)
+        assert positions.tolist() == [list(p) for p in product]
+        assert grid_points(positions, variables).tolist() == points.tolist()
+        assert grid_assignments(points, variables) == tuple(
+            {v.name: v.domain.values[i] for v, i in zip(variables, p)} for p in product
+        )
+        if variables:
+            for outside in (-1, len(product)):
+                with pytest.raises(DomainError, match="grid points over"):
+                    grid_positions([0, outside], variables)
+
+
 def test_bucket_indices_count_from_either_end():
-    bucket = solution_buckets([parse_constraint("lt", "A < B")], vars_over(DIGITS, "A", "B"))[1]
+    variables = vars_over(DIGITS, "A", "B")
+    bucket = solution_buckets([parse_constraint("lt", "A < B")], variables)[1]
     n = len(bucket)
-    assert n == 45 and bucket[-1] == {"A": 8, "B": 9}
-    assert bucket[-1] is bucket[n - 1] and bucket[-n] is bucket[0]
+    assert n == 45 and bucket[-1] == 89  # A = 8, B = 9: row 8, column 9 of the 10 x 10 grid
+    assert grid_assignments([bucket[-1]], variables) == ({"A": 8, "B": 9},)
+    assert bucket[-1] == bucket[n - 1] and bucket[-n] == bucket[0] == 1
+    assert all(type(point) is int for point in bucket)
     for outside in (n, -n - 1):
         with pytest.raises(IndexError):
             bucket[outside]
-    assert list(bucket) == list(bucket.materialize())  # iteration stops at the last point
+    # iteration stops at the last point
+    assert grid_assignments(list(bucket), variables) == bucket.materialize()
 
 
 def test_grounding_without_variables():
@@ -383,9 +410,16 @@ def test_partition_constraint_cap():
     variables = vars_over(SymbolicDomain.from_range("bit", 0, 1), "A")
     constraints = [parse_constraint(f"c{i}", f"A + {i} >= {i + 1}") for i in range(64)]
     check_grounding(constraints[:63], variables)  # the top code bit is used
-    with pytest.raises(ResourceLimitError) as exc:
-        partition_solutions(constraints, variables)
-    assert "63" in str(exc.value)
+    message = (
+        "grounding 64 constraints, over the cap of 63 constraints of one grounding"
+        " (_MAX_PARTITION_CONSTRAINTS)"
+    )
+    letter = {c.name: True for c in constraints}
+    _raises_exactly(ResourceLimitError, message, partition_solutions, constraints, variables)
+    _raises_exactly(ResourceLimitError, message, solution_buckets, constraints, variables)
+    _raises_exactly(
+        ResourceLimitError, message, enumerate_solutions, letter, constraints, variables
+    )
 
 
 _GRID_CAP = "over the cap of 16777216 grid points (_MAX_GRID_POINTS)"

@@ -339,6 +339,22 @@ def test_state_form_preserves_semantics():
         assert holds(g, trace, 0) == holds(f, trace, 0), print_formula(f)
 
 
+def test_state_model_cap_names_itself(monkeypatch):
+    from ltlseq import formulas
+    from ltlseq.errors import ResourceLimitError
+
+    f = to_nnf(parse("F a | F b | F c"))  # three minimal models, one per disjunct
+    monkeypatch.setattr(formulas, "_MAX_STATE_MODELS", 3)
+    assert state_form(f) is f
+    monkeypatch.setattr(formulas, "_MAX_STATE_MODELS", 2)
+    with pytest.raises(ResourceLimitError) as exc:
+        state_form(f)
+    assert str(exc.value) == (
+        "a state form has 3 candidate models, over the cap of 2 models of one state form"
+        " (_MAX_STATE_MODELS)"
+    )
+
+
 def test_state_form_keeps_progression_bounded():
     # without canonicalization this progression grows without bound under
     # the all-false letter

@@ -29,6 +29,7 @@ from ltlseq.generator import (
 from ltlseq.harness import _split_arrays
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import SPLIT_NAMES, CompiledTask, compile_task
+from oracles import split_labels_reference
 from test_tasks import family_spec
 
 
@@ -210,6 +211,39 @@ def test_letters_are_the_truths_letters(tmp_path, name):
             np.testing.assert_array_equal(data.truths, rows)
 
 
+@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "from_values"])
+def test_split_labels_equal_reference(tmp_path, name):
+    if name == "fam6":
+        task = compile_task(replace(family_spec(6), splits=(40, 10, 10)))
+    elif name == "from_values":
+        task = from_values_task()  # values 0, 1, 2, 2^40: positions are not values
+    else:
+        task = compile_task(builtin_task(name))
+    ds = generate_dataset(task)
+    serialize(ds, tmp_path)
+    for dataset in (ds, deserialize(tmp_path, verify=True)):
+        for split in SPLIT_NAMES:
+            samples = dataset.splits[split]
+            labels = _split_arrays(task, dataset, split).labels
+            assert labels.dtype == np.intp
+            np.testing.assert_array_equal(labels, split_labels_reference(task, samples))
+
+
+def test_sample_values_are_fresh_dicts():
+    ct = from_values_task()  # 4^4 grid points: samples share points
+    samples = generate_dataset(ct).splits["train"]
+    before = [(s.points, s.values) for s in samples]
+    # sample i shares its first point with another sample; no dict is shared with it
+    starts = [s.points[0] for s in samples]
+    i = next(i for i, point in enumerate(starts) if starts.count(point) > 1)
+    first = samples[i].values
+    assert first is not samples[i].values
+    first[0][ct.spec.variables[0].name] = None
+    first[0]["extra"] = 1
+    assert [(s.points, s.values) for s in samples] == before
+    assert samples[i].values[0] in ct.solutions[samples[i].letters[0]].materialize()
+
+
 def test_sample_truths_are_fresh_dicts():
     ct = small_task()
     samples = generate_dataset(ct).splits["train"]
@@ -231,6 +265,16 @@ def test_serialize_rejects_a_sample_over_other_atoms(tmp_path):
     ds.splits["val"][1] = replace(sample, atoms=("x",) * len(sample.atoms))
     with pytest.raises(DomainError, match=r"sample val/1 is over atoms \['x'\]"):
         serialize(ds, tmp_path)
+
+
+def test_serialize_rejects_a_sample_over_other_variables(tmp_path):
+    ds = generate_dataset(small_task())
+    sample = ds.splits["test"][2]
+    renamed = tuple(replace(v, name=v.name.lower()) for v in sample.variables)
+    ds.splits["test"][2] = replace(sample, variables=renamed)
+    with pytest.raises(DomainError, match=r"sample test/2 is not over the dataset's variables"):
+        serialize(ds, tmp_path)
+    assert not (tmp_path / "sequences.csv").exists()  # checked before any row is written
 
 
 def test_walk_refills_a_one_word_block():

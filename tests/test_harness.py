@@ -280,6 +280,15 @@ def test_split_over_other_atoms_is_rejected():
         oracle_sweep(ct, ds, [OracleConfig()], engines=("exact",), seeds=(1,))
 
 
+def test_split_over_other_variables_is_rejected():
+    ct, ds = small_dataset()
+    sample = ds.splits["test"][3]
+    renamed = tuple(dataclasses.replace(v, name=v.name.lower()) for v in sample.variables)
+    ds.splits["test"][3] = dataclasses.replace(sample, variables=renamed)
+    with pytest.raises(DomainError, match=r"split 'test' is not over the task's variables \['W'"):
+        oracle_sweep(ct, ds, [OracleConfig()], engines=("exact",), seeds=(1,))
+
+
 def test_mp_successor_constructed_fixture():
     # hand-built dataset: state 0 fills 70% of steps in train and test
     from dataclasses import replace
@@ -294,7 +303,7 @@ def test_mp_successor_constructed_fixture():
             seq_id=seq_id,
             label=label,
             states=tuple(states),
-            values=template.values[:1] * n,
+            points=template.points[:1] * n,
             letters=template.letters[:1] * n,
         )
 

@@ -17,10 +17,16 @@ from ltlseq.constraints import VariableSpec
 from ltlseq.errors import LtlseqError, TaskCompileError
 from ltlseq.formulas import print_formula
 from ltlseq.generator import deserialize, generate_dataset, serialize
-from ltlseq.harness import METRIC_COLUMNS, ORACLE_TARGETS, OracleConfig, oracle_sweep
+from ltlseq.harness import (
+    METRIC_COLUMNS,
+    ORACLE_TARGETS,
+    OracleConfig,
+    _split_arrays,
+    oracle_sweep,
+)
 from ltlseq.inference import ENGINE_NAMES
 from ltlseq.tasks import TaskSpec, compile_task
-from oracles import ATOMS, constraint_holds, holds, rand_formula
+from oracles import ATOMS, constraint_holds, holds, rand_formula, split_labels_reference
 from test_constraints import rand_constraint, rand_domain
 
 SEEDS = range(100)
@@ -93,7 +99,13 @@ def check_end_to_end(tmp_path, seed, atoms):
         letters = [sum(1 << i for i, a in enumerate(task.atoms) if t[a]) for t in trace]
         assert task.dfa.run(letters) == list(sample.states), (split, sample.seq_id)
     serialize(ds, tmp_path)
-    assert deserialize(tmp_path, verify=True).splits == ds.splits
+    loaded = deserialize(tmp_path, verify=True)
+    assert loaded.splits == ds.splits
+    for dataset in (ds, loaded):
+        for split in ("train", "val", "test"):
+            labels = _split_arrays(task, dataset, split).labels
+            reference = split_labels_reference(task, dataset.splits[split])
+            assert (labels == reference).all(), split
     rows = oracle_sweep(task, ds, [OracleConfig()], engines=ENGINE_NAMES, seeds=(1,))
     assert [row["engine"] for row in rows] == list(ENGINE_NAMES)
     for row in rows:

@@ -14,6 +14,7 @@ from ltlseq.constraints import (
     SolutionBucket,
     SymbolicDomain,
     VariableSpec,
+    grid_assignments,
     parse_constraint,
     sample_solution,
 )
@@ -211,6 +212,29 @@ def test_from_dict_unknown_split():
         ("length.min", lambda d: d["length"].update(min=None)),
         ("length.max", lambda d: d["length"].update(max="ten")),
         ("positive_ratio", lambda d: d.update(positive_ratio="half")),
+        # numbers of another type are not truncated or coerced; explicit ids
+        # leave the ids above as they were
+        pytest.param("splits.train", lambda d: d["splits"].update(train=2.7), id="train-float"),
+        pytest.param("length.min", lambda d: d["length"].update(min=3.9), id="min-float"),
+        pytest.param("seed", lambda d: d.update(seed=1.5), id="seed-float"),
+        pytest.param("seed", lambda d: d.update(seed=True), id="seed-bool"),
+        pytest.param("seed", lambda d: d.update(seed="12"), id="seed-str"),
+        pytest.param("positive_ratio", lambda d: d.update(positive_ratio=True), id="ratio-bool"),
+        pytest.param(
+            "domains.digits.range",
+            lambda d: d["domains"].update(digits={"range": [0, 9.5]}),
+            id="range-float",
+        ),
+        pytest.param(
+            "domains.digits.range",
+            lambda d: d["domains"].update(digits={"range": [False, 9]}),
+            id="range-bool",
+        ),
+        pytest.param(
+            "domains.digits.values",
+            lambda d: d["domains"]["digits"].update(values=[v + 0.5 for v in range(10)]),
+            id="values-float",
+        ),
     ],
 )
 def test_from_dict_malformed_value_names_its_key(key, change):
@@ -543,11 +567,12 @@ def test_solution_buckets_equal_reference():
             assert (letter in ct.solutions) == bool(expected)
             lazy = ct.solutions.get(letter, ())
             assert len(lazy) == len(expected)
-            assert as_items(lazy) == expected  # point by point, before the tuple is built
+            # point by point, before the tuple is built
+            assert as_items(grid_assignments(list(lazy), spec.variables)) == expected
             eager = lazy.materialize() if expected else ()
             assert as_items(eager) == expected
             assert all(type(x) is int for a in eager for x in a.values())
-            assert all(type(x) is int for a in lazy for x in a.values())
+            assert all(type(point) is int for point in lazy)
             if not expected:
                 empty_letters += 1
                 with pytest.raises(UnsatisfiableLetterError):
@@ -567,8 +592,8 @@ def test_bucket_draws_equal_tuple_draws():
             letter = usable[int(pick.integers(len(usable)))]
             got = sample_solution(lazy_task.solutions[letter], lazy_rng)
             want = sample_solution(eager_task.solutions[letter].materialize(), eager_rng)
-            assert list(got.items()) == list(want.items())
-            got.clear()  # a fresh dict: later draws of this point are unaffected
+            (drawn,) = grid_assignments([got], spec.variables)
+            assert list(drawn.items()) == list(want.items())
 
 
 def test_compile_task_keeps_the_grid_grouped():
