@@ -251,7 +251,10 @@ def compile_sddnnf(f: PropFormula, max_vars: int = 30) -> Circuit:
     """
     names = prop_vars(f)
     if len(names) > max_vars:
-        raise ResourceLimitError(f"formula has {len(names)} variables (cap {max_vars})")
+        raise ResourceLimitError(
+            f"formula has {len(names)} variables, over the cap of {max_vars} variables "
+            "of one compiled circuit (max_vars)"
+        )
     order = _default_order(names)
 
     builder = _Builder()
@@ -381,7 +384,10 @@ def brute_force_wmc(
     """Oracle weighted model count by full assignment enumeration."""
     all_names = prop_vars(f) if names is None else frozenset(names) | prop_vars(f)
     if len(all_names) > max_vars:
-        raise ResourceLimitError(f"{len(all_names)} variables exceed oracle cap {max_vars}")
+        raise ResourceLimitError(
+            f"model count over {len(all_names)} variables, over the cap of {max_vars} "
+            "variables of one brute-force enumeration (max_vars)"
+        )
     total = s.zero
     for assignment in all_assignments(all_names):
         if eval_prop(f, assignment):

@@ -535,13 +535,19 @@ class SolutionBucket(Sequence[int]):
     """The assignments of one truth vector, as grid points in
     ``itertools.product`` order.
 
-    ``bucket[i]`` is the i-th point, an int; ``materialize()`` reads every
-    assignment off the points as fresh dicts.
+    ``bucket[i]`` is the i-th point, an int, and ``points`` all of them as
+    one int array; ``materialize()`` reads every assignment off the points as
+    fresh dicts.
     """
 
     def __init__(self, variables: Sequence[VariableSpec], flat: np.ndarray) -> None:
         self._flat = flat
         self._variables = tuple(variables)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The grid points, in order, as one int array (not a copy)."""
+        return self._flat
 
     def __len__(self) -> int:
         return len(self._flat)

@@ -9,13 +9,18 @@ label — no rejection sampling.
 All randomness is derived from the master seed through per-(split, sequence)
 hashes, so datasets are reproducible byte for byte and sequences can be
 generated independently in any order.  Each sequence's stream is
-``np.random.default_rng(hash)``; ``generate_dataset`` reads it through
-``_Draws``, which fetches the stream's PCG64 words in blocks and draws each
-``integers(n)`` from them exactly as numpy would, without numpy's per-call
-cost.  The bytes therefore rest on the ``SeedSequence`` and PCG64 raw
-streams, which NEP 19 keeps stable across numpy versions, and on Lemire's
-bounded draw as numpy >= 1.17 implements it, which
-``tests/test_generator.py`` pins against ``Generator.integers``.
+``np.random.default_rng(hash)``, and ``generate_sequence`` on it is the
+scalar reference walk.  ``generate_dataset`` walks all sequences of a split
+at once instead (``_lockstep``): it stacks the first ``length + 1`` PCG64
+words of each stream, and at each time step draws every walk's letter from
+``CompiledTask.feasible`` and then its grid point from the flat bucket
+array, by 32-bit Lemire on each walk's own half words, exactly as numpy's
+``integers(n)`` would.  A walk whose draw Lemire would reject is redone by
+``generate_sequence`` on ``_Draws``, which reads the stream's words in blocks
+with numpy's scalar draw rules.  The bytes therefore rest on the
+``SeedSequence`` and PCG64 raw streams, which NEP 19 keeps stable across
+numpy versions, and on Lemire's bounded draw as numpy >= 1.17 implements
+it, which ``tests/test_generator.py`` pins against ``Generator.integers``.
 
 A sample stores two ints per step: the grid point of its assignment over
 ``variables`` (``constraints.grid_positions``) and its letter, bit i the
@@ -224,6 +229,18 @@ def _integer(name: str, value, low: int, high: int) -> int:
     return int(value)
 
 
+def _checked_plan(task: CompiledTask, label, length) -> tuple[int, int]:
+    """``(label, length)`` as ints, else DomainError: a walk needs a length
+    inside the reach table and a label reachable at it."""
+    label = _integer("label", label, 0, 1)
+    length = _integer("length", length, 1, len(task.reach) - 1)
+    if not task.reach[length][task.dfa.initial][label]:
+        raise DomainError(
+            f"task {task.spec.name!r}: label {label} unreachable at length {length}"
+        )
+    return label, length
+
+
 def generate_sequence(
     task: CompiledTask,
     label: int,
@@ -234,15 +251,10 @@ def generate_sequence(
     """One walk of ``length`` steps ending with the requested label.
 
     ``rng`` is any source with numpy's ``integers(n)``; each step draws the
-    letter, then (in ``sample_solution``) its grid point.
+    letter, then (in ``sample_solution``) its grid point.  This is the scalar
+    reference of ``generate_dataset``'s lockstep walk.
     """
-    label = _integer("label", label, 0, 1)
-    length = _integer("length", length, 1, len(task.reach) - 1)
-    if not task.reach[length][task.dfa.initial][label]:
-        raise DomainError(
-            f"task {task.spec.name!r}: label {label} unreachable at length {length}"
-        )
-    # looked up once per walk; the calls stay one per step (the benchmark's tracer counts them)
+    label, length = _checked_plan(task, label, length)
     feasible, buckets = task.feasible_letters, task.solutions
     transitions, draw = task.dfa.transitions, rng.integers
     state = task.dfa.initial
@@ -271,24 +283,136 @@ def _split_plan(spec: TaskSpec, split: str) -> list[tuple[int, int]]:
     return list(zip(labels, (int(x) for x in lengths)))
 
 
+def _split_words(seed: int, split: str, lengths: Sequence[int]) -> np.ndarray:
+    """Row i: the first ``lengths[i] + 1`` PCG64 words of sequence i's
+    stream, what ``_Draws`` fetches first, zero-padded to the longest row."""
+    words = np.zeros((len(lengths), max(lengths, default=0) + 1), dtype=np.uint64)
+    for i, length in enumerate(lengths):
+        bitgen = np.random.PCG64(_sequence_seed(seed, split, i))
+        words[i, : length + 1] = bitgen.random_raw(length + 1)
+    return words
+
+
+# numpy scalars, so the walk's uint64 arithmetic stays uint64
+_WORD, _HALF, _SHIFT = np.uint64(1 << 32), np.uint64(_LOW32), np.uint64(32)
+
+
+def _lockstep(
+    task: CompiledTask, labels: np.ndarray, lengths: np.ndarray, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every walk of a split at once, one array step per time step.
+
+    Walk i has ``labels[i]``, ``lengths[i]`` and the words ``words[i]``.
+    Returns its letters (as positions in ``task.usable_letters``), grid
+    points and states as rows of three walks × max-length arrays, and a
+    mask of the walks to redo with ``generate_sequence``.
+
+    Each step draws the letter, then its grid point, as ``_Draws.integers``
+    does: 32-bit Lemire on the walk's next half word (a word's low half,
+    then its high half); a bound of 1 reads nothing.  Letter sets hold at
+    most 2^16 letters and buckets at most 2^24 points, so every bound takes
+    the 32-bit path.  A draw that Lemire would reject marks its walk for the
+    redo.  Two draws a step read at most ``2 * length`` halves of the
+    ``length + 1`` words, so no walk runs out of its words.
+    """
+    table = task.feasible
+    ids, members, successors = table.ids, table.members, table.successors
+    counts = table.counts.astype(np.uint64)
+    # Lemire rejects a low half below its floor; a walk never meets an empty set
+    count_floor = _WORD % np.maximum(counts, np.uint64(1))
+    buckets = [task.solutions[letter] for letter in task.usable_letters]
+    sizes = np.array([len(b) for b in buckets], dtype=np.uint64)
+    size_floor = _WORD % sizes
+    offsets = (np.cumsum(sizes) - sizes).astype(np.intp)
+    points = np.concatenate([b.points for b in buckets])
+    accepting = np.zeros(task.dfa.n_states, dtype=bool)
+    accepting[list(task.dfa.accepting)] = True
+
+    # walks longest first, so the walks still going at step t are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    labels, lengths = labels[order], lengths[order]
+    n, steps = len(lengths), int(lengths.max(initial=0))
+    words = words[order]
+    halves = np.empty((n, 2 * words.shape[1]), dtype=np.uint64)
+    halves[:, 0::2] = words & _HALF
+    halves[:, 1::2] = words >> _SHIFT
+    halves = halves.ravel()
+    cursor = np.arange(n, dtype=np.intp) * (2 * words.shape[1])
+    state = np.full(n, task.dfa.initial, dtype=np.intp)
+    redo = np.zeros(n, dtype=bool)
+    # letter positions, points and states: below 2^16, 2^24 and MAX_DFA_STATES
+    out = np.zeros((3, n, steps), dtype=np.int32)
+    going = np.count_nonzero(lengths[:, None] > np.arange(steps), axis=0)
+    for t, k in enumerate(going.tolist()):
+        at, s = cursor[:k], state[:k]
+        set_id = ids[lengths[:k] - t - 1, s, labels[:k]]
+        bound = counts[set_id]
+        m = halves[at] * bound
+        rejected = m & _HALF < count_floor[set_id]
+        at = at + (bound > 1)
+        u = members[set_id, (m >> _SHIFT).astype(np.intp)]
+        bound = sizes[u]
+        m = halves[at] * bound
+        rejected |= m & _HALF < size_floor[u]
+        cursor[:k] = at + (bound > 1)
+        redo[:k] |= rejected
+        s = state[:k] = successors[s, u]
+        out[0, :k, t] = u
+        out[1, :k, t] = points[offsets[u] + (m >> _SHIFT).astype(np.intp)]
+        out[2, :k, t] = s
+    assert (accepting[state] == labels.astype(bool))[~redo].all()
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    return out[0, back], out[1, back], out[2, back], redo[back]
+
+
+def _generate_split(task: CompiledTask, split: str) -> list[SequenceSample]:
+    """The samples of one split: ``_lockstep`` on the words of
+    ``_split_words``, and a redone walk on its ``_Draws`` for each walk it
+    marks."""
+    spec = task.spec
+    plan = _split_plan(spec, split)
+    for label, length in dict.fromkeys(plan):  # distinct pairs, first in plan order
+        _checked_plan(task, label, length)
+    labels = np.array([label for label, _ in plan], dtype=np.intp)
+    lengths = np.array([length for _, length in plan], dtype=np.intp)
+    words = _split_words(spec.seed, split, lengths.tolist())
+    *walked, redo = _lockstep(task, labels, lengths, words)
+    # each array's steps, walk after walk in one flat list: no list per walk
+    taken = np.arange(walked[0].shape[1]) < lengths[:, None]
+    uses, points, states = (a[taken].tolist() for a in walked)
+    # the letters are the usable_letters ints themselves: one object per letter
+    letters = list(map(task.usable_letters.__getitem__, uses))
+    variables, atoms = spec.variables, task.atoms
+    samples = []
+    end = 0
+    for i, ((label, length), again) in enumerate(zip(plan, redo.tolist())):
+        start, end = end, end + length
+        if again:
+            draws = _Draws(_sequence_seed(spec.seed, split, i), length + 1)
+            samples.append(generate_sequence(task, label, length, draws, seq_id=i))
+        else:
+            samples.append(
+                SequenceSample(
+                    i, label, tuple(points[start:end]), variables,
+                    tuple(letters[start:end]), atoms, tuple(states[start:end]),
+                )
+            )
+    return samples
+
+
 def generate_dataset(source: TaskSpec | CompiledTask, jobs: int = 1) -> Dataset:
     """Full train/val/test dataset for a task, deterministic in its seed.
 
-    Each sequence draws from its own ``(seed, split, index)`` stream, read
-    through ``_Draws`` with one block of ``length + 1`` PCG64 words (about
-    one word per step); the sequence equals ``generate_sequence`` on
-    ``_sequence_rng(seed, split, index)``.  ``jobs`` is accepted for
-    compatibility and starts no threads: the walks hold the GIL, so worker
-    threads never ran them faster.
+    Each sequence draws from its own ``(seed, split, index)`` stream, and
+    equals ``generate_sequence`` on ``_sequence_rng(seed, split, index)``.
+    The walks of a split run in lockstep (``_lockstep``), each on the first
+    ``length + 1`` words of its stream.  ``jobs`` is accepted for
+    compatibility and starts no threads.
     """
     task = source if isinstance(source, CompiledTask) else compile_task(source)
     spec = task.spec
-    splits: dict[str, list[SequenceSample]] = {}
-    for split in SPLIT_NAMES:
-        samples = splits[split] = []
-        for i, (label, length) in enumerate(_split_plan(spec, split)):
-            draws = _Draws(_sequence_seed(spec.seed, split, i), length + 1)
-            samples.append(generate_sequence(task, label, length, draws, seq_id=i))
+    splits = {split: _generate_split(task, split) for split in SPLIT_NAMES}
     metadata = {
         "spec": spec.to_dict(),
         "spec_hash": spec.spec_hash,

@@ -9,6 +9,7 @@ DFA, the ``constraints.solution_buckets`` of the constraints sorted by name
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -176,6 +177,18 @@ class TaskSpec:
             except (TypeError, OverflowError) as err:
                 raise TaskFileError(f"{where}: {key}: malformed value ({err})") from err
 
+        def text(key: str, value: object) -> str:
+            """``value`` if it is a str: YAML's ``yes`` or ``12`` is no text here."""
+            if not isinstance(value, str):
+                raise TaskFileError(f"{where}: {key}: malformed value ({value!r} is not a string)")
+            return value
+
+        def labels(name: str, body: Mapping) -> list[str]:
+            key, value = f"domains.{name}.labels", body["labels"]
+            if not isinstance(value, (list, tuple)):
+                raise TaskFileError(f"{where}: {key}: malformed value ({value!r} is not a list)")
+            return [text(key, label) for label in value]
+
         try:
             domains = {}
             for name, body in dict(need("domains")).items():
@@ -186,13 +199,9 @@ class TaskSpec:
                     domains[name] = SymbolicDomain.from_range(name, lo, hi)
                 elif "values" in body:
                     values = [number(f"domains.{name}.values", v) for v in body["values"]]
-                    domains[name] = SymbolicDomain.from_values(
-                        name, [str(l) for l in body["labels"]], values
-                    )
+                    domains[name] = SymbolicDomain.from_values(name, labels(name, body), values)
                 elif "labels" in body:
-                    domains[name] = SymbolicDomain.from_labels(
-                        name, [str(l) for l in body["labels"]]
-                    )
+                    domains[name] = SymbolicDomain.from_labels(name, labels(name, body))
                 else:
                     raise TaskFileError(
                         f"{where}: domain {name!r} needs 'range', 'labels', or "
@@ -202,18 +211,17 @@ class TaskSpec:
             for name, body in dict(need("variables")).items():
                 if not isinstance(body, Mapping) or "domain" not in body:
                     raise TaskFileError(f"{where}: variable {name!r} needs a 'domain' key")
-                dom = domains.get(str(body["domain"]))
+                dom = domains.get(text(f"variables.{name}.domain", body["domain"]))
                 if dom is None:
                     raise TaskFileError(
                         f"{where}: variable {name!r} references unknown domain "
                         f"{body['domain']!r}"
                     )
-                variables.append(
-                    VariableSpec(name=name, domain=dom, source=str(body.get("source", "")))
-                )
+                source = text(f"variables.{name}.source", body.get("source", ""))
+                variables.append(VariableSpec(name=name, domain=dom, source=source))
             constraints = tuple(
-                parse_constraint(name, str(text))
-                for name, text in dict(need("constraints")).items()
+                parse_constraint(name, text(f"constraints.{name}", body))
+                for name, body in dict(need("constraints")).items()
             )
             length = need("length")
             if not isinstance(length, Mapping) or not {"min", "max"} <= set(length):
@@ -223,11 +231,11 @@ class TaskSpec:
             if unknown:
                 raise TaskFileError(f"{where}: unknown splits {sorted(unknown)}")
             spec = cls(
-                name=str(need("name")),
+                name=text("name", need("name")),
                 domains=tuple(domains.values()),
                 variables=tuple(variables),
                 constraints=constraints,
-                formula=str(need("formula")),
+                formula=text("formula", need("formula")),
                 min_length=number("length.min", length["min"]),
                 max_length=number("length.max", length["max"]),
                 splits=tuple(number(f"splits.{s}", split_map.get(s, 0)) for s in SPLIT_NAMES),
@@ -265,6 +273,53 @@ def save_task_yaml(spec: TaskSpec, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(spec.to_dict(), sort_keys=False), encoding="utf-8")
 
 
+@dataclass(frozen=True, eq=False)
+class FeasibleTable:
+    """Every answer of ``CompiledTask.feasible_letters``, as arrays.
+
+    ``ids[remaining - 1, state, label]`` is the id of the letter set that
+    keeps ``label`` reachable from ``state`` in ``remaining`` steps.  Set
+    ``i`` is stored once: its letters are the positions
+    ``members[i, :counts[i]]`` of ``usable_letters``, in ascending order
+    (the rest of the row is padding).  ``successors[state, u]`` is the state
+    after letter ``usable_letters[u]``.
+    """
+
+    ids: np.ndarray
+    members: np.ndarray
+    counts: np.ndarray
+    successors: np.ndarray
+
+
+def _feasible_table(
+    dfa: Dfa, usable: tuple[int, ...], reach: list[list[tuple[bool, bool]]]
+) -> FeasibleTable:
+    """The table of ``feasible_letters``, built once per *distinct* reach
+    row: rows repeat once the walk's horizon is past the automaton's depth
+    (fam10: 3 distinct rows of 21), so its cost stops growing with
+    ``max_length``."""
+    successors = np.array(dfa.transitions, dtype=np.intp)[:, list(usable)]
+    distinct: dict[tuple, int] = {}
+    row_ids = [distinct.setdefault(tuple(row), len(distinct)) for row in reach]
+    sets: dict[bytes, int] = {}
+    masks = []
+    set_ids = np.empty((len(distinct), dfa.n_states, 2), dtype=np.int32)
+    for d, row in enumerate(distinct):
+        # ok[s, label, u]: usable letter u from s keeps label reachable on this row
+        ok = np.array(row, dtype=bool)[successors].transpose(0, 2, 1)
+        keys = np.packbits(ok, axis=-1)
+        for s in range(dfa.n_states):
+            for label in (0, 1):
+                i = set_ids[d, s, label] = sets.setdefault(keys[s, label].tobytes(), len(sets))
+                if i == len(masks):
+                    masks.append(ok[s, label])
+    counts = np.array([np.count_nonzero(m) for m in masks], dtype=np.intp)
+    members = np.zeros((len(masks), max(counts, default=0)), dtype=np.int32)
+    for i, mask in enumerate(masks):
+        members[i, : counts[i]] = np.flatnonzero(mask)
+    return FeasibleTable(set_ids[row_ids], members, counts, successors)
+
+
 @dataclass
 class CompiledTask:
     """A task spec plus everything derived from it, ready for generation.
@@ -276,10 +331,8 @@ class CompiledTask:
     tells, for each label, whether a walk of exactly ``r`` further steps from
     state ``s`` can end with that label using only usable letters.
 
-    ``feasible_letters`` memoizes its answer per ``(state, remaining, label)``
-    on the instance, one shared tuple per distinct letter set, so a dataset's
-    walks filter ``usable_letters`` at most once per key instead of once per
-    step.
+    ``feasible`` is the ``FeasibleTable`` of every ``feasible_letters``
+    answer, built on first use and kept.
     """
 
     spec: TaskSpec
@@ -288,12 +341,6 @@ class CompiledTask:
     usable_letters: tuple[int, ...]
     reach: list[list[tuple[bool, bool]]]
     _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _feasible: dict[tuple[int, int, int], tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _letter_sets: dict[tuple[int, ...], tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -312,25 +359,21 @@ class CompiledTask:
     def truth_letter(self, truths: Mapping[str, bool]) -> int:
         return letter_of(truths, self.atoms)
 
+    @functools.cached_property
+    def feasible(self) -> FeasibleTable:
+        return _feasible_table(self.dfa, self.usable_letters, self.reach)
+
     def feasible_letters(self, state: int, remaining: int, label: int) -> tuple[int, ...]:
         """Usable letters from ``state`` keeping ``label`` reachable in ``remaining`` steps."""
-        key = (state, remaining, label)
-        cached = self._feasible.get(key)
-        if cached is None:
-            if not 0 <= state < self.dfa.n_states:
-                raise DomainError(f"state {state} outside [0, {self.dfa.n_states})")
-            if label not in (0, 1):
-                raise DomainError(f"label {label} is neither 0 nor 1")
-            if not 1 <= remaining <= len(self.reach):
-                raise DomainError(f"remaining steps {remaining} outside [1, {len(self.reach)}]")
-            row = self.reach[remaining - 1]
-            successors = self.dfa.transitions[state]
-            letters = tuple(
-                letter for letter in self.usable_letters if row[successors[letter]][label]
-            )
-            # keys share few distinct sets (fam10: 53 for 1,171 keys); keep one tuple each
-            cached = self._feasible[key] = self._letter_sets.setdefault(letters, letters)
-        return cached
+        if not 0 <= state < self.dfa.n_states:
+            raise DomainError(f"state {state} outside [0, {self.dfa.n_states})")
+        if label not in (0, 1):
+            raise DomainError(f"label {label} is neither 0 nor 1")
+        if not 1 <= remaining <= len(self.reach):
+            raise DomainError(f"remaining steps {remaining} outside [1, {len(self.reach)}]")
+        table = self.feasible
+        i = table.ids[remaining - 1, state, label]
+        return tuple(self.usable_letters[u] for u in table.members[i, : table.counts[i]].tolist())
 
     def indicator(self, atom: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Cached 0/1 tensor of the named constraint over its domain grid."""

@@ -233,8 +233,28 @@ def test_amc_missing_weight():
 
 def test_compile_variable_cap():
     f = pand([PVar(f"v{i}") for i in range(31)])
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^formula has 31 variables, over the cap of 30 variables of one compiled "
+        r"circuit \(max_vars\)$",
+    ):
         compile_sddnnf(f)
+    with pytest.raises(ResourceLimitError, match=r"over the cap of 8 variables .*\(max_vars\)$"):
+        compile_sddnnf(f, max_vars=8)
+    compile_sddnnf(f, max_vars=31)  # the cap itself compiles
+
+
+def test_brute_force_variable_cap():
+    f = pand([PVar(f"v{i}") for i in range(21)])
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^model count over 21 variables, over the cap of 20 variables of one "
+        r"brute-force enumeration \(max_vars\)$",
+    ):
+        brute_force_wmc(f, {}, PROB)
+    # names outside the formula count toward the cap
+    with pytest.raises(ResourceLimitError, match=r"over 3 variables, over the cap of 2 "):
+        brute_force_wmc(PVar("a"), {}, PROB, names=["b", "c"], max_vars=2)
 
 
 # ---------------------------------------------------------------------------

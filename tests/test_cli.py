@@ -78,6 +78,28 @@ def test_compile_malformed_yaml(tmp_path):
     assert "bad.yaml" in result.output
 
 
+def test_generate_rejects_yaml_labels_that_are_not_strings(tmp_path):
+    # YAML reads yes/no as booleans: they are not coerced to "True"/"False"
+    path = tmp_path / "yesno.yaml"
+    path.write_text(
+        "name: yesno\n"
+        "domains: {answer: {labels: [yes, no]}}\n"
+        "variables: {A: {domain: answer}}\n"
+        "constraints: {p: 'A = 0'}\n"
+        "formula: F p\n"
+        "length: {min: 2, max: 4}\n"
+        "splits: {train: 4, val: 2, test: 2}\n"
+    )
+    result = run("generate", str(path), "-o", str(tmp_path / "out"))
+    assert result.exit_code == 2
+    assert "domains.answer.labels: malformed value (True is not a string)" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+    quoted = path.read_text().replace("[yes, no]", "['yes', 'no']")
+    path.write_text(quoted)
+    assert run("generate", str(path), "-o", str(tmp_path / "out")).exit_code == 0
+
+
 def test_compile_non_utf8_yaml(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_bytes(b"name: t\xe9st\n")

@@ -30,7 +30,7 @@ from ltlseq.harness import _split_arrays
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import SPLIT_NAMES, CompiledTask, compile_task
 from oracles import split_labels_reference
-from test_tasks import family_spec
+from test_tasks import family_spec, small_spec
 
 
 def small_task(**overrides):
@@ -175,10 +175,10 @@ def reference_splits(task):
     }
 
 
-@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "from_values"])
+@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "fam10", "from_values"])
 def test_dataset_equals_reference_loop(name):
-    if name == "fam6":
-        task = compile_task(replace(family_spec(6), splits=(40, 10, 10)))
+    if name.startswith("fam"):
+        task = compile_task(replace(family_spec(int(name[3:])), splits=(40, 10, 10)))
     elif name == "from_values":
         task = from_values_task()
         assert min(len(task.solutions[letter]) for letter in task.usable_letters) == 1
@@ -285,7 +285,7 @@ def test_walk_refills_a_one_word_block():
         assert generate_sequence(task, i % 2, 20, draws) == expected
 
 
-def test_walk_calls_letters_and_solutions_once_per_step(monkeypatch):
+def test_only_the_scalar_walk_calls_letters_and_solutions_per_step(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -301,9 +301,99 @@ def test_walk_calls_letters_and_solutions_once_per_step(monkeypatch):
     monkeypatch.setattr(
         CompiledTask, "feasible_letters", counted("feasible_letters", CompiledTask.feasible_letters)
     )
-    ds = generate_dataset(small_task())
-    steps = sum(sample.length for _, sample in ds)
-    assert calls == {"sample_solution": steps, "feasible_letters": steps}
+    task = small_task()
+    generate_dataset(task)
+    assert calls == {}  # the lockstep walk reads the tables, not the per-step helpers
+    generate_sequence(task, 1, 12, np.random.default_rng(0))
+    assert calls == {"sample_solution": 12, "feasible_letters": 12}
+
+
+def plan_arrays(task, split):
+    plan = _split_plan(task.spec, split)
+    labels = np.array([label for label, _ in plan], dtype=np.intp)
+    lengths = np.array([length for _, length in plan], dtype=np.intp)
+    return labels, lengths
+
+
+def reject_first_draw(task, split, words, draw):
+    """Zero the half word that the first ``draw`` ("letter" or "point") of
+    some walk of ``split`` reads, where its bound is not a power of two, so
+    Lemire rejects it: 0 is below its floor ``2^32 mod bound``.  Returns
+    the walk's index."""
+    seed = task.spec.seed
+    for i, (label, length) in enumerate(_split_plan(task.spec, split)):
+        bound = len(task.feasible_letters(task.dfa.initial, length, label))
+        if draw == "point":
+            # the letter draw reads the low half (if it reads one), the point the next
+            first = generate_sequence(task, label, length, _sequence_rng(seed, split, i))
+            high, bound = bound > 1, len(task.solutions[first.letters[0]])
+        else:
+            high = False
+        if bound & (bound - 1):
+            words[i, 0] &= np.uint64(0xFFFFFFFF if high else 0xFFFFFFFF00000000)
+            return i
+    raise AssertionError(f"every first {draw} bound is a power of two")
+
+
+@pytest.mark.parametrize("draw", ["letter", "point"])
+def test_lockstep_marks_a_rejected_draw(draw):
+    task = compile_task(replace(family_spec(6), splits=(40, 10, 10)))
+    labels, lengths = plan_arrays(task, "train")
+    words = generator._split_words(task.spec.seed, "train", lengths.tolist())
+    i = reject_first_draw(task, "train", words, draw)
+    uses, points, states, redo = generator._lockstep(task, labels, lengths, words)
+    assert np.flatnonzero(redo).tolist() == [i]
+    letters = np.array(task.usable_letters)[uses]
+    for j, (label, length) in enumerate(zip(labels.tolist(), lengths.tolist())):
+        if j == i:
+            continue
+        sample = generate_sequence(
+            task, label, length, _sequence_rng(task.spec.seed, "train", j), seq_id=j
+        )
+        assert tuple(letters[j, :length].tolist()) == sample.letters
+        assert tuple(points[j, :length].tolist()) == sample.points
+        assert tuple(states[j, :length].tolist()) == sample.states
+
+
+@pytest.mark.parametrize("draw", ["letter", "point"])
+def test_rejected_walk_is_redone_on_its_stream(monkeypatch, draw):
+    task = compile_task(replace(family_spec(6), splits=(40, 10, 10)))
+    split_words, lockstep = generator._split_words, generator._lockstep
+    rejected, marked = [], []
+
+    def words_with_a_rejection(seed, split, lengths):
+        words = split_words(seed, split, lengths)
+        if split == "val":
+            rejected.append(reject_first_draw(task, split, words, draw))
+        return words
+
+    def spy(*args):
+        result = lockstep(*args)
+        marked.append(np.flatnonzero(result[3]).tolist())
+        return result
+
+    monkeypatch.setattr(generator, "_split_words", words_with_a_rejection)
+    monkeypatch.setattr(generator, "_lockstep", spy)
+    assert generate_dataset(task).splits == reference_splits(task)
+    assert marked == [[], rejected, []]
+
+
+def test_unreachable_plan_raises_the_reference_error():
+    # X X p is false on every walk of one or two steps
+    compiled = compile_task(small_spec(formula="X X p", min_length=3, max_length=6))
+    task = replace(compiled, spec=replace(compiled.spec, min_length=1))
+    label, length = next(
+        pair
+        for split in SPLIT_NAMES
+        for pair in _split_plan(task.spec, split)
+        if not task.reach[pair[1]][task.dfa.initial][pair[0]]
+    )
+    with pytest.raises(DomainError) as reference:
+        generate_sequence(task, label, length, np.random.default_rng(0))
+    assert str(reference.value) == f"task 'small': label 1 unreachable at length {length}"
+    with pytest.raises(DomainError) as lockstep:
+        generate_dataset(task)
+    assert str(lockstep.value) == str(reference.value)
 
 
 @pytest.mark.parametrize(

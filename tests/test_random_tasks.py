@@ -28,6 +28,7 @@ from ltlseq.inference import ENGINE_NAMES
 from ltlseq.tasks import TaskSpec, compile_task
 from oracles import ATOMS, constraint_holds, holds, rand_formula, split_labels_reference
 from test_constraints import rand_constraint, rand_domain
+from test_generator import reference_splits
 
 SEEDS = range(100)
 # one atom, and four: the alphabet's edges around p, q, r
@@ -89,6 +90,7 @@ def check_end_to_end(tmp_path, seed, atoms):
     spec, formula, task = realizable_task(seed, atoms)
     constraints = {c.name: c for c in spec.constraints}
     ds = generate_dataset(task)
+    assert ds.splits == reference_splits(task)  # the lockstep walk against the scalar one
     for split, sample in ds:
         assert sample.length == len(sample.truths) == len(sample.states)
         assert spec.min_length <= sample.length <= spec.max_length

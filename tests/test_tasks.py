@@ -29,6 +29,7 @@ from ltlseq.errors import (
 )
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import (
+    _MAX_LENGTH,
     CompiledTask,
     TaskSpec,
     _reach_table,
@@ -235,6 +236,31 @@ def test_from_dict_unknown_split():
             lambda d: d["domains"]["digits"].update(values=[v + 0.5 for v in range(10)]),
             id="values-float",
         ),
+        # text fields are not passed through str(): YAML's 12 or yes is no name or label
+        pytest.param("name", lambda d: d.update(name=12), id="name-int"),
+        pytest.param("formula", lambda d: d.update(formula=True), id="formula-bool"),
+        pytest.param("constraints.p", lambda d: d["constraints"].update(p=5), id="constraint-int"),
+        pytest.param(
+            "domains.digits.labels",
+            lambda d: d["domains"]["digits"].update(labels=[True, False, *"23456789"]),
+            id="labels-bool",
+        ),
+        pytest.param(
+            "domains.digits.labels",
+            lambda d: d["domains"].update(digits={"labels": list(range(10))}),
+            id="labels-only-int",
+        ),
+        pytest.param(
+            "domains.digits.labels",
+            lambda d: d["domains"].update(digits={"labels": "0123456789"}),
+            id="labels-str",
+        ),
+        pytest.param(
+            "variables.W.domain", lambda d: d["variables"]["W"].update(domain=7), id="domain-int"
+        ),
+        pytest.param(
+            "variables.W.source", lambda d: d["variables"]["W"].update(source=7), id="source-int"
+        ),
     ],
 )
 def test_from_dict_malformed_value_names_its_key(key, change):
@@ -367,8 +393,6 @@ LONG_TASK_ERROR = (
 
 
 def test_a_length_over_the_cap_is_rejected_before_compiling(tmp_path):
-    from ltlseq.tasks import _MAX_LENGTH
-
     path = tmp_path / "long.yaml"
     path.write_text(LONG_TASK_YAML)
     with pytest.raises(TaskFileError) as exc:
@@ -670,6 +694,18 @@ def test_feasible_letters_equal_reference(name):
     for key in bad * 2:  # a bad key is never answered, so never remembered
         with pytest.raises(DomainError):
             ct.feasible_letters(*key)
+
+
+@pytest.mark.parametrize("name", ["task3", "task6"])
+def test_feasible_table_is_sized_by_distinct_reach_rows(name):
+    short = compile_task(builtin_task(name))
+    long = compile_task(replace(builtin_task(name), max_length=_MAX_LENGTH - 1))
+    assert len(long.reach) == _MAX_LENGTH
+    assert len(long.feasible.counts) <= len(short.feasible.counts)
+    assert long.feasible.members.shape == short.feasible.members.shape
+    assert long.feasible_letters(long.dfa.initial, _MAX_LENGTH, 1) == long.feasible_letters(
+        long.dfa.initial, 20, 1
+    )
 
 
 def test_compiled_tasks_compare_after_indicator(monkeypatch):
