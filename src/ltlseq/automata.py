@@ -13,6 +13,7 @@ checks.  The per-entry form written before it still loads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -65,16 +66,24 @@ class Dfa:
     def to_json_dict(self) -> dict:
         """The stored form: ``transitions`` holds one row per state, row ``s``
         listing ``δ(s, letter)`` for letters ``0 … 2^k − 1``, and ``sha256``
-        is the digest of the rest of the document (see ``_sha256``)."""
-        doc = {
+        is the digest of the rest of the document (``digest``).  Every call
+        builds fresh lists, so a caller may change what it gets."""
+        return self._json_body() | {"sha256": self.digest}
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """``_sha256`` of the stored form without its digest; computed on
+        first read, then kept (the automaton is frozen)."""
+        return _sha256(self._json_body())
+
+    def _json_body(self) -> dict:
+        return {
             "atoms": list(self.atoms),
             "states": self.n_states,
             "initial": self.initial,
             "accepting": sorted(self.accepting),
             "transitions": list(map(list, self.transitions)),
         }
-        doc["sha256"] = _sha256(doc)
-        return doc
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dfa":
@@ -124,7 +133,7 @@ class Dfa:
         digest = data["sha256"]
         if not isinstance(digest, str):
             raise DomainError(f"DFA sha256 {digest!r} is not a hex digest string")
-        actual = dfa.to_json_dict()["sha256"]
+        actual = dfa.digest
         if digest != actual:
             raise IntegrityError(f"DFA sha256 {digest!r} does not match its automaton ({actual})")
         return dfa

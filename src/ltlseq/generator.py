@@ -29,6 +29,12 @@ the ``*_label`` and ``*_truth`` cells from them, ``deserialize`` decodes the
 cells into them and the verified load replays the letters.
 ``SequenceSample.values`` and ``.truths`` read dicts off them.
 
+``serialize`` checks every sample and renders ``metadata.json`` before it
+opens a file.  It renders each domain label once with ``csv`` itself, then
+the ``*_label`` text of each distinct grid point and the ``*_truth`` text of
+each distinct letter, and joins each row from those pieces; the rows of a
+sample go out in one ``writelines``.
+
 ``deserialize`` decodes ``sequences.csv`` in one pass, each row straight
 into the sequence of its (split, seq_id).
 """
@@ -477,54 +483,93 @@ def _columns(spec: TaskSpec, atoms: Sequence[str], with_indices: bool) -> list[s
 
 
 def serialize(ds: Dataset, out_dir: str | Path) -> None:
-    """Write ``sequences.csv`` and ``metadata.json`` (through
-    ``write_summary_json``); output is byte-stable."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write ``sequences.csv`` and ``metadata.json`` (as
+    ``write_summary_json`` writes it); output is byte-stable.
+
+    Every sample is checked, and the metadata rendered, before any file is
+    opened, so a refused dataset leaves ``out_dir`` as it was.  A row is
+    joined from cells rendered once: each label as ``csv`` quotes it, the
+    ``*_label`` cells of each distinct grid point and the ``*_truth`` cells
+    of each distinct letter.
+    """
     atoms = list(ds.metadata["atoms"])
     variables = ds.spec.variables
-    for split, sample in ds:
-        if list(sample.atoms) != atoms:
-            raise DomainError(
-                f"sample {split}/{sample.seq_id} is over atoms {list(sample.atoms)}, "
-                f"the dataset over {atoms}"
-            )
-        if sample.variables != variables:
-            raise DomainError(
-                f"sample {split}/{sample.seq_id} is not over the dataset's variables "
-                f"{[v.name for v in variables]}"
-            )
     with_indices = any(s.indices is not None for _, s in ds)
-    # a grid point -> its *_label cells, for the dataset's distinct points at once
-    steps = itertools.chain.from_iterable(s.points for _, s in ds)
-    points = np.unique(np.fromiter(steps, np.int64))
+    index_cells = [_index_cells(split, s, atoms, variables, with_indices) for split, s in ds]
+    metadata = _summary_text(ds.metadata)
+    points = list(dict.fromkeys(itertools.chain.from_iterable(s.points for _, s in ds)))
     positions = grid_positions(points, variables)
     columns = [
-        np.array(v.domain.labels, dtype=object)[positions[:, i]].tolist()
+        np.array(list(map(_label_cell, v.domain.labels)), dtype=object)[positions[:, i]].tolist()
         for i, v in enumerate(variables)
     ]
-    label_cells = dict(zip(points.tolist(), zip(*columns) if columns else [()] * len(points)))
-    # a letter -> its 0/1 *_truth cells, built once per distinct letter
-    truth_cells: dict[int, list[int]] = {}
+    cells = map("".join, zip(*columns)) if columns else itertools.repeat("")
+    label_cells = dict(zip(points, cells))
+    truth_cells = {
+        letter: "".join(",1" if letter >> i & 1 else ",0" for i in range(len(atoms)))
+        for letter in set(itertools.chain.from_iterable(s.letters for _, s in ds))
+    }
+    times = list(map(str, range(max((s.length for _, s in ds), default=0))))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sequences.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_columns(ds.spec, atoms, with_indices))
-        for split, sample in ds:
-            for t, (point, letter) in enumerate(zip(sample.points, sample.letters)):
-                row: list = [split, sample.seq_id, t, *label_cells[point]]
-                if with_indices:
-                    if sample.indices is None:
-                        raise DomainError(
-                            f"sample {split}/{sample.seq_id} has no image indices"
-                        )
-                    row += [sample.indices[t][v.name] for v in variables]
-                cells = truth_cells.get(letter)
-                if cells is None:
-                    cells = truth_cells[letter] = [letter >> i & 1 for i in range(len(atoms))]
-                row += cells
-                row += [sample.states[t], sample.label]
-                writer.writerow(row)
-    write_summary_json(ds.metadata, out_dir / "metadata.json")
+        csv.writer(fh).writerow(_columns(ds.spec, atoms, with_indices))
+        for (split, sample), indices in zip(ds, index_cells):
+            head, tail = f"{split},{sample.seq_id},", f",{sample.label}\r\n"
+            steps = zip(times, sample.points, indices, sample.letters, sample.states)
+            fh.writelines([
+                f"{head}{t}{label_cells[p]}{i}{truth_cells[u]},{s}{tail}" for t, p, i, u, s in steps
+            ])
+    with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
+        fh.write(metadata)
+
+
+def _index_cells(split: str, sample: SequenceSample, atoms, variables, with_indices: bool):
+    """Each step's ``*_index`` cells, each after its comma ("" for every step
+    without indices); DomainError if the sample is not over ``atoms`` and
+    ``variables``, or an index is missing or not an integer."""
+    where = f"sample {split}/{sample.seq_id}"
+    if list(sample.atoms) != atoms:
+        raise DomainError(f"{where} is over atoms {list(sample.atoms)}, the dataset over {atoms}")
+    if sample.variables != variables:
+        raise DomainError(
+            f"{where} is not over the dataset's variables {[v.name for v in variables]}"
+        )
+    if not len(sample.points) == len(sample.letters) == len(sample.states):
+        raise DomainError(f"{where} has unequal numbers of points, letters and states")
+    if not with_indices:
+        return itertools.repeat("")
+    if sample.indices is None or len(sample.indices) != sample.length:
+        raise DomainError(f"{where} has no image indices for each of its {sample.length} steps")
+    names = [v.name for v in variables]
+    try:
+        rows = [tuple(map(step.__getitem__, names)) for step in sample.indices]
+        plain = not set(map(type, itertools.chain.from_iterable(rows))) - {int}
+    except KeyError:
+        plain = False
+    if not plain:  # name the first bad index; other integer types (numpy's) pass as ints
+        rows = [
+            tuple(_index(where, t, step, name) for name in names)
+            for t, step in enumerate(sample.indices)
+        ]
+    cells = ",%d" * len(names)
+    return [cells % row for row in rows]
+
+
+def _index(where: str, t: int, step: Mapping, name: str) -> int:
+    value = step.get(name)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        what = f"image index {value!r} is not an integer" if name in step else "no image index"
+        raise DomainError(f"{where} step {t}, variable {name!r}: {what}")
+    return int(value)
+
+
+def _label_cell(label: str) -> str:
+    """``label`` as a cell after its comma, as ``csv.writer`` quotes it:
+    written after an empty cell, so an empty label stays empty, not ``""``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", label])
+    return buf.getvalue()[:-2]  # less the "\r\n"
 
 
 def write_summary_json(summary: Mapping, path) -> None:
@@ -533,14 +578,18 @@ def write_summary_json(summary: Mapping, path) -> None:
 
     The bytes, and the exception for a value JSON cannot hold, are those of
     ``json.dump(summary, fh, indent=2, sort_keys=True)`` plus ``"\\n"``; see
-    ``_render`` for how flat containers reach json's C encoder.
+    ``_render`` for how flat containers reach json's C encoder.  The text is
+    rendered before the file is opened, so a failed render leaves it as it was.
     """
+    text = _summary_text(summary)
     with open(path, "w", encoding="utf-8") as fh:
-        if _c_make_encoder is None:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
-            fh.write(_render(summary, 0, set()) + "\n")
+        fh.write(text)
+
+
+def _summary_text(summary: Mapping) -> str:
+    if _c_make_encoder is None:
+        return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return _render(summary, 0, set()) + "\n"
 
 
 # JSON scalars whose C encoding equals the pure-Python one (exact types only)

@@ -5,10 +5,13 @@ finite-trace semantics by recursion over formula structure, a random
 formula generator for property-style checks, per-point enumeration of
 constraint solutions, the per-sample, per-draw oracle corruption loop,
 the per-pair temperature search, the feasible letters of a walk step, the
-per-variable, per-step domain positions of a split and the per-entry JSON
-form a stored automaton had before the row form.
+per-variable, per-step domain positions of a split, the per-entry JSON
+form a stored automaton had before the row form and ``sequences.csv`` as
+one ``csv.writer`` row per step.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -356,3 +359,30 @@ def feasible_letters_reference(task, state, remaining, label, ends=None):
             for q in end_states(dfa.transitions[state][letter], remaining - 1)
         )
     )
+
+
+def sequences_csv_reference(ds):
+    """The bytes ``serialize`` writes to ``sequences.csv``: one
+    ``csv.writer`` row per step, each ``*_label`` cell the label of the
+    step's value and each ``*_truth`` cell its letter's bit."""
+    atoms, variables = list(ds.metadata["atoms"]), ds.spec.variables
+    with_indices = any(s.indices is not None for _, s in ds)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["split", "seq_id", "t"]
+        + [f"{v.name}_label" for v in variables]
+        + ([f"{v.name}_index" for v in variables] if with_indices else [])
+        + [f"{a}_truth" for a in atoms]
+        + ["state_after", "seq_label"]
+    )
+    for split, sample in ds:
+        for t, (values, letter) in enumerate(zip(sample.values, sample.letters)):
+            row = [split, sample.seq_id, t]
+            row += [v.domain.label_of(values[v.name]) for v in variables]
+            if with_indices:
+                row += [sample.indices[t][v.name] for v in variables]
+            row += [letter >> i & 1 for i in range(len(atoms))]
+            row += [sample.states[t], sample.label]
+            writer.writerow(row)
+    return buf.getvalue().encode("utf-8")

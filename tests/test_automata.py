@@ -3,9 +3,11 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from ltlseq import automata
 from ltlseq.automata import (
     Dfa,
     assignment_of,
@@ -19,6 +21,7 @@ from ltlseq.errors import DomainError, IntegrityError, LtlseqError, ResourceLimi
 from ltlseq.formulas import parse
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.props import PFALSE, PTRUE, all_assignments, eval_prop
+from ltlseq.tasks import compile_task, load_task_yaml
 
 from oracles import holds, minimize_reference, old_form_json, rand_formula
 
@@ -236,6 +239,34 @@ def test_json_round_trip():
     for text in TASK_FORMULAS:
         d = ltlf_to_dfa(parse(text))
         assert Dfa.from_json_dict(d.to_json_dict()) == d
+
+
+def test_json_dict_is_fresh_and_its_digest_computed_once(monkeypatch):
+    d = ltlf_to_dfa(parse("G(p <-> X q)"))
+    digests = []
+
+    def counted(doc):
+        digests.append(doc)
+        return _compact_sha256(doc)
+
+    monkeypatch.setattr(automata, "_sha256", counted)
+    first = d.to_json_dict()
+    expected = json.loads(json.dumps(first))
+    first["transitions"][0][0] = 99
+    first["accepting"].append(99)
+    first["atoms"].append("z")
+    first["sha256"] = "0" * 64
+    assert d.to_json_dict() == expected
+    assert d.digest == expected["sha256"]
+    assert len(digests) == 1
+
+
+def test_cached_digest_equals_the_recomputed_one():
+    fam6 = load_task_yaml(Path(__file__).parents[1] / "perfbench" / "tasks" / "fam6.yaml")
+    for spec in [*map(builtin_task, builtin_task_names()), fam6]:
+        d = compile_task(spec).dfa
+        body = {k: v for k, v in d.to_json_dict().items() if k != "sha256"}
+        assert d.digest == automata._sha256(body), spec.name
 
 
 def test_json_incomplete_table_rejected():

@@ -4,18 +4,22 @@ import csv
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from ltlseq.automata import Dfa
 from ltlseq.cli import main
-from ltlseq.errors import DatasetFormatError, IntegrityError, LtlseqError
+from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint
+from ltlseq.errors import DatasetFormatError, DomainError, IntegrityError, LtlseqError
 from ltlseq.generator import attach_image_indices, deserialize, generate_dataset, serialize
 from ltlseq.library import builtin_task, builtin_task_names
-from ltlseq.tasks import compile_task
+from ltlseq.tasks import TaskSpec, compile_task, load_task_yaml
+from oracles import sequences_csv_reference
 from test_tasks import family_spec
 
 # sha256 of (sequences.csv, metadata.json); "task5+images" attaches image
@@ -110,6 +114,115 @@ def test_old_form_dataset_loads():
     assert ds.spec == spec
     assert ds.splits == generate_dataset(spec).splits
     assert Dfa.from_json_dict(ds.metadata["dfa"]) == compile_task(spec).dfa
+
+
+# ---------------------------------------------------------------------------
+# serialize against the reference writer, one csv.writer row per step
+
+FAM6_YAML = Path(__file__).parents[1] / "perfbench" / "tasks" / "fam6.yaml"
+
+# labels csv must quote (a comma, a quote, CR LF) or must not (empty, a leading space)
+AWKWARD_LABELS = ("a,b", 'q"t', "", " lead", "x\r\ny")
+
+
+def awkward_spec():
+    odd = SymbolicDomain.from_labels("odd", AWKWARD_LABELS)
+    return TaskSpec(
+        name="awkward",
+        domains=(odd,),
+        variables=(VariableSpec("A", odd, "s"), VariableSpec("B", odd, "s")),
+        constraints=(parse_constraint("lt", "A < B"),),
+        formula="F lt",
+        min_length=2,
+        max_length=5,
+        splits=(30, 6, 6),
+    )
+
+
+def writer_case(name):
+    if name == "fam6":
+        return generate_dataset(load_task_yaml(FAM6_YAML))
+    if name == "task5+numpy-images":  # image indices as numpy ints, written as ints
+        ds = golden_dataset("task5+images")
+        for samples in ds.splits.values():
+            for i, s in enumerate(samples):
+                steps = tuple({k: np.int64(x) for k, x in step.items()} for step in s.indices)
+                samples[i] = replace(s, indices=steps)
+        return ds
+    if name.startswith("awkward"):
+        ds = generate_dataset(awkward_spec())
+        return attach_image_indices(ds, pools_for(ds.spec)) if name.endswith("+images") else ds
+    return golden_dataset(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*builtin_task_names(), "fam6", "task5+images", "task5+numpy-images", "awkward", "awkward+images"],
+)
+def test_sequences_csv_equals_the_reference_writer(tmp_path, name):
+    ds = writer_case(name)
+    serialize(ds, tmp_path)
+    assert (tmp_path / "sequences.csv").read_bytes() == sequences_csv_reference(ds)
+    assert deserialize(tmp_path, verify=True).splits == ds.splits
+
+
+def test_awkward_dataset_holds_every_label():
+    ds = writer_case("awkward")
+    steps = (values for _, s in ds for values in s.values)
+    seen = {v.domain.label_of(values[v.name]) for values in steps for v in ds.spec.variables}
+    assert seen == set(AWKWARD_LABELS)
+
+
+def _drop_indices(sample):
+    return replace(sample, indices=None), "has no image indices"
+
+
+def _set_index(value):
+    def edit(sample):
+        steps = [dict(step) for step in sample.indices]
+        name = sample.variables[-1].name
+        if value is None:
+            del steps[2][name]
+            what = "no image index"
+        else:
+            steps[2][name] = value
+            what = f"image index {value!r} is not an integer"
+        return replace(sample, indices=tuple(steps)), f"step 2, variable {name!r}: {what}"
+
+    return edit
+
+
+def _drop_state(sample):
+    message = "has unequal numbers of points, letters and states"
+    return replace(sample, states=sample.states[:-1]), message
+
+
+# an edit of a dataset's last sample -> (the edited sample, the end of the DomainError)
+SAMPLE_EDITS = {
+    "no-indices": _drop_indices,
+    "missing-index": _set_index(None),
+    "float-index": _set_index(1.5),
+    "bool-index": _set_index(True),
+    "text-index": _set_index("3"),
+    "short-states": _drop_state,
+}
+
+
+@pytest.mark.parametrize("name", [*SAMPLE_EDITS, "metadata"])
+def test_refused_serialize_leaves_the_old_dataset(tmp_path, name):
+    serialize(generate_dataset(builtin_task("task5", splits=(4, 2, 2))), tmp_path)
+    before = {f: (tmp_path / f).read_bytes() for f in ("sequences.csv", "metadata.json")}
+    spec = builtin_task("task5", splits=(4, 2, 2), seed=7)
+    ds = attach_image_indices(generate_dataset(spec), pools_for(spec))
+    if name == "metadata":
+        ds.metadata["note"] = object()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            serialize(ds, tmp_path)
+    else:
+        ds.splits["test"][-1], message = SAMPLE_EDITS[name](ds.splits["test"][-1])
+        with pytest.raises(DomainError, match="^sample test/1 " + re.escape(message)):
+            serialize(ds, tmp_path)
+    assert {f: (tmp_path / f).read_bytes() for f in before} == before
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,14 @@ from ltlseq.harness import (
 )
 from ltlseq.inference import ENGINE_NAMES
 from ltlseq.tasks import TaskSpec, compile_task
-from oracles import ATOMS, constraint_holds, holds, rand_formula, split_labels_reference
+from oracles import (
+    ATOMS,
+    constraint_holds,
+    holds,
+    rand_formula,
+    sequences_csv_reference,
+    split_labels_reference,
+)
 from test_constraints import rand_constraint, rand_domain
 from test_generator import reference_splits
 
@@ -101,6 +108,7 @@ def check_end_to_end(tmp_path, seed, atoms):
         letters = [sum(1 << i for i, a in enumerate(task.atoms) if t[a]) for t in trace]
         assert task.dfa.run(letters) == list(sample.states), (split, sample.seq_id)
     serialize(ds, tmp_path)
+    assert (tmp_path / "sequences.csv").read_bytes() == sequences_csv_reference(ds)
     loaded = deserialize(tmp_path, verify=True)
     assert loaded.splits == ds.splits
     for dataset in (ds, loaded):
