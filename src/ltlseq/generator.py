@@ -520,8 +520,7 @@ def serialize(ds: Dataset, out_dir: str | Path) -> None:
             fh.writelines([
                 f"{head}{t}{label_cells[p]}{i}{truth_cells[u]},{s}{tail}" for t, p, i, u, s in steps
             ])
-    with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
-        fh.write(metadata)
+    (out_dir / "metadata.json").write_text(metadata, encoding="utf-8")
 
 
 def _index_cells(split: str, sample: SequenceSample, atoms, variables, with_indices: bool):
@@ -541,19 +540,11 @@ def _index_cells(split: str, sample: SequenceSample, atoms, variables, with_indi
         return itertools.repeat("")
     if sample.indices is None or len(sample.indices) != sample.length:
         raise DomainError(f"{where} has no image indices for each of its {sample.length} steps")
-    names = [v.name for v in variables]
-    try:
-        rows = [tuple(map(step.__getitem__, names)) for step in sample.indices]
-        plain = not set(map(type, itertools.chain.from_iterable(rows))) - {int}
-    except KeyError:
-        plain = False
-    if not plain:  # name the first bad index; other integer types (numpy's) pass as ints
-        rows = [
-            tuple(_index(where, t, step, name) for name in names)
-            for t, step in enumerate(sample.indices)
-        ]
-    cells = ",%d" * len(names)
-    return [cells % row for row in rows]
+    cells = ",%d" * len(variables)
+    return [
+        cells % tuple(_index(where, t, step, v.name) for v in variables)
+        for t, step in enumerate(sample.indices)
+    ]
 
 
 def _index(where: str, t: int, step: Mapping, name: str) -> int:
