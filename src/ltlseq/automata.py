@@ -21,6 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import formulas as fm
 from .errors import DomainError, IntegrityError, ResourceLimitError
 from .props import PropFormula, PFALSE, PTRUE, PVar, pand, pnot, por
@@ -214,20 +216,25 @@ def ltlf_to_dfa(
 ) -> Dfa:
     """Complete, minimized DFA accepting exactly the traces satisfying ``f``.
 
-    ``atoms`` fixes the alphabet (it must cover every atom of ``f``); by
-    default the formula's own atoms in sorted order.
+    ``atoms`` fixes the alphabet (it must cover every atom of ``f``, and no
+    atom may repeat); by default the formula's own atoms in sorted order.
 
     States are the canonical state forms of progressions of ``f``, explored
-    breadth-first over letters in ascending order.  Formulas are interned
-    and one :class:`~ltlseq.formulas.ProgressionMemo` serves the whole
-    translation, so each subformula is progressed once per letter of its
-    own atoms, and each distinct raw progression is brought to state form
-    once: on ``&_i G(a_i -> F b_i)`` over 10 atoms, 32 states times 1024
-    letters need 33 state forms.
+    breadth-first; within a state, new states are numbered in the order of
+    the first letter reaching them.  Formulas are interned and one
+    :class:`~ltlseq.formulas.ProgressionMemo` serves the whole translation:
+    each state is progressed through all 2^k letters by one table lookup,
+    whose tables are built per subformula over the whole alphabet and shared
+    between states, and each distinct raw progression is brought to state
+    form once.  On ``&_i G(a_i -> F b_i)`` over 10 atoms, the 32 states
+    take 60 tables of 1024 letters, none with more than 32 distinct
+    progressions, and 33 state forms.
 
-    Raises ResourceLimitError naming the cap past ``_MAX_ATOMS`` atoms, or
-    when exploration reaches more than ``max_states`` states before
-    minimization (by default ``MAX_DFA_STATES``).
+    Raises DomainError for repeated atoms or a ``max_states`` that is not an
+    int of at least 1, and ResourceLimitError naming the cap past
+    ``_MAX_ATOMS`` atoms, or when exploration reaches more than
+    ``max_states`` states before minimization (by default
+    ``MAX_DFA_STATES``).
     """
     f_atoms = f.atoms()
     if atoms is None:
@@ -240,25 +247,32 @@ def ltlf_to_dfa(
         raise ResourceLimitError(
             f"the alphabet has {len(atoms)} atoms, over the cap of {_MAX_ATOMS} atoms (_MAX_ATOMS)"
         )
-    cap, cap_name = (
-        (MAX_DFA_STATES, "MAX_DFA_STATES") if max_states is None else (max_states, "max_states")
-    )
+    if max_states is None:
+        cap, cap_name = MAX_DFA_STATES, "MAX_DFA_STATES"
+    elif not isinstance(max_states, int) or isinstance(max_states, bool) or max_states < 1:
+        raise DomainError(f"max_states {max_states!r} is not an integer of at least 1")
+    else:
+        cap, cap_name = max_states, "max_states"
+    return minimize(_explore(f, atoms, cap, cap_name))
 
+
+def _explore(f: fm.Formula, atoms: tuple[str, ...], cap: int, cap_name: str) -> Dfa:
+    """The automaton of ``f``'s reachable state forms, before minimization;
+    raises ResourceLimitError, naming ``cap_name``, on reaching state
+    ``cap + 1``."""
+    memo = fm.ProgressionMemo(atoms)  # raises DomainError if atoms repeat
     initial = fm.state_form(fm.to_nnf(f))
-    letters = [assignment_of(letter, atoms) for letter in range(1 << len(atoms))]
-    memo = fm.ProgressionMemo(atoms)
     state_of: dict[fm.Formula, fm.Formula] = {}  # raw progression -> state form
 
     index: dict[fm.Formula, int] = {initial: 0}
     order: list[fm.Formula] = [initial]
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
 
     pos = 0
     while pos < len(order):
-        state_formula = order[pos]
-        row = []
-        for assignment in letters:
-            raw = fm.progress(state_formula, assignment, memo)
+        outs, ids = memo.table(order[pos])
+        targets = []
+        for raw in outs:  # in the order of the first letter giving each
             nxt = state_of.get(raw)
             if nxt is None:
                 nxt = state_of[raw] = fm.state_form(raw)
@@ -272,17 +286,16 @@ def ltlf_to_dfa(
                     )
                 index[nxt] = dst
                 order.append(nxt)
-            row.append(dst)
-        rows.append(row)
+            targets.append(dst)
+        rows.append(tuple(np.array(targets)[ids].tolist()))
         pos += 1
 
-    dfa = Dfa(
+    return Dfa(
         atoms=atoms,
         n_states=len(order),
         accepting=frozenset(i for i, g in enumerate(order) if fm.eval_empty(g)),
-        transitions=tuple(tuple(row) for row in rows),
+        transitions=tuple(rows),
     )
-    return minimize(dfa)
 
 
 def minimize(d: Dfa) -> Dfa:

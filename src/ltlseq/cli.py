@@ -130,7 +130,7 @@ def main() -> None:
 )
 @click.option(
     "--max-states",
-    type=int,
+    type=click.IntRange(min=1),
     default=None,
     help="Abort if the automaton exceeds this many states before minimization.",
 )

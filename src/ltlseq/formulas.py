@@ -19,6 +19,8 @@ import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import (
     DomainError,
     LtlfSyntaxError,
@@ -590,21 +592,90 @@ def progress(
 
 
 class ProgressionMemo:
-    """Progression results shared between :func:`progress` calls.
+    """Progression results shared between :func:`progress` calls and
+    whole-alphabet :meth:`table` lookups.
 
     A subformula's progression depends only on the atoms it reads, so each
-    result is kept under the subformula and the letter projected onto those
-    atoms: over all 2^k letters, ``G(a -> F b)`` is progressed for four
-    projected letters.  The canonical conjunctions and disjunctions of
-    progressed parts are kept as well.  Nothing is ever evicted, so a memo
-    should live for one translation.
+    scalar result is kept under the subformula and the letter projected onto
+    those atoms: over all 2^k letters, ``G(a -> F b)`` is progressed for four
+    projected letters.  A table holds a subformula's progression on every
+    letter at once, and is built from its children's tables, so the parts
+    that states share are tabulated once.  The canonical conjunctions and
+    disjunctions of progressed parts are kept as well.  Nothing is ever
+    evicted, so a memo should live for one translation.
     """
 
     def __init__(self, atoms: Iterable[str]):
+        atoms = list(atoms)
+        if len(set(atoms)) != len(atoms):
+            raise DomainError(f"atoms repeat: {atoms}")
         self._bit = {a: 1 << i for i, a in enumerate(atoms)}
         self._masks: dict[Formula, int] = {}
         self._memo: dict[tuple[Formula, int], Formula] = {}
         self._joins: dict[tuple, Formula] = {}
+        self._letters = np.arange(1 << len(self._bit), dtype=np.intp)
+        self._one = np.zeros_like(self._letters)  # ids of a one-output table
+        self._tables: dict[Formula, tuple[list[Formula], np.ndarray]] = {}
+
+    def table(self, f: Formula) -> tuple[list[Formula], np.ndarray]:
+        """``f`` progressed through every letter of the alphabet.
+
+        Returns ``(outs, ids)``: ``outs`` lists the distinct progressions in
+        the order of the first letter giving each, and ``ids[letter]`` is
+        the position in ``outs`` of ``progress(f, letter)``, the very same
+        object.  The caller must not change either.
+        """
+        out = self._tables.get(f)
+        if out is None:
+            out = self._tables[f] = self._tabulate(f)
+        return out
+
+    def _tabulate(self, f: Formula) -> tuple[list[Formula], np.ndarray]:
+        t = type(f)
+        if t is Atom or (t is Not and type(f.child) is Atom):
+            name = f.name if t is Atom else f.child.name
+            try:
+                bit = self._bit[name]
+            except KeyError:
+                raise DomainError(f"letter does not assign atom {name!r}") from None
+            outs = [FALSE, TRUE] if t is Atom else [TRUE, FALSE]
+            return outs, (self._letters & bit != 0).astype(np.intp)
+        if t in (TrueF, FalseF):
+            return [f], self._one
+        if t is Next:
+            return [self._join(conj, f.child, NONEMPTY)], self._one
+        if t is WeakNext:
+            return [self._join(disj, f.child, ENDED)], self._one
+        if t in (Globally, Finally):
+            combine = conj if t is Globally else disj
+            outs, ids = self.table(f.child)
+            return _distinct([self._join(combine, x, f) for x in outs], ids)
+        if t in (And, Or):
+            combine = conj if t is And else disj
+            return self._pairs(
+                self.table(f.left), self.table(f.right), lambda x, y: self._join(combine, x, y)
+            )
+        if t in (Until, Release):
+            now, later = (disj, conj) if t is Until else (conj, disj)
+            return self._pairs(
+                self.table(f.right),
+                self.table(f.left),
+                lambda x, y: self._join(now, x, self._join(later, y, f)),
+            )
+        raise ValueError(f"progress requires NNF, got {f}")
+
+    def _pairs(self, a, b, combine) -> tuple[list[Formula], np.ndarray]:
+        """Table of ``combine(x, y)``, ``x`` and ``y`` being tables ``a``
+        and ``b`` on the same letter: each distinct pair of outputs is
+        combined once."""
+        (a_outs, a_ids), (b_outs, b_ids) = a, b
+        codes = a_ids * len(b_outs) + b_ids
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the pairs by their first letter
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        outs = [combine(a_outs[a_ids[i]], b_outs[b_ids[i]]) for i in first[order].tolist()]
+        return _distinct(outs, rank[inverse])
 
     def _encode(self, letter: Mapping[str, bool]) -> int:
         try:
@@ -680,6 +751,16 @@ class ProgressionMemo:
             now = self._step(f.right, letter)
             return self._join(conj, now, self._join(disj, self._step(f.left, letter), f))
         return f  # TRUE or FALSE
+
+
+def _distinct(outs: list[Formula], ids: np.ndarray) -> tuple[list[Formula], np.ndarray]:
+    """Table ``(outs, ids)`` with repeated outputs merged.  ``outs`` is in
+    first-letter order, so the merged list is too."""
+    position: dict[Formula, int] = {}
+    merged = [position.setdefault(g, len(position)) for g in outs]
+    if len(position) == len(outs):
+        return outs, ids
+    return list(position), np.asarray(merged, dtype=np.intp)[ids]
 
 
 def eval_empty(f: Formula) -> bool:

@@ -6,8 +6,9 @@ formula generator for property-style checks, per-point enumeration of
 constraint solutions, the per-sample, per-draw oracle corruption loop,
 the per-pair temperature search, the feasible letters of a walk step, the
 per-variable, per-step domain positions of a split, the per-entry JSON
-form a stored automaton had before the row form and ``sequences.csv`` as
-one ``csv.writer`` row per step.
+form a stored automaton had before the row form, ``sequences.csv`` as
+one ``csv.writer`` row per step and the automaton of a formula explored by
+one progression per state and letter.
 """
 
 import csv
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from ltlseq.constraints import AllDifferent, AllEqual, Comparison, tensor_probability
-from ltlseq.errors import DomainError
+from ltlseq.errors import DomainError, ResourceLimitError
 from ltlseq.generator import _digest_int
 from ltlseq.harness import confidence_oracle, flip_oracle
 from ltlseq.inference import apply_temperature
@@ -117,6 +118,45 @@ def holds(f, trace, i):
 
 def rand_trace(rng, n, atoms=ATOMS):
     return [{a: rng.random() < 0.5 for a in atoms} for _ in range(n)]
+
+
+def explore_reference(f, atoms, cap, cap_name):
+    """The automaton of ``f``'s reachable state forms before minimization,
+    built one ``progress`` call per state and letter, letters ascending:
+    states are numbered in BFS order, and within a row in the order of the
+    first letter reaching them.  Raises ``ResourceLimitError``, naming
+    ``cap_name``, on reaching state ``cap + 1``, as ``ltlf_to_dfa`` does."""
+    from ltlseq import formulas as fm
+    from ltlseq.automata import Dfa, assignment_of
+
+    initial = fm.state_form(fm.to_nnf(f))
+    letters = [assignment_of(letter, atoms) for letter in range(1 << len(atoms))]
+    memo = fm.ProgressionMemo(atoms)
+    state_of = {}  # raw progression -> state form
+    index, order, rows = {initial: 0}, [initial], []
+    for state_formula in order:  # grows while iterated: BFS
+        row = []
+        for assignment in letters:
+            raw = fm.progress(state_formula, assignment, memo)
+            if raw not in state_of:
+                state_of[raw] = fm.state_form(raw)
+            nxt = state_of[raw]
+            if nxt not in index:
+                if len(order) >= cap:
+                    raise ResourceLimitError(
+                        f"translating {f} reached {len(order) + 1} states, over the cap of "
+                        f"{cap} states before minimization ({cap_name})"
+                    )
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    return Dfa(
+        atoms=tuple(atoms),
+        n_states=len(order),
+        accepting=frozenset(i for i, g in enumerate(order) if fm.eval_empty(g)),
+        transitions=tuple(rows),
+    )
 
 
 def minimize_reference(d):

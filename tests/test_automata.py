@@ -23,7 +23,13 @@ from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.props import PFALSE, PTRUE, all_assignments, eval_prop
 from ltlseq.tasks import compile_task, load_task_yaml
 
-from oracles import holds, minimize_reference, old_form_json, rand_formula
+from oracles import (
+    explore_reference,
+    holds,
+    minimize_reference,
+    old_form_json,
+    rand_formula,
+)
 
 TASK_FORMULAS = [
     "G(p <-> X X q)",
@@ -155,6 +161,26 @@ def test_atom_cap_names_itself():
     with pytest.raises(ResourceLimitError) as exc:
         ltlf_to_dfa(parse("F a0"), atoms=atoms)
     assert str(exc.value) == "the alphabet has 17 atoms, over the cap of 16 atoms (_MAX_ATOMS)"
+
+
+def test_repeated_atoms_rejected():
+    with pytest.raises(DomainError) as exc:
+        ltlf_to_dfa(parse("G(a -> F b)"), atoms=("a", "a", "b"))
+    assert str(exc.value) == "atoms repeat: ['a', 'a', 'b']"
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True, False, "3"])
+def test_state_cap_must_be_an_int_of_at_least_one(cap):
+    with pytest.raises(DomainError) as exc:
+        ltlf_to_dfa(parse("G(p -> F q)"), max_states=cap)
+    assert str(exc.value) == f"max_states {cap!r} is not an integer of at least 1"
+
+
+def test_state_cap_of_one_admits_the_initial_state():
+    assert ltlf_to_dfa(parse("G p"), max_states=2).n_states == 2
+    assert ltlf_to_dfa(parse("true"), max_states=1).n_states == 1
+    with pytest.raises(ResourceLimitError, match="reached 2 states, over the cap of 1 "):
+        ltlf_to_dfa(parse("G p"), max_states=1)
 
 
 def test_empty_trace_rejected():
@@ -382,6 +408,41 @@ def test_golden_random_formula_automata():
     assert digest.hexdigest() == (
         "29548cc5c8bd80c9f10723d5cef2beb1cea924f5cd787d5eb3c863a5458bc874"
     )
+
+
+def _explore_cases():
+    for name in GOLDEN_BUILTIN:
+        spec = builtin_task(name)
+        yield parse(spec.formula), tuple(sorted(c.name for c in spec.constraints))
+    for text in GOLDEN_FAMILY:
+        f = parse(text)
+        yield f, tuple(sorted(f.atoms()))
+    rng = random.Random(20261020)
+    for _ in range(300):
+        yield rand_formula(rng, 3), ("p", "q", "r")
+
+
+def test_table_exploration_matches_per_letter_reference():
+    # One table lookup per state numbers new states as the per-letter loop
+    # does, so the automata are equal before minimization.
+    for f, atoms in _explore_cases():
+        expected = explore_reference(f, atoms, automata.MAX_DFA_STATES, "MAX_DFA_STATES")
+        actual = automata._explore(f, atoms, automata.MAX_DFA_STATES, "MAX_DFA_STATES")
+        assert actual == expected, str(f)
+
+
+def test_fam10_state_cap_message_matches_reference_at_every_cap():
+    # fam10's initial row reaches all 32 states, so each cap pins which new
+    # state comes next within that row.
+    f = parse(_FAMILY_10)
+    atoms = tuple(sorted(f.atoms()))
+    assert explore_reference(f, atoms, 32, "max_states").n_states == 32
+    for k in range(1, 32):
+        with pytest.raises(ResourceLimitError) as expected:
+            explore_reference(f, atoms, k, "max_states")
+        with pytest.raises(ResourceLimitError) as exc:
+            ltlf_to_dfa(f, max_states=k)
+        assert str(exc.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,14 @@ def test_compile_state_cap():
     assert "cap" in result.output
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_compile_state_cap_below_one_is_a_usage_error(cap):
+    result = run("compile", "task3", "--max-states", cap)
+    assert result.exit_code == 2
+    assert "--max-states" in result.output
+    assert "reached" not in result.output
+
+
 @pytest.mark.parametrize("grid", ["five-axis", "wide-range"])
 def test_compile_grid_cap_exits_without_traceback(tmp_path, grid):
     from test_tasks import HUGE_GRID_ERROR, HUGE_GRID_YAML

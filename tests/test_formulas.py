@@ -17,6 +17,7 @@ from ltlseq.formulas import (
     And,
     Atom,
     Finally,
+    Formula,
     Globally,
     Iff,
     Implies,
@@ -284,6 +285,48 @@ def test_projected_progression_matches_full_letters():
             frontier = rng.sample(successors, 3)
     with pytest.raises(DomainError):
         progress(TRUE, {"p": True}, memo)  # the memo's alphabet is p, q, r
+
+
+def _subformulas(f):
+    yield f
+    for name in f._fields:
+        child = getattr(f, name)
+        if isinstance(child, Formula):
+            yield from _subformulas(child)
+
+
+def test_table_cells_are_scalar_progressions():
+    # Every subformula of states reached over p, q, r: each cell is the very
+    # object a memo-free progression gives, and the distinct outputs are
+    # listed once each, in the order of their first letter.
+    letters = [assignment_of(letter, ATOMS) for letter in range(1 << len(ATOMS))]
+    memo = ProgressionMemo(ATOMS)
+    rng = random.Random(4712)
+    for _ in range(150):
+        frontier = [state_form(to_nnf(rand_formula(rng, 3)))]
+        for _ in range(2):
+            successors = []
+            for g in frontier:
+                for sub in _subformulas(g):
+                    outs, ids = memo.table(sub)
+                    cells = [outs[i] for i in ids]
+                    for cell, letter in zip(cells, letters, strict=True):
+                        assert cell is progress(sub, letter), (str(sub), letter)
+                    assert outs == list(dict.fromkeys(cells))
+                successors += [state_form(raw) for raw in memo.table(g)[0]]
+            frontier = rng.sample(successors, min(3, len(successors)))
+
+
+def test_table_rejects_non_nnf_and_bad_alphabets():
+    with pytest.raises(DomainError, match=r"atoms repeat: \['a', 'a', 'b'\]"):
+        ProgressionMemo(["a", "a", "b"])
+    memo = ProgressionMemo(ATOMS)
+    with pytest.raises(ValueError):
+        memo.table(Not(And(Atom("p"), Atom("q"))))
+    with pytest.raises(ValueError):
+        memo.table(Implies(Atom("p"), Atom("q")))
+    with pytest.raises(DomainError):
+        memo.table(Globally(Or(Atom("p"), Atom("s"))))
 
 
 def test_progress_rejects_non_nnf():
