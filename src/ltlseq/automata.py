@@ -47,6 +47,8 @@ class Dfa:
         return 1 << len(self.atoms)
 
     def step(self, state: int, letter: int) -> int:
+        if not 0 <= state < self.n_states:
+            raise DomainError(f"state {state} outside [0, {self.n_states})")
         if not 0 <= letter < self.n_letters:
             raise DomainError(f"letter {letter} out of range for {len(self.atoms)} atoms")
         return self.transitions[state][letter]
@@ -200,7 +202,11 @@ def _json_index(value, bound: int | None, what: str) -> int:
 def letter_of(assignment: Mapping[str, bool], atoms: Sequence[str]) -> int:
     mask = 0
     for i, a in enumerate(atoms):
-        if assignment[a]:
+        try:
+            truth = assignment[a]
+        except KeyError:
+            raise DomainError(f"assignment does not assign atom {a!r}") from None
+        if truth:
             mask |= 1 << i
     return mask
 

@@ -575,34 +575,51 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 # after one letter has been consumed, and truth on the empty remainder.
 
 
-def progress(
-    f: Formula, letter: Mapping[str, bool], memo: ProgressionMemo | None = None
-) -> Formula:
+def progress(f: Formula, letter: Mapping[str, bool]) -> Formula:
     """Progress NNF formula ``f`` through one letter.
 
-    ``letter`` must assign every atom of ``f``.  Strong next keeps its
-    obligation conjoined with ``F true`` (the remainder must be non-empty);
-    weak next disjoins ``G false`` (trivially satisfied if the trace ends).
-    A ``memo`` shares work between calls over its alphabet, which ``letter``
-    must then assign in full; the result is the same with or without it.
+    ``letter`` must assign every atom that progression reads: a next
+    operator defers its operand unread, and ``U``/``R`` read their right
+    operand before their left.  Strong next keeps its obligation conjoined
+    with ``F true`` (the remainder must be non-empty); weak next disjoins
+    ``G false`` (trivially satisfied if the trace ends).  This is the plain
+    recursion that :meth:`ProgressionMemo.table` computes for every letter
+    at once, raising the same errors in the same order.
     """
-    if memo is None:
-        memo = ProgressionMemo(letter)
-    return memo._step(f, memo._encode(letter))
+    t = type(f)
+    if t is Atom or (t is Not and type(f.child) is Atom):
+        name = f.name if t is Atom else f.child.name
+        try:
+            value = letter[name]
+        except KeyError:
+            raise DomainError(f"letter does not assign atom {name!r}") from None
+        return TRUE if bool(value) == (t is Atom) else FALSE
+    if t in (TrueF, FalseF):
+        return f
+    if t is Next:
+        return conj([f.child, NONEMPTY])
+    if t is WeakNext:
+        return disj([f.child, ENDED])
+    if t in (Globally, Finally):
+        combine = conj if t is Globally else disj
+        return combine([progress(f.child, letter), f])
+    if t in (And, Or):
+        combine = conj if t is And else disj
+        return combine([progress(f.left, letter), progress(f.right, letter)])
+    if t in (Until, Release):
+        now, later = (disj, conj) if t is Until else (conj, disj)
+        return now([progress(f.right, letter), later([progress(f.left, letter), f])])
+    raise ValueError(f"progress requires NNF, got {f}")
 
 
 class ProgressionMemo:
-    """Progression results shared between :func:`progress` calls and
-    whole-alphabet :meth:`table` lookups.
+    """Whole-alphabet progression tables shared within one translation.
 
-    A subformula's progression depends only on the atoms it reads, so each
-    scalar result is kept under the subformula and the letter projected onto
-    those atoms: over all 2^k letters, ``G(a -> F b)`` is progressed for four
-    projected letters.  A table holds a subformula's progression on every
-    letter at once, and is built from its children's tables, so the parts
-    that states share are tabulated once.  The canonical conjunctions and
-    disjunctions of progressed parts are kept as well.  Nothing is ever
-    evicted, so a memo should live for one translation.
+    A table holds a subformula's progression on every letter of the
+    alphabet at once, and is built from its children's tables, so the
+    parts that states share are tabulated once.  The canonical
+    conjunctions and disjunctions of progressed parts are kept as well.
+    Nothing is ever evicted, so a memo should live for one translation.
     """
 
     def __init__(self, atoms: Iterable[str]):
@@ -610,8 +627,6 @@ class ProgressionMemo:
         if len(set(atoms)) != len(atoms):
             raise DomainError(f"atoms repeat: {atoms}")
         self._bit = {a: 1 << i for i, a in enumerate(atoms)}
-        self._masks: dict[Formula, int] = {}
-        self._memo: dict[tuple[Formula, int], Formula] = {}
         self._joins: dict[tuple, Formula] = {}
         self._letters = np.arange(1 << len(self._bit), dtype=np.intp)
         self._one = np.zeros_like(self._letters)  # ids of a one-output table
@@ -677,80 +692,12 @@ class ProgressionMemo:
         outs = [combine(a_outs[a_ids[i]], b_outs[b_ids[i]]) for i in first[order].tolist()]
         return _distinct(outs, rank[inverse])
 
-    def _encode(self, letter: Mapping[str, bool]) -> int:
-        try:
-            return sum(bit for a, bit in self._bit.items() if letter[a])
-        except KeyError as err:
-            raise DomainError(f"letter does not assign atom {err.args[0]!r}") from None
-
-    def _step(self, f: Formula, letter: int) -> Formula:
-        key = (f, letter & self._mask(f))
-        out = self._memo.get(key)
-        if out is None:
-            out = self._memo[key] = self._progress(f, letter)
-        return out
-
-    def _mask(self, f: Formula) -> int:
-        mask = self._masks.get(f)
-        if mask is None:
-            mask = self._masks[f] = self._reads(f)
-        return mask
-
-    def _reads(self, f: Formula) -> int:
-        """Bits of the atoms that progressing ``f`` reads.
-
-        Visits subformulas in the order :meth:`_progress` does, so the first
-        missing atom or non-NNF node raises here, before any progression.
-        """
-        t = type(f)
-        if t is Atom or (t is Not and type(f.child) is Atom):
-            name = f.name if t is Atom else f.child.name
-            try:
-                return self._bit[name]
-            except KeyError:
-                raise DomainError(f"letter does not assign atom {name!r}") from None
-        if t in (TrueF, FalseF, Next, WeakNext):
-            return 0
-        if t in (And, Or):
-            return self._mask(f.left) | self._mask(f.right)
-        if t in (Globally, Finally):
-            return self._mask(f.child)
-        if t in (Until, Release):
-            return self._mask(f.right) | self._mask(f.left)
-        raise ValueError(f"progress requires NNF, got {f}")
-
     def _join(self, combine, a: Formula, b: Formula) -> Formula:
         key = (combine, a, b)
         out = self._joins.get(key)
         if out is None:
             out = self._joins[key] = combine([a, b])
         return out
-
-    def _progress(self, f: Formula, letter: int) -> Formula:
-        t = type(f)
-        if t is Atom:
-            return TRUE if letter & self._bit[f.name] else FALSE
-        if t is Not:
-            return FALSE if letter & self._bit[f.child.name] else TRUE
-        if t is And:
-            return self._join(conj, self._step(f.left, letter), self._step(f.right, letter))
-        if t is Or:
-            return self._join(disj, self._step(f.left, letter), self._step(f.right, letter))
-        if t is Next:
-            return self._join(conj, f.child, NONEMPTY)
-        if t is WeakNext:
-            return self._join(disj, f.child, ENDED)
-        if t is Globally:
-            return self._join(conj, self._step(f.child, letter), f)
-        if t is Finally:
-            return self._join(disj, self._step(f.child, letter), f)
-        if t is Until:
-            now = self._step(f.right, letter)
-            return self._join(disj, now, self._join(conj, self._step(f.left, letter), f))
-        if t is Release:
-            now = self._step(f.right, letter)
-            return self._join(conj, now, self._join(disj, self._step(f.left, letter), f))
-        return f  # TRUE or FALSE
 
 
 def _distinct(outs: list[Formula], ids: np.ndarray) -> tuple[list[Formula], np.ndarray]:

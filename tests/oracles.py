@@ -120,6 +120,11 @@ def rand_trace(rng, n, atoms=ATOMS):
     return [{a: rng.random() < 0.5 for a in atoms} for _ in range(n)]
 
 
+# fm.progress results of explore_reference, by (state formula, atoms, letter):
+# repeated explorations of one formula, as under several caps, reuse them.
+_PROGRESSIONS = {}
+
+
 def explore_reference(f, atoms, cap, cap_name):
     """The automaton of ``f``'s reachable state forms before minimization,
     built one ``progress`` call per state and letter, letters ascending:
@@ -129,15 +134,18 @@ def explore_reference(f, atoms, cap, cap_name):
     from ltlseq import formulas as fm
     from ltlseq.automata import Dfa, assignment_of
 
+    atoms = tuple(atoms)
     initial = fm.state_form(fm.to_nnf(f))
     letters = [assignment_of(letter, atoms) for letter in range(1 << len(atoms))]
-    memo = fm.ProgressionMemo(atoms)
     state_of = {}  # raw progression -> state form
     index, order, rows = {initial: 0}, [initial], []
     for state_formula in order:  # grows while iterated: BFS
         row = []
-        for assignment in letters:
-            raw = fm.progress(state_formula, assignment, memo)
+        for letter, assignment in enumerate(letters):
+            key = (state_formula, atoms, letter)
+            raw = _PROGRESSIONS.get(key)
+            if raw is None:
+                raw = _PROGRESSIONS[key] = fm.progress(state_formula, assignment)
             if raw not in state_of:
                 state_of[raw] = fm.state_form(raw)
             nxt = state_of[raw]
@@ -152,7 +160,7 @@ def explore_reference(f, atoms, cap, cap_name):
             row.append(index[nxt])
         rows.append(tuple(row))
     return Dfa(
-        atoms=tuple(atoms),
+        atoms=atoms,
         n_states=len(order),
         accepting=frozenset(i for i, g in enumerate(order) if fm.eval_empty(g)),
         transitions=tuple(rows),

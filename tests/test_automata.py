@@ -199,6 +199,20 @@ def test_step_letter_range_checked():
         d.step(0, -1)
 
 
+def test_step_state_range_checked():
+    d = compile_task(builtin_task("task3")).dfa
+    assert d.n_states == 5
+    with pytest.raises(DomainError, match=r"^state -1 outside \[0, 5\)$"):
+        d.step(-1, 0)  # not state 4 by negative indexing
+    with pytest.raises(DomainError, match=r"^state 5 outside \[0, 5\)$"):
+        d.step(5, 0)
+
+
+def test_letter_of_names_a_missing_atom():
+    with pytest.raises(DomainError, match=r"^assignment does not assign atom 'b'$"):
+        letter_of({"a": True, "c": False}, ("a", "b", "c"))
+
+
 def test_run_returns_state_per_letter():
     d = ltlf_to_dfa(parse("F p"))
     trace = [0, 0, 1, 0]

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -266,25 +267,47 @@ def test_progress_reads_only_the_atoms_it_needs():
         progress(Globally(Or(Next(Atom("p")), Atom("q"))), {"p": True})
 
 
-def test_projected_progression_matches_full_letters():
-    # One memo shared across formulas, their successors and all letters
-    # keeps results under letters projected onto each subformula's atoms;
-    # every result must be the one a memo-free progression gives.
-    letters = [assignment_of(letter, ATOMS) for letter in range(1 << len(ATOMS))]
-    memo = ProgressionMemo(ATOMS)
-    rng = random.Random(4711)
-    for _ in range(150):
-        frontier = [state_form(to_nnf(rand_formula(rng, 3)))]
-        for _ in range(2):
-            successors = []
-            for g in frontier:
-                for letter in letters:
-                    raw = progress(g, letter, memo)
-                    assert raw is progress(g, letter), (str(g), letter)
-                    successors.append(state_form(raw))
-            frontier = rng.sample(successors, 3)
-    with pytest.raises(DomainError):
-        progress(TRUE, {"p": True}, memo)  # the memo's alphabet is p, q, r
+def _error(thunk):
+    try:
+        thunk()
+    except (DomainError, ValueError) as err:
+        return type(err), str(err)
+    return None
+
+
+def test_progress_and_table_fail_alike():
+    # On alphabets lacking one or two atoms, and on formulas not in NNF, the
+    # scalar progression and the table raise the same error: both read the
+    # right operand of U/R first and never the operand of X/WX.
+    rng = random.Random(4713)
+    alphabets = [("p", "q"), ("p", "r"), ("q", "r"), ("p",), ("q",), ("r",)]
+    memos = {atoms: ProgressionMemo(atoms) for atoms in alphabets}
+    kinds = set()
+    for i in range(300):
+        f = rand_formula(rng, 3)
+        if i % 2:
+            f = to_nnf(f)
+        atoms = rng.choice(alphabets)
+        error = _error(lambda: memos[atoms].table(f))
+        for letter in range(1 << len(atoms)):
+            assignment = assignment_of(letter, atoms)
+            assert _error(lambda: progress(f, assignment)) == error, str(f)
+        kinds.add(error and error[0])
+    assert kinds == {None, DomainError, ValueError}
+
+
+def test_progress_step_stays_small_on_a_22_atom_letter():
+    # One scalar step on a 22-atom letter must not tabulate 2^22 letters.
+    atoms = [f"a{i}" for i in range(11)], [f"b{i}" for i in range(11)]
+    f = to_nnf(parse(" & ".join(f"G({a} -> F {b})" for a, b in zip(*atoms))))
+    letter = {x: False for x in atoms[0] + atoms[1]}
+    tracemalloc.start()
+    try:
+        progress(f, letter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def _subformulas(f):
@@ -297,7 +320,7 @@ def _subformulas(f):
 
 def test_table_cells_are_scalar_progressions():
     # Every subformula of states reached over p, q, r: each cell is the very
-    # object a memo-free progression gives, and the distinct outputs are
+    # object the scalar progression gives, and the distinct outputs are
     # listed once each, in the order of their first letter.
     letters = [assignment_of(letter, ATOMS) for letter in range(1 << len(ATOMS))]
     memo = ProgressionMemo(ATOMS)

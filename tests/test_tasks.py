@@ -328,6 +328,12 @@ def test_truth_letter():
     assert ct.truth_letter({a: True for a in ct.atoms}) == (1 << len(ct.atoms)) - 1
 
 
+def test_truth_letter_names_a_missing_atom():
+    ct = compile_task(builtin_task("task3"))
+    with pytest.raises(DomainError, match=r"^assignment does not assign atom 'p'$"):
+        ct.truth_letter({})
+
+
 def test_feasible_letters_respect_reachability():
     ct = compile_task(small_spec())
     # from the initial state, a positive sequence of remaining length 1 must
