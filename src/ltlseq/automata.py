@@ -1,9 +1,10 @@
 """Deterministic finite automata over bitmask letters, built by progression.
 
 A letter is an integer whose bit ``i`` gives the truth value of ``atoms[i]``.
-Automata are always complete; state 0 is initial.  ``ltlf_to_dfa`` yields the
-minimized automaton of a formula with a deterministic BFS numbering, so equal
-inputs produce identical automata.
+Automata are always complete; state 0 is initial; ``transitions[s, letter]``,
+one read-only array of states × 2^k, is the successor.  ``ltlf_to_dfa`` yields
+the minimized automaton of a formula with a deterministic BFS numbering, so
+equal inputs produce identical automata.
 
 ``Dfa.to_json_dict`` is the stored form every ``dfa.json``, cache file and
 ``metadata.json`` holds: the table as one JSON row of successor states per
@@ -17,7 +18,6 @@ import functools
 import hashlib
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -28,19 +28,42 @@ from .errors import DomainError, IntegrityError, ResourceLimitError
 from .props import PropFormula, PFALSE, PTRUE, PVar, pand, pnot, por
 
 MAX_DFA_STATES = 10_000
-_MAX_ATOMS = 16
 
 
 @dataclass(frozen=True)
 class Dfa:
-    """Complete DFA; ``transitions[s][letter]`` is the successor state."""
+    """Complete DFA; ``transitions[s, letter]`` is the successor state, kept as a
+    read-only ``np.intp`` array of shape ``(n_states, 2^k)``, else a DomainError."""
 
     atoms: tuple[str, ...]
     n_states: int
     accepting: frozenset[int]
-    transitions: tuple[tuple[int, ...], ...]
+    transitions: np.ndarray
 
     initial: int = 0
+
+    def __post_init__(self):
+        shape = (self.n_states, self.n_letters)
+        try:
+            table = np.array(self.transitions, dtype=np.intp)
+        except (TypeError, ValueError) as err:  # ragged rows, or not ints
+            raise DomainError(f"DFA transitions are not a {shape} table ({err})") from None
+        if table.shape != shape:
+            raise DomainError(f"DFA transitions have shape {table.shape}, not {shape}")
+        table.flags.writeable = False
+        object.__setattr__(self, "transitions", table)
+
+    def __eq__(self, other) -> bool:
+        fields = ("atoms", "n_states", "initial", "accepting")
+        same = isinstance(other, Dfa) and all(getattr(self, f) == getattr(other, f) for f in fields)
+        return same and np.array_equal(self.transitions, other.transitions)
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    def __repr__(self) -> str:
+        table, accepting = self.transitions.tolist(), self.accepting
+        return f"Dfa({self.atoms!r}, {self.n_states}, {accepting!r}, {table!r}, {self.initial})"
 
     @property
     def n_letters(self) -> int:
@@ -51,18 +74,16 @@ class Dfa:
             raise DomainError(f"state {state} outside [0, {self.n_states})")
         if not 0 <= letter < self.n_letters:
             raise DomainError(f"letter {letter} out of range for {len(self.atoms)} atoms")
-        return self.transitions[state][letter]
+        return int(self.transitions[state, letter])
 
     def run(self, trace: Sequence[int]) -> list[int]:
         """States after each letter of ``trace`` (same length as the trace)."""
         if len(trace) == 0:
             raise DomainError("trace must be non-empty")
-        out = []
-        state = self.initial
+        out = [self.initial]
         for letter in trace:
-            state = self.step(state, letter)
-            out.append(state)
-        return out
+            out.append(self.step(out[-1], letter))
+        return out[1:]
 
     def accepts(self, trace: Sequence[int]) -> bool:
         return self.run(trace)[-1] in self.accepting
@@ -86,7 +107,7 @@ class Dfa:
             "states": self.n_states,
             "initial": self.initial,
             "accepting": sorted(self.accepting),
-            "transitions": list(map(list, self.transitions)),
+            "transitions": self.transitions.tolist(),
         }
 
     @classmethod
@@ -149,7 +170,7 @@ def _sha256(doc: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _row_transitions(rows: list, n: int, n_letters: int) -> tuple[tuple[int, ...], ...]:
+def _row_transitions(rows: list, n: int, n_letters: int) -> list:
     """The table of the row form: ``n`` lists of ``n_letters`` ints (not
     bools) in ``0..n-1``; ``rows`` is not empty.  The cells are checked as
     one flat list; only if that fails are they walked to name the first bad
@@ -164,10 +185,10 @@ def _row_transitions(rows: list, n: int, n_letters: int) -> tuple[tuple[int, ...
         for s, row in enumerate(rows):
             for letter, t in enumerate(row):
                 _json_index(t, n, f"transitions[{s}][{letter}]")
-    return tuple(map(tuple, rows))
+    return rows
 
 
-def _checked_transitions(entries: list, n: int, n_letters: int) -> tuple[tuple[int, ...], ...]:
+def _checked_transitions(entries: list, n: int, n_letters: int) -> list[list[int]]:
     """The table of the per-entry form, checked entry by entry; a
     DomainError names the first bad entry."""
     table: dict[tuple[int, int], int] = {}
@@ -183,7 +204,7 @@ def _checked_transitions(entries: list, n: int, n_letters: int) -> tuple[tuple[i
         table[key] = _json_index(t["to"], n, "to")
     if len(table) != n * n_letters:
         raise DomainError("transition table is not complete")
-    return tuple(tuple(table[s, letter] for letter in range(n_letters)) for s in range(n))
+    return [[table[s, letter] for letter in range(n_letters)] for s in range(n)]
 
 
 def _json_index(value, bound: int | None, what: str) -> int:
@@ -238,7 +259,8 @@ def ltlf_to_dfa(
 
     Raises DomainError for repeated atoms or a ``max_states`` that is not an
     int of at least 1, and ResourceLimitError naming the cap past
-    ``_MAX_ATOMS`` atoms, or when exploration reaches more than
+    ``formulas._MAX_ATOMS`` atoms (checked by the memo), or when exploration
+    reaches more than
     ``max_states`` states before minimization (by default
     ``MAX_DFA_STATES``).
     """
@@ -249,10 +271,6 @@ def ltlf_to_dfa(
     missing = f_atoms - set(atoms)
     if missing:
         raise DomainError(f"alphabet is missing atoms: {sorted(missing)}")
-    if len(atoms) > _MAX_ATOMS:
-        raise ResourceLimitError(
-            f"the alphabet has {len(atoms)} atoms, over the cap of {_MAX_ATOMS} atoms (_MAX_ATOMS)"
-        )
     if max_states is None:
         cap, cap_name = MAX_DFA_STATES, "MAX_DFA_STATES"
     elif not isinstance(max_states, int) or isinstance(max_states, bool) or max_states < 1:
@@ -266,13 +284,13 @@ def _explore(f: fm.Formula, atoms: tuple[str, ...], cap: int, cap_name: str) -> 
     """The automaton of ``f``'s reachable state forms, before minimization;
     raises ResourceLimitError, naming ``cap_name``, on reaching state
     ``cap + 1``."""
-    memo = fm.ProgressionMemo(atoms)  # raises DomainError if atoms repeat
+    memo = fm.ProgressionMemo(atoms)  # checks the atoms: not repeated, not too many
     initial = fm.state_form(fm.to_nnf(f))
     state_of: dict[fm.Formula, fm.Formula] = {}  # raw progression -> state form
 
     index: dict[fm.Formula, int] = {initial: 0}
     order: list[fm.Formula] = [initial]
-    rows: list[tuple[int, ...]] = []
+    rows: list[np.ndarray] = []
 
     pos = 0
     while pos < len(order):
@@ -293,31 +311,41 @@ def _explore(f: fm.Formula, atoms: tuple[str, ...], cap: int, cap_name: str) -> 
                 index[nxt] = dst
                 order.append(nxt)
             targets.append(dst)
-        rows.append(tuple(np.array(targets)[ids].tolist()))
+        rows.append(np.array(targets)[ids])
         pos += 1
 
     return Dfa(
         atoms=atoms,
         n_states=len(order),
         accepting=frozenset(i for i, g in enumerate(order) if fm.eval_empty(g)),
-        transitions=tuple(rows),
+        transitions=np.stack(rows),
     )
+
+
+def _letter_classes(table: np.ndarray) -> np.ndarray:
+    """The first letter of each class of letters with equal columns of
+    ``table``, ascending: one ``np.unique`` over the columns as byte strings."""
+    keys = np.ascontiguousarray(table.T).view(np.dtype((np.void, table.itemsize * len(table))))
+    return np.sort(np.unique(keys.ravel(), return_index=True)[1])
 
 
 def minimize(d: Dfa) -> Dfa:
     """Hopcroft minimization plus deterministic BFS renumbering.
 
-    Refinement runs over every state; the renumbering BFS from the initial
-    state reaches only reachable blocks, so unreachable states are dropped
-    there.  The result's states are numbered in that BFS order, exploring
-    letters in ascending order, so minimization is a pure function of the
-    automaton.
+    Both run over one letter per class of letters with equal columns
+    (``_letter_classes``).  Refinement runs over every state; the renumbering
+    BFS from the initial state reaches only reachable blocks, so unreachable
+    states are dropped there.  The result's states are numbered in that BFS
+    order, exploring classes in order of their first letter, which numbers
+    them as letters in ascending order would, so minimization is a pure
+    function of the automaton.
     """
-    # inverse[letter][t]: the states that step to t on letter
-    inverse: list[dict[int, list[int]]] = [{} for _ in range(d.n_letters)]
-    for s, row in enumerate(d.transitions):
-        for letter, t in enumerate(row):
-            inverse[letter].setdefault(t, []).append(s)
+    columns = d.transitions[:, _letter_classes(d.transitions)].T.tolist()  # [class][state]
+    # inverse[c][t]: the states that step to t on letter class c
+    inverse: list[dict[int, list[int]]] = [{} for _ in columns]
+    for by_target, column in zip(inverse, columns):
+        for s, t in enumerate(column):
+            by_target.setdefault(t, []).append(s)
 
     final = set(d.accepting)
     blocks: list[set[int]] = [b for b in (final, set(range(d.n_states)) - final) if b]
@@ -346,30 +374,25 @@ def minimize(d: Dfa) -> Dfa:
                     block_of[s] = new
                 worklist.add(new if b in worklist or len(inside) <= len(block) else b)
 
-    # deterministic renumbering: BFS over blocks, letters ascending
-    reps = [min(block) for block in blocks]
-    start = block_of[d.initial]
-    number = {start: 0}
-    bfs = deque([start])
-    ordered = [start]
-    while bfs:
-        b = bfs.popleft()
-        for t in d.transitions[reps[b]]:
-            succ = block_of[t]
+    # deterministic renumbering: BFS over blocks, letter classes ascending
+    first = [min(block) for block in blocks]
+    ordered = [block_of[d.initial]]
+    number = {ordered[0]: 0}
+    for b in ordered:  # grows while iterated: BFS
+        for column in columns:
+            succ = block_of[column[first[b]]]
             if succ not in number:
                 number[succ] = len(ordered)
                 ordered.append(succ)
-                bfs.append(succ)
 
-    rows = tuple(
-        tuple(number[block_of[t]] for t in d.transitions[reps[b]]) for b in ordered
-    )
-    accepting = frozenset(i for i, b in enumerate(ordered) if reps[b] in d.accepting)
+    sources = [first[b] for b in ordered]
+    # state -> number of its block; an unreachable block's 0 is never read
+    renumber = np.array([number.get(block_of[s], 0) for s in range(d.n_states)])
     return Dfa(
         atoms=d.atoms,
         n_states=len(ordered),
-        accepting=accepting,
-        transitions=rows,
+        accepting=frozenset(i for i, s in enumerate(sources) if s in d.accepting),
+        transitions=renumber[d.transitions[sources]],
     )
 
 
@@ -393,9 +416,7 @@ def _minterm(letter: int, atoms: Sequence[str]) -> PropFormula:
 
 def transition_guard(d: Dfa, source: int, target: int) -> Guard:
     """Guard formula: DNF over the letters driving ``source`` to ``target``."""
-    letters = tuple(
-        letter for letter in range(d.n_letters) if d.transitions[source][letter] == target
-    )
+    letters = tuple(np.flatnonzero(d.transitions[source] == target).tolist())
     if len(letters) == d.n_letters:
         formula: PropFormula = PTRUE
     elif not letters:
@@ -409,7 +430,6 @@ def guard_table(d: Dfa) -> list[Guard]:
     """All non-empty guards, ordered by (source, target)."""
     out = []
     for s in range(d.n_states):
-        targets = sorted(set(d.transitions[s]))
-        for t in targets:
+        for t in np.unique(d.transitions[s]).tolist():
             out.append(transition_guard(d, s, t))
     return out

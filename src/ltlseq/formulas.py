@@ -29,6 +29,7 @@ from .errors import (
 )
 
 _ATOM_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
+_MAX_ATOMS = 16  # a progression table holds one entry per letter, 2^k of them
 
 # The unique table: (class, *fields) -> the one live node with those fields.
 # Values are weak, so a formula nobody references leaves the table.
@@ -626,6 +627,10 @@ class ProgressionMemo:
         atoms = list(atoms)
         if len(set(atoms)) != len(atoms):
             raise DomainError(f"atoms repeat: {atoms}")
+        if len(atoms) > _MAX_ATOMS:  # before any 2^k array is allocated
+            raise ResourceLimitError(
+                f"the alphabet has {len(atoms)} atoms, over the cap of {_MAX_ATOMS} atoms (_MAX_ATOMS)"
+            )
         self._bit = {a: 1 << i for i, a in enumerate(atoms)}
         self._joins: dict[tuple, Formula] = {}
         self._letters = np.arange(1 << len(self._bit), dtype=np.intp)

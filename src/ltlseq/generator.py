@@ -240,7 +240,7 @@ def _checked_plan(task: CompiledTask, label, length) -> tuple[int, int]:
     inside the reach table and a label reachable at it."""
     label = _integer("label", label, 0, 1)
     length = _integer("length", length, 1, len(task.reach) - 1)
-    if not task.reach[length][task.dfa.initial][label]:
+    if not task.reach[length, task.dfa.initial, label]:
         raise DomainError(
             f"task {task.spec.name!r}: label {label} unreachable at length {length}"
         )
@@ -262,7 +262,7 @@ def generate_sequence(
     """
     label, length = _checked_plan(task, label, length)
     feasible, buckets = task.feasible_letters, task.solutions
-    transitions, draw = task.dfa.transitions, rng.integers
+    transitions, draw = task.dfa.transitions.tolist(), rng.integers
     state = task.dfa.initial
     points, letters, states = [], [], []
     for step in range(length):
@@ -322,7 +322,7 @@ def _lockstep(
     ``length + 1`` words, so no walk runs out of its words.
     """
     table = task.feasible
-    ids, members, successors = table.ids, table.members, table.successors
+    ids, members, letters = table.ids, table.members, np.array(task.usable_letters)
     counts = table.counts.astype(np.uint64)
     # Lemire rejects a low half below its floor; a walk never meets an empty set
     count_floor = _WORD % np.maximum(counts, np.uint64(1))
@@ -362,7 +362,7 @@ def _lockstep(
         rejected |= m & _HALF < size_floor[u]
         cursor[:k] = at + (bound > 1)
         redo[:k] |= rejected
-        s = state[:k] = successors[s, u]
+        s = state[:k] = task.dfa.transitions[s, letters[u]]
         out[0, :k, t] = u
         out[1, :k, t] = points[offsets[u] + (m >> _SHIFT).astype(np.intp)]
         out[2, :k, t] = s
@@ -828,7 +828,7 @@ def _verify_replay(
     the line of its row in ``csv_path``, read from ``lines[split, seq_id]``;
     a label that disagrees with acceptance names the sequence's last row."""
     dfa = ds.dfa
-    transitions = dfa.transitions
+    transitions = dfa.transitions.tolist()
     for split, sample in ds:
         state = dfa.initial
         seq_lines = lines[split, sample.seq_id]

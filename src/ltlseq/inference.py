@@ -213,10 +213,9 @@ def exact_step(dfa: Dfa, b: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """One stochastic-matrix update: b'(s') = Σ_s b(s)·P(letters s→s')."""
     lp = letter_probabilities(cb, len(dfa.atoms))
     out = np.zeros(dfa.n_states)
-    for s in range(dfa.n_states):
+    for s, row in enumerate(dfa.transitions.tolist()):
         if b[s] == 0.0:
             continue
-        row = dfa.transitions[s]
         for letter, p in enumerate(lp):
             out[row[letter]] += b[s] * p
     return out
@@ -302,8 +301,7 @@ class _Preimages:
 
     def __init__(self, dfa: Dfa):
         n, n_letters = dfa.n_states, dfa.n_letters
-        table = np.asarray(dfa.transitions, dtype=np.intp).reshape(n, n_letters)
-        keys = (np.arange(n_letters) * n + table).ravel()  # source-major pairs
+        keys = (np.arange(n_letters) * n + dfa.transitions).ravel()  # source-major pairs
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         self.starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])

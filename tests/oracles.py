@@ -177,7 +177,7 @@ def minimize_reference(d):
 
     reach, frontier = {d.initial}, [d.initial]
     while frontier:
-        frontier = [t for s in frontier for t in d.transitions[s] if t not in reach]
+        frontier = {t for s in frontier for t in d.transitions[s].tolist() if t not in reach}
         reach.update(frontier)
     cls = {s: int(s in d.accepting) for s in reach}
     while True:
@@ -217,7 +217,7 @@ def old_form_json(d):
         "accepting": sorted(d.accepting),
         "transitions": [
             {"from": s, "letter": letter, "to": t}
-            for s, row in enumerate(d.transitions)
+            for s, row in enumerate(d.transitions.tolist())
             for letter, t in enumerate(row)
         ],
     }
@@ -407,6 +407,24 @@ def feasible_letters_reference(task, state, remaining, label, ends=None):
             for q in end_states(dfa.transitions[state][letter], remaining - 1)
         )
     )
+
+
+def reach_table_reference(dfa, usable, max_steps):
+    """``ltlseq.tasks._reach_table`` as nested lists, one Python ``any`` per
+    cell: ``table[r][s]`` is the pair (label 0, label 1) of whether a walk of
+    exactly ``r`` usable letters from ``s`` can end with that label."""
+    delta = dfa.transitions.tolist()
+    base = [(s not in dfa.accepting, s in dfa.accepting) for s in range(dfa.n_states)]
+    table = [base]
+    for _ in range(max_steps):
+        prev = table[-1]
+        row = []
+        for s in range(dfa.n_states):
+            neg = any(prev[delta[s][letter]][0] for letter in usable)
+            pos = any(prev[delta[s][letter]][1] for letter in usable)
+            row.append((neg, pos))
+        table.append(row)
+    return table
 
 
 def sequences_csv_reference(ds):

@@ -5,6 +5,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ltlseq import automata
@@ -114,6 +115,91 @@ def test_minimize_matches_moore_reference():
             initial=rng.randrange(n),
         )
         assert minimize(d) == minimize_reference(d)
+
+
+def _chain(n):
+    """States 0 … n-1 in a line: letter 1 steps on, letter 0 stays; only the
+    last state accepts, so Moore refinement needs n rounds."""
+    return Dfa(("p",), n, frozenset({n - 1}), [(s, min(s + 1, n - 1)) for s in range(n)])
+
+
+def test_minimize_over_repeated_columns_matches_moore_reference():
+    rng = np.random.default_rng(1971)
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 16))
+        # a few distinct columns, each shared by many letters
+        columns = rng.integers(n, size=(int(rng.integers(1, 4)), n))
+        d = Dfa(
+            atoms=("a", "b", "c", "d", "e")[:k],
+            n_states=n,
+            accepting=frozenset(np.flatnonzero(rng.random(n) < 0.4).tolist()),
+            transitions=columns[rng.integers(len(columns), size=1 << k)].T,
+            initial=int(rng.integers(n)),
+        )
+        assert minimize(d) == minimize_reference(d)
+
+
+def test_minimize_with_all_columns_distinct_matches_moore_reference():
+    # 3 atoms, 8 states: letter l sends s to (s + l) % 8, a different column per letter
+    d = Dfa(("a", "b", "c"), 8, frozenset({0, 3}), [[(s + l) % 8 for l in range(8)] for s in range(8)])
+    assert len(automata._letter_classes(d.transitions)) == 8
+    assert minimize(d) == minimize_reference(d)
+
+
+def test_minimize_chain_needing_many_rounds_matches_moore_reference():
+    d = _chain(300)
+    m = minimize(d)
+    assert m.n_states == 300
+    assert m == minimize_reference(d)
+    # accepting every state past 149 merges them into one
+    merged = Dfa(("p",), 300, frozenset(range(150, 300)), d.transitions)
+    assert minimize(merged) == minimize_reference(merged)
+    assert minimize(merged).n_states == 151
+
+
+def test_letter_classes_match_column_dict_reference():
+    rng = np.random.default_rng(20261020)
+    cases = [_chain(5).transitions, ltlf_to_dfa(parse(_FAMILY_6)).transitions]
+    for _ in range(200):
+        n, letters = int(rng.integers(1, 9)), 1 << int(rng.integers(0, 6))
+        cases.append(rng.integers(int(rng.integers(1, 4)), size=(n, letters)))
+    for table in cases:
+        first: dict[tuple, int] = {}
+        for letter, column in enumerate(table.T.tolist()):
+            first.setdefault(tuple(column), letter)
+        assert automata._letter_classes(table).tolist() == list(first.values())
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1], [1]],  # ragged
+        [[0, 1, 1], [1, 0, 0]],  # three letters for one atom
+        [[0, 1]],  # one row for two states
+        [0, 1, 1, 0],  # flat
+        [[[0], [1]], [[1], [0]]],  # three axes
+    ],
+)
+def test_wrong_shaped_table_is_a_domain_error(rows):
+    with pytest.raises(DomainError, match=r"DFA transitions .*\(2, 2\)"):
+        Dfa(("p",), 2, frozenset({1}), rows)
+
+
+def test_table_is_one_read_only_array():
+    rows = ((0, 1), (1, 1))
+    d = Dfa(("p",), 2, frozenset({1}), rows)
+    assert isinstance(d.transitions, np.ndarray) and d.transitions.dtype == np.intp
+    with pytest.raises(ValueError):
+        d.transitions[0, 0] = 1
+    array = np.array(rows)
+    from_array = Dfa(("p",), 2, frozenset({1}), array)
+    array[0, 0] = 1  # the automaton keeps its own copy
+    assert from_array == d and hash(from_array) == hash(d)
+    assert from_array != Dfa(("p",), 2, frozenset({1}), array)
+    assert d != Dfa(("p",), 2, frozenset({0}), rows) and d != rows
+    assert type(d.step(0, 1)) is int and d.run([1, 0]) == [1, 1]
+    assert repr(d) == "Dfa(('p',), 2, frozenset({1}), [[0, 1], [1, 1]], 0)"
 
 
 def test_construction_is_deterministic():
@@ -579,7 +665,7 @@ def test_array_check_matches_per_entry_check_on_random_lists():
                 Dfa.from_json_dict(data)
             assert str(exc.value) == str(err)
         else:
-            assert Dfa.from_json_dict(data).transitions == expected
+            assert Dfa.from_json_dict(data).transitions.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

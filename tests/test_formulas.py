@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from ltlseq.automata import assignment_of
-from ltlseq.errors import DomainError, LtlfSyntaxError, UnknownTokenError
+from ltlseq.errors import DomainError, LtlfSyntaxError, ResourceLimitError, UnknownTokenError
 from ltlseq.formulas import (
     FALSE,
     NONEMPTY,
@@ -350,6 +350,20 @@ def test_table_rejects_non_nnf_and_bad_alphabets():
         memo.table(Implies(Atom("p"), Atom("q")))
     with pytest.raises(DomainError):
         memo.table(Globally(Or(Atom("p"), Atom("s"))))
+
+
+def test_table_memo_caps_atoms_before_allocating():
+    atoms = [f"a{i}" for i in range(30)]  # 2^30 letters: two 8 GB arrays uncapped
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as exc:
+            ProgressionMemo(atoms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "the alphabet has 30 atoms, over the cap of 16 atoms (_MAX_ATOMS)"
+    assert peak < 1 << 20, peak
+    ProgressionMemo(atoms[:16])
 
 
 def test_progress_rejects_non_nnf():

@@ -39,7 +39,7 @@ from ltlseq.tasks import (
     read_input,
     save_task_yaml,
 )
-from oracles import feasible_letters_reference, partition_reference
+from oracles import feasible_letters_reference, partition_reference, reach_table_reference
 from test_constraints import rand_constraint, rand_domain
 
 EXPECTED_STATES = {
@@ -700,6 +700,15 @@ def test_feasible_letters_equal_reference(name):
     for key in bad * 2:  # a bad key is never answered, so never remembered
         with pytest.raises(DomainError):
             ct.feasible_letters(*key)
+
+
+@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "fam10"])
+def test_reach_table_equals_reference(name):
+    ct = compile_task(family_spec(int(name[3:])) if name.startswith("fam") else builtin_task(name))
+    assert ct.reach.dtype == bool and ct.reach.shape == (ct.spec.max_length + 1, ct.dfa.n_states, 2)
+    expected = reach_table_reference(ct.dfa, ct.usable_letters, _MAX_LENGTH)
+    assert np.array_equal(ct.reach, expected[: ct.spec.max_length + 1])
+    assert np.array_equal(_reach_table(ct.dfa, ct.usable_letters, _MAX_LENGTH), expected)
 
 
 @pytest.mark.parametrize("name", ["task3", "task6"])
