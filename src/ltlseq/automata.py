@@ -61,6 +61,10 @@ class Dfa:
     def __hash__(self) -> int:
         return hash(self.digest)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __post_init__, so the copy's table is read-only too
+        return Dfa, (self.atoms, self.n_states, self.accepting, self.transitions, self.initial)
+
     def __repr__(self) -> str:
         table, accepting = self.transitions.tolist(), self.accepting
         return f"Dfa({self.atoms!r}, {self.n_states}, {accepting!r}, {table!r}, {self.initial})"

@@ -35,8 +35,17 @@ the ``*_label`` text of each distinct grid point and the ``*_truth`` text of
 each distinct letter, and joins each row from those pieces; the rows of a
 sample go out in one ``writelines``.
 
-``deserialize`` decodes ``sequences.csv`` in one pass, each row straight
-into the sequence of its (split, seq_id).
+``deserialize`` decodes ``sequences.csv`` by columns first
+(``_decode_columns``).  Text as ``serialize`` writes it (no quote or NUL,
+CR LF line breaks, every row as wide as the header, each sequence's rows
+together) is split into cells a block of rows at a time, and each column of
+a block is decoded by one ``map``; the verified load then checks every
+recorded state with one gather over the transition table
+(``_replay_matches``).  Any other text goes to the row decoder
+(``_decode_sequences``), one ``csv.reader`` pass, and a gather that finds a
+mismatch hands over to the scalar replay (``_verify_replay``).  Those two
+are the reference and the only code that names a bad line, so samples,
+errors and exit codes do not depend on which decoder ran.
 """
 
 from __future__ import annotations
@@ -661,6 +670,12 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     sample's letters through ``Dataset.dfa``, raising IntegrityError on any
     mismatch with the recorded states or labels.  Errors of the stored DFA
     name ``metadata.json``.
+
+    ``_decode_columns`` decodes the text when it can, and the verified load
+    then replays with one gather (``_replay_matches``).  When the columnar
+    decoder defers, ``_decode_sequences`` decodes the text, and the scalar
+    ``_verify_replay`` runs whenever no gather ran or the gather found a
+    mismatch; they raise every error.
     """
     in_dir = Path(in_dir)
     meta_path = in_dir / "metadata.json"
@@ -690,8 +705,10 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
             f"the embedded spec ({spec.spec_hash!r})"
         )
 
-    splits, lines = read_input(
-        csv_path, lambda text: _decode_sequences(text, spec, csv_path), DatasetFormatError
+    splits, lines, trace = read_input(
+        csv_path,
+        lambda text: _decode_columns(text, spec) or (*_decode_sequences(text, spec, csv_path), None),
+        DatasetFormatError,
     )
     ds = Dataset(spec=spec, splits=splits, metadata=metadata)
     if verify:
@@ -701,8 +718,138 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
             raise IntegrityError(f"{meta_path}: {err}") from err
         except DomainError as err:
             raise DatasetFormatError(f"{meta_path}: {err}") from err
-        _verify_replay(ds, lines, csv_path)
+        if trace is None or not _replay_matches(ds.dfa, *trace):
+            _verify_replay(ds, lines, csv_path)
     return ds
+
+
+# characters of sequences.csv that the columnar decoder splits into cells at once
+_BLOCK_CHARS = 1 << 18
+
+
+def _decode_columns(text: str, spec: TaskSpec):
+    """``_decode_sequences``'s samples and lines, plus the flat arrays
+    ``_replay_matches`` reads, decoded a column at a time; None when the text
+    needs the row decoder.
+
+    It takes only text that ``csv.reader`` splits at every comma: no quote
+    or NUL, every line ended by CR LF, no line longer than
+    ``csv.field_size_limit()`` and every row as wide as the header.  Rows
+    are split into cells one block of about ``_BLOCK_CHARS`` characters at a
+    time, and each column of a block is decoded by one ``map``.  A cell that
+    does not decode, a value past int64, an unknown split, a sequence whose
+    rows are not contiguous, a time step out of order or a label that changes
+    within a sequence all return None, and the row decoder names the line.
+    """
+    atoms, variables = spec.atoms, spec.variables
+    head = text.find("\r\n")
+    limit = csv.field_size_limit()
+    if not (0 <= head <= limit and text.endswith("\r\n")) or '"' in text or "\0" in text:
+        return None
+    header_line = text[:head]
+    header = header_line.split(",")
+    with_indices = any(col.endswith("_index") for col in header)
+    width = len(header)
+    pos = {col: i for i, col in enumerate(header)}  # a repeated column reads its last occurrence
+    if "\r" in header_line or "\n" in header_line:
+        return None
+    # a row's letter and seq_label bit go in one int64: at most 62 atoms
+    if len(atoms) > 62 or any(col not in pos for col in _columns(spec, atoms, with_indices)):
+        return None
+    split_codes = {name: code for code, name in enumerate(SPLIT_NAMES)}
+    i_split, int_cols = pos["split"], [pos["seq_id"], pos["t"], pos["state_after"]]
+    label_cols = [
+        (pos[f"{v.name}_label"], {label: i for i, label in enumerate(v.domain.labels)})
+        for v in variables
+    ]
+    bit_cols = [pos[f"{a}_truth"] for a in atoms] + [pos["seq_label"]]
+    index_cols = [pos[f"{v.name}_index"] for v in variables] if with_indices else []
+
+    blocks, indices, start = [], [], head + 2
+    while start < len(text):
+        end = text.find("\r\n", start + _BLOCK_CHARS)
+        end = len(text) - 2 if end < 0 else end
+        rows = text[start:end].split("\r\n")
+        start, n = end + 2, len(rows)
+        cells = ",".join(rows)
+        if "\r" in cells or "\n" in cells or max(map(len, rows)) > limit:
+            return None
+        if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+            return None
+        cells = cells.split(",")
+        try:
+            split = np.fromiter(map(split_codes.__getitem__, cells[i_split::width]), np.int8, n)
+            seq_id, t, state = (np.fromiter(map(int, cells[i::width]), np.int64, n) for i in int_cols)
+            positions = np.empty((n, len(variables)), dtype=np.intp)
+            for j, (i, codes) in enumerate(label_cols):
+                positions[:, j] = np.fromiter(map(codes.__getitem__, cells[i::width]), np.intp, n)
+            indices.extend(zip(*(map(int, cells[i::width]) for i in index_cols)))
+        except (KeyError, ValueError, OverflowError):
+            return None
+        bits = np.zeros(n, dtype=np.int64)  # the letter, and seq_label above it
+        for bit, i in enumerate(bit_cols):
+            column = cells[i::width]
+            if not set(column).issubset(_BITS):
+                return None
+            # each cell is one "0" or "1": the joined text's bytes are the bits
+            ones = np.frombuffer("".join(column).encode("ascii"), np.uint8) & 1
+            bits |= ones.astype(np.int64) << bit
+        blocks.append((split, seq_id, t, state, bits, grid_points(positions, variables)))
+    if not blocks:
+        return None
+
+    split, seq_id, t, state, bits, points = map(np.concatenate, zip(*blocks))
+    n = len(split)
+    first = np.ones(n, dtype=bool)
+    first[1:] = (split[1:] != split[:-1]) | (seq_id[1:] != seq_id[:-1])
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=n)
+    keys = list(zip(split[starts].tolist(), seq_id[starts].tolist()))
+    labels, letters = bits >> len(atoms), bits & ((1 << len(atoms)) - 1)
+    if (
+        len(set(keys)) != len(keys)
+        or not np.array_equal(t, np.arange(n) - np.repeat(starts, lengths))
+        or not np.array_equal(labels, np.repeat(labels[starts], lengths))
+    ):
+        return None
+
+    labels = labels[starts]
+    points, letter_list, states = points.tolist(), letters.tolist(), state.tolist()
+    if with_indices:
+        names = [v.name for v in variables]
+        indices = [dict(zip(names, row)) for row in indices]
+    splits: dict[str, list[SequenceSample]] = {s: [] for s in SPLIT_NAMES}
+    lines = {}
+    ends = (starts + lengths).tolist()
+    for (code, seq), label, a, b in zip(keys, labels.tolist(), starts.tolist(), ends):
+        split_name = SPLIT_NAMES[code]
+        splits[split_name].append(
+            SequenceSample(
+                seq, label, tuple(points[a:b]), variables, tuple(letter_list[a:b]), atoms,
+                tuple(states[a:b]), tuple(indices[a:b]) if with_indices else None,
+            )
+        )
+        lines[split_name, seq] = list(range(a + 2, b + 2))  # the header is line 1
+    return splits, lines, (letters, state, starts, labels)
+
+
+def _replay_matches(dfa: Dfa, letters, states, starts, labels) -> bool:
+    """Whether every recorded state is ``δ`` of the state recorded before it
+    (``dfa.initial`` at a sequence's first row, ``starts``) and its letter,
+    and each sequence ends accepting exactly when its label is 1: one gather
+    over ``dfa.transitions``.  A recorded state outside ``[0, n_states)``
+    indexes nothing; it can only mismatch."""
+    before = np.empty_like(states)
+    before[1:] = states[:-1]
+    before[starts] = dfa.initial
+    if not ((0 <= before) & (before < dfa.n_states)).all():
+        return False
+    if not np.array_equal(dfa.transitions[before, letters], states):
+        return False
+    accepting = np.zeros(dfa.n_states, dtype=bool)
+    accepting[list(dfa.accepting)] = True
+    ends = np.append(starts[1:], len(states)) - 1
+    return np.array_equal(accepting[states[ends]], labels.astype(bool))
 
 
 def _decode_sequences(
@@ -711,11 +858,14 @@ def _decode_sequences(
     """The samples of ``sequences.csv`` by split, and the lines of each
     (split, seq_id)'s rows, for ``_verify_replay``.
 
-    One pass: each row is decoded straight into the accumulator of its
-    (split, seq_id), so no raw row outlives its line.  Errors name the
-    physical line, ``reader.line_num``.  Each distinct combination of label
-    cells is decoded to domain positions once; one ``grid_points`` call then
-    encodes them all.
+    The row decoder: the reference for ``_decode_columns``, and what
+    ``deserialize`` runs on any text that decoder defers, such as quoted
+    cells, LF line breaks, blank lines or an error to name.  One pass: each
+    row is decoded straight into the accumulator of its (split, seq_id), so
+    no raw row outlives its line.  Errors name the physical line,
+    ``reader.line_num``.  Each distinct combination of label cells is
+    decoded to domain positions once; one ``grid_points`` call then encodes
+    them all.
     """
     atoms = spec.atoms
     reader = csv.reader(io.StringIO(text, newline=""))

@@ -1,7 +1,9 @@
 """DFA construction, minimization, guards, and serialization tests."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -200,6 +202,17 @@ def test_table_is_one_read_only_array():
     assert d != Dfa(("p",), 2, frozenset({0}), rows) and d != rows
     assert type(d.step(0, 1)) is int and d.run([1, 0]) == [1, 1]
     assert repr(d) == "Dfa(('p',), 2, frozenset({1}), [[0, 1], [1, 1]], 0)"
+
+
+def test_pickle_and_deepcopy_keep_the_table_read_only():
+    d = compile_task(builtin_task("task5")).dfa
+    d.digest  # a cached digest is not carried over, only recomputed
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert copied == d and copied.digest == d.digest and copied.initial == d.initial
+        assert copied.transitions is not d.transitions
+        assert not copied.transitions.flags.writeable
+        with pytest.raises(ValueError):
+            copied.transitions[0, 0] = 1
 
 
 def test_construction_is_deterministic():

@@ -16,7 +16,13 @@ from ltlseq.automata import Dfa
 from ltlseq.cli import main
 from ltlseq.constraints import SymbolicDomain, VariableSpec, parse_constraint
 from ltlseq.errors import DatasetFormatError, DomainError, IntegrityError, LtlseqError
-from ltlseq.generator import attach_image_indices, deserialize, generate_dataset, serialize
+from ltlseq.generator import (
+    _decode_columns,
+    attach_image_indices,
+    deserialize,
+    generate_dataset,
+    serialize,
+)
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import TaskSpec, compile_task, load_task_yaml
 from oracles import sequences_csv_reference
@@ -449,6 +455,33 @@ def test_replay_error_names_the_line_of_sequences_csv(tmp_path, edit):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"Error: {message}" in result.output
+
+
+@pytest.mark.parametrize("step", [0, 1, "last"])
+@pytest.mark.parametrize(
+    "state", ["9" * 20, "-1", "1000"], ids=["past-int64", "negative", "past-states"]
+)
+def test_out_of_range_state_diverges_at_its_step(tmp_path, state, step):
+    """A recorded state outside the automaton loads unverified as the int it
+    reads, and a verified load names its line: the gather replay never
+    indexes with it (the columnar decoder reads -1 and 1000, and defers a
+    state past int64 to the row decoder)."""
+    ds = generate_dataset(builtin_task("task5", splits=(4, 2, 2)))
+    serialize(ds, tmp_path)
+    path = tmp_path / "sequences.csv"
+    rows = list(csv.reader(path.open(newline="")))
+    first = ds.splits["train"][0]
+    step = first.length - 1 if step == "last" else step
+    rows[1 + step][rows[0].index("state_after")] = state
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    text = path.read_bytes().decode()
+    assert (_decode_columns(text, ds.spec) is None) == (state == "9" * 20)
+    loaded = deserialize(tmp_path).splits["train"][0]
+    assert loaded.states == (*first.states[:step], int(state), *first.states[step + 1 :])
+    with pytest.raises(IntegrityError) as exc:
+        deserialize(tmp_path, verify=True)
+    assert str(exc.value) == f"{path}:{2 + step}: sequence train/0: replay diverges at step {step}"
 
 
 def test_mutated_stored_dfa_loads_unchanged_or_fails_typed(tmp_path):
