@@ -22,8 +22,10 @@ expression and contract each indicator tensor over all steps at once
 (``tensor_probability``: the last axis as one matrix-vector product per
 step, then one ``einsum`` per remaining axis); the ``ic_cc`` identity needs
 no contraction, each atom's belief being its distribution's column 1.  A
-sweep then runs every (config, seed) unit of a split through each engine in
-one batched pass and scores the units one by one; no threads are started.
+sweep then runs every (config, seed) unit of every split it reads (the
+scored one, plus val when calibrating) through each engine in one batched
+pass, padded to the widest split, and scores the units one by one; no
+threads are started.
 With calibration, each distinct val acceptance is fitted once, and all of
 them in one lockstep search (``calibrate_temperatures``) after every engine
 has run.  SC is always scored on raw acceptance: a fitted calibration
@@ -53,7 +55,7 @@ from .inference import (
     run_batch,
     run_sequence,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
 )
-from .tasks import CompiledTask, read_input
+from .tasks import SPLIT_NAMES, CompiledTask, read_input
 
 ORACLE_TARGETS = ("ic", "ic_cc")
 ORACLE_KINDS = ("perfect", "flip", "confidence")
@@ -208,6 +210,8 @@ class _Split:
 
 
 def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
+    if split not in SPLIT_NAMES:
+        raise DomainError(f"unknown split {split!r}; valid: {', '.join(SPLIT_NAMES)}")
     samples = dataset.splits.get(split, [])
     if not samples:
         raise DomainError(f"split {split!r} is empty")
@@ -305,16 +309,25 @@ def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _T
 
 def _run_units(engine, units: Sequence[_Traces]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Predicted states (argmax belief per step) and acceptance of each
-    unit's traces, all of one split, from one ``run_batch`` call over the
-    stacked units.  Kernel rows are independent, so each unit's slice equals
-    a ``run_batch`` call on that unit alone, bit for bit.
+    unit's traces, from one ``run_batch`` call over the stacked units.  The
+    units may come from different splits: each is padded with zero steps to
+    the widest, and its predictions are cut back to its own split's width.
+    Kernel rows are independent, so each unit's slice equals a ``run_batch``
+    call on that unit alone, bit for bit.
     """
     if not units:
         return []
-    lengths = np.tile(units[0].data.lengths, len(units))
-    result = run_batch(engine, np.concatenate([u.cb for u in units]), lengths)
+    width = max(u.cb.shape[1] for u in units)
+    cb = np.zeros((sum(len(u.cb) for u in units), width, units[0].cb.shape[2]))
+    bounds = np.cumsum([0] + [len(u.cb) for u in units])
+    for u, lo, hi in zip(units, bounds, bounds[1:]):
+        cb[lo:hi, : u.cb.shape[1]] = u.cb
+    result = run_batch(engine, cb, np.concatenate([u.data.lengths for u in units]))
     predicted = result.beliefs.argmax(axis=2)
-    return list(zip(np.split(predicted, len(units)), np.split(result.acceptance, len(units))))
+    return [
+        (predicted[lo:hi, : u.cb.shape[1]], result.acceptance[lo:hi])
+        for u, lo, hi in zip(units, bounds, bounds[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +472,11 @@ def oracle_sweep(
     Rows come back in (config, engine, seed) order: the ``SWEEP_COLUMNS``
     of each combination, plus ``sc_temp`` when calibrating.  Each (config,
     seed) unit corrupts its splits once, and every engine runs on those same
-    traces: the units of one split are stacked into one ``run_batch`` batch
-    per engine, then scored one by one.  Oracle draws depend only on (seed,
-    split, seq_id), so the metrics equal separate ``evaluate`` calls.
+    traces: the units of every split read (``split``, plus val when
+    calibrating) are stacked into one ``run_batch`` batch per engine, padded
+    to the widest split, then scored one by one.  Oracle draws depend only
+    on (seed, split, seq_id), so the metrics equal separate ``evaluate``
+    calls.
     Calibration (optional) fits a scalar acceptance temperature on the val
     split per combination, once per distinct acceptance vector (engines and
     configs often agree), all in one ``calibrate_temperatures`` call; each
@@ -489,8 +504,10 @@ def oracle_sweep(
     # every unit scores the same val samples, so equal acceptances fit equal
     # temperatures: each distinct acceptance, with the rows that share it
     shared: dict[bytes, tuple[np.ndarray, list[dict]]] = {}
+    stacked = [t for unit_traces in traces.values() for t in unit_traces]
     for name, engine in built.items():
-        runs = {s: _run_units(engine, unit_traces) for s, unit_traces in traces.items()}
+        out = _run_units(engine, stacked)
+        runs = {s: out[i * len(units) : (i + 1) * len(units)] for i, s in enumerate(traces)}
         rows[name] = []
         for u, unit in enumerate(units):
             row = {

@@ -13,7 +13,9 @@ that steps a whole batch of sequences at once:
 
 The ``-lp`` engines sum over letters with logsumexp in log space, so letter
 probabilities that underflow in float64 still give the log-semiring answer;
-the sum reuses the rule's own array, so ``_BATCH_CELLS`` bounds all five engines.
+their rule builds its array letters first (letters × rows × states), the sum
+reduces over that outermost axis and reuses the array, so ``_BATCH_CELLS``
+bounds all five engines.
 
 Each engine is one row of ``_ENGINES`` (rule, renormalization, semiring),
 built by ``make_engine``.  The per-step semantics the kernels implement stay
@@ -295,35 +297,48 @@ class _Preimages:
     """Sums over the preimages {s: δ(s,ℓ) = t} of a DFA's transition table δ.
 
     The (source, letter) pairs are sorted by (letter, target), so one
-    ``np.add.reduceat`` sums every preimage; the working array is
-    sequences × letters × states.
+    ``np.add.reduceat`` sums every preimage.  The sums fill a rows × letters
+    × states cube, or with ``letters_first`` a letters × rows × states cube,
+    whose sums over letters run along its outermost axis.
     """
 
-    def __init__(self, dfa: Dfa):
+    def __init__(self, dfa: Dfa, letters_first: bool):
         n, n_letters = dfa.n_states, dfa.n_letters
         keys = (np.arange(n_letters) * n + dfa.transitions).ravel()  # source-major pairs
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         self.starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
         self.keys = sorted_keys[self.starts]
+        self.letters, self.targets = np.divmod(self.keys, n)
         self.sources = order // n_letters
         self.shape = (n_letters, n)
+        self.letters_first = letters_first
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        """x[:, ℓ, t] = Σ_{s: δ(s,ℓ)=t} v[:, s] for v of shape sequences × states."""
+        """x[:, ℓ, t] = Σ_{s: δ(s,ℓ)=t} v[:, s] for v of shape rows × states,
+        or x[ℓ, :, t] when ``letters_first``."""
+        sums = np.add.reduceat(v[:, self.sources], self.starts, axis=1)
+        if self.letters_first:
+            x = np.zeros((self.shape[0], len(v), self.shape[1]))
+            x[self.letters, :, self.targets] = sums.T
+            return x
         x = np.zeros((len(v), self.shape[0] * self.shape[1]))
-        x[:, self.keys] = np.add.reduceat(v[:, self.sources], self.starts, axis=1)
+        x[:, self.keys] = sums
         return x.reshape(len(v), *self.shape)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    top = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """logsumexp over axis 0 of a letters × rows × states cube, overwriting
+    ``a``.  numpy sums it by adding whole rows × states slices one letter
+    after another, in letter order, as it sums a middle letters axis, so the
+    bits equal a logsumexp over the letters of a rows × letters × states
+    cube; the slices are contiguous, which makes the outer axis the fast one."""
+    top = np.max(a, axis=0)
     shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf slice stays -inf
-    a -= shift  # in place: the caller's array is overwritten
+    a -= shift
     np.exp(a, out=a)
     with np.errstate(divide="ignore"):
-        out = np.log(a.sum(axis=axis, keepdims=True)) + shift
-    return np.squeeze(out, axis=axis)
+        return np.log(a.sum(axis=0)) + shift
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +370,7 @@ class _Engine:
     def __init__(self, name: str, dfa: Dfa):
         self.multihot, self.renormalize, self.semiring = _ENGINES[name]
         self.name, self.dfa = name, dfa
-        self._preimages = _Preimages(dfa)
+        self._preimages = _Preimages(dfa, letters_first=self.semiring is LOGPROB)
 
     def letter_weights(self, cb: np.ndarray) -> np.ndarray:
         """P(letter) (log P(letter) in LOGPROB) for constraint beliefs ``cb``
@@ -369,15 +384,16 @@ class _Engine:
         if self.multihot:
             with np.errstate(divide="ignore"):
                 # b = 1 makes log1p(−b) = -inf, and exp(-inf) = 0 keeps Π(1 − b) exact
-                mass = -np.expm1(self._preimages(np.log1p(-b)))
+                mass = self._preimages(np.log1p(-b))
+            np.negative(np.expm1(mass, out=mass), out=mass)
         else:
             mass = self._preimages(b)
         if self.semiring is not LOGPROB:
             return np.matmul(weights[:, None, :], mass)[:, 0, :]
-        with np.errstate(divide="ignore"):  # in place: mass is this call's own array
+        with np.errstate(divide="ignore"):  # in place: mass is this call's own letters-first cube
             np.log(mass, out=mass)
-        mass += weights[:, :, None]
-        return _logsumexp(mass, axis=1)
+        mass += weights.T[:, :, None]
+        return _logsumexp(mass)
 
     def advance(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Beliefs (sequences × states) and masses (sequences) after one step."""

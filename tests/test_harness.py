@@ -217,6 +217,17 @@ def test_evaluate_split_selection():
         evaluate(ct, ds, "exact", OracleConfig(), split="nope")
 
 
+def test_unknown_split_names_the_valid_splits():
+    ct, ds = small_dataset()
+    message = r"unknown split 'bogus'; valid: train, val, test"
+    with pytest.raises(DomainError, match=message):
+        evaluate(ct, ds, "exact", OracleConfig(), split="bogus")
+    with pytest.raises(DomainError, match=message):
+        fit_sc_temperature(ct, ds, "exact", OracleConfig(), split="bogus")
+    with pytest.raises(DomainError, match=message):
+        oracle_sweep(ct, ds, [OracleConfig()], split="bogus")
+
+
 def test_sc_tie_counts_as_positive(monkeypatch):
     ct, ds = small_dataset()
     dfa = ct.dfa
@@ -461,11 +472,13 @@ def test_golden_sweep_bytes(tmp_path, name):
 
 # sha256 of write_sweep_csv output of the noise sweep at oracle seeds 1 and 2:
 # every built-in task and fam6 at splits (2, 6, 6) and lengths 10-20, the
-# default configs, all five engines, calibration on.  The last entry is the
-# sweep.csv of `ltlseq sweep task3 --calibrate` at its defaults, which CI
-# also checks on the installed console script.  Captured while each noisy
-# config still seeded its own numpy Generator per sequence; the cached-word
-# oracle draws must match them byte for byte.
+# default configs, all five engines, calibration on.  The last two entries
+# are the sweep.csv of `ltlseq sweep task3 --calibrate` at its defaults, with
+# the default engine and with all five, which CI also checks on the installed
+# console script.  Captured while each noisy config still seeded its own
+# numpy Generator per sequence, and the five-engine entry while each engine
+# ran the val and test splits in separate batches on a rows × letters ×
+# states log-semiring cube; the current code must match them byte for byte.
 GOLDEN_NOISY_SWEEPS = {
     "task1": "5f1fc657ee6e15afdcec8fee8d8c238220dedc8b54687e733a5956cb2c378c70",
     "task2": "182be0ceb80ae676077045c736139a75fc7b4c9f815181010fa80bfdde2fd3d3",
@@ -476,6 +489,9 @@ GOLDEN_NOISY_SWEEPS = {
     "example": "107b4735f1af1b36940f98dd3d1ee5d9ff0300dcf021896d4682be085a0e202f",
     "fam6": "a063256f923cd56cac621b6e3b5616934a97fe8e63d813b9bd5adca60d46d87c",
     "ltlseq sweep task3 --calibrate": "37211c20453454d8607f0a6225ac8feea6dd75ea8430a7867e25c788905dd9b7",
+    "ltlseq sweep task3 --calibrate -e exact -e fuzzy-p -e fuzzy-lp -e sddnnf-p -e sddnnf-lp": (
+        "392956b8d7b6e1aa59d24e16408276223b62da617799ba660cf4701cdbcc5118"
+    ),
 }
 
 
@@ -845,6 +861,43 @@ def test_oracle_sweep_needs_no_train_split():
     rows = oracle_sweep(ct, dataset=ds)
     assert len(rows) == len(default_sweep_configs()) == 13
     assert all(set(row) == set(SWEEP_COLUMNS) for row in rows)
+
+
+@pytest.mark.parametrize("val_wider", [True, False], ids=["val-wider", "val-narrower"])
+def test_sweep_over_splits_of_unequal_width_equals_separate_calls(val_wider, monkeypatch):
+    from ltlseq import harness
+    from ltlseq.inference import ENGINE_NAMES
+
+    ct, ds = small_dataset("task3", splits=(60, 0, 0), min_length=2, max_length=12)
+    long = [s for s in ds.splits["train"] if s.length > 7][:6]
+    short = [s for s in ds.splits["train"] if s.length <= 7][:6]
+    val, test = (long, short) if val_wider else (short, long)
+    assert len({s.length for s in val}) > 1 and len({s.length for s in test}) > 1
+    mixed = dataclasses.replace(ds, splits={"val": val, "test": test})
+    configs = [
+        OracleConfig(),
+        OracleConfig(kind="flip", p=0.3),
+        OracleConfig(target="ic_cc", kind="confidence", p=0.4),
+    ]
+    calls = []
+    real = harness.run_batch
+    monkeypatch.setattr(harness, "run_batch", lambda *args: calls.append(1) or real(*args))
+    rows = oracle_sweep(ct, mixed, configs, engines=ENGINE_NAMES, seeds=(5, 6), calibrate=True)
+    assert len(calls) == len(ENGINE_NAMES)  # one batch per engine over both splits
+    assert len(rows) == len(configs) * len(ENGINE_NAMES) * 2
+    for row in rows:
+        cfg = OracleConfig(row["oracle_target"], row["oracle_kind"], row["p"], row["seed"])
+        m = evaluate(ct, mixed, row["engine"], cfg)
+        assert {c: row[c] for c in METRIC_COLUMNS} == dataclasses.asdict(m)
+        assert row["sc_temp"] == fit_sc_temperature(ct, mixed, row["engine"], cfg)[0]
+    # bit for bit: each unit of the stacked batch equals a batch of its own
+    splits = [harness._split_arrays(ct, mixed, split) for split in ("val", "test")]
+    units = [harness._oracle_traces(ct, data, cfg) for data in splits for cfg in configs]
+    for name in ENGINE_NAMES:
+        engine = make_engine(name, ct.dfa)
+        for unit, (predicted, acceptance) in zip(units, harness._run_units(engine, units)):
+            alone = harness._run_units(engine, [unit])[0]
+            assert np.array_equal(predicted, alone[0]) and np.array_equal(acceptance, alone[1])
 
 
 @pytest.mark.parametrize("name", ["task3", "task4", "task5", "task6"])

@@ -10,6 +10,7 @@ each followed by the renormalization the per-step engines always applied.
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ltlseq.inference import (
 )
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import compile_task
+from oracles import logprob_raw_reference
 from test_tasks import family_spec
 
 TOL = 1e-12
@@ -207,6 +209,31 @@ def test_log_engines_match_logprob_reference_where_probabilities_underflow(name)
         want_belief, _ = reference_step(dfa, name, b, cb)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - want_belief)) <= TOL
+
+
+LOG_CASES = [*CASES, ("fam10", compile_task(family_spec(10)).dfa)]
+
+
+@pytest.mark.parametrize("case", LOG_CASES, ids=[name for name, _ in LOG_CASES])
+def test_log_kernel_equals_rows_first_reference_bit_for_bit(case):
+    _, dfa = case
+    rng = np.random.default_rng(dfa.n_states * 6007 + dfa.n_letters)
+    k = len(dfa.atoms)
+    for n_rows in (1, 9):
+        b = np.array([soft_belief(rng, dfa.n_states) for _ in range(n_rows)])
+        b[1::3] = np.eye(dfa.n_states)[rng.integers(dfa.n_states, size=len(b[1::3]))]
+        cb = rng.random((n_rows, k))
+        cb[::2, 0] = 0.0  # beliefs of exactly 0 and 1 give letters of log weight -inf
+        cb[::3, -1] = 1.0
+        for name in ("fuzzy-lp", "sddnnf-lp"):
+            engine = make_engine(name, dfa)
+            weights = engine.letter_weights(cb)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                raw = engine.raw(b, weights)
+                engine.advance(b, weights)
+            want = logprob_raw_reference(dfa, engine.multihot, b, weights)
+            assert raw.tobytes() == want.tobytes(), (name, n_rows)
 
 
 @pytest.mark.parametrize("name", [n for n in ENGINE_NAMES if n != "exact"])
