@@ -12,20 +12,23 @@ indicator, so each oracle kind is written once.
 
 Oracle randomness is derived per sequence from ``(seed, split, seq_id)``, so
 results do not depend on evaluation order.  A split seeds each sequence's
-stream once per oracle seed and keeps its PCG64 words (``generator._Draws``);
-every noisy config of that seed reads them from word 0 and draws exactly
-what a fresh ``np.random.default_rng`` per sequence would.  Corruption is
-array code over a whole split: flip oracles read numpy's scalar ``random()``
-and ``integers(k)`` off the words in one loop and emit label indices, and
-confidence oracles compute every mass from the words in one array
-expression and contract each indicator tensor over all steps at once
+stream once per oracle seed (``generator._Draws``) and keeps its first words
+as one uint64 table with their next_doubles (``_Words``); every noisy config
+of that seed reads them from word 0 and draws exactly what a fresh
+``np.random.default_rng`` per sequence would.  A sweep corrupts each split
+once per (target, kind, seed) group of its (config, seed) units.  A flip
+oracle finds its flipped entries in the table with one array compare per p
+and steps from one to the next in Python, pairing re-draws on half words; a
+draw Lemire might reject, or a row that runs out of words, sends that
+sequence to the scalar draws on its stream.  A confidence oracle
+computes every mass of the group from the table in one array expression;
+its IC hits and the ``ic_cc`` beliefs need no distribution, and under ``ic``
+each indicator tensor is contracted over all steps at once
 (``tensor_probability``: the last axis as one matrix-vector product per
-step, then one ``einsum`` per remaining axis); the ``ic_cc`` identity needs
-no contraction, each atom's belief being its distribution's column 1.  A
-sweep then runs every (config, seed) unit of every split it reads (the
-scored one, plus val when calibrating) through each engine in one batched
-pass, padded to the widest split, and scores the units one by one; no
-threads are started.
+step, then one ``einsum`` per remaining axis).  A sweep then runs every
+unit of every split it reads (the scored one, plus val when calibrating)
+through each engine in one batched pass, padded to the widest split, and
+scores each engine's units in one pass; no threads are started.
 With calibration, each distinct val acceptance is fitted once, and all of
 them in one lockstep search (``calibrate_temperatures``) after every engine
 has run.  SC is always scored on raw acceptance: a fitted calibration
@@ -38,6 +41,7 @@ import csv
 import functools
 import io
 import math
+import numbers
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -47,7 +51,7 @@ import numpy as np
 
 from .constraints import grid_positions, tensor_probability
 from .errors import DomainError, TaskFileError
-from .generator import Dataset, SequenceSample, _digest_int, _Draws, _next_doubles
+from .generator import _LOW32, Dataset, SequenceSample, _digest_int, _Draws, _next_doubles
 from .inference import (
     calibrate_temperature,
     calibrate_temperatures,
@@ -79,6 +83,11 @@ class OracleConfig:
             raise DomainError(f"oracle target must be one of {ORACLE_TARGETS}, got {self.target!r}")
         if self.kind not in ORACLE_KINDS:
             raise DomainError(f"oracle kind must be one of {ORACLE_KINDS}, got {self.kind!r}")
+        # a bool or a float seed would equal an int seed yet name another stream
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise DomainError(f"oracle seed must be an int, got {self.seed!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+            raise DomainError(f"noise level must be an int or a float, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"noise level must be in [0, 1], got {self.p}")
         if self.kind == "perfect" and self.p != 0.0:
@@ -143,46 +152,105 @@ def _check_oracle_args(true_label: int, k: int, p: float) -> None:
 
 
 def _flip_labels(
-    true: np.ndarray,
-    sizes: Sequence[int],
-    p: float,
-    draws: Sequence[_Draws],
-    lengths: np.ndarray,
+    true: np.ndarray, sizes: Sequence[int], p: float, words: _Words, lengths: np.ndarray
 ) -> np.ndarray:
-    """Labels after the flip oracle's scalar draws: per sequence, steps outer
-    and columns inner, each entry re-drawn over all its ``sizes`` classes
-    with probability p, exactly as ``flip_oracle`` draws them."""
-    n = len(sizes)
-    flat = true.ravel().tolist()
-    lo = 0
-    for stream, length in zip(draws, lengths):
-        random, integers = stream.random, stream.integers
-        for i in range(lo, lo + int(length) * n):
-            if random() < p:
-                flat[i] = integers(sizes[i % n])
-        lo += int(length) * n
-    return np.array(flat, dtype=np.intp).reshape(true.shape)
+    """Labels after the flip oracle (steps outer, columns inner, sequence
+    after sequence): each entry re-drawn over all its ``sizes`` classes with
+    probability p, exactly as ``flip_oracle`` draws them.
+
+    Entry e tests the word at e plus the words its earlier re-draws took.
+    A re-draw is 32-bit Lemire on the next half word: a new word's low half,
+    leaving its high half pending for the next re-draw.  So the loop visits
+    only the hits, the words whose next_double is below p, skipping from one
+    to the next.  A low product below k (Lemire might reject it) or a row
+    that runs out of words sends that one sequence to the scalar draws, on
+    a replay of its stream.
+    """
+    n, width = len(sizes), words.table.shape[1]
+    hits = np.flatnonzero(words.doubles < p)
+    ends = np.searchsorted(hits, np.arange(1, len(lengths) + 1) * width).tolist()
+    hits, rows = hits.tolist(), words.table.tolist()
+    out = true.copy()
+    flat = out.reshape(-1)
+    lo = first = 0
+    for i, (entries, count) in enumerate(zip((lengths * n).tolist(), words.counts.tolist())):
+        shift = pos = 0  # the words re-draws took; the first word not yet read
+        half = None
+        for q in hits[first : ends[i]]:
+            q -= i * width
+            e = q - shift
+            if q < pos:  # a re-draw's word
+                continue
+            if e >= entries:
+                break
+            if half is None:  # past its words, a row reads a zero word
+                word = rows[i][q + 1]
+                draw, half, shift, pos = word & _LOW32, word >> 32, shift + 1, q + 2
+            else:
+                draw, half, pos = half, None, q + 1
+            m = draw * sizes[e % n]
+            if m & _LOW32 < sizes[e % n]:
+                shift = count  # replay the sequence
+                break
+            flat[lo + e] = m >> 32
+        if entries + shift > count:
+            draws = words.streams[i].replay()
+            for j in range(lo, lo + entries):
+                flat[j] = draws.integers(sizes[j % n]) if draws.random() < p else true.flat[j]
+        lo, first = lo + entries, ends[i]
+    return out
 
 
 def _confidence_masses(
-    p: float, n: int, draws: Sequence[_Draws], lengths: np.ndarray
+    ps: Sequence[float], n: int, words: _Words, lengths: np.ndarray
 ) -> np.ndarray:
-    """True-label masses m ~ U[1−p, 1] (steps × ``n`` columns), one word per
-    entry; equal to ``confidence_oracle``'s scalar draws: numpy's ``uniform``
-    is ``low + (high − low) · next_double``, the subtraction in floats."""
-    u = _next_doubles(
-        [w for stream, length in zip(draws, lengths) for w in stream.head(int(length) * n)]
-    )
-    low = 1.0 - p
-    return (low + (1.0 - low) * u).reshape(-1, n)
+    """The true-label masses m ~ U[1−p, 1] of each p (p × steps × ``n``
+    columns), one word per entry; equal to ``confidence_oracle``'s scalar
+    draws: numpy's ``uniform`` is ``low + (high − low) · next_double``, the
+    subtraction in floats.  Each row holds a word per entry."""
+    steps = int(lengths.max())
+    mask = np.arange(steps) < lengths[:, None]
+    u = words.doubles[:, : steps * n].reshape(len(lengths), steps, n)[mask]
+    low = 1.0 - np.array(ps, dtype=float)[:, None, None]
+    return low + (1.0 - low) * u
+
+
+def _argmax_hits(m: np.ndarray, o: np.ndarray, true: np.ndarray) -> np.ndarray:
+    """Where a confidence oracle's distribution, m at the true label and o
+    at each other, has its ``argmax`` at the true label: where m > o, or on
+    a tie where the true label is 0, the first index."""
+    return (m > o) | ((m == o) & (true == 0))
+
+
+@dataclass(frozen=True)
+class _Words:
+    """The first words of each sequence's oracle stream as one table.
+
+    Row i holds the first ``counts[i]`` words of ``streams[i]``, then zero
+    words, at least one; ``doubles`` holds their next_doubles, 1.0 past the
+    fetched words so that no p ≤ 1 finds a flip there."""
+
+    streams: Sequence[_Draws]
+    table: np.ndarray
+    counts: np.ndarray
+    doubles: np.ndarray
+
+    @classmethod
+    def of(cls, streams: Sequence[_Draws], counts: np.ndarray) -> _Words:
+        counts = np.asarray(counts)
+        table = np.zeros((len(streams), counts.max() + 1), dtype=np.uint64)
+        for row, stream, count in zip(table, streams, counts.tolist()):
+            row[:count] = stream.head(count)
+        fetched = np.arange(table.shape[1]) < counts[:, None]
+        return cls(streams, table, counts, np.where(fetched, _next_doubles(table), 1.0))
 
 
 @dataclass(frozen=True)
 class _Split:
     """One split of a dataset as arrays padded to its longest sequence:
     lengths, a step mask, truth vectors (sequences × steps × atoms), true
-    domain indices (sequences × steps × variables) and states (-1 past each
-    sequence's end)."""
+    domain indices (sequences × steps × variables), states (-1 past each
+    sequence's end) and each sequence's label as a bool."""
 
     name: str
     samples: Sequence[SequenceSample]
@@ -191,22 +259,24 @@ class _Split:
     truths: np.ndarray
     labels: np.ndarray
     states: np.ndarray
-    _streams: dict = field(default_factory=dict, compare=False, repr=False)
+    positive: np.ndarray
+    _words: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def oracle_draws(self, seed: int) -> list[_Draws]:
-        """One reader per sequence of its ``(seed, split, seq_id)`` oracle
-        stream, from word 0.  Each stream is seeded once per seed and keeps
-        its words, so every config of that seed reads words fetched once.
-        The first block holds two words per entry of the wider target: one
-        for the flip test, and more than enough for a re-draw's half word."""
-        streams = self._streams.get(seed)
-        if streams is None:
+    def oracle_words(self, seed: int) -> _Words:
+        """The ``(seed, split, seq_id)`` oracle stream of each sequence and
+        its first words.  Each stream is seeded once per seed, so every
+        config of that seed reads words fetched once.  A row holds two words
+        per entry of the wider target: one for the flip test, and more than
+        enough for a re-draw's half word."""
+        words = self._words.get(seed)
+        if words is None:
             width = max(self.labels.shape[2], self.truths.shape[2])
-            streams = self._streams[seed] = [
+            streams = [
                 _Draws(_digest_int(f"{seed}:{self.name}:{s.seq_id}:oracle"), 2 * s.length * width)
                 for s in self.samples
             ]
-        return [stream.replay() for stream in streams]
+            words = self._words[seed] = _Words.of(streams, 2 * self.lengths * width)
+        return words
 
 
 def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
@@ -233,101 +303,120 @@ def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
         states[i, : sample.length] = sample.states
     labels = grid_positions(points, variables)
     truths = (letters[..., None] >> np.arange(len(task.atoms)) & 1).astype(bool)
-    return _Split(split, samples, lengths, mask, truths, labels, states)
+    positive = np.array([bool(s.label) for s in samples])
+    return _Split(split, samples, lengths, mask, truths, labels, states, positive)
 
 
 @dataclass(frozen=True)
 class _Traces:
     """Corrupted constraint beliefs of one split under one oracle config,
-    padded with zeros like the split's arrays, plus IC (hits, total)."""
+    padded with zeros like the split's arrays, plus IC (hits, total) and
+    the CC hits: thresholded beliefs equal to the truth bits."""
 
     data: _Split
     cb: np.ndarray
     ic_hits: int
     ic_total: int
+    cc_hits: int
 
 
 _IDENTITY = np.array([0.0, 1.0])  # an atom's indicator over its own truth bit
 
 
 def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _Traces:
-    """Corrupt every sequence of a split under one config.
+    """Corrupt every sequence of a split under one config."""
+    return _group_traces(task, data, [oracle])[0]
+
+
+def _group_traces(
+    task: CompiledTask, data: _Split, oracles: Sequence[OracleConfig]
+) -> list[_Traces]:
+    """Corrupt every sequence of a split under configs that share a target,
+    a kind and a seed: one ``_Traces`` per config, in order.
 
     Each sequence draws from its own ``(seed, split, seq_id)`` stream, from
     its first word, in a fixed order — steps outer; declared variables
     (``ic``) or sorted atoms (``ic_cc``) inner — so a config always yields
     the same corruption whatever the engine, caller or other configs read
-    before it: the streams are ``data.oracle_draws``, whose words every
+    before it: the streams are ``data.oracle_words``, whose words every
     config of the seed shares.  ``ic_cc`` is ``ic`` over two-class
     variables, one per atom, whose true class is the atom's truth bit and
     whose indicator is the identity.  A perfect or flip oracle's label
     distributions are one-hot, so each atom's belief is its indicator tensor
-    read at the drawn labels; a confidence oracle's distributions are
-    contracted with each indicator over all steps at once, except that the
-    identity's contraction is column 1 of its distribution, read directly.
+    read at the drawn labels.  A confidence oracle's IC hits need no
+    distribution (``_argmax_hits``), and neither does the identity: its
+    belief is the distribution's column 1, m where the truth bit is 1, else
+    (1 − m)/1.  Only the variables some other indicator reads get a
+    distribution, contracted with the indicator over all steps at once.
     """
-    if oracle.target == "ic":
-        true = data.labels[data.mask]  # steps of every sequence × variables
+    target, kind, seed = oracles[0].target, oracles[0].kind, oracles[0].seed
+    bits = data.truths[data.mask]  # steps of every sequence × atoms
+    if target == "ic":
+        true = data.labels[data.mask]  # steps × variables
         sizes = [v.domain.size for v in task.spec.variables]
         column = {v.name: j for j, v in enumerate(task.spec.variables)}
-        indicators = map(task.indicator, task.atoms)
-        reads = [([column[n] for n in names], tensor) for names, tensor in indicators]
+        reads = [([column[n] for n in names], t) for names, t in map(task.indicator, task.atoms)]
     else:
-        true = data.truths[data.mask].astype(np.intp)  # steps × atoms
-        sizes = [2] * len(task.atoms)
+        true, sizes = bits.astype(np.intp), [2] * len(task.atoms)
         reads = [([i], _IDENTITY) for i in range(len(task.atoms))]
-    draws = None if oracle.kind == "perfect" else data.oracle_draws(oracle.seed)
-    if draws is not None and min(sizes, default=2) < 2:
-        raise DomainError(f"class count must be >= 2, got {min(sizes)}")
-    flat = np.empty((len(true), len(task.atoms)))
-    if oracle.kind == "confidence":
-        m = _confidence_masses(oracle.p, len(sizes), draws, data.lengths)
-        dists, ic_hits = [], 0
-        for j, k in enumerate(sizes):
-            dist = np.repeat(((1.0 - m[:, j]) / (k - 1))[:, None], k, axis=1)
-            dist[np.arange(len(true)), true[:, j]] = m[:, j]
-            ic_hits += int(np.count_nonzero(dist.argmax(axis=1) == true[:, j]))
-            dists.append(dist)
-        for i, (columns, tensor) in enumerate(reads):
-            if tensor is _IDENTITY:  # 0·d0 + 1·d1 is d1, bit for bit
-                flat[:, i] = dists[columns[0]][:, 1]
-            elif not columns:  # a constraint over no variable: its constant truth
-                flat[:, i] = tensor
-            else:  # rows summing to 1 + ulps can contract past 1
-                flat[:, i] = np.minimum(tensor_probability(tensor, [dists[j] for j in columns]), 1)
-    else:
-        drawn = true if draws is None else _flip_labels(true, sizes, oracle.p, draws, data.lengths)
-        ic_hits = int(np.count_nonzero(drawn == true))
-        for i, (columns, tensor) in enumerate(reads):
-            flat[:, i] = tensor[tuple(drawn[:, j] for j in columns)]
-    cb = np.zeros(data.truths.shape)
-    cb[data.mask] = flat
-    if oracle.target != "ic":  # ic_cc simulates no IC stage
-        return _Traces(data=data, cb=cb, ic_hits=0, ic_total=0)
-    return _Traces(data=data, cb=cb, ic_hits=ic_hits, ic_total=true.size)
+    if kind != "perfect":
+        if min(sizes, default=2) < 2:
+            raise DomainError(f"class count must be >= 2, got {min(sizes)}")
+        words = data.oracle_words(seed)
+    if kind == "confidence":
+        masses = _confidence_masses([o.p for o in oracles], len(sizes), words, data.lengths)
+        read = {j for columns, t in reads if t is not _IDENTITY for j in columns}
+    traces = []
+    for g, oracle in enumerate(oracles):
+        flat = np.empty(bits.shape)
+        if kind == "confidence":
+            m = masses[g]
+            o = (1.0 - m) / (np.array(sizes) - 1)
+            hits = _argmax_hits(m, o, true)
+            dists = {j: np.repeat(o[:, j, None], sizes[j], axis=1) for j in read}
+            for j, dist in dists.items():
+                dist[np.arange(len(m)), true[:, j]] = m[:, j]
+            for i, (columns, tensor) in enumerate(reads):
+                if tensor is _IDENTITY:
+                    j = columns[0]
+                    flat[:, i] = np.where(true[:, j] == 1, m[:, j], o[:, j])
+                elif not columns:  # a constraint over no variable: its constant truth
+                    flat[:, i] = tensor
+                else:  # rows summing to 1 + ulps can contract past 1
+                    flat[:, i] = np.minimum(tensor_probability(tensor, [dists[j] for j in columns]), 1)
+        else:
+            labels = true
+            if kind == "flip":
+                labels = _flip_labels(true, sizes, oracle.p, words, data.lengths)
+            hits = labels == true
+            for i, (columns, tensor) in enumerate(reads):
+                flat[:, i] = tensor[tuple(labels[:, j] for j in columns)]
+        cb = np.zeros(data.truths.shape)
+        cb[data.mask] = flat
+        ic = (int(np.count_nonzero(hits)), true.size) if target == "ic" else (0, 0)
+        traces.append(_Traces(data, cb, *ic, int(np.count_nonzero((flat >= 0.5) == bits))))
+    return traces
 
 
-def _run_units(engine, units: Sequence[_Traces]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Predicted states (argmax belief per step) and acceptance of each
-    unit's traces, from one ``run_batch`` call over the stacked units.  The
-    units may come from different splits: each is padded with zero steps to
-    the widest, and its predictions are cut back to its own split's width.
-    Kernel rows are independent, so each unit's slice equals a ``run_batch``
-    call on that unit alone, bit for bit.
-    """
-    if not units:
-        return []
+def _stack(units: Sequence[_Traces]) -> tuple[np.ndarray, np.ndarray]:
+    """The units' traces as one ``run_batch`` input, rows in unit order.
+    The units may come from different splits: each is padded with zero
+    steps to the widest.  Kernel rows are independent, so each unit's rows
+    equal a ``run_batch`` call on that unit alone, bit for bit."""
     width = max(u.cb.shape[1] for u in units)
     cb = np.zeros((sum(len(u.cb) for u in units), width, units[0].cb.shape[2]))
-    bounds = np.cumsum([0] + [len(u.cb) for u in units])
-    for u, lo, hi in zip(units, bounds, bounds[1:]):
-        cb[lo:hi, : u.cb.shape[1]] = u.cb
-    result = run_batch(engine, cb, np.concatenate([u.data.lengths for u in units]))
-    predicted = result.beliefs.argmax(axis=2)
-    return [
-        (predicted[lo:hi, : u.cb.shape[1]], result.acceptance[lo:hi])
-        for u, lo, hi in zip(units, bounds, bounds[1:])
-    ]
+    lo = 0
+    for u in units:
+        cb[lo : lo + len(u.cb), : u.cb.shape[1]] = u.cb
+        lo += len(u.cb)
+    return cb, np.concatenate([u.data.lengths for u in units])
+
+
+def _run_units(engine, cb: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted states (argmax belief per step) and acceptance of every row
+    of a ``_stack``, from one ``run_batch`` call."""
+    result = run_batch(engine, cb, lengths)
+    return result.beliefs.argmax(axis=2), result.acceptance
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +444,39 @@ def evaluate(
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    return Metrics(**_score(traces, *_run_units(engine, [traces])[0], oracle))
+    (scores,) = _score([traces], [oracle], *_run_units(engine, *_stack([traces])))
+    return Metrics(**scores)
 
 
 def _score(
-    traces: _Traces, predicted: np.ndarray, acceptance: np.ndarray, oracle: OracleConfig
-) -> dict[str, float | None]:
-    """The ``METRIC_COLUMNS`` of one unit, as ``evaluate`` defines them."""
-    data = traces.data
-    cc_hits = int(np.count_nonzero(((traces.cb >= 0.5) == data.truths) & data.mask[..., None]))
-    cc_total = int(data.mask.sum()) * data.truths.shape[2]
-    nsp_hits = int(np.count_nonzero(predicted == data.states))
-    sc_hits = int(np.count_nonzero((acceptance >= 0.5) == [bool(s.label) for s in data.samples]))
-    accuracies = (
-        traces.ic_hits / traces.ic_total if oracle.target == "ic" else None,
-        cc_hits / cc_total,
-        nsp_hits / int(data.lengths.sum()),
-        sc_hits / len(data.samples),
-    )
-    present = [a for a in accuracies if a is not None]
-    return dict(zip(METRIC_COLUMNS, (*accuracies, sum(present) / len(present))))
+    units: Sequence[_Traces],
+    oracles: Sequence[OracleConfig],
+    predicted: np.ndarray,
+    acceptance: np.ndarray,
+) -> list[dict[str, float | None]]:
+    """The ``METRIC_COLUMNS`` of each unit, as ``evaluate`` defines them.
+
+    The units are over one split, corrupted under ``oracles``; ``predicted``
+    and ``acceptance`` are their rows from ``_run_units``, in unit order,
+    ``predicted`` at least as wide as the split.  NSP and SC are one count
+    over all the units, CC the count each unit's traces hold."""
+    data = units[0].data
+    n, width = data.states.shape
+    predicted = predicted[:, :width].reshape(len(units), n, width)
+    nsp = np.count_nonzero(predicted == data.states, axis=(1, 2)).tolist()
+    sc = np.count_nonzero((acceptance.reshape(-1, n) >= 0.5) == data.positive, axis=1).tolist()
+    steps = int(data.lengths.sum())
+    rows = []
+    for unit, oracle, nsp_hits, sc_hits in zip(units, oracles, nsp, sc):
+        accuracies = (
+            unit.ic_hits / unit.ic_total if oracle.target == "ic" else None,
+            unit.cc_hits / (steps * data.truths.shape[2]),
+            nsp_hits / steps,
+            sc_hits / n,
+        )
+        present = [a for a in accuracies if a is not None]
+        rows.append(dict(zip(METRIC_COLUMNS, (*accuracies, sum(present) / len(present)))))
+    return rows
 
 
 def mp_baselines(dataset: Dataset) -> tuple[float, float]:
@@ -453,7 +555,7 @@ def fit_sc_temperature(
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
     traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    acceptance = _run_units(engine, [traces])[0][1].tolist()
+    acceptance = _run_units(engine, *_stack([traces]))[1].tolist()
     return calibrate_temperature([(a, s.label) for a, s in zip(acceptance, traces.data.samples)])
 
 
@@ -470,13 +572,13 @@ def oracle_sweep(
     """Evaluate every (config, engine, seed) combination into long-format rows.
 
     Rows come back in (config, engine, seed) order: the ``SWEEP_COLUMNS``
-    of each combination, plus ``sc_temp`` when calibrating.  Each (config,
-    seed) unit corrupts its splits once, and every engine runs on those same
-    traces: the units of every split read (``split``, plus val when
-    calibrating) are stacked into one ``run_batch`` batch per engine, padded
-    to the widest split, then scored one by one.  Oracle draws depend only
-    on (seed, split, seq_id), so the metrics equal separate ``evaluate``
-    calls.
+    of each combination, plus ``sc_temp`` when calibrating.  Each split read
+    (``split``, plus val when calibrating) is corrupted once per (target,
+    kind, seed) group of (config, seed) units, and every engine runs on
+    those same traces: one ``run_batch`` batch per engine over the units of
+    every split, padded to the widest split, scored in one pass.  Oracle
+    draws depend only on (seed, split, seq_id), so the metrics equal
+    separate ``evaluate`` calls.
     Calibration (optional) fits a scalar acceptance temperature on the val
     split per combination, once per distinct acceptance vector (engines and
     configs often agree), all in one ``calibrate_temperatures`` call; each
@@ -498,31 +600,45 @@ def oracle_sweep(
     if calibrate:
         data.setdefault("val", _split_arrays(task, dataset, "val"))
     units = [replace(cfg, seed=seed) for cfg in configs for seed in seeds]
-    traces = {name: [_oracle_traces(task, d, u) for u in units] for name, d in data.items()}
+    if not units:
+        return []
+    # equal units draw equally; the others are corrupted in groups that
+    # share a target, a kind and a seed
+    groups: dict[tuple, list[OracleConfig]] = {}
+    for unit in dict.fromkeys(units):
+        groups.setdefault((unit.target, unit.kind, unit.seed), []).append(unit)
+    traces = {
+        name: {u: t for g in groups.values() for u, t in zip(g, _group_traces(task, d, g))}
+        for name, d in data.items()
+    }
+    # the scored split's units are the batch's first rows, val's its last
+    batch = _stack([traces[name][u] for name in data for u in units])
+    scored = [traces[split][u] for u in units]
+    n_scored = len(units) * len(data[split].samples)
 
     rows: dict[str, list[dict]] = {}
     # every unit scores the same val samples, so equal acceptances fit equal
     # temperatures: each distinct acceptance, with the rows that share it
     shared: dict[bytes, tuple[np.ndarray, list[dict]]] = {}
-    stacked = [t for unit_traces in traces.values() for t in unit_traces]
     for name, engine in built.items():
-        out = _run_units(engine, stacked)
-        runs = {s: out[i * len(units) : (i + 1) * len(units)] for i, s in enumerate(traces)}
-        rows[name] = []
-        for u, unit in enumerate(units):
-            row = {
+        predicted, acceptance = _run_units(engine, *batch)
+        scores = _score(scored, units, predicted[:n_scored], acceptance[:n_scored])
+        rows[name] = [
+            {
                 "task": task.spec.name,
                 "engine": name,
                 "oracle_target": unit.target,
                 "oracle_kind": unit.kind,
                 "p": unit.p,
                 "seed": unit.seed,
-                **_score(traces[split][u], *runs[split][u], unit),
+                **score,
             }
-            if calibrate:
-                acceptance = runs["val"][u][1]
-                shared.setdefault(acceptance.tobytes(), (acceptance, []))[1].append(row)
-            rows[name].append(row)
+            for unit, score in zip(units, scores)
+        ]
+        if calibrate:
+            val = acceptance[-len(units) * len(data["val"].samples) :].reshape(len(units), -1)
+            for row, unit_acceptance in zip(rows[name], val):
+                shared.setdefault(unit_acceptance.tobytes(), (unit_acceptance, []))[1].append(row)
     if shared:
         labels = [s.label for s in data["val"].samples]
         fits = calibrate_temperatures([acceptance for acceptance, _ in shared.values()], labels)

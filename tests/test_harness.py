@@ -64,6 +64,34 @@ def test_oracle_config_validation():
     OracleConfig(kind="flip", p=1.0)  # boundary is allowed
 
 
+# 1, True and 1.0 compare and hash equal but name three oracle streams
+# ("1:…", "True:…", "1.0:…"), so a sweep that grouped units by seed would
+# merge configs that draw differently
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", True, "oracle seed must be an int, got True"),
+        ("seed", 1.0, "oracle seed must be an int, got 1.0"),
+        ("seed", "1", "oracle seed must be an int, got '1'"),
+        ("p", True, "noise level must be an int or a float, got True"),
+        ("p", "0.1", "noise level must be an int or a float, got '0.1'"),
+        ("p", None, "noise level must be an int or a float, got None"),
+    ],
+)
+def test_oracle_config_rejects_values_of_other_types(field, value, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        OracleConfig(kind="flip", **{"p": 0.5, "seed": 1, field: value})
+    ct, ds = small_dataset("task3", splits=(2, 3, 3))
+    if field == "seed":
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            oracle_sweep(ct, ds, [OracleConfig(kind="flip", p=0.5)], seeds=(value,))
+
+
+def test_oracle_config_accepts_int_and_float_values():
+    assert OracleConfig(kind="flip", p=1, seed=np.int64(7)).seed == 7
+    assert OracleConfig(kind="confidence", p=np.float64(0.25)).p == 0.25
+
+
 # ---------------------------------------------------------------------------
 # Noise models
 
@@ -472,10 +500,12 @@ def test_golden_sweep_bytes(tmp_path, name):
 
 # sha256 of write_sweep_csv output of the noise sweep at oracle seeds 1 and 2:
 # every built-in task and fam6 at splits (2, 6, 6) and lengths 10-20, the
-# default configs, all five engines, calibration on.  The last two entries
+# default configs, all five engines, calibration on.  The `ltlseq` entries
 # are the sweep.csv of `ltlseq sweep task3 --calibrate` at its defaults, with
-# the default engine and with all five, which CI also checks on the installed
-# console script.  Captured while each noisy config still seeded its own
+# the default engine and with all five, and a flip-heavy task5 sweep (at
+# p = 1 every entry re-draws, so re-draws pair up on half words), which CI
+# also checks on the installed console script.  Captured while each noisy
+# config still seeded its own
 # numpy Generator per sequence, and the five-engine entry while each engine
 # ran the val and test splits in separate batches on a rows × letters ×
 # states log-semiring cube; the current code must match them byte for byte.
@@ -491,6 +521,9 @@ GOLDEN_NOISY_SWEEPS = {
     "ltlseq sweep task3 --calibrate": "37211c20453454d8607f0a6225ac8feea6dd75ea8430a7867e25c788905dd9b7",
     "ltlseq sweep task3 --calibrate -e exact -e fuzzy-p -e fuzzy-lp -e sddnnf-p -e sddnnf-lp": (
         "392956b8d7b6e1aa59d24e16408276223b62da617799ba660cf4701cdbcc5118"
+    ),
+    "ltlseq sweep task5 --calibrate --p-list 0.5,1.0 -e exact -e sddnnf-lp": (
+        "8cd5ebfe7e24dc898dfb606fad2cb68c9079f1f64e6857e513178c5b72f09503"
     ),
 }
 
@@ -722,7 +755,7 @@ def test_cached_oracle_draws_equal_scalar_oracles():
     import random
 
     from ltlseq.generator import _Draws
-    from ltlseq.harness import _confidence_masses, _flip_labels
+    from ltlseq.harness import _confidence_masses, _flip_labels, _Words
 
     rnd = random.Random(23)
     for trial in range(120):
@@ -732,18 +765,106 @@ def test_cached_oracle_draws_equal_scalar_oracles():
         lengths = np.array([rnd.randint(1, 30) for _ in range(rnd.randint(1, 4))])
         seeds = [rnd.getrandbits(64) for _ in lengths]
         true = [np.array([[rnd.randrange(k) for k in sizes] for _ in range(n)]) for n in lengths]
-        # a block of 1 or 5 words refills mid-sequence; 2·entries is the oracle's own
+        # a block of 1 or 5 words refills mid-sequence; 2·entries is the oracle's own.
+        # A flip table row holds one block, so a short one runs out mid-sequence;
+        # a confidence table row holds a word per entry, fetched block by block
         block = rnd.choice([1, 5, 2 * int(lengths.max()) * len(sizes)])
-        flips = _flip_labels(
-            np.concatenate(true), sizes, p, [_Draws(s, block) for s in seeds], lengths
-        )
-        masses = _confidence_masses(p, len(sizes), [_Draws(s, block) for s in seeds], lengths)
+        flip_words = _Words.of([_Draws(s, block) for s in seeds], [block] * len(seeds))
+        flips = _flip_labels(np.concatenate(true), sizes, p, flip_words, lengths)
+        words = _Words.of([_Draws(s, block) for s in seeds], lengths * len(sizes))
+        (masses,) = _confidence_masses([p], len(sizes), words, lengths)
         want_flips, want_masses = [], []
         for seed, t in zip(seeds, true):
             want_flips += _reference_oracle(flip_oracle, seed, t, sizes, p)
             want_masses += _reference_oracle(confidence_oracle, seed, t, sizes, p)
         assert flips.ravel().tolist() == want_flips, trial
         assert masses.ravel().tolist() == want_masses, trial
+
+
+def _flip_case(p=0.3, seed=7):
+    """A task5 test split, its flip-oracle inputs under ``seed`` and the
+    labels ``flip_oracle`` draws on fresh Generators, sequence after sequence."""
+    from ltlseq.generator import _digest_int
+    from ltlseq.harness import _split_arrays
+
+    ct, ds = small_dataset("task5", splits=(2, 4, 8))
+    data = _split_arrays(ct, ds, "test")
+    true = data.labels[data.mask]
+    sizes = [v.domain.size for v in ct.spec.variables]
+    want, lo = [], 0
+    for sample, length in zip(data.samples, data.lengths.tolist()):
+        stream = _digest_int(f"{seed}:test:{sample.seq_id}:oracle")
+        want += _reference_oracle(flip_oracle, stream, true[lo : lo + length], sizes, p)
+        lo += length
+    return data, true, sizes, data.oracle_words(seed), want
+
+
+def _replays(monkeypatch, words):
+    """The rows whose streams are replayed for the scalar draws, in order."""
+    from ltlseq.generator import _Draws
+
+    rows, replay = [], _Draws.replay
+
+    def spy(draws):
+        rows.extend(i for i, s in enumerate(words.streams) if s is draws)
+        return replay(draws)
+
+    monkeypatch.setattr(_Draws, "replay", spy)
+    return rows
+
+
+def test_a_rejecting_flip_redraw_replays_only_its_sequence(monkeypatch):
+    from ltlseq.harness import _flip_labels
+
+    p = 0.3
+    data, true, sizes, words, want = _flip_case(p)
+    assert _flip_labels(true, sizes, p, words, data.lengths).ravel().tolist() == want
+    # row 2's first flip re-draws on the low half of the next word: with that
+    # half zeroed, the low product 0 is below k, as when Lemire would reject
+    q = int(np.flatnonzero(words.doubles[2] < p)[0])
+    assert q < data.lengths[2] * len(sizes)  # an entry's flip test
+    table = words.table.copy()
+    table[2, q + 1] &= np.uint64(0xFFFFFFFF00000000)
+    replayed = _replays(monkeypatch, words)
+    got = _flip_labels(true, sizes, p, dataclasses.replace(words, table=table), data.lengths)
+    assert replayed == [2]
+    assert got.ravel().tolist() == want
+
+
+def test_a_flip_row_that_runs_out_of_words_replays_only_its_sequence(monkeypatch):
+    from ltlseq.harness import _flip_labels, _Words
+
+    p = 0.3
+    data, true, sizes, words, want = _flip_case(p)
+    # about half the words row 5 reads, the last of them no flip: no re-draw
+    # reads past the row, so only the count of words shows that it ran out
+    counts, half = words.counts.copy(), int(data.lengths[5]) * len(sizes) // 2
+    counts[5] = next(c for c in range(half, counts[5]) if words.doubles[5, c - 1] >= p)
+    short = _Words.of(words.streams, counts)
+    replayed = _replays(monkeypatch, words)
+    assert _flip_labels(true, sizes, p, short, data.lengths).ravel().tolist() == want
+    assert replayed == [5]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_argmax_hits_equal_argmax_on_a_forced_tie(k):
+    from ltlseq.generator import _Draws, _next_doubles
+    from ltlseq.harness import _argmax_hits, _confidence_masses, _Words
+
+    # zero words draw u = 0, so at p = 1 − 1/k the true class holds
+    # m = 1/k and every other class (1 − m)/(k − 1) = 1/k: a tie in every entry
+    lengths = np.array([k, 3])
+    true = np.arange(int(lengths.sum()))[:, None] % k  # one column, every class
+    table = np.zeros((2, 9), dtype=np.uint64)
+    zeros = _Words([_Draws(1, 8), _Draws(2, 8)], table, np.array([8, 8]), _next_doubles(table))
+    (m,) = _confidence_masses([1 - 1 / k], 1, zeros, lengths)
+    o = (1.0 - m) / (k - 1)
+    assert (m == o).all()
+    dists = np.repeat(o, k, axis=1)
+    dists[np.arange(len(true)), true[:, 0]] = m[:, 0]
+    want = dists.argmax(axis=1) == true[:, 0]
+    assert want[true[:, 0] == 0].all() and not want[true[:, 0] > 0].any()
+    assert _argmax_hits(m, o, true)[:, 0].tolist() == want.tolist()
 
 
 def test_a_replayed_stream_reads_the_words_another_config_grew():
@@ -765,8 +886,12 @@ def test_a_replayed_stream_reads_the_words_another_config_grew():
     # through a split: each config of a seed re-reads its streams from word 0
     ct, ds = small_dataset(splits=(2, 4, 4))
     data = _split_arrays(ct, ds, "test")
-    once = [[d.random() for _ in range(200)] for d in data.oracle_draws(5)]
-    again = [[d.random() for _ in range(200)] for d in data.oracle_draws(5)]
+
+    def replays():
+        return [stream.replay() for stream in data.oracle_words(5).streams]
+
+    once = [[d.random() for _ in range(200)] for d in replays()]
+    again = [[d.random() for _ in range(200)] for d in replays()]
     assert once == again
     for sample, values in zip(data.samples, once):
         fresh = np.random.default_rng(_digest_int(f"5:test:{sample.seq_id}:oracle"))
@@ -895,9 +1020,14 @@ def test_sweep_over_splits_of_unequal_width_equals_separate_calls(val_wider, mon
     units = [harness._oracle_traces(ct, data, cfg) for data in splits for cfg in configs]
     for name in ENGINE_NAMES:
         engine = make_engine(name, ct.dfa)
-        for unit, (predicted, acceptance) in zip(units, harness._run_units(engine, units)):
-            alone = harness._run_units(engine, [unit])[0]
-            assert np.array_equal(predicted, alone[0]) and np.array_equal(acceptance, alone[1])
+        predicted, acceptance = harness._run_units(engine, *harness._stack(units))
+        lo = 0
+        for unit in units:
+            alone = harness._run_units(engine, *harness._stack([unit]))
+            rows, lo = slice(lo, lo + len(unit.cb)), lo + len(unit.cb)
+            assert np.array_equal(predicted[rows, : unit.cb.shape[1]], alone[0])
+            assert np.array_equal(acceptance[rows], alone[1])
+        assert lo == len(predicted)
 
 
 @pytest.mark.parametrize("name", ["task3", "task4", "task5", "task6"])

@@ -273,7 +273,7 @@ def test_reference_circuits_and_formulas_are_built_lazily(monkeypatch):
 @pytest.mark.parametrize("case", CASES, ids=[name for name, _ in CASES])
 def test_stacked_batches_equal_separate_runs(case, monkeypatch):
     from ltlseq import inference
-    from ltlseq.harness import _run_units, _Split, _Traces
+    from ltlseq.harness import _run_units, _Split, _stack, _Traces
 
     _, dfa = case
     rng = np.random.default_rng(dfa.n_states * 7717 + dfa.n_letters)
@@ -281,26 +281,26 @@ def test_stacked_batches_equal_separate_runs(case, monkeypatch):
     lengths = rng.integers(1, steps + 1, size=n_seq)
     lengths[0] = steps
     mask = np.arange(steps) < lengths[:, None]
-    split = _Split("val", (), lengths, mask, None, None, None)
+    split = _Split("val", (), lengths, mask, None, None, None, None)
     units = []
     for _ in range(3):
         cb = rng.random((n_seq, steps, len(dfa.atoms)))
         cb[::2] = np.round(cb[::2])
-        units.append(_Traces(split, np.where(mask[..., None], cb, 0.0), 0, 0))
+        units.append(_Traces(split, np.where(mask[..., None], cb, 0.0), 0, 0, 0))
     # three rows per run_batch call over 4-row units: chunks 2 and 3 straddle units
     monkeypatch.setattr(inference, "_BATCH_CELLS", 3 * dfa.n_letters * (dfa.n_states + steps))
     for name in ENGINE_NAMES:
         engine = make_engine(name, dfa)
         parts = [run_batch(engine, u.cb, lengths) for u in units]
         whole = run_batch(engine, np.concatenate([u.cb for u in units]), np.tile(lengths, 3))
-        chunked = _run_units(engine, units)
+        predicted, acceptance = _run_units(engine, *_stack(units))
         for i, part in enumerate(parts):
             rows = slice(i * n_seq, (i + 1) * n_seq)
             assert np.array_equal(whole.beliefs[rows], part.beliefs, equal_nan=True), name
             assert np.array_equal(whole.masses[rows], part.masses, equal_nan=True), name
             assert np.array_equal(whole.acceptance[rows], part.acceptance), name
-            assert np.array_equal(chunked[i][0], part.beliefs.argmax(axis=2)), name
-            assert np.array_equal(chunked[i][1], part.acceptance), name
+            assert np.array_equal(predicted[rows], part.beliefs.argmax(axis=2)), name
+            assert np.array_equal(acceptance[rows], part.acceptance), name
 
 
 @pytest.mark.parametrize("case", CASES, ids=[name for name, _ in CASES])
