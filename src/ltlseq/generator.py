@@ -21,6 +21,9 @@ with numpy's scalar draw rules.  The bytes therefore rest on the
 ``SeedSequence`` and PCG64 raw streams, which NEP 19 keeps stable across
 numpy versions, and on Lemire's bounded draw as numpy >= 1.17 implements
 it, which ``tests/test_generator.py`` pins against ``Generator.integers``.
+Being fixed algorithms, the streams are computed for a whole split at once
+(``streams.stream_words``), which the tests pin against
+``np.random.PCG64``; a bit generator is built only for a redone walk.
 
 A sample stores two ints per step: the grid point of its assignment over
 ``variables`` (``constraints.grid_positions``) and its letter, bit i the
@@ -68,6 +71,7 @@ import numpy as np
 from .automata import Dfa, assignment_of
 from .constraints import VariableSpec, grid_assignments, grid_points, grid_positions, sample_solution
 from .errors import DatasetFormatError, DomainError, IntegrityError, TaskFileError
+from .streams import stream_words
 from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task, read_input
 
 GENERATOR_VERSION = "0.1.0"
@@ -112,10 +116,9 @@ class _Draws:
     whole words and leaves a pending half alone.  Lemire draws again while
     the product's low bits are below ``2^bits mod n``.
 
-    The fetched words are kept in one list that ``replay`` shares: a replay
-    reads the same stream from word 0, and a reader that runs past the end
-    appends the next block from the one bit generator, so every reader sees
-    one stream and each word is fetched once.
+    This is the scalar path: the reference the array draws are tested
+    against, and the replay of a sequence whose array draws cannot finish
+    (``_lockstep``'s redone walks, ``harness._flip_labels``' replayed rows).
     """
 
     __slots__ = ("_bitgen", "_block", "_words", "_pos", "_half")
@@ -126,19 +129,6 @@ class _Draws:
         self._words: list[int] = []
         self._pos = 0
         self._half: int | None = None
-
-    def replay(self) -> _Draws:
-        """A new reader of this stream from word 0, sharing its words."""
-        draws = _Draws.__new__(_Draws)
-        draws._bitgen, draws._block, draws._words = self._bitgen, self._block, self._words
-        draws._pos, draws._half = 0, None
-        return draws
-
-    def head(self, n: int) -> list[int]:
-        """The stream's first ``n`` words, whatever this reader has read."""
-        while len(self._words) < n:
-            self._fetch()
-        return self._words[:n]
 
     def _fetch(self) -> None:
         self._words.extend(self._bitgen.random_raw(self._block).tolist())
@@ -300,12 +290,11 @@ def _split_plan(spec: TaskSpec, split: str) -> list[tuple[int, int]]:
 
 def _split_words(seed: int, split: str, lengths: Sequence[int]) -> np.ndarray:
     """Row i: the first ``lengths[i] + 1`` PCG64 words of sequence i's
-    stream, what ``_Draws`` fetches first, zero-padded to the longest row."""
-    words = np.zeros((len(lengths), max(lengths, default=0) + 1), dtype=np.uint64)
-    for i, length in enumerate(lengths):
-        bitgen = np.random.PCG64(_sequence_seed(seed, split, i))
-        words[i, : length + 1] = bitgen.random_raw(length + 1)
-    return words
+    ``(seed, split, i)`` stream, what ``_Draws`` fetches first, zero-padded
+    to the longest row.  ``streams.stream_words`` seeds every stream of the
+    split in one pass and builds no bit generator."""
+    seeds = [_sequence_seed(seed, split, i) for i in range(len(lengths))]
+    return stream_words(seeds, np.asarray(lengths, dtype=np.intp) + 1)
 
 
 # numpy scalars, so the walk's uint64 arithmetic stays uint64
@@ -422,8 +411,11 @@ def generate_dataset(source: TaskSpec | CompiledTask, jobs: int = 1) -> Dataset:
     Each sequence draws from its own ``(seed, split, index)`` stream, and
     equals ``generate_sequence`` on ``_sequence_rng(seed, split, index)``.
     The walks of a split run in lockstep (``_lockstep``), each on the first
-    ``length + 1`` words of its stream.  ``jobs`` is accepted for
-    compatibility and starts no threads.
+    ``length + 1`` words of its stream, and those words come from one
+    ``streams.stream_words`` pass per split: no bit generator is built
+    except for a walk that Lemire rejects, which is redone on its own
+    ``_Draws``.
+    ``jobs`` is accepted for compatibility and starts no threads.
     """
     task = source if isinstance(source, CompiledTask) else compile_task(source)
     spec = task.spec

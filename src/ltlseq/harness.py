@@ -11,10 +11,11 @@ variables: each atom's truth bit is its true class, read through the identity
 indicator, so each oracle kind is written once.
 
 Oracle randomness is derived per sequence from ``(seed, split, seq_id)``, so
-results do not depend on evaluation order.  A split seeds each sequence's
-stream once per oracle seed (``generator._Draws``) and keeps its first words
-as one uint64 table with their next_doubles (``_Words``); every noisy config
-of that seed reads them from word 0 and draws exactly what a fresh
+results do not depend on evaluation order.  A split seeds its sequences'
+streams once per oracle seed, all in one numpy pass
+(``streams.stream_words``), and keeps their first words as one uint64
+table with their next_doubles (``_Words``); every noisy config of that seed
+reads them from word 0 and draws exactly what a fresh
 ``np.random.default_rng`` per sequence would.  A sweep corrupts each split
 once per (target, kind, seed) group of its (config, seed) units.  A flip
 oracle finds its flipped entries in the table with one array compare per p
@@ -59,6 +60,7 @@ from .inference import (
     run_batch,
     run_sequence,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
 )
+from .streams import stream_words
 from .tasks import SPLIT_NAMES, CompiledTask, read_input
 
 ORACLE_TARGETS = ("ic", "ic_cc")
@@ -164,7 +166,7 @@ def _flip_labels(
     only the hits, the words whose next_double is below p, skipping from one
     to the next.  A low product below k (Lemire might reject it) or a row
     that runs out of words sends that one sequence to the scalar draws, on
-    a replay of its stream.
+    its stream read again from word 0 (``_Words.stream``).
     """
     n, width = len(sizes), words.table.shape[1]
     hits = np.flatnonzero(words.doubles < p)
@@ -194,7 +196,7 @@ def _flip_labels(
                 break
             flat[lo + e] = m >> 32
         if entries + shift > count:
-            draws = words.streams[i].replay()
+            draws = words.stream(i)
             for j in range(lo, lo + entries):
                 flat[j] = draws.integers(sizes[j % n]) if draws.random() < p else true.flat[j]
         lo, first = lo + entries, ends[i]
@@ -226,23 +228,28 @@ def _argmax_hits(m: np.ndarray, o: np.ndarray, true: np.ndarray) -> np.ndarray:
 class _Words:
     """The first words of each sequence's oracle stream as one table.
 
-    Row i holds the first ``counts[i]`` words of ``streams[i]``, then zero
-    words, at least one; ``doubles`` holds their next_doubles, 1.0 past the
-    fetched words so that no p ≤ 1 finds a flip there."""
+    Row i holds the first ``counts[i]`` PCG64 words of the stream seeded
+    with ``seeds[i]``, then zero words, at least one; ``doubles`` holds
+    their next_doubles, 1.0 past the row's words so that no p ≤ 1 finds a
+    flip there.  ``of`` seeds every stream in one pass and builds no bit
+    generator; ``stream`` builds one only for a row that must replay."""
 
-    streams: Sequence[_Draws]
+    seeds: Sequence[int]
     table: np.ndarray
     counts: np.ndarray
     doubles: np.ndarray
 
     @classmethod
-    def of(cls, streams: Sequence[_Draws], counts: np.ndarray) -> _Words:
+    def of(cls, seeds: Sequence[int], counts: Sequence[int]) -> _Words:
         counts = np.asarray(counts)
-        table = np.zeros((len(streams), counts.max() + 1), dtype=np.uint64)
-        for row, stream, count in zip(table, streams, counts.tolist()):
-            row[:count] = stream.head(count)
+        table = np.zeros((len(seeds), counts.max() + 1), dtype=np.uint64)
+        table[:, :-1] = stream_words(seeds, counts)
         fetched = np.arange(table.shape[1]) < counts[:, None]
-        return cls(streams, table, counts, np.where(fetched, _next_doubles(table), 1.0))
+        return cls(seeds, table, counts, np.where(fetched, _next_doubles(table), 1.0))
+
+    def stream(self, i: int) -> _Draws:
+        """Row i's stream for the scalar draws, read from word 0."""
+        return _Draws(self.seeds[i], int(self.counts[i]))
 
 
 @dataclass(frozen=True)
@@ -263,19 +270,17 @@ class _Split:
     _words: dict = field(default_factory=dict, compare=False, repr=False)
 
     def oracle_words(self, seed: int) -> _Words:
-        """The ``(seed, split, seq_id)`` oracle stream of each sequence and
-        its first words.  Each stream is seeded once per seed, so every
-        config of that seed reads words fetched once.  A row holds two words
-        per entry of the wider target: one for the flip test, and more than
-        enough for a re-draw's half word."""
+        """The first words of each sequence's ``(seed, split, seq_id)``
+        oracle stream.  Every stream of the split is seeded once per seed,
+        all in one pass (``_Words.of``), so every config of that seed reads
+        the same table.  A row holds two words per entry of the wider
+        target: one for the flip test, and more than enough for a re-draw's
+        half word."""
         words = self._words.get(seed)
         if words is None:
             width = max(self.labels.shape[2], self.truths.shape[2])
-            streams = [
-                _Draws(_digest_int(f"{seed}:{self.name}:{s.seq_id}:oracle"), 2 * s.length * width)
-                for s in self.samples
-            ]
-            words = self._words[seed] = _Words.of(streams, 2 * self.lengths * width)
+            seeds = [_digest_int(f"{seed}:{self.name}:{s.seq_id}:oracle") for s in self.samples]
+            words = self._words[seed] = _Words.of(seeds, 2 * self.lengths * width)
         return words
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltlseq import generator
+from ltlseq import generator, streams
 from ltlseq.automata import letter_of
 from ltlseq.constraints import SymbolicDomain, VariableSpec, eval_constraint
 from ltlseq.errors import DatasetFormatError, DomainError, IntegrityError
@@ -153,6 +153,72 @@ def test_draws_equal_generator_integers(block):
 def test_draws_reject_an_empty_range():
     with pytest.raises(ValueError, match="bound must be >= 1"):
         _Draws(0, 4).integers(0)
+
+
+# the seeding edge cases: one entropy word or two, and the top bit
+_EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def assert_stream_words_equal_numpy(seeds, counts):
+    words = streams.stream_words(seeds, counts)
+    assert words.shape == (len(seeds), max(counts, default=0)) and words.dtype == np.uint64
+    for row, seed, count in zip(words, seeds, counts):
+        assert row[:count].tolist() == np.random.PCG64(seed).random_raw(count).tolist()
+        assert not row[count:].any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_seed_states_equal_seed_sequence():
+    rnd = random.Random(35)
+    seeds = [*_EDGE_SEEDS, *(rnd.getrandbits(64) for _ in range(250))]
+    states = streams.seed_states(np.array(seeds, dtype=np.uint64))
+    for seed, state in zip(seeds, states.T):
+        assert state.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("count", [1, 2, 21, 150])
+def test_stream_words_equal_pcg64(count):
+    rnd = random.Random(count)
+    seeds = [*_EDGE_SEEDS, *(rnd.getrandbits(64) for _ in range(250))]
+    assert_stream_words_equal_numpy(seeds, [count] * len(seeds))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stream_words_cross_column_blocks():
+    rnd = random.Random(7)
+    seeds = [*_EDGE_SEEDS, *(rnd.getrandbits(64) for _ in range(200))]
+    # rows of every length, zero words among them, past the first block
+    counts = [rnd.randint(0, 700) for _ in seeds]
+    assert max(counts) > streams._SEED_BLOCK // len(seeds)
+    assert_stream_words_equal_numpy(seeds, counts)
+    # one row: blocks of _JUMPS columns, and a last one cut short
+    for count in (streams._JUMPS, streams._JUMPS + 1, 2 * streams._JUMPS + 5):
+        assert_stream_words_equal_numpy([2**64 - 1], [count])
+    assert_stream_words_equal_numpy([], [])
+    assert_stream_words_equal_numpy([3, 4], [0, 0])
+
+
+def test_split_words_peak_within_twice_their_table():
+    import tracemalloc
+
+    from ltlseq.tasks import _MAX_LENGTH
+
+    tracemalloc.start()
+    try:
+        words = generator._split_words(1, "train", [_MAX_LENGTH] * 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.shape == (200, _MAX_LENGTH + 1)
+    assert peak <= 2 * words.nbytes
+
+
+def test_an_empty_split_generates():
+    task = compile_task(builtin_task("task3", splits=(5, 0, 3)))
+    ds = generate_dataset(task)
+    assert ds.splits["val"] == []
+    assert ds.splits == reference_splits(task)
 
 
 def from_values_task():
@@ -376,6 +442,29 @@ def test_rejected_walk_is_redone_on_its_stream(monkeypatch, draw):
     monkeypatch.setattr(generator, "_lockstep", spy)
     assert generate_dataset(task).splits == reference_splits(task)
     assert marked == [[], rejected, []]
+
+
+def test_only_a_redone_walk_builds_a_bit_generator(monkeypatch):
+    task = compile_task(replace(family_spec(6), splits=(40, 10, 10)))
+    split_words, pcg64 = generator._split_words, np.random.PCG64
+    built, rejected = [], []
+
+    def counting(seed):
+        built.append(seed)
+        return pcg64(seed)
+
+    def words_with_a_rejection(seed, split, lengths):
+        words = split_words(seed, split, lengths)
+        if split == "val":
+            rejected.append(reject_first_draw(task, split, words, "letter"))
+        return words
+
+    monkeypatch.setattr(generator.np.random, "PCG64", counting)
+    generate_dataset(task)
+    assert built == []
+    monkeypatch.setattr(generator, "_split_words", words_with_a_rejection)
+    generate_dataset(task)
+    assert built == [_sequence_seed(task.spec.seed, "val", rejected[0])]
 
 
 def test_unreachable_plan_raises_the_reference_error():

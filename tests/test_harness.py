@@ -754,7 +754,6 @@ def _reference_oracle(oracle, seed, true, sizes, p):
 def test_cached_oracle_draws_equal_scalar_oracles():
     import random
 
-    from ltlseq.generator import _Draws
     from ltlseq.harness import _confidence_masses, _flip_labels, _Words
 
     rnd = random.Random(23)
@@ -765,13 +764,13 @@ def test_cached_oracle_draws_equal_scalar_oracles():
         lengths = np.array([rnd.randint(1, 30) for _ in range(rnd.randint(1, 4))])
         seeds = [rnd.getrandbits(64) for _ in lengths]
         true = [np.array([[rnd.randrange(k) for k in sizes] for _ in range(n)]) for n in lengths]
-        # a block of 1 or 5 words refills mid-sequence; 2·entries is the oracle's own.
-        # A flip table row holds one block, so a short one runs out mid-sequence;
-        # a confidence table row holds a word per entry, fetched block by block
+        # a flip table row of 1 or 5 words runs out mid-sequence, and its
+        # replay refills that many words at a time; 2·entries is the oracle's
+        # own.  A confidence table row holds a word per entry
         block = rnd.choice([1, 5, 2 * int(lengths.max()) * len(sizes)])
-        flip_words = _Words.of([_Draws(s, block) for s in seeds], [block] * len(seeds))
+        flip_words = _Words.of(seeds, [block] * len(seeds))
         flips = _flip_labels(np.concatenate(true), sizes, p, flip_words, lengths)
-        words = _Words.of([_Draws(s, block) for s in seeds], lengths * len(sizes))
+        words = _Words.of(seeds, lengths * len(sizes))
         (masses,) = _confidence_masses([p], len(sizes), words, lengths)
         want_flips, want_masses = [], []
         for seed, t in zip(seeds, true):
@@ -799,17 +798,17 @@ def _flip_case(p=0.3, seed=7):
     return data, true, sizes, data.oracle_words(seed), want
 
 
-def _replays(monkeypatch, words):
+def _replays(monkeypatch):
     """The rows whose streams are replayed for the scalar draws, in order."""
-    from ltlseq.generator import _Draws
+    from ltlseq.harness import _Words
 
-    rows, replay = [], _Draws.replay
+    rows, stream = [], _Words.stream
 
-    def spy(draws):
-        rows.extend(i for i, s in enumerate(words.streams) if s is draws)
-        return replay(draws)
+    def spy(words, i):
+        rows.append(i)
+        return stream(words, i)
 
-    monkeypatch.setattr(_Draws, "replay", spy)
+    monkeypatch.setattr(_Words, "stream", spy)
     return rows
 
 
@@ -825,7 +824,7 @@ def test_a_rejecting_flip_redraw_replays_only_its_sequence(monkeypatch):
     assert q < data.lengths[2] * len(sizes)  # an entry's flip test
     table = words.table.copy()
     table[2, q + 1] &= np.uint64(0xFFFFFFFF00000000)
-    replayed = _replays(monkeypatch, words)
+    replayed = _replays(monkeypatch)
     got = _flip_labels(true, sizes, p, dataclasses.replace(words, table=table), data.lengths)
     assert replayed == [2]
     assert got.ravel().tolist() == want
@@ -840,15 +839,15 @@ def test_a_flip_row_that_runs_out_of_words_replays_only_its_sequence(monkeypatch
     # reads past the row, so only the count of words shows that it ran out
     counts, half = words.counts.copy(), int(data.lengths[5]) * len(sizes) // 2
     counts[5] = next(c for c in range(half, counts[5]) if words.doubles[5, c - 1] >= p)
-    short = _Words.of(words.streams, counts)
-    replayed = _replays(monkeypatch, words)
+    short = _Words.of(words.seeds, counts)
+    replayed = _replays(monkeypatch)
     assert _flip_labels(true, sizes, p, short, data.lengths).ravel().tolist() == want
     assert replayed == [5]
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_argmax_hits_equal_argmax_on_a_forced_tie(k):
-    from ltlseq.generator import _Draws, _next_doubles
+    from ltlseq.generator import _next_doubles
     from ltlseq.harness import _argmax_hits, _confidence_masses, _Words
 
     # zero words draw u = 0, so at p = 1 − 1/k the true class holds
@@ -856,7 +855,7 @@ def test_argmax_hits_equal_argmax_on_a_forced_tie(k):
     lengths = np.array([k, 3])
     true = np.arange(int(lengths.sum()))[:, None] % k  # one column, every class
     table = np.zeros((2, 9), dtype=np.uint64)
-    zeros = _Words([_Draws(1, 8), _Draws(2, 8)], table, np.array([8, 8]), _next_doubles(table))
+    zeros = _Words([1, 2], table, np.array([8, 8]), _next_doubles(table))
     (m,) = _confidence_masses([1 - 1 / k], 1, zeros, lengths)
     o = (1.0 - m) / (k - 1)
     assert (m == o).all()
@@ -867,52 +866,72 @@ def test_argmax_hits_equal_argmax_on_a_forced_tie(k):
     assert _argmax_hits(m, o, true)[:, 0].tolist() == want.tolist()
 
 
-def test_a_replayed_stream_reads_the_words_another_config_grew():
-    from ltlseq.generator import _Draws, _digest_int
-    from ltlseq.harness import _split_arrays
+def test_a_replayed_row_reads_its_stream_from_word_0():
+    from ltlseq.generator import _digest_int
+    from ltlseq.harness import _split_arrays, _Words
 
     ops = [None if i % 3 else 7 for i in range(40)] + [None] * 10
 
     def read(draws, count):
         return [draws.random() if k is None else draws.integers(k) for k in ops[:count]]
 
-    stream = _Draws(99, 2)
-    grown = read(stream.replay(), 40)
-    assert len(stream._words) > 2  # the first reader fetched past the first block
-    second = stream.replay()
-    assert read(second, 40) == grown
-    reference = np.random.default_rng(99)
-    assert grown + [second.random() for _ in range(10)] == read(reference, 50)
-    # through a split: each config of a seed re-reads its streams from word 0
+    # a row of 2 words: its replay refills 2 words at a time past them
+    short = _Words.of([99], [2])
+    first = short.stream(0)
+    assert read(first, 40) == read(short.stream(0), 40)
+    assert len(first._words) > 2
+    assert read(short.stream(0), 50) == read(np.random.default_rng(99), 50)
+    # through a split: each replay of a seed's row reads its stream from word 0
     ct, ds = small_dataset(splits=(2, 4, 4))
     data = _split_arrays(ct, ds, "test")
+    words = data.oracle_words(5)
+    assert data.oracle_words(5) is words
 
     def replays():
-        return [stream.replay() for stream in data.oracle_words(5).streams]
+        return [[d.random() for _ in range(200)] for d in map(words.stream, range(len(words.seeds)))]
 
-    once = [[d.random() for _ in range(200)] for d in replays()]
-    again = [[d.random() for _ in range(200)] for d in replays()]
-    assert once == again
-    for sample, values in zip(data.samples, once):
+    once = replays()
+    assert replays() == once
+    for sample, count, row, values in zip(data.samples, words.counts, words.doubles, once):
         fresh = np.random.default_rng(_digest_int(f"5:test:{sample.seq_id}:oracle"))
         assert values == [fresh.random() for _ in range(200)]
+        assert row[:count].tolist() == values[:count]  # the table holds the same words
 
 
 def test_each_oracle_stream_is_seeded_once_per_sweep(monkeypatch):
-    from ltlseq import generator
+    from ltlseq import generator, harness
+    from ltlseq.generator import _digest_int
 
-    seeded = []
-    pcg64 = np.random.PCG64
+    seeded, built, replayed = [], [], []
+    stream_words, pcg64, stream = harness.stream_words, np.random.PCG64, harness._Words.stream
+
+    def seeding(seeds, counts):
+        seeded.extend(seeds)
+        return stream_words(seeds, counts)
 
     def counting(seed):
-        seeded.append(seed)
+        built.append(seed)
         return pcg64(seed)
 
+    def replaying(words, i):
+        replayed.append(words.seeds[i])
+        return stream(words, i)
+
     ct, ds = small_dataset("task3", splits=(2, 3, 5))
+    monkeypatch.setattr(harness, "stream_words", seeding)
     monkeypatch.setattr(generator.np.random, "PCG64", counting)
+    monkeypatch.setattr(harness._Words, "stream", replaying)
     oracle_sweep(ct, ds, default_sweep_configs(), engines=("exact",), seeds=(1, 2), calibrate=True)
     # 12 noisy configs read the streams of 2 seeds × (3 val + 5 test) sequences
     assert len(seeded) == len(set(seeded)) == 2 * (3 + 5)
+    assert set(seeded) == {
+        _digest_int(f"{seed}:{split}:{s.seq_id}:oracle")
+        for seed in (1, 2)
+        for split in ("val", "test")
+        for s in ds.splits[split]
+    }
+    # a bit generator only for a row that replays
+    assert built == replayed
 
 
 @pytest.mark.parametrize(
