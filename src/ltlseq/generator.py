@@ -15,15 +15,14 @@ at once instead (``_lockstep``): it stacks the first ``length + 1`` PCG64
 words of each stream, and at each time step draws every walk's letter from
 ``CompiledTask.feasible`` and then its grid point from the flat bucket
 array, by 32-bit Lemire on each walk's own half words, exactly as numpy's
-``integers(n)`` would.  A walk whose draw Lemire would reject is redone by
-``generate_sequence`` on ``_Draws``, which reads the stream's words in blocks
-with numpy's scalar draw rules.  The bytes therefore rest on the
-``SeedSequence`` and PCG64 raw streams, which NEP 19 keeps stable across
-numpy versions, and on Lemire's bounded draw as numpy >= 1.17 implements
-it, which ``tests/test_generator.py`` pins against ``Generator.integers``.
-Being fixed algorithms, the streams are computed for a whole split at once
-(``streams.stream_words``), which the tests pin against
-``np.random.PCG64``; a bit generator is built only for a redone walk.
+``Generator.integers(n)`` would.  A walk whose draw Lemire would reject is
+redone by ``generate_sequence`` on its own ``np.random.default_rng``.  The
+bytes therefore rest on the ``SeedSequence`` and PCG64 raw streams, which
+NEP 19 keeps stable across numpy versions, and on Lemire's bounded draw as
+numpy >= 1.17 implements it, which ``tests/test_generator.py`` pins against
+the Generator walk.  Being fixed algorithms, the streams are computed for a
+whole split at once (``streams.stream_words``), which the tests pin against
+``np.random.PCG64``; a Generator is built only for a redone walk.
 
 A sample stores two ints per step: the grid point of its assignment over
 ``variables`` (``constraints.grid_positions``) and its letter, bit i the
@@ -93,89 +92,13 @@ def _sequence_rng(seed: int, split: str, index: int) -> np.random.Generator:
 
 
 _LOW32 = (1 << 32) - 1
-_LOW64 = (1 << 64) - 1
 _DOUBLE_UNIT = 2.0**-53  # next_double's scale: 53 random bits to [0, 1)
 
 
 def _next_doubles(words: Sequence[int]) -> np.ndarray:
     """numpy's ``next_double`` of each PCG64 word: its top 53 bits times
-    2^-53, what ``_Draws.random`` draws from one word."""
+    2^-53, what ``Generator.random()`` draws from one word."""
     return (np.array(words, dtype=np.uint64) >> 11) * _DOUBLE_UNIT
-
-
-class _Draws:
-    """``np.random.default_rng(seed)``'s scalar ``random()`` and
-    ``integers(n)``, the same draw for draw, from PCG64 words fetched
-    ``block`` at a time.
-
-    numpy's scalar paths: ``random()`` is ``next_double``, a whole word's top
-    53 bits times 2^-53, and leaves a pending 32-bit half alone.  For
-    ``integers(n)`` a bound of 1 consumes nothing; a bound up to 2^32 is
-    32-bit Lemire on PCG64's buffered ``next_uint32`` (a fresh word's low
-    half, then its pending high half); a larger bound is 64-bit Lemire on
-    whole words and leaves a pending half alone.  Lemire draws again while
-    the product's low bits are below ``2^bits mod n``.
-
-    This is the scalar path: the reference the array draws are tested
-    against, and the replay of a sequence whose array draws cannot finish
-    (``_lockstep``'s redone walks, ``harness._flip_labels``' replayed rows).
-    """
-
-    __slots__ = ("_bitgen", "_block", "_words", "_pos", "_half")
-
-    def __init__(self, seed: int, block: int) -> None:
-        self._bitgen = np.random.PCG64(seed)
-        self._block = block
-        self._words: list[int] = []
-        self._pos = 0
-        self._half: int | None = None
-
-    def _fetch(self) -> None:
-        self._words.extend(self._bitgen.random_raw(self._block).tolist())
-
-    def _word(self) -> int:
-        pos = self._pos
-        self._pos = pos + 1
-        try:
-            return self._words[pos]
-        except IndexError:
-            self._fetch()
-            return self._words[pos]
-
-    def _next(self, bits: int) -> int:
-        if bits == 64:
-            return self._word()
-        half = self._half
-        if half is None:
-            word = self._word()
-            self._half = word >> 32
-            return word & _LOW32
-        self._half = None
-        return half
-
-    def random(self) -> float:
-        # _word inlined: this is a flip oracle's draw for every entry
-        pos = self._pos
-        self._pos = pos + 1
-        try:
-            word = self._words[pos]
-        except IndexError:
-            self._fetch()
-            word = self._words[pos]
-        return (word >> 11) * _DOUBLE_UNIT
-
-    def integers(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"bound must be >= 1, got {n}")
-        if n == 1:
-            return 0
-        bits, mask = (32, _LOW32) if n <= 1 << 32 else (64, _LOW64)
-        m = self._next(bits) * n
-        if m & mask < n:
-            threshold = (mask + 1) % n
-            while m & mask < threshold:
-                m = self._next(bits) * n
-        return m >> bits
 
 
 @dataclass
@@ -255,9 +178,9 @@ def generate_sequence(
 ) -> SequenceSample:
     """One walk of ``length`` steps ending with the requested label.
 
-    ``rng`` is any source with numpy's ``integers(n)``; each step draws the
-    letter, then (in ``sample_solution``) its grid point.  This is the scalar
-    reference of ``generate_dataset``'s lockstep walk.
+    ``rng`` is a numpy ``Generator``; each step draws the letter, then (in
+    ``sample_solution``) its grid point.  This is the scalar reference of
+    ``generate_dataset``'s lockstep walk.
     """
     label, length = _checked_plan(task, label, length)
     feasible, buckets = task.feasible_letters, task.solutions
@@ -290,7 +213,7 @@ def _split_plan(spec: TaskSpec, split: str) -> list[tuple[int, int]]:
 
 def _split_words(seed: int, split: str, lengths: Sequence[int]) -> np.ndarray:
     """Row i: the first ``lengths[i] + 1`` PCG64 words of sequence i's
-    ``(seed, split, i)`` stream, what ``_Draws`` fetches first, zero-padded
+    ``(seed, split, i)`` stream, what its Generator reads first, zero-padded
     to the longest row.  ``streams.stream_words`` seeds every stream of the
     split in one pass and builds no bit generator."""
     seeds = [_sequence_seed(seed, split, i) for i in range(len(lengths))]
@@ -311,12 +234,12 @@ def _lockstep(
     points and states as rows of three walks × max-length arrays, and a
     mask of the walks to redo with ``generate_sequence``.
 
-    Each step draws the letter, then its grid point, as ``_Draws.integers``
-    does: 32-bit Lemire on the walk's next half word (a word's low half,
-    then its high half); a bound of 1 reads nothing.  Letter sets hold at
-    most 2^16 letters and buckets at most 2^24 points, so every bound takes
-    the 32-bit path.  A draw that Lemire would reject marks its walk for the
-    redo.  Two draws a step read at most ``2 * length`` halves of the
+    Each step draws the letter, then its grid point, as numpy's
+    ``Generator.integers(n)`` does: 32-bit Lemire on the walk's next half
+    word (a word's low half, then its high half); a bound of 1 reads
+    nothing.  Letter sets hold at most 2^16 letters and buckets at most 2^24
+    points, so every bound takes the 32-bit path.  A draw that Lemire would
+    reject marks its walk for the redo.  Two draws a step read at most ``2 * length`` halves of the
     ``length + 1`` words, so no walk runs out of its words.
     """
     table = task.feasible
@@ -372,8 +295,8 @@ def _lockstep(
 
 def _generate_split(task: CompiledTask, split: str) -> list[SequenceSample]:
     """The samples of one split: ``_lockstep`` on the words of
-    ``_split_words``, and a redone walk on its ``_Draws`` for each walk it
-    marks."""
+    ``_split_words``, and for each walk it marks, the walk redone by
+    ``generate_sequence`` on its own Generator."""
     spec = task.spec
     plan = _split_plan(spec, split)
     for label, length in dict.fromkeys(plan):  # distinct pairs, first in plan order
@@ -393,8 +316,8 @@ def _generate_split(task: CompiledTask, split: str) -> list[SequenceSample]:
     for i, ((label, length), again) in enumerate(zip(plan, redo.tolist())):
         start, end = end, end + length
         if again:
-            draws = _Draws(_sequence_seed(spec.seed, split, i), length + 1)
-            samples.append(generate_sequence(task, label, length, draws, seq_id=i))
+            rng = _sequence_rng(spec.seed, split, i)
+            samples.append(generate_sequence(task, label, length, rng, seq_id=i))
         else:
             samples.append(
                 SequenceSample(
@@ -412,9 +335,9 @@ def generate_dataset(source: TaskSpec | CompiledTask, jobs: int = 1) -> Dataset:
     equals ``generate_sequence`` on ``_sequence_rng(seed, split, index)``.
     The walks of a split run in lockstep (``_lockstep``), each on the first
     ``length + 1`` words of its stream, and those words come from one
-    ``streams.stream_words`` pass per split: no bit generator is built
-    except for a walk that Lemire rejects, which is redone on its own
-    ``_Draws``.
+    ``streams.stream_words`` pass per split: no Generator is built except
+    for a walk that Lemire rejects, which is redone on its own
+    ``_sequence_rng``.
     ``jobs`` is accepted for compatibility and starts no threads.
     """
     task = source if isinstance(source, CompiledTask) else compile_task(source)

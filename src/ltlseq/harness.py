@@ -21,12 +21,12 @@ once per (target, kind, seed) group of its (config, seed) units.  A flip
 oracle finds its flipped entries in the table with one array compare per p
 and steps from one to the next in Python, pairing re-draws on half words; a
 draw Lemire might reject, or a row that runs out of words, sends that
-sequence to the scalar draws on its stream.  A confidence oracle
-computes every mass of the group from the table in one array expression;
-its IC hits and the ``ic_cc`` beliefs need no distribution, and under ``ic``
-each indicator tensor is contracted over all steps at once
-(``tensor_probability``: the last axis as one matrix-vector product per
-step, then one ``einsum`` per remaining axis).  A sweep then runs every
+sequence to ``flip_oracle``'s draws on a fresh Generator of its stream.  A
+confidence oracle computes every mass of the group from the table in one
+array expression; its IC hits and the ``ic_cc`` beliefs need no
+distribution, and under ``ic`` each indicator tensor is contracted over all
+steps at once (``tensor_probability``: the last axis as one matrix-vector
+product per step, then one ``einsum`` per remaining axis).  A sweep then runs every
 unit of every split it reads (the scored one, plus val when calibrating)
 through each engine in one batched pass, padded to the widest split, and
 scores each engine's units in one pass; no threads are started.
@@ -52,7 +52,7 @@ import numpy as np
 
 from .constraints import grid_positions, tensor_probability
 from .errors import DomainError, TaskFileError
-from .generator import _LOW32, Dataset, SequenceSample, _digest_int, _Draws, _next_doubles
+from .generator import _LOW32, Dataset, SequenceSample, _digest_int, _next_doubles
 from .inference import (
     calibrate_temperature,
     calibrate_temperatures,
@@ -145,6 +145,12 @@ def confidence_oracle(true_label: int, k: int, p: float, rng: np.random.Generato
 
 
 def _check_oracle_args(true_label: int, k: int, p: float) -> None:
+    # OracleConfig's type rule: a bool would index as a mask, a float not at all
+    for name, value in (("class count", k), ("true label", true_label)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an int, got {value!r}")
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise DomainError(f"noise level must be an int or a float, got {p!r}")
     if k < 2:
         raise DomainError(f"class count must be >= 2, got {k}")
     if not 0 <= true_label < k:
@@ -165,8 +171,8 @@ def _flip_labels(
     leaving its high half pending for the next re-draw.  So the loop visits
     only the hits, the words whose next_double is below p, skipping from one
     to the next.  A low product below k (Lemire might reject it) or a row
-    that runs out of words sends that one sequence to the scalar draws, on
-    its stream read again from word 0 (``_Words.stream``).
+    that runs out of words sends that one sequence to ``flip_oracle``'s
+    draws on a fresh Generator of its stream (``_Words.stream``).
     """
     n, width = len(sizes), words.table.shape[1]
     hits = np.flatnonzero(words.doubles < p)
@@ -232,7 +238,8 @@ class _Words:
     with ``seeds[i]``, then zero words, at least one; ``doubles`` holds
     their next_doubles, 1.0 past the row's words so that no p ≤ 1 finds a
     flip there.  ``of`` seeds every stream in one pass and builds no bit
-    generator; ``stream`` builds one only for a row that must replay."""
+    generator; ``stream`` builds a Generator only for a row that must
+    replay."""
 
     seeds: Sequence[int]
     table: np.ndarray
@@ -247,9 +254,9 @@ class _Words:
         fetched = np.arange(table.shape[1]) < counts[:, None]
         return cls(seeds, table, counts, np.where(fetched, _next_doubles(table), 1.0))
 
-    def stream(self, i: int) -> _Draws:
+    def stream(self, i: int) -> np.random.Generator:
         """Row i's stream for the scalar draws, read from word 0."""
-        return _Draws(self.seeds[i], int(self.counts[i]))
+        return np.random.default_rng(self.seeds[i])
 
 
 @dataclass(frozen=True)

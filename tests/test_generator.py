@@ -16,7 +16,6 @@ from ltlseq.automata import letter_of
 from ltlseq.constraints import SymbolicDomain, VariableSpec, eval_constraint
 from ltlseq.errors import DatasetFormatError, DomainError, IntegrityError
 from ltlseq.generator import (
-    _Draws,
     _sequence_rng,
     _sequence_seed,
     _split_plan,
@@ -126,34 +125,7 @@ def test_values_lie_in_domains():
 
 
 # ---------------------------------------------------------------------------
-# The draw source against numpy, and generation against its reference loop
-
-# Lemire's 32-bit path, its 2^32 edge, heavy rejection just past 2^31, and
-# the 64-bit path that leaves a pending 32-bit half untouched
-_BOUNDS = (
-    1, 2, 3, 2**31 - 5, 2**31, 2**31 + 1, 2**31 + 5, 2**32 - 1, 2**32, 2**32 + 1,
-    3 * 2**40 + 7, 2**63 - 1,
-)
-
-
-@pytest.mark.parametrize("block", [1, 3, 64])
-def test_draws_equal_generator_integers(block):
-    rnd = random.Random(block)
-    for _ in range(300):
-        seed = rnd.getrandbits(64)
-        bounds = [
-            rnd.choice(_BOUNDS) if rnd.random() < 0.5 else rnd.randint(1, 40)
-            for _ in range(rnd.randint(1, 40))
-        ]
-        reference = np.random.default_rng(seed)
-        draws = _Draws(seed, block)
-        assert [draws.integers(n) for n in bounds] == [int(reference.integers(n)) for n in bounds]
-
-
-def test_draws_reject_an_empty_range():
-    with pytest.raises(ValueError, match="bound must be >= 1"):
-        _Draws(0, 4).integers(0)
-
+# The streams against numpy, and generation against its reference loop
 
 # the seeding edge cases: one entropy word or two, and the top bit
 _EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
@@ -229,6 +201,14 @@ def from_values_task():
     return compile_task(replace(spec, name="sparse", domains=(sparse,), variables=variables))
 
 
+def wide_task():
+    """``small_spec`` over two 1,500-value ranges: its letters' buckets hold
+    1,125,750 and 1,124,250 grid points, bounds past 2^20 and no power of two."""
+    wide = SymbolicDomain.from_range("wide", 0, 1499)
+    variables = tuple(VariableSpec(n, wide, "mnist") for n in "AB")
+    return compile_task(small_spec(domains=(wide,), variables=variables, splits=(6, 2, 2)))
+
+
 def reference_splits(task):
     """``generate_dataset``'s walks, each on its own numpy Generator."""
     seed = task.spec.seed
@@ -241,13 +221,16 @@ def reference_splits(task):
     }
 
 
-@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "fam10", "from_values"])
+@pytest.mark.parametrize("name", [*builtin_task_names(), "fam6", "fam10", "from_values", "wide"])
 def test_dataset_equals_reference_loop(name):
     if name.startswith("fam"):
         task = compile_task(replace(family_spec(int(name[3:])), splits=(40, 10, 10)))
     elif name == "from_values":
         task = from_values_task()
         assert min(len(task.solutions[letter]) for letter in task.usable_letters) == 1
+    elif name == "wide":
+        task = wide_task()
+        assert min(len(task.solutions[letter]) for letter in task.usable_letters) > 2**20
     else:
         task = compile_task(builtin_task(name))
     assert generate_dataset(task).splits == reference_splits(task)
@@ -341,14 +324,6 @@ def test_serialize_rejects_a_sample_over_other_variables(tmp_path):
     with pytest.raises(DomainError, match=r"sample test/2 is not over the dataset's variables"):
         serialize(ds, tmp_path)
     assert not (tmp_path / "sequences.csv").exists()  # checked before any row is written
-
-
-def test_walk_refills_a_one_word_block():
-    task = small_task()
-    for i in range(20):
-        draws = _Draws(_sequence_seed(1, "train", i), 1)
-        expected = generate_sequence(task, i % 2, 20, _sequence_rng(1, "train", i))
-        assert generate_sequence(task, i % 2, 20, draws) == expected
 
 
 def test_only_the_scalar_walk_calls_letters_and_solutions_per_step(monkeypatch):
@@ -453,6 +428,11 @@ def test_only_a_redone_walk_builds_a_bit_generator(monkeypatch):
         built.append(seed)
         return pcg64(seed)
 
+    # default_rng builds its PCG64 in C, past the PCG64 spy
+    def counting_rng(seed, split, index):
+        built.append(_sequence_seed(seed, split, index))
+        return _sequence_rng(seed, split, index)
+
     def words_with_a_rejection(seed, split, lengths):
         words = split_words(seed, split, lengths)
         if split == "val":
@@ -460,6 +440,7 @@ def test_only_a_redone_walk_builds_a_bit_generator(monkeypatch):
         return words
 
     monkeypatch.setattr(generator.np.random, "PCG64", counting)
+    monkeypatch.setattr(generator, "_sequence_rng", counting_rng)
     generate_dataset(task)
     assert built == []
     monkeypatch.setattr(generator, "_split_words", words_with_a_rejection)

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,28 @@ def test_oracle_argument_checks():
         flip_oracle(5, 5, 0.1, rng)  # label out of range
     with pytest.raises(DomainError):
         confidence_oracle(0, 3, 1.5, rng)
+
+
+# OracleConfig's type rule: a bool label would index every class as a mask
+@pytest.mark.parametrize("oracle", [flip_oracle, confidence_oracle])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, 3, 0.0), "true label must be an int, got True"),
+        ((1.5, 3, 0.0), "true label must be an int, got 1.5"),
+        ((0, 3.0, 0.0), "class count must be an int, got 3.0"),
+        ((0, True, 0.0), "class count must be an int, got True"),
+        ((0, 3, True), "noise level must be an int or a float, got True"),
+        ((0, 3, "0.1"), "noise level must be an int or a float, got '0.1'"),
+        ((0, 1, 0.1), "class count must be >= 2, got 1"),
+    ],
+)
+def test_oracles_reject_arguments_of_other_types(oracle, args, message):
+    rng = np.random.default_rng(12)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        oracle(*args, rng)
+    out = oracle(np.int64(1), np.int32(3), 0, rng)  # numpy ints and an int p are accepted
+    assert out.tolist() == [0.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -722,23 +745,6 @@ def test_array_traces_equal_reference_loop(name):
 # Oracle draws from cached PCG64 words against fresh numpy Generators
 
 
-@pytest.mark.parametrize("block", [1, 3, 64])
-def test_draws_random_interleaved_with_integers_equal_generator(block):
-    import random
-
-    from ltlseq.generator import _Draws
-
-    rnd = random.Random(block)
-    for _ in range(200):
-        seed = rnd.getrandbits(64)
-        # None is a random() draw; a bound past 2^32 takes the 64-bit path
-        ops = [rnd.choice([None, None, 2, 7, 10, 2**32 + 1]) for _ in range(rnd.randint(1, 60))]
-        reference = np.random.default_rng(seed)
-        want = [reference.random() if k is None else int(reference.integers(k)) for k in ops]
-        draws = _Draws(seed, block)
-        assert [draws.random() if k is None else draws.integers(k) for k in ops] == want
-
-
 def _reference_oracle(oracle, seed, true, sizes, p):
     """One sequence's labels (flip) or true-label masses (confidence) from
     the scalar oracle on a fresh Generator, steps outer, columns inner."""
@@ -764,9 +770,9 @@ def test_cached_oracle_draws_equal_scalar_oracles():
         lengths = np.array([rnd.randint(1, 30) for _ in range(rnd.randint(1, 4))])
         seeds = [rnd.getrandbits(64) for _ in lengths]
         true = [np.array([[rnd.randrange(k) for k in sizes] for _ in range(n)]) for n in lengths]
-        # a flip table row of 1 or 5 words runs out mid-sequence, and its
-        # replay refills that many words at a time; 2·entries is the oracle's
-        # own.  A confidence table row holds a word per entry
+        # a flip table row of 1 or 5 words runs out mid-sequence and replays
+        # on a fresh Generator; 2·entries is the oracle's own.  A confidence
+        # table row holds a word per entry
         block = rnd.choice([1, 5, 2 * int(lengths.max()) * len(sizes)])
         flip_words = _Words.of(seeds, [block] * len(seeds))
         flips = _flip_labels(np.concatenate(true), sizes, p, flip_words, lengths)
@@ -875,11 +881,10 @@ def test_a_replayed_row_reads_its_stream_from_word_0():
     def read(draws, count):
         return [draws.random() if k is None else draws.integers(k) for k in ops[:count]]
 
-    # a row of 2 words: its replay refills 2 words at a time past them
+    # a row of 2 words: its replay reads on past them
     short = _Words.of([99], [2])
     first = short.stream(0)
     assert read(first, 40) == read(short.stream(0), 40)
-    assert len(first._words) > 2
     assert read(short.stream(0), 50) == read(np.random.default_rng(99), 50)
     # through a split: each replay of a seed's row reads its stream from word 0
     ct, ds = small_dataset(splits=(2, 4, 4))
@@ -903,7 +908,8 @@ def test_each_oracle_stream_is_seeded_once_per_sweep(monkeypatch):
     from ltlseq.generator import _digest_int
 
     seeded, built, replayed = [], [], []
-    stream_words, pcg64, stream = harness.stream_words, np.random.PCG64, harness._Words.stream
+    stream_words, stream = harness.stream_words, harness._Words.stream
+    pcg64, default_rng = np.random.PCG64, np.random.default_rng
 
     def seeding(seeds, counts):
         seeded.extend(seeds)
@@ -913,6 +919,11 @@ def test_each_oracle_stream_is_seeded_once_per_sweep(monkeypatch):
         built.append(seed)
         return pcg64(seed)
 
+    # default_rng builds its PCG64 in C, past the PCG64 spy
+    def counting_rng(seed):
+        built.append(seed)
+        return default_rng(seed)
+
     def replaying(words, i):
         replayed.append(words.seeds[i])
         return stream(words, i)
@@ -920,6 +931,7 @@ def test_each_oracle_stream_is_seeded_once_per_sweep(monkeypatch):
     ct, ds = small_dataset("task3", splits=(2, 3, 5))
     monkeypatch.setattr(harness, "stream_words", seeding)
     monkeypatch.setattr(generator.np.random, "PCG64", counting)
+    monkeypatch.setattr(generator.np.random, "default_rng", counting_rng)
     monkeypatch.setattr(harness._Words, "stream", replaying)
     oracle_sweep(ct, ds, default_sweep_configs(), engines=("exact",), seeds=(1, 2), calibrate=True)
     # 12 noisy configs read the streams of 2 seeds × (3 val + 5 test) sequences
