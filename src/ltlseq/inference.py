@@ -13,9 +13,9 @@ that steps a whole batch of sequences at once:
 
 The ``-lp`` engines sum over letters with logsumexp in log space, so letter
 probabilities that underflow in float64 still give the log-semiring answer;
-their rule builds its array letters first (letters × rows × states), the sum
-reduces over that outermost axis and reuses the array, so ``_BATCH_CELLS``
-bounds all five engines.
+their rule takes its logs and exps on the present (letter, target) cells
+only, those some source reaches, and has one letters·states × rows array for
+the max and the sum over letters, so ``_BATCH_CELLS`` bounds all five engines.
 
 Each engine is one row of ``_ENGINES`` (rule, renormalization, semiring),
 built by ``make_engine``.  The per-step semantics the kernels implement stay
@@ -98,6 +98,8 @@ def apply_temperature(prob, temp: float):
             return 1.0 / (1.0 + math.exp(-z))
         e = math.exp(z)
         return e / (1.0 + e)
+    if not np.size(prob):
+        raise DomainError("temperature scaling needs at least one probability")
     b = np.clip(np.asarray(prob, dtype=float), _CLAMP, 1.0 - _CLAMP)
     logits = np.log(b) / temp
     logits -= logits.max()
@@ -194,21 +196,24 @@ def calibrate_temperatures(acceptance, labels: Sequence[int]) -> list[tuple[floa
 # Step semantics
 
 
-def _constraint_beliefs(cb, n_atoms: int, batched: bool = True) -> np.ndarray:
-    """``cb`` as floats, checked to lie in [0, 1] (so not NaN) and to have
-    shape (..., atoms), or exactly (atoms,) unless ``batched``."""
-    cb = np.asarray(cb, dtype=float)
-    if (cb.shape[-1:] if batched else cb.shape) != (n_atoms,):
-        raise DomainError(f"expected {n_atoms} constraint beliefs, got shape {cb.shape}")
-    ok = (cb >= 0) & (cb <= 1)  # NaN fails both
+def _beliefs(x, what: str, n: int, batched: bool = True) -> np.ndarray:
+    """``x`` as floats, checked to have shape (..., n), or exactly (n,) unless
+    ``batched``, and to lie in [0, 1] (so not NaN); errors name ``what``."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as err:  # a string, a ragged list
+        raise DomainError(f"{what} are not an array of numbers: {err}") from None
+    if (x.shape[-1:] if batched else x.shape) != (n,):
+        raise DomainError(f"expected {n} {what}, got shape {x.shape}")
+    ok = (x >= 0) & (x <= 1)  # NaN fails both
     if not ok.all():
-        raise DomainError(f"constraint beliefs must lie in [0, 1], got {cb[~ok].flat[0]}")
-    return cb
+        raise DomainError(f"{what} must lie in [0, 1], got {x[~ok].flat[0]}")
+    return x
 
 
 def letter_probabilities(cb: np.ndarray, n_atoms: int) -> np.ndarray:
     """P(letter) for every bitmask, treating atoms as independent."""
-    return _letter_table(_constraint_beliefs(cb, n_atoms, batched=False), log=False)
+    return _letter_table(_beliefs(cb, "constraint beliefs", n_atoms, batched=False), log=False)
 
 
 def exact_step(dfa: Dfa, b: np.ndarray, cb: np.ndarray) -> np.ndarray:
@@ -297,12 +302,11 @@ class _Preimages:
     """Sums over the preimages {s: δ(s,ℓ) = t} of a DFA's transition table δ.
 
     The (source, letter) pairs are sorted by (letter, target), so one
-    ``np.add.reduceat`` sums every preimage.  The sums fill a rows × letters
-    × states cube, or with ``letters_first`` a letters × rows × states cube,
-    whose sums over letters run along its outermost axis.
+    ``np.add.reduceat`` sums every preimage: one sum per present cell (ℓ, t),
+    one that some source reaches, whose ``keys`` entry is ℓ·states + t.
     """
 
-    def __init__(self, dfa: Dfa, letters_first: bool):
+    def __init__(self, dfa: Dfa):
         n, n_letters = dfa.n_states, dfa.n_letters
         keys = (np.arange(n_letters) * n + dfa.transitions).ravel()  # source-major pairs
         order = np.argsort(keys, kind="stable")
@@ -312,33 +316,19 @@ class _Preimages:
         self.letters, self.targets = np.divmod(self.keys, n)
         self.sources = order // n_letters
         self.shape = (n_letters, n)
-        self.letters_first = letters_first
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        """x[:, ℓ, t] = Σ_{s: δ(s,ℓ)=t} v[:, s] for v of shape rows × states,
-        or x[ℓ, :, t] when ``letters_first``."""
+        """x[:, ℓ, t] = Σ_{s: δ(s,ℓ)=t} v[:, s] for v of shape rows × states;
+        absent cells are 0."""
         sums = np.add.reduceat(v[:, self.sources], self.starts, axis=1)
-        if self.letters_first:
-            x = np.zeros((self.shape[0], len(v), self.shape[1]))
-            x[self.letters, :, self.targets] = sums.T
-            return x
         x = np.zeros((len(v), self.shape[0] * self.shape[1]))
         x[:, self.keys] = sums
         return x.reshape(len(v), *self.shape)
 
-
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """logsumexp over axis 0 of a letters × rows × states cube, overwriting
-    ``a``.  numpy sums it by adding whole rows × states slices one letter
-    after another, in letter order, as it sums a middle letters axis, so the
-    bits equal a logsumexp over the letters of a rows × letters × states
-    cube; the slices are contiguous, which makes the outer axis the fast one."""
-    top = np.max(a, axis=0)
-    shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf slice stays -inf
-    a -= shift
-    np.exp(a, out=a)
-    with np.errstate(divide="ignore"):
-        return np.log(a.sum(axis=0)) + shift
+    def cells(self, v: np.ndarray) -> np.ndarray:
+        """The present cells' sums, cells × rows: row k is x[:, ℓ, t] of
+        ``__call__`` for keys[k] = ℓ·states + t, summed in the same order."""
+        return np.add.reduceat(v.T[self.sources], self.starts, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,43 +347,57 @@ ENGINE_NAMES = tuple(_ENGINES)
 
 
 class _Engine:
-    """One row of ``_ENGINES``: an update rule in a semiring, stepping a batch
-    of beliefs at once.  Built by ``make_engine``.
-
-    The linear rule is ``b'[t] = Σ_ℓ P(ℓ)·Σ_{s: δ(s,ℓ)=t} b[s]``; the
-    multi-hot rule is ``b'[t] = Σ_ℓ P(ℓ)·(1 − Π_{s: δ(s,ℓ)=t}(1 − b[s]))``.
-    In LOGPROB the sum over letters is a logsumexp.  ``exact`` returns its
-    raw update; every other engine renormalizes each step and reports the
-    pre-normalization mass.
-    """
+    """One row of ``_ENGINES``: the linear or multi-hot rule and the
+    renormalization of the module docstring in a semiring, stepping a batch
+    of beliefs at once; built by ``make_engine``."""
 
     def __init__(self, name: str, dfa: Dfa):
         self.multihot, self.renormalize, self.semiring = _ENGINES[name]
         self.name, self.dfa = name, dfa
-        self._preimages = _Preimages(dfa, letters_first=self.semiring is LOGPROB)
+        self._preimages = _Preimages(dfa)
 
     def letter_weights(self, cb: np.ndarray) -> np.ndarray:
         """P(letter) (log P(letter) in LOGPROB) for constraint beliefs ``cb``
         of shape (..., atoms); the result has shape (..., 2^atoms)."""
-        cb = _constraint_beliefs(cb, len(self.dfa.atoms))
+        cb = _beliefs(cb, "constraint beliefs", len(self.dfa.atoms))
         return _letter_table(cb, self.semiring is LOGPROB)
 
     def raw(self, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Raw next-state scores (semiring carrier space) for state beliefs
         ``b`` (sequences × states) and ``letter_weights`` (sequences × 2^k)."""
-        if self.multihot:
-            with np.errstate(divide="ignore"):
-                # b = 1 makes log1p(−b) = -inf, and exp(-inf) = 0 keeps Π(1 − b) exact
-                mass = self._preimages(np.log1p(-b))
-            np.negative(np.expm1(mass, out=mass), out=mass)
-        else:
-            mass = self._preimages(b)
-        if self.semiring is not LOGPROB:
-            return np.matmul(weights[:, None, :], mass)[:, 0, :]
-        with np.errstate(divide="ignore"):  # in place: mass is this call's own letters-first cube
-            np.log(mass, out=mass)
-        mass += weights.T[:, :, None]
-        return _logsumexp(mass)
+        log = self.semiring is LOGPROB
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            # b = 1 makes log1p(−b) = -inf, and exp(-inf) = 0 keeps Π(1 − b) exact
+            v = np.log1p(-b) if self.multihot else b
+            mass = self._preimages.cells(v) if log else self._preimages(v)
+            if self.multihot:
+                np.negative(np.expm1(mass, out=mass), out=mass)
+            if log:
+                return self._logsumexp(mass, weights)
+        return np.matmul(weights[:, None, :], mass)[:, 0, :]
+
+    def _logsumexp(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """logsumexp over letters of log x + log P(ℓ), x the present cells ×
+        rows (overwritten).  The max runs over one letters·states × rows
+        buffer of -inf; refilled with 0, it takes the exps, and numpy sums
+        its states × rows slices in letter order, so absent cells add exact
+        zeros and the bits are those of a rows × letters × states cube."""
+        p = self._preimages
+        np.log(x, out=x)
+        x += weights.T[p.letters]
+        cube = np.full((p.shape[0] * p.shape[1], len(weights)), -np.inf)
+        cube[p.keys] = x
+        top = cube.reshape(*p.shape, -1).max(axis=0)  # states × rows
+        shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf column stays -inf
+        x -= shift[p.targets]
+        cube.fill(0.0)
+        cube[p.keys] = np.exp(x, out=x)
+        if p.shape[1] > 1:
+            out = np.log(cube.reshape(*p.shape, -1).sum(axis=0))
+        else:  # one state: numpy sums each row's letters pairwise, as in a rows-first cube
+            out = np.log(np.ascontiguousarray(cube.T).sum(axis=1)[None])
+        out += shift
+        return out.T.copy()  # C order: advance's sums over states depend on it
 
     def advance(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Beliefs (sequences × states) and masses (sequences) after one step."""
@@ -415,9 +419,8 @@ class _Engine:
         return raw / mass[:, None], mass
 
     def step(self, b: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, float]:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.dfa.n_states,):
-            raise DomainError(f"expected {self.dfa.n_states} state beliefs, got shape {b.shape}")
+        """Beliefs and mass after one step from state beliefs ``b`` in [0, 1]."""
+        b = _beliefs(b, "state beliefs", self.dfa.n_states, batched=False)
         beliefs, masses = self.advance(b[None], self.letter_weights(cb)[None])
         return beliefs[0], float(masses[0])
 
@@ -461,7 +464,7 @@ def run_batch(engine, cb: np.ndarray, lengths: Sequence[int] | None = None) -> B
     allows; rows are independent, so the chunking does not change a bit of
     the output.
     """
-    cb = np.asarray(cb, dtype=float)
+    cb = _beliefs(cb, "constraint beliefs", len(engine.dfa.atoms))
     if cb.ndim != 3 or cb.shape[1] == 0:
         raise DomainError(f"expected traces of shape (sequences, steps > 0, atoms), got {cb.shape}")
     n_seq, length = cb.shape[:2]
@@ -495,10 +498,7 @@ def run_sequence(engine, cb_trace: Sequence[np.ndarray]) -> RunResult:
     """Iterate an engine from the one-hot initial belief over a cb trace."""
     if len(cb_trace) == 0:
         raise DomainError("constraint-belief trace must be non-empty")
-    try:
-        cb = np.array([np.asarray(c, dtype=float) for c in cb_trace])
-    except ValueError as err:
-        raise DomainError(f"constraint-belief trace rows differ in shape: {err}") from None
+    cb = _beliefs(cb_trace, "constraint beliefs", len(engine.dfa.atoms))
     if cb.ndim != 2:
         raise DomainError(f"expected a steps × atoms trace, got shape {cb.shape}")
     out = run_batch(engine, cb[None])

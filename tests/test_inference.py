@@ -465,11 +465,41 @@ def test_constraint_beliefs_outside_unit_interval_raise(entry, bad):
         pytest.param(lambda: apply_temperature(np.array([0.3, 0.7]), math.inf), id="vector-temp-inf"),
         pytest.param(lambda: apply_temperature(np.array([0.3, 0.7]), math.nan), id="vector-temp-nan"),
         pytest.param(lambda: apply_temperature(0.7, -math.inf), id="scalar-temp-minus-inf"),
+        pytest.param(lambda: apply_temperature([], 1.0), id="vector-empty"),
     ],
 )
 def test_calibration_rejects_non_finite_and_out_of_range_inputs(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "bad", [[math.nan] * 5, [2.0, 0, 0, 0, 0], [1.5, -0.5, 0, 0, 0], [math.inf, 0, 0, 0, 0]],
+    ids=["nan", "two", "negative", "inf"],
+)
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_step_rejects_state_beliefs_outside_unit_interval(name, bad):
+    # log1p(-b) of such a b was NaN: every -lp engine returned NaN beliefs of mass inf
+    engine = make_engine(name, compile_task(builtin_task("task3")).dfa)
+    assert engine.dfa.n_states == len(bad)
+    with pytest.raises(DomainError, match=rf"state beliefs must lie in \[0, 1\], got {bad[0]}"):
+        engine.step(np.array(bad), np.full(len(engine.dfa.atoms), 0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda engine: run_batch(engine, "abc"), id="run_batch-string"),
+        pytest.param(lambda engine: run_batch(engine, [[["x"]]]), id="run_batch-strings"),
+        pytest.param(lambda engine: run_batch(engine, [[[0.5], [0.5, 0.5]]]), id="run_batch-ragged"),
+        pytest.param(lambda engine: run_sequence(engine, [[0.5], [0.5, 0.5]]), id="run_sequence-ragged"),
+        pytest.param(lambda engine: run_sequence(engine, ["x"]), id="run_sequence-string"),
+    ],
+)
+def test_traces_that_are_not_arrays_of_numbers_raise(call):
+    engine = make_engine("exact", compile_task(builtin_task("task5")).dfa)
+    with pytest.raises(DomainError, match="constraint beliefs are not an array of numbers"):
+        call(engine)
 
 
 def test_probabilities_within_rounding_of_the_unit_interval_pass():

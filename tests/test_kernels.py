@@ -60,6 +60,8 @@ def dfa_cases():
     for i in range(8):
         dfa = random_dfa(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)))
         cases.append((f"random{i}", dfa))
+    # one state: numpy sums the 8 letters of each row pairwise, in any batch
+    cases.append(("one-state", Dfa(("p", "q", "r"), 1, frozenset({0}), ((0,) * 8,))))
     return cases
 
 
@@ -211,7 +213,28 @@ def test_log_engines_match_logprob_reference_where_probabilities_underflow(name)
         assert np.max(np.abs(got - want_belief)) <= TOL
 
 
-LOG_CASES = [*CASES, ("fam10", compile_task(family_spec(10)).dfa)]
+# No letter leads to state 0, so its column holds no present cell and its
+# per-target max is -inf.
+ABSENT_TARGET = Dfa(("p", "q"), 3, frozenset({2}), ((1, 2, 1, 2), (2, 2, 1, 1), (1, 1, 2, 2)))
+# 24 states over 1 atom whose preimages have 8 or 12 sources: numpy sums a
+# preimage past its first source pairwise, with 8 accumulators from 9 on.
+WIDE_PREIMAGES = Dfa(("p",), 24, frozenset({1}), tuple((s % 3, 3 + s % 2) for s in range(24)))
+LOG_CASES = [
+    *CASES,
+    ("fam10", compile_task(family_spec(10)).dfa),
+    ("absent-target", ABSENT_TARGET),
+    ("wide-preimages", WIDE_PREIMAGES),
+]
+
+
+def renormalized(raw):
+    """The LOGPROB engines' renormalization of raw log scores (rows × states)."""
+    top = raw.max(axis=1)
+    belief = np.exp(raw - top[:, None])
+    total = belief.sum(axis=1)
+    with np.errstate(over="ignore"):
+        mass = np.where(top < 700, total * np.exp(top), np.inf)
+    return belief / total[:, None], mass
 
 
 @pytest.mark.parametrize("case", LOG_CASES, ids=[name for name, _ in LOG_CASES])
@@ -231,9 +254,12 @@ def test_log_kernel_equals_rows_first_reference_bit_for_bit(case):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 raw = engine.raw(b, weights)
-                engine.advance(b, weights)
+                beliefs, masses = engine.advance(b, weights)
             want = logprob_raw_reference(dfa, engine.multihot, b, weights)
             assert raw.tobytes() == want.tobytes(), (name, n_rows)
+            want_beliefs, want_masses = renormalized(want)
+            assert beliefs.tobytes() == want_beliefs.tobytes(), (name, n_rows)
+            assert masses.tobytes() == want_masses.tobytes(), (name, n_rows)
 
 
 @pytest.mark.parametrize("name", [n for n in ENGINE_NAMES if n != "exact"])
