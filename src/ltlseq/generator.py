@@ -361,11 +361,17 @@ def attach_image_indices(ds: Dataset, pools: ImagePools, resample_epoch: int = 0
     """Give every per-step variable an image index from its class pool.
 
     ``pools[split][source][class_label]`` lists candidate image indices;
-    only "train" and "test" pools exist (val draws from train).  Indices are
-    a pure function of (seed, split, sequence, step, variable, epoch), so a
-    new epoch resamples images while class labels stay fixed.
+    only "train" and "test" pools exist (val draws from train).  The two
+    outer levels are mappings, and a pool is any sized sequence, a numpy
+    array included, of non-bool integers.  A level that is not a mapping, a
+    missing or empty pool, or an entry of another type raises DomainError
+    naming the split, source and class; each pool is checked once, on its
+    first use.  Indices are a pure function of (seed, split, sequence, step,
+    variable, epoch), the seed being the spec's (``ds.spec.seed``), so a new
+    epoch resamples images while class labels stay fixed.
     """
-    seed = ds.metadata["seed"]
+    seed = ds.spec.seed
+    checked: dict[tuple[str, str, str], list[int]] = {}
     new_splits: dict[str, list[SequenceSample]] = {}
     for split, samples in ds.splits.items():
         pool_split = _POOL_SPLIT.get(split, split)
@@ -375,21 +381,40 @@ def attach_image_indices(ds: Dataset, pools: ImagePools, resample_epoch: int = 0
             for step, row in enumerate(grid_positions(sample.points, sample.variables).tolist()):
                 chosen = {}
                 for v, i in zip(sample.variables, row):
-                    label = v.domain.labels[i]
-                    pool = pools.get(pool_split, {}).get(v.source, {}).get(label)
-                    if not pool:
-                        raise DomainError(
-                            f"no image pool for class {label!r} "
-                            f"(source {v.source!r}, split {pool_split!r})"
-                        )
+                    key = (pool_split, v.source, v.domain.labels[i])
+                    pool = checked.get(key)
+                    if pool is None:
+                        pool = checked[key] = _image_pool(pools, *key)
                     h = _digest_int(
                         f"{seed}:{split}:{sample.seq_id}:{step}:{v.name}:{resample_epoch}"
                     )
-                    chosen[v.name] = int(pool[h % len(pool)])
+                    chosen[v.name] = pool[h % len(pool)]
                 per_step.append(chosen)
             out.append(replace(sample, indices=tuple(per_step)))
         new_splits[split] = out
     return Dataset(spec=ds.spec, splits=new_splits, metadata=dict(ds.metadata))
+
+
+def _image_pool(pools: ImagePools, split: str, source: str, label: str) -> list[int]:
+    """The checked pool ``pools[split][source][label]`` as a list of ints."""
+    where = f"class {label!r} (source {source!r}, split {split!r})"
+    pool = pools
+    for key in (split, source, label):
+        if not isinstance(pool, Mapping):
+            raise DomainError(f"image pools for {where}: {pool!r} is not a mapping")
+        pool = pool.get(key)
+        if pool is None:
+            raise DomainError(f"no image pool for {where}")
+    if isinstance(pool, np.ndarray) and pool.ndim == 1:
+        pool = pool.tolist()
+    elif not isinstance(pool, Sequence):
+        raise DomainError(f"image pool for {where} is not a sequence: {pool!r}")
+    if len(pool) == 0:
+        raise DomainError(f"no image pool for {where}")
+    for entry in pool:
+        if isinstance(entry, bool) or not isinstance(entry, numbers.Integral):
+            raise DomainError(f"image pool for {where} holds {entry!r}, not an integer index")
+    return [int(entry) for entry in pool]
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +609,8 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
     ``verify=True`` also recomputes the spec hash and replays every
     sample's letters through ``Dataset.dfa``, raising IntegrityError on any
     mismatch with the recorded states or labels.  Errors of the stored DFA
-    name ``metadata.json``.
+    name ``metadata.json``, as does a stored seed that is not the spec's
+    (an int, not a bool, equal to it), with or without ``verify``.
 
     ``_decode_columns`` decodes the text when it can, and the verified load
     then replays with one gather (``_replay_matches``).  When the columnar
@@ -614,6 +640,9 @@ def deserialize(in_dir: str | Path, verify: bool = False) -> Dataset:
             f"{meta_path}: atoms {atoms!r}, the stored DFA's atoms {dfa_atoms!r} and "
             f"the spec's constraint names {list(spec.atoms)} must be equal"
         )
+    seed = metadata["seed"]
+    if type(seed) is not int or seed != spec.seed:  # a bool is no seed
+        raise DatasetFormatError(f"{meta_path}: seed {seed!r} is not the spec's seed {spec.seed}")
     if verify and spec.spec_hash != metadata["spec_hash"]:
         raise IntegrityError(
             f"{meta_path}: spec hash {metadata['spec_hash']!r} does not match "

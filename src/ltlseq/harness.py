@@ -8,7 +8,9 @@ noisy label distributions pushed through exact constraint probability) or at
 the atom level (``ic_cc`` target: noisy truth distributions used directly as
 constraint beliefs).  ``ic_cc`` runs the ``ic`` path over two-class atom
 variables: each atom's truth bit is its true class, read through the identity
-indicator, so each oracle kind is written once.
+indicator, so each oracle kind is written once.  Only the ``ic`` target on a
+task with variables scores IC: under ``ic_cc``, and for a task without
+variables, ``ic_acc`` is None and ``avg_acc`` averages the other stages.
 
 Oracle randomness is derived per sequence from ``(seed, split, seq_id)``, so
 results do not depend on evaluation order.  A split seeds its sequences'
@@ -100,8 +102,10 @@ class OracleConfig:
 class Metrics:
     """The ``METRIC_COLUMNS`` of one run: the per-stage accuracies.
 
-    ``ic_acc`` is None when the IC stage is not simulated (``ic_cc`` target);
-    ``avg_acc`` averages whichever of the four stage accuracies are present.
+    ``ic_acc`` is None when no IC stage is simulated: under the ``ic_cc``
+    target, and for a task without variables, which has no label to
+    predict.  ``avg_acc`` averages whichever of the four stage accuracies
+    are present.
     The dataset's most-probable-class baselines are ``mp_baselines``.
     """
 
@@ -322,8 +326,9 @@ def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
 @dataclass(frozen=True)
 class _Traces:
     """Corrupted constraint beliefs of one split under one oracle config,
-    padded with zeros like the split's arrays, plus IC (hits, total) and
-    the CC hits: thresholded beliefs equal to the truth bits."""
+    padded with zeros like the split's arrays, plus IC (hits, total), the
+    total 0 where no IC stage runs, and the CC hits: thresholded beliefs
+    equal to the truth bits."""
 
     data: _Split
     cb: np.ndarray
@@ -333,11 +338,6 @@ class _Traces:
 
 
 _IDENTITY = np.array([0.0, 1.0])  # an atom's indicator over its own truth bit
-
-
-def _oracle_traces(task: CompiledTask, data: _Split, oracle: OracleConfig) -> _Traces:
-    """Corrupt every sequence of a split under one config."""
-    return _group_traces(task, data, [oracle])[0]
 
 
 def _group_traces(
@@ -448,30 +448,29 @@ def evaluate(
     vectors; NSP compares the belief argmax to the stored state trace per
     step; SC compares thresholded raw acceptance (ties → positive) to the
     sequence label; IC is the oracle's own argmax accuracy, reported only
-    when the ``ic`` target simulates that stage.  ``engine`` is an engine or
-    an engine name.  Only the scored split is read.  No stage reads a
-    calibration temperature; the fitted one is the ``sc_temp`` column of
-    ``oracle_sweep(..., calibrate=True)``.
+    when the ``ic`` target simulates that stage over at least one variable:
+    under ``ic_cc``, and for a task without variables, ``ic_acc`` is None
+    and ``avg_acc`` is the mean of the other three.  ``engine`` is an
+    engine or an engine name.  Only the scored split is read.  No stage
+    reads a calibration temperature; the fitted one is the ``sc_temp``
+    column of ``oracle_sweep(..., calibrate=True)``.
     """
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
-    traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    (scores,) = _score([traces], [oracle], *_run_units(engine, *_stack([traces])))
+    (traces,) = _group_traces(task, _split_arrays(task, dataset, split), [oracle])
+    (scores,) = _score([traces], *_run_units(engine, *_stack([traces])))
     return Metrics(**scores)
 
 
 def _score(
-    units: Sequence[_Traces],
-    oracles: Sequence[OracleConfig],
-    predicted: np.ndarray,
-    acceptance: np.ndarray,
+    units: Sequence[_Traces], predicted: np.ndarray, acceptance: np.ndarray
 ) -> list[dict[str, float | None]]:
     """The ``METRIC_COLUMNS`` of each unit, as ``evaluate`` defines them.
 
-    The units are over one split, corrupted under ``oracles``; ``predicted``
-    and ``acceptance`` are their rows from ``_run_units``, in unit order,
-    ``predicted`` at least as wide as the split.  NSP and SC are one count
-    over all the units, CC the count each unit's traces hold."""
+    The units are over one split; ``predicted`` and ``acceptance`` are
+    their rows from ``_run_units``, in unit order, ``predicted`` at least as
+    wide as the split.  NSP and SC are one count over all the units, CC and
+    IC (where its total is not 0) the counts each unit's traces hold."""
     data = units[0].data
     n, width = data.states.shape
     predicted = predicted[:, :width].reshape(len(units), n, width)
@@ -479,9 +478,9 @@ def _score(
     sc = np.count_nonzero((acceptance.reshape(-1, n) >= 0.5) == data.positive, axis=1).tolist()
     steps = int(data.lengths.sum())
     rows = []
-    for unit, oracle, nsp_hits, sc_hits in zip(units, oracles, nsp, sc):
+    for unit, nsp_hits, sc_hits in zip(units, nsp, sc):
         accuracies = (
-            unit.ic_hits / unit.ic_total if oracle.target == "ic" else None,
+            unit.ic_hits / unit.ic_total if unit.ic_total else None,
             unit.cc_hits / (steps * data.truths.shape[2]),
             nsp_hits / steps,
             sc_hits / n,
@@ -566,9 +565,9 @@ def fit_sc_temperature(
     """Calibrate a scalar temperature on acceptance probabilities of a split."""
     if isinstance(engine, str):
         engine = make_engine(engine, task.dfa)
-    traces = _oracle_traces(task, _split_arrays(task, dataset, split), oracle)
-    acceptance = _run_units(engine, *_stack([traces]))[1].tolist()
-    return calibrate_temperature([(a, s.label) for a, s in zip(acceptance, traces.data.samples)])
+    data = _split_arrays(task, dataset, split)
+    acceptance = _run_units(engine, *_stack(_group_traces(task, data, [oracle])))[1]
+    return calibrate_temperature(list(zip(acceptance.tolist(), data.positive.tolist())))
 
 
 def oracle_sweep(
@@ -626,7 +625,7 @@ def oracle_sweep(
     # the scored split's units are the batch's first rows, val's its last
     batch = _stack([traces[name][u] for name in data for u in units])
     scored = [traces[split][u] for u in units]
-    n_scored = len(units) * len(data[split].samples)
+    n_scored = len(units) * len(data[split].lengths)
 
     rows: dict[str, list[dict]] = {}
     # every unit scores the same val samples, so equal acceptances fit equal
@@ -634,7 +633,7 @@ def oracle_sweep(
     shared: dict[bytes, tuple[np.ndarray, list[dict]]] = {}
     for name, engine in built.items():
         predicted, acceptance = _run_units(engine, *batch)
-        scores = _score(scored, units, predicted[:n_scored], acceptance[:n_scored])
+        scores = _score(scored, predicted[:n_scored], acceptance[:n_scored])
         rows[name] = [
             {
                 "task": task.spec.name,
@@ -648,12 +647,11 @@ def oracle_sweep(
             for unit, score in zip(units, scores)
         ]
         if calibrate:
-            val = acceptance[-len(units) * len(data["val"].samples) :].reshape(len(units), -1)
+            val = acceptance[-len(units) * len(data["val"].lengths) :].reshape(len(units), -1)
             for row, unit_acceptance in zip(rows[name], val):
                 shared.setdefault(unit_acceptance.tobytes(), (unit_acceptance, []))[1].append(row)
     if shared:
-        labels = [s.label for s in data["val"].samples]
-        fits = calibrate_temperatures([acceptance for acceptance, _ in shared.values()], labels)
+        fits = calibrate_temperatures([a for a, _ in shared.values()], data["val"].positive)
         for (_, members), (temp, _) in zip(shared.values(), fits):
             for row in members:
                 row["sc_temp"] = temp

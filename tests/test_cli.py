@@ -178,6 +178,25 @@ def test_task_without_constraints_exits_without_traceback(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_task_without_variables_runs_end_to_end(tmp_path):
+    from test_tasks import NO_VARIABLES_YAML
+
+    path = tmp_path / "novar.yaml"
+    path.write_text(NO_VARIABLES_YAML)
+    data, sweep = tmp_path / "ds", tmp_path / "sweep"
+    for args in (
+        ["generate", str(path), "-o", str(data)],
+        ["infer", str(data)],
+        ["sweep", str(path), "-o", str(sweep), "--p-list", "0.0,0.1", "--seeds", "1"],
+    ):
+        result = run(*args)
+        assert result.exit_code == 0, result.output
+    for written in (data / "metrics.csv", sweep / "sweep.csv"):
+        with written.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["ic_acc"] == "" for row in rows), written
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000  # past any parser's recursion limit
 _BIG_INT = "9" * 5_000  # past the int digit limit of str -> int conversion
 

@@ -367,6 +367,17 @@ def test_stored_spec_without_constraints_fails_its_load(tmp_path):
         assert str(exc.value) == f"{path}: task 'task5': no constraints; a task needs at least one"
 
 
+@pytest.mark.parametrize("seed", [999, "x", None, True], ids=["other-int", "str", "null", "bool"])
+def test_stored_seed_other_than_the_spec_fails_its_load(tmp_path, seed):
+    path, metadata = _stored_dfa_dataset(tmp_path)
+    metadata["seed"] = seed
+    path.write_text(json.dumps(metadata))
+    for verify in (False, True):
+        with pytest.raises(DatasetFormatError) as exc:
+            deserialize(tmp_path, verify=verify)
+        assert str(exc.value) == f"{path}: seed {seed!r} is not the spec's seed 12345"
+
+
 def _set_cell(value):
     def edit(d):
         d["transitions"][0][1] = value

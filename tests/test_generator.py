@@ -653,6 +653,72 @@ def test_attach_missing_pool():
     assert victim.source in message and "train" in message
 
 
+def _every_train_pool(value):
+    def edit(pools):
+        pools["train"] = {source: dict.fromkeys(by, value) for source, by in pools["train"].items()}
+        return pools
+
+    return edit
+
+
+# a malformed pools argument, and a fragment of the DomainError it raises
+BAD_POOLS = {
+    "pools-none": (lambda pools: None, "None is not a mapping"),
+    "split-level-list": (lambda pools: {"train": [], "test": []}, "[] is not a mapping"),
+    "source-level-list": (
+        lambda pools: {**pools, "train": dict.fromkeys(pools["train"], [0, 1])},
+        "[0, 1] is not a mapping",
+    ),
+    "empty-list": (_every_train_pool([]), "no image pool for class"),
+    "empty-array": (_every_train_pool(np.array([], dtype=int)), "no image pool for class"),
+    "float-entry": (_every_train_pool([0, 1.5]), "holds 1.5, not an integer index"),
+    "bool-entry": (_every_train_pool([True]), "holds True, not an integer index"),
+    "bool-array": (_every_train_pool(np.array([False, True])), "holds False"),
+    "float-array": (_every_train_pool(np.arange(3.0)), "holds 0.0"),
+    "set": (_every_train_pool({0, 1}), "is not a sequence"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_POOLS))
+def test_attach_rejects_a_malformed_pool(case):
+    ct = small_task()
+    ds = generate_dataset(ct)
+    edit, fragment = BAD_POOLS[case]
+    with pytest.raises(DomainError) as exc:
+        attach_image_indices(ds, edit(pools_for(ct)))
+    message = str(exc.value)
+    assert fragment in message and "(source 'mnist', split 'train')" in message, message
+
+
+def test_attach_takes_array_pools_and_checks_each_pool_once():
+    ct = small_task()
+    ds = generate_dataset(ct)
+    pools = pools_for(ct)
+    lookups = []
+
+    class Spy(dict):
+        def get(self, key, default=None):
+            lookups.append((id(self), key))
+            return super().get(key, default)
+
+    arrays = {
+        split: {source: Spy({c: np.array(p) for c, p in by.items()}) for source, by in sources.items()}
+        for split, sources in pools.items()
+    }
+    got = attach_image_indices(ds, arrays)
+    assert got.splits == attach_image_indices(ds, pools).splits
+    assert {type(i) for _, s in got for step in s.indices for i in step.values()} == {int}
+    assert len(lookups) > 10 and len(set(lookups)) == len(lookups)
+
+
+def test_attach_reads_the_spec_seed():
+    ct = small_task()
+    ds = generate_dataset(ct)
+    stray = replace(ds, metadata={**ds.metadata, "seed": 999})
+    pools = pools_for(ct)
+    assert attach_image_indices(stray, pools).splits == attach_image_indices(ds, pools).splits
+
+
 def test_attach_round_trips_through_csv(tmp_path):
     ct = small_task()
     ds = attach_image_indices(generate_dataset(ct), pools_for(ct))

@@ -719,11 +719,35 @@ def _trace_configs():
     return configs
 
 
+def test_a_task_without_variables_scores_no_ic_stage(tmp_path):
+    from ltlseq.inference import ENGINE_NAMES
+    from ltlseq.tasks import load_task_yaml
+    from test_tasks import NO_VARIABLES_YAML
+
+    path = tmp_path / "novar.yaml"
+    path.write_text(NO_VARIABLES_YAML)
+    ct = compile_task(load_task_yaml(path))
+    ds = generate_dataset(ct)
+    for target in ORACLE_TARGETS:
+        m = evaluate(ct, ds, "exact", OracleConfig(target=target))
+        assert m.ic_acc is None
+        assert m.avg_acc == (m.cc_acc + m.nsp_acc + m.sc_acc) / 3
+    rows = oracle_sweep(ct, ds, engines=ENGINE_NAMES, seeds=(1, 2), calibrate=True)
+    assert len(rows) == len(default_sweep_configs()) * len(ENGINE_NAMES) * 2
+    for row in rows:
+        assert row["ic_acc"] is None
+        assert row["avg_acc"] == (row["cc_acc"] + row["nsp_acc"] + row["sc_acc"]) / 3
+        if row["oracle_kind"] == "perfect":
+            assert row["cc_acc"] == row["nsp_acc"] == row["sc_acc"] == 1.0
+        cfg = OracleConfig(row["oracle_target"], row["oracle_kind"], row["p"], row["seed"])
+        assert row["sc_temp"] == fit_sc_temperature(ct, ds, row["engine"], cfg)[0]
+
+
 @pytest.mark.parametrize("name", ["task1", "task3", "task4", "task5", "task6", "example"])
 def test_array_traces_equal_reference_loop(name):
     from dataclasses import replace
 
-    from ltlseq.harness import _oracle_traces, _split_arrays
+    from ltlseq.harness import _group_traces, _split_arrays
     from oracles import oracle_traces
 
     ct = compile_task(builtin_task(name, splits=(2, 9, 0), min_length=4, max_length=12))
@@ -733,7 +757,7 @@ def test_array_traces_equal_reference_loop(name):
     for cfg in _trace_configs():
         for seed in (3, 41):
             cfg = replace(cfg, seed=seed)
-            got = _oracle_traces(ct, data, cfg)
+            got = _group_traces(ct, data, [cfg])[0]
             want, hits, total = oracle_traces(ct, ds.splits["val"], "val", cfg)
             for i, trace in enumerate(want):
                 assert np.array_equal(got.cb[i, : len(trace)], trace), (cfg, i)
@@ -1048,7 +1072,7 @@ def test_sweep_over_splits_of_unequal_width_equals_separate_calls(val_wider, mon
         assert row["sc_temp"] == fit_sc_temperature(ct, mixed, row["engine"], cfg)[0]
     # bit for bit: each unit of the stacked batch equals a batch of its own
     splits = [harness._split_arrays(ct, mixed, split) for split in ("val", "test")]
-    units = [harness._oracle_traces(ct, data, cfg) for data in splits for cfg in configs]
+    units = [harness._group_traces(ct, data, [cfg])[0] for data in splits for cfg in configs]
     for name in ENGINE_NAMES:
         engine = make_engine(name, ct.dfa)
         predicted, acceptance = harness._run_units(engine, *harness._stack(units))

@@ -422,6 +422,18 @@ positive_ratio: 1.0
 """
 NO_CONSTRAINTS_ERROR = "task 'bare': no constraints; a task needs at least one"
 
+# a task whose one constraint reads no variable: it has no IC stage to score
+NO_VARIABLES_YAML = """\
+name: novar
+domains: {}
+variables: {}
+constraints: {p: '1 < 2'}
+formula: F p
+length: {min: 2, max: 4}
+splits: {train: 4, val: 2, test: 2}
+positive_ratio: 1.0
+"""
+
 
 def test_a_task_without_constraints_is_rejected(tmp_path):
     from ltlseq.generator import generate_dataset
