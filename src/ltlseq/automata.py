@@ -6,7 +6,7 @@ one read-only array of states × 2^k, is the successor.  ``ltlf_to_dfa`` yields
 the minimized automaton of a formula with a deterministic BFS numbering, so
 equal inputs produce identical automata.
 
-``Dfa.to_json_dict`` is the stored form every ``dfa.json``, cache file and
+``Dfa.to_json_dict`` is the stored form every ``dfa.json`` and
 ``metadata.json`` holds: the table as one JSON row of successor states per
 state, and a sha256 digest of the document that ``Dfa.from_json_dict``
 checks.  The per-entry form written before it still loads.

@@ -1,9 +1,9 @@
 """Command-line front end: compile, generate, infer, sweep, baseline, report.
 
 Every subcommand is deterministic given its flags.  ``compile``,
-``generate`` and ``sweep`` cache automata under $LTLSEQ_CACHE_DIR (keyed by
-the task-spec hash) when it is set; ``infer`` and ``baseline`` compile
-nothing and read the automaton a dataset stores, ``Dataset.dfa``.
+``generate`` and ``sweep`` translate the task's formula on every run;
+``infer`` and ``baseline`` compile nothing and read the automaton a dataset
+stores, ``Dataset.dfa``.
 ``infer`` scores one (engine, oracle, seed) combination as a one-row
 ``oracle_sweep`` and appends the dataset's baselines; ``sweep`` runs
 distinct oracle seeds only.  --split names one of train, val or test.
@@ -14,17 +14,15 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import functools
-import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .automata import Dfa, guard_table
+from .automata import guard_table
 from .errors import DomainError, LtlfSyntaxError, LtlseqError, TaskFileError
-from .generator import deserialize, generate_dataset, serialize, write_summary_json, _digest_int
+from .generator import deserialize, generate_dataset, serialize, write_summary_json
 from .harness import (
     METRIC_COLUMNS,
     ORACLE_KINDS,
@@ -39,9 +37,8 @@ from .harness import (
 )
 from .inference import ENGINE_NAMES
 from .props import print_prop
-from .tasks import CompiledTask, SPLIT_NAMES, TaskSpec, builtin_or_file, compile_task, read_input
-
-CACHE_ENV = "LTLSEQ_CACHE_DIR"
+from .streams import _digest_int
+from .tasks import SPLIT_NAMES, builtin_or_file, compile_task
 
 _BASE_SEEDS = (12345, 67890, 88888)
 
@@ -65,37 +62,6 @@ def _friendly(fn):
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
-
-
-def _compile_cached(spec: TaskSpec) -> CompiledTask:
-    """compile_task with an automaton cache keyed by the spec hash.
-
-    A cache file that ``read_input`` cannot read into a valid automaton
-    (its digest included), one without a digest (the per-entry form written
-    before the row form), or an automaton over other atoms than the spec's,
-    is a miss: it is recompiled and rewritten.  Writes go through a
-    temporary file and ``os.replace``, so readers never see a partial file.
-    """
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return compile_task(spec)
-    path = Path(cache_dir) / f"{spec.spec_hash}.dfa.json"
-    try:
-        data = read_input(path, json.loads, LtlseqError)
-        dfa = Dfa.from_json_dict(data) if isinstance(data, dict) and "sha256" in data else None
-    except LtlseqError:
-        dfa = None
-    if dfa is not None and dfa.atoms == spec.atoms:
-        return compile_task(spec, dfa=dfa)
-    task = compile_task(spec)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        write_summary_json(task.dfa.to_json_dict(), tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return task
 
 
 def _seed_list(count: int) -> tuple[int, ...]:
@@ -138,11 +104,7 @@ def main() -> None:
 def cmd_compile(task_ref: str, out: str | None, max_states: int | None) -> None:
     """Compile TASK_REF (built-in name or YAML path) to a minimized DFA."""
     spec = builtin_or_file(task_ref)
-    if max_states is not None:
-        task = compile_task(spec, max_states=max_states)
-    else:
-        task = _compile_cached(spec)
-    dfa = task.dfa
+    dfa = compile_task(spec, max_states=max_states).dfa
     click.echo(f"task: {spec.name}")
     click.echo(f"formula: {spec.formula}")
     click.echo(f"atoms: {', '.join(dfa.atoms)}")
@@ -209,7 +171,7 @@ def cmd_generate(
     if splits is not None:
         overrides["splits"] = splits
     spec = replace(spec, **overrides)
-    task = _compile_cached(spec)
+    task = compile_task(spec)
     ds = generate_dataset(task)
     out_dir = Path(out)
     serialize(ds, out_dir)
@@ -385,7 +347,7 @@ def cmd_sweep(
         raise click.UsageError(f"--engines repeats engine {', '.join(repeated)}")
 
     spec = replace(builtin_or_file(task_ref), seed=gen_seed)
-    task = _compile_cached(spec)
+    task = compile_task(spec)
     ds = generate_dataset(task)
     configs = default_sweep_configs([p for p in p_values if p > 0.0])
     if 0.0 not in p_values:

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -70,7 +69,7 @@ import numpy as np
 from .automata import Dfa, assignment_of
 from .constraints import VariableSpec, grid_assignments, grid_points, grid_positions, sample_solution
 from .errors import DatasetFormatError, DomainError, IntegrityError, TaskFileError
-from .streams import stream_words
+from .streams import _HALF, _SHIFT, _digest_int, stream_words
 from .tasks import SPLIT_NAMES, CompiledTask, TaskSpec, compile_task, read_input
 
 GENERATOR_VERSION = "0.1.0"
@@ -79,26 +78,12 @@ GENERATOR_VERSION = "0.1.0"
 _POOL_SPLIT = {"train": "train", "val": "train", "test": "test"}
 
 
-def _digest_int(text: str) -> int:
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
 def _sequence_seed(seed: int, split: str, index: int) -> int:
     return _digest_int(f"{seed}:{split}:{index}")
 
 
 def _sequence_rng(seed: int, split: str, index: int) -> np.random.Generator:
     return np.random.default_rng(_sequence_seed(seed, split, index))
-
-
-_LOW32 = (1 << 32) - 1
-_DOUBLE_UNIT = 2.0**-53  # next_double's scale: 53 random bits to [0, 1)
-
-
-def _next_doubles(words: Sequence[int]) -> np.ndarray:
-    """numpy's ``next_double`` of each PCG64 word: its top 53 bits times
-    2^-53, what ``Generator.random()`` draws from one word."""
-    return (np.array(words, dtype=np.uint64) >> 11) * _DOUBLE_UNIT
 
 
 @dataclass
@@ -220,8 +205,7 @@ def _split_words(seed: int, split: str, lengths: Sequence[int]) -> np.ndarray:
     return stream_words(seeds, np.asarray(lengths, dtype=np.intp) + 1)
 
 
-# numpy scalars, so the walk's uint64 arithmetic stays uint64
-_WORD, _HALF, _SHIFT = np.uint64(1 << 32), np.uint64(_LOW32), np.uint64(32)
+_WORD = np.uint64(1 << 32)  # a numpy scalar, so the walk's uint64 arithmetic stays uint64
 
 
 def _lockstep(
@@ -368,8 +352,11 @@ def attach_image_indices(ds: Dataset, pools: ImagePools, resample_epoch: int = 0
     naming the split, source and class; each pool is checked once, on its
     first use.  Indices are a pure function of (seed, split, sequence, step,
     variable, epoch), the seed being the spec's (``ds.spec.seed``), so a new
-    epoch resamples images while class labels stay fixed.
+    epoch resamples images while class labels stay fixed.  An epoch that is
+    not an integer (a bool included) raises DomainError.
     """
+    if isinstance(resample_epoch, bool) or not isinstance(resample_epoch, numbers.Integral):
+        raise DomainError(f"resample_epoch {resample_epoch!r} is not an integer")
     seed = ds.spec.seed
     checked: dict[tuple[str, str, str], list[int]] = {}
     new_splits: dict[str, list[SequenceSample]] = {}

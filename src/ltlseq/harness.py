@@ -54,7 +54,7 @@ import numpy as np
 
 from .constraints import grid_positions, tensor_probability
 from .errors import DomainError, TaskFileError
-from .generator import _LOW32, Dataset, SequenceSample, _digest_int, _next_doubles
+from .generator import Dataset, SequenceSample
 from .inference import (
     calibrate_temperature,
     calibrate_temperatures,
@@ -62,7 +62,7 @@ from .inference import (
     run_batch,
     run_sequence,  # noqa: F401  (kept importable here: perfbench's tracer patches it)
 )
-from .streams import stream_words
+from .streams import _LOW32, _digest_int, _next_doubles, stream_words
 from .tasks import SPLIT_NAMES, CompiledTask, read_input
 
 ORACLE_TARGETS = ("ic", "ic_cc")

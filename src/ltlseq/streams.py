@@ -2,11 +2,12 @@
 
 Every sequence of a dataset, and every sequence an oracle corrupts, reads
 its own ``np.random.PCG64(seed)`` stream, with a 64-bit seed hashed from
-its name.  Seeding one bit generator runs ``SeedSequence`` in Python, about
-10-20 µs a stream.  ``SeedSequence`` (numpy/random/bit_generator.pyx) and
-PCG64, a 128-bit LCG with XSL-RR output (O'Neill 2014), are fixed
-algorithms that NEP 19 keeps stable, so ``stream_words`` computes them for
-a whole array of seeds in numpy and returns the same words.
+its name (``_digest_int``).  Seeding one bit generator runs
+``SeedSequence`` in Python, about 10-20 µs a stream.  ``SeedSequence``
+(numpy/random/bit_generator.pyx) and PCG64, a 128-bit LCG with XSL-RR
+output (O'Neill 2014), are fixed algorithms that NEP 19 keeps stable, so
+``stream_words`` computes them for a whole array of seeds in numpy and
+returns the same words.
 
 - ``seed_states``: SeedSequence on entropy below 2^64.  The entropy is two
   uint32 words, low first, and numpy hashes a 0 for each pool word past
@@ -27,6 +28,7 @@ a whole array of seeds in numpy and returns the same words.
 from __future__ import annotations
 
 import functools
+import hashlib
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +42,19 @@ _U63, _ROTATE = np.uint64(63), np.uint64(58)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SEED_BLOCK = 1 << 16  # words of one column block of stream_words
 _JUMPS = 1 << 10  # columns of one block at most
+_DOUBLE_UNIT = 2.0**-53  # next_double's scale: 53 random bits to [0, 1)
+
+
+def _digest_int(text: str) -> int:
+    """The 64-bit seed of the stream named ``text``: its sha256's first 8
+    bytes, big-endian."""
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _next_doubles(words: Sequence[int]) -> np.ndarray:
+    """numpy's ``next_double`` of each PCG64 word: its top 53 bits times
+    2^-53, what ``Generator.random()`` draws from one word."""
+    return (np.array(words, dtype=np.uint64) >> 11) * _DOUBLE_UNIT
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -401,8 +401,8 @@ def compile_task(
 ) -> CompiledTask:
     """Build the DFA, solution buckets, and reachability tables for a spec.
 
-    A precompiled ``dfa`` (e.g. from a cache keyed by the spec hash) skips
-    the formula translation; it must match the spec's sorted atoms.
+    A precompiled ``dfa`` (e.g. the one a dataset stores) skips the
+    formula translation; it must match the spec's sorted atoms.
 
     Raises TaskCompileError naming the first requested (label, length) pair
     no random walk can realize.

@@ -21,9 +21,9 @@ import numpy as np
 
 from ltlseq.constraints import AllDifferent, AllEqual, Comparison, tensor_probability
 from ltlseq.errors import DomainError, ResourceLimitError
-from ltlseq.generator import _digest_int
 from ltlseq.harness import confidence_oracle, flip_oracle
 from ltlseq.inference import apply_temperature
+from ltlseq.streams import _digest_int
 
 from ltlseq.formulas import (
     FALSE,

@@ -217,18 +217,14 @@ def _sub_once(path, pattern, repl):
         ("metadata", "deep"),
         ("metadata", "big-int"),
         ("metadata", "bad-spec"),
-        ("cache", "deep"),
-        ("cache", "big-int"),
     ],
 )
 def test_file_boundary_fails_typed(tmp_path, where, content):
     """Unparseable files end in a typed error naming the file (exit 2 for a
-    task YAML, 1 for a dataset) or, for a cache file, a recompile; never a
-    traceback."""
+    task YAML, 1 for a dataset), never a traceback."""
     from ltlseq.library import builtin_task
     from ltlseq.tasks import save_task_yaml
 
-    env = None
     if where == "task":
         path = tmp_path / "bad.yaml"
         save_task_yaml(builtin_task("task1"), path)
@@ -236,123 +232,19 @@ def test_file_boundary_fails_typed(tmp_path, where, content):
         value = {"big-int": _BIG_INT, "inf-seed": ".inf"}.get(content)
         if value is not None:
             _sub_once(path, r"^seed: .*$", f"seed: {value}")
-    elif where == "metadata":
+    else:
         path = generate(tmp_path) / "metadata.json"
         args, want_exit = ("infer", str(path.parent)), 1
         if content == "big-int":
             _sub_once(path, r'"seed": \d+', f'"seed": {_BIG_INT}')
         elif content == "bad-spec":
             _rewrite_metadata(path, lambda m: m | {"spec": m["spec"] | {"seed": "x"}})
-    else:
-        env, path = _seed_cache(tmp_path, "task3")
-        good = path.read_text()
-        args, want_exit = ("compile", "task3"), 0
-        if content == "big-int":
-            _sub_once(path, r'"states": \d+', f'"states": {_BIG_INT}')
     if content == "deep":
         path.write_text(_DEEP)
-    result = CliRunner().invoke(main, list(args), env=env)
+    result = CliRunner().invoke(main, list(args))
     assert result.exit_code == want_exit, result.output
-    if want_exit:
-        assert isinstance(result.exception, SystemExit), result.exception
-        assert path.name in result.output
-    else:
-        assert result.exception is None, result.exception
-        assert path.read_text() == good  # recompiled and rewritten
-
-
-def test_compile_cache_round_trip(tmp_path):
-    cache = tmp_path / "cache"
-    env = {"LTLSEQ_CACHE_DIR": str(cache)}
-    first = run("compile", "task1", env=env)
-    assert first.exit_code == 0
-    entries = list(cache.glob("*.dfa.json"))
-    assert len(entries) == 1
-    stamp = entries[0].stat().st_mtime_ns
-    second = run("compile", "task1", env=env)
-    assert second.exit_code == 0
-    assert "states: 8" in second.output
-    assert entries[0].stat().st_mtime_ns == stamp  # reused, not rewritten
-
-
-def _seed_cache(tmp_path, task):
-    cache = tmp_path / "cache"
-    env = {"LTLSEQ_CACHE_DIR": str(cache)}
-    assert run("compile", task, env=env).exit_code == 0
-    (entry,) = cache.glob("*.dfa.json")
-    return env, entry
-
-
-def test_compile_recovers_truncated_cache(tmp_path):
-    env, entry = _seed_cache(tmp_path, "task3")
-    good = entry.read_text()
-    entry.write_text(good[: len(good) // 2])
-    result = run("compile", "task3", env=env)
-    assert result.exit_code == 0, result.output
-    assert "states: 5" in result.output
-    assert entry.read_text() == good  # rewritten whole
-    assert [p.name for p in entry.parent.iterdir()] == [entry.name]  # no temp file left
-
-
-def test_compile_recovers_invalid_cache(tmp_path):
-    env, entry = _seed_cache(tmp_path, "task3")
-    good = entry.read_text()
-    data = json.loads(good)
-    data["transitions"][0][0] = 99
-    entry.write_text(json.dumps(data))
-    result = run("compile", "task3", env=env)
-    assert result.exit_code == 0, result.output
-    assert entry.read_text() == good
-
-
-def test_compile_recovers_cache_over_other_atoms(tmp_path):
-    env, entry = _seed_cache(tmp_path, "task3")
-    good = entry.read_text()
-    data = json.loads(good)
-    data["atoms"] = ["x", "y"]
-    entry.write_text(json.dumps(data))
-    for _ in range(2):
-        result = run("compile", "task3", env=env)
-        assert result.exit_code == 0, result.output
-        assert "atoms: p, q" in result.output
-        assert entry.read_text() == good
-
-
-def _edit_in_range(data, edit):
-    """Edit a stored automaton so that it stays well-formed but changes."""
-    n = data["states"]
-    if edit == "transitions":
-        for row in data["transitions"][:6]:
-            row[0] = (row[0] + 1) % n
-    else:
-        data["accepting"] = sorted(set(data["accepting"]) ^ {0})
-
-
-@pytest.mark.parametrize("edit", ["transitions", "accepting"])
-def test_cache_edited_in_range_is_recompiled(tmp_path, edit):
-    """A cache file edited in range fails its digest: a sweep recompiles it
-    and rewrites it to the bytes of an uncached ``compile -o``."""
-    env, entry = _seed_cache(tmp_path, "task1")
-    data = json.loads(entry.read_text())
-    _edit_in_range(data, edit)
-    entry.write_text(json.dumps(data))
-    sweep = run("sweep", "task1", "-o", str(tmp_path / "s"), "--p-list", "0.0", "--seeds", "1", env=env)
-    assert sweep.exit_code == 0, sweep.output
-    assert run("compile", "task1", "-o", str(tmp_path / "uncached")).exit_code == 0
-    assert entry.read_bytes() == (tmp_path / "uncached" / "dfa.json").read_bytes()
-
-
-def test_old_form_cache_is_rewritten(tmp_path):
-    """A cache file in the per-entry form, which has no digest, is a miss."""
-    from ltlseq.automata import Dfa
-    from oracles import old_form_json
-
-    env, entry = _seed_cache(tmp_path, "task3")
-    good = entry.read_text()
-    entry.write_text(json.dumps(old_form_json(Dfa.from_json_dict(json.loads(good)))))
-    result = run("compile", "task3", env=env)
-    assert result.exit_code == 0, result.output
-    assert entry.read_text() == good
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert path.name in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -526,36 +418,6 @@ def _metrics(directory):
     return [(directory / name).read_bytes() for name in ("metrics.csv", "metrics.json")]
 
 
-def test_infer_ignores_a_renumbered_cache(tmp_path):
-    """A cache file holding the task's automaton numbered another way, with
-    a valid digest, does not change what infer scores."""
-    cache, empty = tmp_path / "cache", tmp_path / "empty"
-    empty.mkdir()
-    out = tmp_path / "ds"
-    result = run("generate", "task3", "-o", str(out), env={"LTLSEQ_CACHE_DIR": str(cache)})
-    assert result.exit_code == 0, result.output
-    (entry,) = cache.glob("*.dfa.json")
-    dfa = Dfa.from_json_dict(json.loads(entry.read_text()))
-    renumbered = _renumbered(dfa, _reversed_states(dfa.n_states))
-    assert renumbered != dfa
-    entry.write_text(json.dumps(renumbered.to_json_dict()))
-    for name, cache_dir in (("cached", cache), ("uncached", empty)):
-        env = {"LTLSEQ_CACHE_DIR": str(cache_dir)}
-        result = run("infer", str(out), "-o", str(tmp_path / name), env=env)
-        assert result.exit_code == 0, result.output
-        assert "nsp_acc: 1.0" in result.output
-    assert _metrics(tmp_path / "cached") == _metrics(tmp_path / "uncached")
-    assert list(empty.iterdir()) == []
-
-
-def test_infer_writes_no_cache(tmp_path):
-    out = generate(tmp_path)
-    fresh = tmp_path / "fresh"
-    result = run("infer", str(out), env={"LTLSEQ_CACHE_DIR": str(fresh)})
-    assert result.exit_code == 0, result.output
-    assert not fresh.exists()
-
-
 def test_infer_scores_a_dataset_in_its_own_numbering(tmp_path):
     """A dataset whose stored automaton and state_after column are renumbered
     together, digest recomputed, still verifies and scores the same."""
@@ -605,7 +467,6 @@ def test_infer_scores_with_the_automaton_its_load_verified(tmp_path, monkeypatch
 
     monkeypatch.setattr(Dfa, "from_json_dict", classmethod(parse))
     monkeypatch.setattr(cli, "oracle_sweep", sweep)
-    monkeypatch.setattr(cli, "_compile_cached", forbidden)
     monkeypatch.setattr("ltlseq.tasks.ltlf_to_dfa", forbidden)
     result = run("infer", str(out))
     assert result.exit_code == 0, result.output
@@ -655,6 +516,16 @@ def test_infer_row_equals_sweep_row(tmp_path, calibrate):
         assert list(got) == list(want)
         assert got == {k: "" if v is None else str(v) for k, v in want.items()}
         assert json.loads((tmp_path / "m" / "metrics.json").read_text()) == want
+
+
+def _edit_in_range(data, edit):
+    """Edit a stored automaton so that it stays well-formed but changes."""
+    n = data["states"]
+    if edit == "transitions":
+        for row in data["transitions"][:6]:
+            row[0] = (row[0] + 1) % n
+    else:
+        data["accepting"] = sorted(set(data["accepting"]) ^ {0})
 
 
 def _rewrite_metadata(path, change):
@@ -976,7 +847,8 @@ def test_unwritable_output_exits_1(tmp_path, command):
 # golden output bytes
 
 # Run in order in one work directory ("{w}"; "{yaml}" is a small task5 spec
-# kept outside it), all with LTLSEQ_CACHE_DIR set to {w}/cache.
+# kept outside it), all with LTLSEQ_CACHE_DIR set to {w}/cache: the variable
+# is no longer read, so nothing may appear there.
 GOLDEN_COMMANDS = (
     ("compile", "task5", "-o", "{w}/build"),
     ("generate", "task5", "-o", "{w}/ds", "--splits", "10", "4", "4"),
@@ -1007,8 +879,6 @@ GOLDEN_CLI = {
     "bl/baseline.json": "fa90f9026946edfcf936bd73b7f37e13e326f09b57e2d05ff7dc8abd066e4bd5",
     "build/dfa.json": "886d9d1e3570f300ddbb9021a5952b53df0893a28bcbe377a85ba27994c5c337",
     "build/guards.txt": "148b7a82ca13bb7854d72418bdd76ab5226c9a259f935ac43cceb33f16104b9f",
-    "cache/8cac525ac078e0e9883e0da9d3c66c4b151a0b099066a26cfe87b11a641cc792.dfa.json": "886d9d1e3570f300ddbb9021a5952b53df0893a28bcbe377a85ba27994c5c337",
-    "cache/ec151e79a8deca99042a77b9ed47d14223ed7a698acc8a2d8fb090076375dc1f.dfa.json": "886d9d1e3570f300ddbb9021a5952b53df0893a28bcbe377a85ba27994c5c337",
     "ds/metadata.json": "a5162b2030768b9f74cfe4d9cad7d202a56f74e849d058b1077f7f8c0e31cd70",
     "ds/metrics.csv": "c65a636ab28b988a47af0ea15d6bff0c6d09e5953cebcbb233fab9b5ac02c480",
     "ds/metrics.json": "5fc352e55e991ce6f69c8b1e3d3ebde8d20e21db3e2afeeb8fdcff8a9c042fe5",

@@ -2,10 +2,8 @@
 
 Each case truncates, flips, deletes, duplicates or retypes content of a file
 the package reads — ``sequences.csv``, the fields of ``metadata.json`` other
-than the stored DFA (which ``test_dataset_io`` fuzzes), a task YAML, a sweep
-CSV and an automaton cache file — and hands it to the function that reads
-that file.  A cache file is never an error: it is recompiled, so the task
-must equal an uncached compile.
+than the stored DFA (which ``test_dataset_io`` fuzzes), a task YAML and a
+sweep CSV — and hands it to the function that reads that file.
 
 Each ``sequences.csv`` text, mutated or with cells edited, also goes to the
 columnar decoder: it must return the row decoder's samples and lines, with a
@@ -21,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from ltlseq.automata import Dfa
-from ltlseq.cli import _compile_cached
 from ltlseq.errors import DatasetFormatError, IntegrityError, LtlseqError
 from ltlseq.generator import (
     Dataset,
@@ -375,20 +371,6 @@ def test_mutated_sweep_csv(tmp_path):
 
     for _ in range(MUTATIONS):
         fails_typed_or_passes(report, _write(path, mutate(good, rng)))
-
-
-def test_mutated_cache_file(tmp_path, monkeypatch):
-    rng = random.Random(5)
-    spec = builtin_task("task3")
-    monkeypatch.setenv("LTLSEQ_CACHE_DIR", str(tmp_path))
-    want = _compile_cached(spec)
-    (path,) = tmp_path.glob("*.dfa.json")
-    good = path.read_text()
-    for _ in range(MUTATIONS):
-        path.write_text(mutate(good, rng))
-        assert _compile_cached(spec) == want
-        # a file the reader rejects is rewritten; one it accepts holds the automaton
-        assert Dfa.from_json_dict(json.loads(path.read_text())) == want.dfa
 
 
 def _write(path, text):

@@ -653,6 +653,15 @@ def test_attach_missing_pool():
     assert victim.source in message and "train" in message
 
 
+@pytest.mark.parametrize("epoch", ["1", 1.0, True, None], ids=repr)
+def test_attach_rejects_non_integer_epoch(epoch):
+    """The epoch is hashed as text, so ``"1"`` would draw epoch 1's indices
+    and ``1.0``, ``True`` and ``None`` other ones; each is refused."""
+    ct = small_task()
+    with pytest.raises(DomainError, match="resample_epoch"):
+        attach_image_indices(generate_dataset(ct), pools_for(ct), resample_epoch=epoch)
+
+
 def _every_train_pool(value):
     def edit(pools):
         pools["train"] = {source: dict.fromkeys(by, value) for source, by in pools["train"].items()}

@@ -562,7 +562,7 @@ def test_golden_noisy_sweep_bytes(tmp_path, name):
     path = tmp_path / "sweep.csv"
     if name.startswith("ltlseq "):
         args = [*name.split()[1:], "-o", str(tmp_path)]
-        result = CliRunner().invoke(main, args, env={"LTLSEQ_CACHE_DIR": ""})
+        result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, result.output
     else:
         spec = family_spec(6) if name == "fam6" else builtin_task(name)
@@ -813,8 +813,8 @@ def test_cached_oracle_draws_equal_scalar_oracles():
 def _flip_case(p=0.3, seed=7):
     """A task5 test split, its flip-oracle inputs under ``seed`` and the
     labels ``flip_oracle`` draws on fresh Generators, sequence after sequence."""
-    from ltlseq.generator import _digest_int
     from ltlseq.harness import _split_arrays
+    from ltlseq.streams import _digest_int
 
     ct, ds = small_dataset("task5", splits=(2, 4, 8))
     data = _split_arrays(ct, ds, "test")
@@ -877,8 +877,8 @@ def test_a_flip_row_that_runs_out_of_words_replays_only_its_sequence(monkeypatch
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_argmax_hits_equal_argmax_on_a_forced_tie(k):
-    from ltlseq.generator import _next_doubles
     from ltlseq.harness import _argmax_hits, _confidence_masses, _Words
+    from ltlseq.streams import _next_doubles
 
     # zero words draw u = 0, so at p = 1 − 1/k the true class holds
     # m = 1/k and every other class (1 − m)/(k − 1) = 1/k: a tie in every entry
@@ -897,8 +897,8 @@ def test_argmax_hits_equal_argmax_on_a_forced_tie(k):
 
 
 def test_a_replayed_row_reads_its_stream_from_word_0():
-    from ltlseq.generator import _digest_int
     from ltlseq.harness import _split_arrays, _Words
+    from ltlseq.streams import _digest_int
 
     ops = [None if i % 3 else 7 for i in range(40)] + [None] * 10
 
@@ -929,7 +929,7 @@ def test_a_replayed_row_reads_its_stream_from_word_0():
 
 def test_each_oracle_stream_is_seeded_once_per_sweep(monkeypatch):
     from ltlseq import generator, harness
-    from ltlseq.generator import _digest_int
+    from ltlseq.streams import _digest_int
 
     seeded, built, replayed = [], [], []
     stream_words, stream = harness.stream_words, harness._Words.stream
