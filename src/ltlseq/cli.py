@@ -41,6 +41,9 @@ from .streams import _digest_int
 from .tasks import SPLIT_NAMES, builtin_or_file, compile_task
 
 _BASE_SEEDS = (12345, 67890, 88888)
+# derived seeds lie in [0, _SEED_RANGE), as the base seeds do, so no more
+# distinct seeds than this exist
+_SEED_RANGE = 1_000_000
 
 _split_option = click.option(
     "--split", type=click.Choice(SPLIT_NAMES), default="test", show_default=True,
@@ -70,7 +73,7 @@ def _seed_list(count: int) -> tuple[int, ...]:
     seeds = dict.fromkeys(_BASE_SEEDS[:count])
     i = len(seeds)
     while len(seeds) < count:
-        seeds.setdefault(_digest_int(f"sweep-seed:{i}") % 1_000_000)
+        seeds.setdefault(_digest_int(f"sweep-seed:{i}") % _SEED_RANGE)
         i += 1
     return tuple(seeds)
 
@@ -288,7 +291,7 @@ def cmd_infer(
 )
 @click.option(
     "--seeds",
-    type=click.IntRange(min=1),
+    type=click.IntRange(min=1, max=_SEED_RANGE),
     default=3,
     show_default=True,
     help="Oracle seeds per configuration: 12345, 67890, 88888, then distinct hash-derived ones.",

@@ -298,6 +298,10 @@ class _Split:
 def _split_arrays(task: CompiledTask, dataset: Dataset, split: str) -> _Split:
     if split not in SPLIT_NAMES:
         raise DomainError(f"unknown split {split!r}; valid: {', '.join(SPLIT_NAMES)}")
+    if dataset.dfa != task.dfa:  # its states would be scored in another numbering
+        raise DomainError(
+            f"dataset automaton {dataset.dfa.digest} is not the task's {task.dfa.digest}"
+        )
     samples = dataset.splits.get(split, [])
     if not samples:
         raise DomainError(f"split {split!r} is empty")
@@ -431,6 +435,18 @@ def _run_units(engine, cb: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray,
     return result.beliefs.argmax(axis=2), result.acceptance
 
 
+def _task_engine(task: CompiledTask, engine):
+    """``engine``, or the engine that name builds, over the task's automaton;
+    an engine over another automaton is a DomainError."""
+    if isinstance(engine, str):
+        return make_engine(engine, task.dfa)
+    if engine.dfa != task.dfa:
+        raise DomainError(
+            f"engine automaton {engine.dfa.digest} is not the task's {task.dfa.digest}"
+        )
+    return engine
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -451,12 +467,12 @@ def evaluate(
     when the ``ic`` target simulates that stage over at least one variable:
     under ``ic_cc``, and for a task without variables, ``ic_acc`` is None
     and ``avg_acc`` is the mean of the other three.  ``engine`` is an
-    engine or an engine name.  Only the scored split is read.  No stage
-    reads a calibration temperature; the fitted one is the ``sc_temp``
-    column of ``oracle_sweep(..., calibrate=True)``.
+    engine name or an engine over ``task.dfa``; an engine or a dataset over
+    another automaton is a DomainError.  Only the scored split is read.  No
+    stage reads a calibration temperature; the fitted one is the
+    ``sc_temp`` column of ``oracle_sweep(..., calibrate=True)``.
     """
-    if isinstance(engine, str):
-        engine = make_engine(engine, task.dfa)
+    engine = _task_engine(task, engine)
     (traces,) = _group_traces(task, _split_arrays(task, dataset, split), [oracle])
     (scores,) = _score([traces], *_run_units(engine, *_stack([traces])))
     return Metrics(**scores)
@@ -562,9 +578,9 @@ def fit_sc_temperature(
     oracle: OracleConfig,
     split: str = "val",
 ) -> tuple[float, bool]:
-    """Calibrate a scalar temperature on acceptance probabilities of a split."""
-    if isinstance(engine, str):
-        engine = make_engine(engine, task.dfa)
+    """Calibrate a scalar temperature on acceptance probabilities of a split;
+    ``engine`` and ``dataset`` are as in ``evaluate``."""
+    engine = _task_engine(task, engine)
     data = _split_arrays(task, dataset, split)
     acceptance = _run_units(engine, *_stack(_group_traces(task, data, [oracle])))[1]
     return calibrate_temperature(list(zip(acceptance.tolist(), data.positive.tolist())))
@@ -598,7 +614,7 @@ def oracle_sweep(
     calibrating changes no metric.
     ``jobs`` is accepted for compatibility and starts no threads; the output
     is the same for any value.  A repeated engine or seed would only copy
-    rows, so it raises DomainError.
+    rows, so it raises DomainError, as does a dataset over another automaton.
     """
     for what, values in (("engine", engines), ("seed", seeds)):
         repeated = sorted(v for v, n in Counter(values).items() if n > 1)

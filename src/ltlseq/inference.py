@@ -11,11 +11,15 @@ that steps a whole batch of sequences at once:
   ``P(state s) = b[s]``, so ``b'[t] = Σ_ℓ P(ℓ)·(1 − Π_{s: δ(s,ℓ)=t}(1 − b[s]))``;
   it coincides with the linear rule on one-hot beliefs.
 
-The ``-lp`` engines sum over letters with logsumexp in log space, so letter
-probabilities that underflow in float64 still give the log-semiring answer;
-their rule takes its logs and exps on the present (letter, target) cells
-only, those some source reaches, and has one letters·states × rows array for
-the max and the sum over letters, so ``_BATCH_CELLS`` bounds all five engines.
+Every engine sums the preimages on the present (letter, target) cells only,
+those some source reaches (``_Preimages``), and takes the multi-hot ``1 − Π``
+there.  The PROB engines scatter the cells into a zero-filled rows × letters
+× states array for one ``matmul`` over letters.  The ``-lp`` engines sum over
+letters with logsumexp, so letter probabilities that underflow in float64
+still give the log-semiring answer, and take their logs and exps on the
+present cells, with one letters·states × rows array for the max and the
+sum.  Either path holds one such array a step, so ``_BATCH_CELLS`` bounds all
+five engines.
 
 Each engine is one row of ``_ENGINES`` (rule, renormalization, semiring),
 built by ``make_engine``.  The per-step semantics the kernels implement stay
@@ -299,11 +303,12 @@ def _letter_table(cb: np.ndarray, log: bool) -> np.ndarray:
 
 
 class _Preimages:
-    """Sums over the preimages {s: δ(s,ℓ) = t} of a DFA's transition table δ.
+    """The sums over the preimages {s: δ(s,ℓ) = t} of a DFA's transition
+    table δ, one per present cell (ℓ, t), one that some source reaches.
 
     The (source, letter) pairs are sorted by (letter, target), so one
-    ``np.add.reduceat`` sums every preimage: one sum per present cell (ℓ, t),
-    one that some source reaches, whose ``keys`` entry is ℓ·states + t.
+    ``np.add.reduceat`` sums every preimage; cell k's ``keys`` entry is
+    ℓ·states + t, and ``letters`` and ``targets`` split it.
     """
 
     def __init__(self, dfa: Dfa):
@@ -317,17 +322,9 @@ class _Preimages:
         self.sources = order // n_letters
         self.shape = (n_letters, n)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """x[:, ℓ, t] = Σ_{s: δ(s,ℓ)=t} v[:, s] for v of shape rows × states;
-        absent cells are 0."""
-        sums = np.add.reduceat(v[:, self.sources], self.starts, axis=1)
-        x = np.zeros((len(v), self.shape[0] * self.shape[1]))
-        x[:, self.keys] = sums
-        return x.reshape(len(v), *self.shape)
-
     def cells(self, v: np.ndarray) -> np.ndarray:
-        """The present cells' sums, cells × rows: row k is x[:, ℓ, t] of
-        ``__call__`` for keys[k] = ℓ·states + t, summed in the same order."""
+        """Row k is Σ_{s: δ(s,ℓ)=t} v[:, s] for keys[k] = ℓ·states + t, for v
+        of shape rows × states: the present cells' sums, cells × rows."""
         return np.add.reduceat(v.T[self.sources], self.starts, axis=0)
 
 
@@ -365,16 +362,18 @@ class _Engine:
     def raw(self, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Raw next-state scores (semiring carrier space) for state beliefs
         ``b`` (sequences × states) and ``letter_weights`` (sequences × 2^k)."""
-        log = self.semiring is LOGPROB
+        p = self._preimages
         with np.errstate(divide="ignore"):  # log 0 = -inf
             # b = 1 makes log1p(−b) = -inf, and exp(-inf) = 0 keeps Π(1 − b) exact
-            v = np.log1p(-b) if self.multihot else b
-            mass = self._preimages.cells(v) if log else self._preimages(v)
+            mass = p.cells(np.log1p(-b) if self.multihot else b)
             if self.multihot:
                 np.negative(np.expm1(mass, out=mass), out=mass)
-            if log:
+            if self.semiring is LOGPROB:
                 return self._logsumexp(mass, weights)
-        return np.matmul(weights[:, None, :], mass)[:, 0, :]
+        # absent cells are 0 in the rows × letters × states array matmul sums
+        x = np.zeros((len(b), p.shape[0] * p.shape[1]))
+        x[:, p.keys] = mass.T
+        return np.matmul(weights[:, None, :], x.reshape(len(b), *p.shape))[:, 0, :]
 
     def _logsumexp(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """logsumexp over letters of log x + log P(ℓ), x the present cells ×

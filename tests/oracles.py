@@ -8,8 +8,8 @@ the per-pair temperature search, the feasible letters of a walk step, the
 per-variable, per-step domain positions of a split, the per-entry JSON
 form a stored automaton had before the row form, ``sequences.csv`` as
 one ``csv.writer`` row per step, the automaton of a formula explored by
-one progression per state and letter and the log-semiring step kernel on a
-rows × letters × states cube.
+one progression per state and letter and the probability and log-semiring
+step kernels on a rows × letters × states cube.
 """
 
 import csv
@@ -455,21 +455,37 @@ def sequences_csv_reference(ds):
     return buf.getvalue().encode("utf-8")
 
 
-def logprob_raw_reference(dfa, multihot, b, weights):
-    """The LOGPROB engines' raw scores computed on a rows × letters × states
-    cube: the preimage sums {s: δ(s,ℓ) = t} of ``b`` (of Π(1 − b) for the
-    multi-hot rule) by one ``np.add.reduceat`` over (letter, target)-sorted
-    pairs, then a logsumexp over the middle, letters axis."""
+def _preimage_cube(dfa, v):
+    """x[:, ℓ, t] = Σ_{s: δ(s,ℓ)=t} v[:, s] on a rows × letters × states
+    cube, absent cells 0, by one ``np.add.reduceat`` over (letter,
+    target)-sorted pairs."""
     n, n_letters = dfa.n_states, dfa.n_letters
     keys = (np.arange(n_letters) * n + dfa.transitions).ravel()
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    x = np.zeros((len(v), n_letters * n))
+    x[:, sorted_keys[starts]] = np.add.reduceat(v[:, order // n_letters], starts, axis=1)
+    return x.reshape(len(v), n_letters, n)
+
+
+def prob_raw_reference(dfa, multihot, b, weights):
+    """The PROB engines' raw scores computed on the preimage cube of ``b``
+    (of Π(1 − b) for the multi-hot rule, whose absent cells turn -0.0), then
+    one ``np.matmul`` over the letters axis."""
     with np.errstate(divide="ignore"):
-        v = np.log1p(-b) if multihot else b
-        x = np.zeros((len(b), n_letters * n))
-        x[:, sorted_keys[starts]] = np.add.reduceat(v[:, order // n_letters], starts, axis=1)
-        x = x.reshape(len(b), n_letters, n)
+        x = _preimage_cube(dfa, np.log1p(-b) if multihot else b)
+    if multihot:
+        np.negative(np.expm1(x, out=x), out=x)
+    return np.matmul(weights[:, None, :], x)[:, 0, :]
+
+
+def logprob_raw_reference(dfa, multihot, b, weights):
+    """The LOGPROB engines' raw scores computed on the preimage cube of
+    ``b`` (of Π(1 − b) for the multi-hot rule), then a logsumexp over the
+    middle, letters axis."""
+    with np.errstate(divide="ignore"):
+        x = _preimage_cube(dfa, np.log1p(-b) if multihot else b)
         x = np.log(-np.expm1(x) if multihot else x) + weights[:, :, None]
         top = np.max(x, axis=1, keepdims=True)
         shift = np.where(np.isfinite(top), top, 0.0)

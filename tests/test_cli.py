@@ -659,6 +659,14 @@ def test_sweep_rejects_seed_count_below_one(tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_sweep_rejects_more_seeds_than_exist(tmp_path):
+    # derived seeds lie below 10^6, so a larger count never filled its list
+    result = run("sweep", "task5", "-o", str(tmp_path / "s"), "--seeds", "1000001", "--p-list", "0.0")
+    assert result.exit_code == 2
+    assert "--seeds" in result.output and "1000000" in result.output
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_rejects_repeated_seed(tmp_path):
     result = run(
         "sweep", "task5", "-o", str(tmp_path / "s"), "--seed-list", "7,8,7", "--p-list", "0.0"

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from ltlseq.automata import Dfa
 from ltlseq.errors import DomainError, TaskFileError
 from ltlseq.generator import generate_dataset, write_summary_json
 from ltlseq.harness import (
@@ -277,6 +278,48 @@ def test_unknown_split_names_the_valid_splits():
         fit_sc_temperature(ct, ds, "exact", OracleConfig(), split="bogus")
     with pytest.raises(DomainError, match=message):
         oracle_sweep(ct, ds, [OracleConfig()], split="bogus")
+
+
+def renumbered(dfa, a, b):
+    """``dfa`` with states ``a`` and ``b`` swapped: the same language, in
+    another numbering."""
+    perm = np.arange(dfa.n_states)
+    perm[[a, b]] = perm[[b, a]]
+    table = np.empty_like(dfa.transitions)
+    table[perm] = perm[dfa.transitions]
+    accepting = frozenset(int(perm[s]) for s in dfa.accepting)
+    return Dfa(dfa.atoms, dfa.n_states, accepting, table, int(perm[dfa.initial]))
+
+
+def automaton_mismatch(what, dfa, other):
+    return rf"{what} automaton {dfa.digest} is not the task's {other.digest}"
+
+
+SCORERS = {
+    "evaluate": lambda ct, ds, engine: evaluate(ct, ds, engine, OracleConfig()),
+    "fit_sc_temperature": lambda ct, ds, engine: fit_sc_temperature(ct, ds, engine, OracleConfig()),
+    "oracle_sweep": lambda ct, ds, engine: oracle_sweep(ct, ds, [OracleConfig()], engines=(engine,)),
+}
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_a_dataset_over_another_automaton_is_rejected(scorer):
+    # scored in the task's numbering, task3's perfect oracle reached
+    # nsp_acc 0.873 with no error
+    ct, ds = small_dataset("task3", splits=(10, 4, 6))
+    other = compile_task(ct.spec, dfa=renumbered(ct.dfa, 1, 2))
+    assert other.dfa != ds.dfa
+    with pytest.raises(DomainError, match=automaton_mismatch("dataset", ds.dfa, other.dfa)):
+        SCORERS[scorer](other, ds, "exact")
+    assert SCORERS[scorer](ct, ds, "exact")  # the dataset's own automaton scores
+
+
+@pytest.mark.parametrize("scorer", ["evaluate", "fit_sc_temperature"])
+def test_an_engine_over_another_automaton_is_rejected(scorer):
+    ct, ds = small_dataset("task3", splits=(10, 4, 6))
+    engine = make_engine("exact", renumbered(ct.dfa, 1, 2))
+    with pytest.raises(DomainError, match=automaton_mismatch("engine", engine.dfa, ct.dfa)):
+        SCORERS[scorer](ct, ds, engine)
 
 
 def test_sc_tie_counts_as_positive(monkeypatch):

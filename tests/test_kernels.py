@@ -32,7 +32,7 @@ from ltlseq.inference import (
 )
 from ltlseq.library import builtin_task, builtin_task_names
 from ltlseq.tasks import compile_task
-from oracles import logprob_raw_reference
+from oracles import logprob_raw_reference, prob_raw_reference
 from test_tasks import family_spec
 
 TOL = 1e-12
@@ -219,12 +219,23 @@ ABSENT_TARGET = Dfa(("p", "q"), 3, frozenset({2}), ((1, 2, 1, 2), (2, 2, 1, 1), 
 # 24 states over 1 atom whose preimages have 8 or 12 sources: numpy sums a
 # preimage past its first source pairwise, with 8 accumulators from 9 on.
 WIDE_PREIMAGES = Dfa(("p",), 24, frozenset({1}), tuple((s % 3, 3 + s % 2) for s in range(24)))
-LOG_CASES = [
+KERNEL_CASES = [
     *CASES,
     ("fam10", compile_task(family_spec(10)).dfa),
     ("absent-target", ABSENT_TARGET),
     ("wide-preimages", WIDE_PREIMAGES),
 ]
+
+
+def mixed_beliefs(rng, dfa, n_rows):
+    """Soft state beliefs with every third row one-hot, and soft constraint
+    beliefs with some exactly 0 or 1, which give letters of weight 0."""
+    b = np.array([soft_belief(rng, dfa.n_states) for _ in range(n_rows)])
+    b[1::3] = np.eye(dfa.n_states)[rng.integers(dfa.n_states, size=len(b[1::3]))]
+    cb = rng.random((n_rows, len(dfa.atoms)))
+    cb[::2, 0] = 0.0
+    cb[::3, -1] = 1.0
+    return b, cb
 
 
 def renormalized(raw):
@@ -237,17 +248,12 @@ def renormalized(raw):
     return belief / total[:, None], mass
 
 
-@pytest.mark.parametrize("case", LOG_CASES, ids=[name for name, _ in LOG_CASES])
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=[name for name, _ in KERNEL_CASES])
 def test_log_kernel_equals_rows_first_reference_bit_for_bit(case):
     _, dfa = case
     rng = np.random.default_rng(dfa.n_states * 6007 + dfa.n_letters)
-    k = len(dfa.atoms)
     for n_rows in (1, 9):
-        b = np.array([soft_belief(rng, dfa.n_states) for _ in range(n_rows)])
-        b[1::3] = np.eye(dfa.n_states)[rng.integers(dfa.n_states, size=len(b[1::3]))]
-        cb = rng.random((n_rows, k))
-        cb[::2, 0] = 0.0  # beliefs of exactly 0 and 1 give letters of log weight -inf
-        cb[::3, -1] = 1.0
+        b, cb = mixed_beliefs(rng, dfa, n_rows)
         for name in ("fuzzy-lp", "sddnnf-lp"):
             engine = make_engine(name, dfa)
             weights = engine.letter_weights(cb)
@@ -260,6 +266,30 @@ def test_log_kernel_equals_rows_first_reference_bit_for_bit(case):
             want_beliefs, want_masses = renormalized(want)
             assert beliefs.tobytes() == want_beliefs.tobytes(), (name, n_rows)
             assert masses.tobytes() == want_masses.tobytes(), (name, n_rows)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=[name for name, _ in KERNEL_CASES])
+def test_prob_kernel_equals_dense_cube_reference_bit_for_bit(case):
+    # the reference's multi-hot cube holds -0.0 at absent cells where the
+    # kernel scatters +0.0: absent-target has a whole column of them
+    _, dfa = case
+    rng = np.random.default_rng(dfa.n_states * 6011 + dfa.n_letters)
+    for n_rows in (1, 9):
+        b, cb = mixed_beliefs(rng, dfa, n_rows)
+        for name in ("exact", "fuzzy-p", "sddnnf-p"):
+            engine = make_engine(name, dfa)
+            for weights in (engine.letter_weights(cb), engine.letter_weights(np.round(cb))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    raw = engine.raw(b, weights)
+                    beliefs, masses = engine.advance(b, weights)
+                want = prob_raw_reference(dfa, engine.multihot, b, weights)
+                assert raw.tobytes() == want.tobytes(), (name, n_rows)
+                want_masses = want.sum(axis=1)
+                if engine.renormalize:
+                    want = want / want_masses[:, None]
+                assert beliefs.tobytes() == want.tobytes(), (name, n_rows)
+                assert masses.tobytes() == want_masses.tobytes(), (name, n_rows)
 
 
 @pytest.mark.parametrize("name", [n for n in ENGINE_NAMES if n != "exact"])
